@@ -178,6 +178,8 @@ def _render_reports_text(reports: list[OracleReport]) -> str:
         lines.append(f"  residual_slope      = {_fmt(r.residual_slope)}")
         for name in sorted(r.checks):
             lines.append(f"  check {name}: {'pass' if r.checks[name] else 'FAIL'}")
+        for name in sorted(r.skipped):
+            lines.append(f"  check {name}: skipped ({r.skipped[name]})")
         if r.error is not None:
             lines.append(f"  error = {r.error}")
         status = "NOT-JUDGED" if r.passed is None else ("PASS" if r.passed else "FAIL")

@@ -14,6 +14,7 @@ indices freely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -99,6 +100,11 @@ def _frozen_table(mapping: Mapping[int, Rational], lo: int, hi: int, what: str) 
     return out
 
 
+def _dense_numerators(table: Mapping[int, Rational], top: int, den: int) -> tuple:
+    """den * table[k] for k = 1..top, as integers."""
+    return tuple(int(table.get(k, 0) * den) for k in range(1, top + 1))
+
+
 @dataclass(frozen=True)
 class WnTable:
     """Sine-polynomial table of one super-potential order n >= 1:
@@ -108,17 +114,31 @@ class WnTable:
 
     with a supported on 1..n//2 and b on 1..(n+1)//2.  Lookups outside the
     stored keys return exact zero.
+
+    The same order is also held fraction-free, derived once here: `den` is
+    the least common denominator of all entries, and the dense integer
+    tuples `a_num`/`b_num` hold den * a[k] and den * b[k] at index k - 1
+    over the whole support.
     """
 
     n: int
     a: Mapping[int, Rational]
     b: Mapping[int, Rational]
+    den: int = field(init=False, repr=False, compare=False)
+    a_num: tuple = field(init=False, repr=False, compare=False)
+    b_num: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order must be >= 1, got {self.n}")
-        object.__setattr__(self, "a", _frozen_table(self.a, 1, self.n // 2, "a"))
-        object.__setattr__(self, "b", _frozen_table(self.b, 1, (self.n + 1) // 2, "b"))
+        a = _frozen_table(self.a, 1, self.n // 2, "a")
+        b = _frozen_table(self.b, 1, (self.n + 1) // 2, "b")
+        den = math.lcm(*(v.denominator for v in (*a.values(), *b.values())))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "a_num", _dense_numerators(a, self.n // 2, den))
+        object.__setattr__(self, "b_num", _dense_numerators(b, (self.n + 1) // 2, den))
 
     def a_at(self, k: int) -> Rational:
         return self.a.get(k, _ZERO)
@@ -183,34 +203,21 @@ class RTXYTables:
         A_n(theta) = R_n(theta) + cos(theta) * T_n(theta)
 
     with R[p] multiplying sin^(2m+2p) and T[j] multiplying sin^(2m+2j).
-    X and Y are the derived sine-polynomial coefficients of W_n (X the
-    plain part, Y the cos-weighted part); they are filled in a second
-    pass once the divergence cancellations have been checked.
     """
 
     n: int
     R: Mapping[int, Rational]
     T: Mapping[int, Rational]
-    X: Mapping[int, Rational] = field(default_factory=dict)
-    Y: Mapping[int, Rational] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "R", _frozen_table(self.R, 0, (self.n + 1) // 2, "R"))
         object.__setattr__(self, "T", _frozen_table(self.T, 0, self.n // 2, "T"))
-        object.__setattr__(self, "X", _frozen_table(self.X, 1, (self.n + 1) // 2, "X"))
-        object.__setattr__(self, "Y", _frozen_table(self.Y, 1, self.n // 2, "Y"))
 
     def r_at(self, p: int) -> Rational:
         return self.R.get(p, _ZERO)
 
     def t_at(self, j: int) -> Rational:
         return self.T.get(j, _ZERO)
-
-    def x_at(self, j: int) -> Rational:
-        return self.X.get(j, _ZERO)
-
-    def y_at(self, j: int) -> Rational:
-        return self.Y.get(j, _ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,7 @@ class OracleReport:
     wavefunction_gap: float
     residual_slope: float
     checks: dict = field(default_factory=dict)
+    skipped: dict = field(default_factory=dict)  # check name -> why it was not run
     passed: bool | None = None
     error: str | None = None
 
@@ -350,12 +351,13 @@ def verify_all(
         state = compute_series(params)
     n_order = state.current_order
 
+    skipped = {}
     try:
         slope = residual_slope(state)
-        slope_err = None
     except Exception as exc:  # no signal above the noise floor at high order
         slope = float("nan")
-        slope_err = str(exc)
+        if n_order >= 1:
+            skipped["residual_slope"] = str(exc)
 
     reports = []
     for beta in beta_list:
@@ -372,6 +374,7 @@ def verify_all(
             richardson_estimate=float("nan"),
             wavefunction_gap=float("nan"),
             residual_slope=slope,
+            skipped=dict(skipped),
         )
         try:
             series_value = eval_energy(state, beta, n_order)
@@ -401,7 +404,7 @@ def verify_all(
                 checks["eigenvalue_gap_beta0_single_grid"] = (
                     abs(series_value - single) <= tol["eigenvalue_beta0"]
                 )
-            if slope_err is None and n_order >= 1:
+            if n_order >= 1 and "residual_slope" not in skipped:
                 target = n_order + 1
                 checks["residual_slope"] = (
                     target - tol["residual_slope_below"]

@@ -5,7 +5,7 @@ cosine-squared forcing) that do not fit the quadratic-convolution shape of
 the general machinery, so they are written down in closed form.  From
 order 3 on the pipeline is
 
-    convolve_sources -> energy_coeff -> rt_tables -> xy_tables -> pack
+    convolve_sources -> energy_coeff -> rt_tables -> xy_tables
 
 and at order 3 the closed form is computed as well and compared exactly,
 as a seam test between the two paths.  Every cancellation that keeps the
@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import zip_longest
+from operator import mul
 
 from .core import (
     EnergySeries,
@@ -36,6 +39,7 @@ class SeriesInconsistencyError(RuntimeError):
     """An exact cancellation required for boundary finiteness failed."""
 
 
+@cache
 def i_coeff(mm: int, k: int) -> Rational:
     """Ratio of the k+1 descending even factors starting at 2*mm+2 to the
     k+1 descending odd factors starting at 2*mm+1.
@@ -43,7 +47,7 @@ def i_coeff(mm: int, k: int) -> Rational:
     This is the coefficient family appearing in the closed-form
     antiderivatives of odd sine powers.  k < 0 returns exact zero; k > mm
     is outside the domain the series machinery ever touches and is
-    rejected to guard against misuse.
+    rejected to guard against misuse.  Memoised across orders.
     """
     if k < 0:
         return _ZERO
@@ -102,15 +106,14 @@ def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
 
 @dataclass(frozen=True)
 class OrderAudit:
-    """Per-order record of which runtime assertions were exercised."""
+    """Measured facts of one order, recorded once every runtime assertion
+    of that order has passed (a failed one raises instead)."""
 
     n: int
     path: str  # "closed-form", "recurrence", or "both"
-    divergence_cancelled: bool | None  # lowest-index X/Y entries vanished exactly
-    divergent_coefficient_zero: bool | None  # rebuilt boundary-divergent coefficient == 0
-    parity_truncated: bool | None  # top-of-support entries vanished per the parity of n
-    a_support_top: int
-    b_support_top: int
+    energy_num_digits: int  # decimal digits of |E_n|'s numerator
+    energy_den_digits: int  # decimal digits of E_n's denominator
+    nonzero_entries: int  # nonzero entries of the a and b tables together
 
 
 @dataclass(frozen=True)
@@ -139,11 +142,30 @@ class SeriesState:
         return self.orders[n - 1]
 
 
+def _poly_mul(x: tuple, y: tuple) -> list:
+    """Coefficients of the product of two integer polynomials (index =
+    power, counted from the lowest stored one)."""
+    ry = y[::-1]
+    top = len(y) - 1
+    return [
+        sum(map(mul, x[max(0, q - top) : q + 1], ry[max(0, top - q) :]))
+        for q in range(len(x) + top)
+    ]
+
+
+def _poly_add(x, y) -> list:
+    return [u + v for u, v in zip_longest(x, y, fillvalue=0)]
+
+
 def convolve_sources(state: SeriesState, n: int) -> SourceTables:
     """Expand sum_{k=1}^{n-1} W_k W_{n-k} as a sine polynomial.
 
-    Out-of-support coefficient lookups contribute exact zero, so the
-    double sum can be written verbatim.
+    With x = sin^2, cos^2 = 1 - x and A_k, B_k the polynomials
+    sum_i a_k[i] x^(i-1), sum_i b_k[i] x^(i-1), W_k W_l contributes
+    h = (1 - x) A_k A_l + B_k B_l and g = A_k B_l + B_k A_l.  These are
+    formed on the integer numerators of the two orders and reduced to
+    exact rationals once per pair, over the product of their denominators;
+    the pair (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
@@ -151,23 +173,16 @@ def convolve_sources(state: SeriesState, n: int) -> SourceTables:
         raise ValueError(f"need orders 1..{n - 1} computed, have {state.current_order}")
     h: dict[int, Rational] = {}
     g: dict[int, Rational] = {}
-    for p in range(2, n // 2 + 2):
-        hp = _ZERO
-        gp = _ZERO
-        for k in range(1, n):
-            wk = state.orders[k - 1]
-            wnk = state.orders[n - k - 1]
-            for j in range(1, p):
-                hp += (
-                    wk.a_at(p - j) * wnk.a_at(j)
-                    - wk.a_at(p - 1 - j) * wnk.a_at(j)
-                    + wk.b_at(p - j) * wnk.b_at(j)
-                )
-                gp += wk.a_at(p - j) * wnk.b_at(j) + wk.b_at(p - j) * wnk.a_at(j)
-        if hp:
-            h[p] = hp
-        if gp:
-            g[p] = gp
+    for k in range(1, n // 2 + 1):
+        wk, wl = state.orders[k - 1], state.orders[n - k - 1]
+        aa = _poly_mul(wk.a_num, wl.a_num)
+        hk = _poly_add(_poly_add(aa, [0] + [-v for v in aa]), _poly_mul(wk.b_num, wl.b_num))
+        gk = _poly_add(_poly_mul(wk.a_num, wl.b_num), _poly_mul(wk.b_num, wl.a_num))
+        weight = 1 if 2 * k == n else 2
+        for table, terms in ((h, hk), (g, gk)):
+            for p, v in enumerate(terms, start=2):
+                if v:
+                    table[p] = table.get(p, _ZERO) + Fraction(weight * v, wk.den * wl.den)
     # SourceTables enforces the support bounds, in particular that the
     # cos-weighted part vanishes at p = n//2 + 1 for even n.
     return SourceTables(n, h, g)
@@ -179,8 +194,7 @@ def energy_coeff(sources: SourceTables, params: ModeParams) -> Rational:
     m = params.m
     total = _ZERO
     for p in range(2, sources.n // 2 + 2):
-        hp = sources.h_at(p)
-        gp = sources.g_at(p)
+        hp, gp = sources.h_at(p), sources.g_at(p)
         total += (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
         total += (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
     return Fraction(-(2 * m + 1) * (2 * m - 1), 2 * (m + 1)) * total
@@ -193,8 +207,7 @@ def divergent_coefficient(sources: SourceTables, e_n: Rational, params: ModePara
     m = params.m
     total = Fraction(2 * (m + 1), 2 * m + 1) * e_n
     for p in range(2, sources.n // 2 + 2):
-        hp = sources.h_at(p)
-        gp = sources.g_at(p)
+        hp, gp = sources.h_at(p), sources.g_at(p)
         total += (2 * m - 1) * (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
         total += (2 * m - 1) * (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
     return total
@@ -214,30 +227,33 @@ def rt_tables(sources: SourceTables, e_n: Rational, params: ModeParams) -> RTXYT
             2 * sources.g_at(p + 1) - 2 * sources.h_at(p + 1) - sources.g_at(p)
         ) * Fraction(1, 2 * m + 2 * p)
 
+    # T[j] = [j == 0] e_n/(2m+1) + sum_p u[p] i_coeff(m+p-2, p-2-j)
+    #                                  + v[p] i_coeff(m+p-1, p-1-j),
+    # with the per-p weights u, v below.  Both i_coeff values are products
+    # of r(x) = (2x+2)/(2x+1) over x = m+j .. m+p-2 (resp. m+p-1), so the
+    # sums obey the Horner step T[j] = r(m+j) (u[j+2] + v[j+1] + T[j+1]),
+    # taken from the top of the support down.
+    ps = range(2, n // 2 + 2)
+    u = {p: (sources.g_at(p) - sources.h_at(p)) / (m + p - 1) for p in ps}
+    v = {p: (sources.h_at(p) - 2 * sources.g_at(p)) / (2 * m + 2 * p) for p in ps}
     T: dict[int, Rational] = {}
-    for j in range(0, n // 2 + 1):
-        t = e_n * Fraction(1, 2 * m + 1) if j == 0 else _ZERO
-        for p in range(2, n // 2 + 2):
-            t += (
-                (sources.g_at(p) - sources.h_at(p))
-                * Fraction(1, m + p - 1)
-                * i_coeff(m + p - 2, p - 2 - j)
-            )
-            t += (
-                (sources.h_at(p) - 2 * sources.g_at(p))
-                * Fraction(1, 2 * m + 2 * p)
-                * i_coeff(m + p - 1, p - 1 - j)
-            )
+    t = _ZERO
+    for j in range(n // 2, -1, -1):
+        t = Fraction(2 * m + 2 * j + 2, 2 * m + 2 * j + 1) * (
+            u.get(j + 2, _ZERO) + v.get(j + 1, _ZERO) + t
+        )
         T[j] = t
+    T[0] += e_n / (2 * m + 1)
 
     # RTXYTables enforces the support bounds of both tables.
     return RTXYTables(n, R, T)
 
 
-def xy_tables(rt: RTXYTables) -> RTXYTables:
+def xy_tables(rt: RTXYTables) -> WnTable:
     """Convert the antiderivative tables to the sine-polynomial
-    coefficients of W_n, checking every cancellation that has to hold for
-    W_n to stay finite at the boundaries:
+    coefficients of W_n (X the plain table b, Y the cos-weighted table a),
+    checking every cancellation that has to hold for W_n to stay finite at
+    the boundaries:
 
       * the entries at index -1 and 0 of both X and Y must vanish exactly
         (otherwise W_n would blow up like inverse sine powers), and
@@ -272,17 +288,11 @@ def xy_tables(rt: RTXYTables) -> RTXYTables:
                 f"index {top} is {Y[top]}"
             )
 
-    x_kept = {j: v for j, v in X.items() if j >= 1 and v != 0}
-    y_kept = {j: v for j, v in Y.items() if j >= 1 and v != 0}
-    return RTXYTables(n, rt.R, rt.T, x_kept, y_kept)
+    # WnTable drops the exact zeros and enforces the support bounds.
+    return WnTable(n, {j: Y[j] for j in Y if j >= 1}, {j: X[j] for j in X if j >= 1})
 
 
-def _pack_order(xy: RTXYTables) -> WnTable:
-    """X becomes the plain table b, Y the cos-weighted table a."""
-    return WnTable(xy.n, dict(xy.Y), dict(xy.X))
-
-
-def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational, OrderAudit]:
+def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational]:
     sources = convolve_sources(state, n)
     e_n = energy_coeff(sources, state.params)
     b1 = divergent_coefficient(sources, e_n, state.params)
@@ -291,18 +301,7 @@ def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational, Order
             f"order {n}: chosen energy coefficient leaves divergent coefficient {b1}"
         )
     rt = rt_tables(sources, e_n, state.params)
-    xy = xy_tables(rt)  # raises on any failed cancellation
-    table = _pack_order(xy)
-    audit = OrderAudit(
-        n=n,
-        path="recurrence",
-        divergence_cancelled=True,
-        divergent_coefficient_zero=True,
-        parity_truncated=True,
-        a_support_top=max(table.a, default=0),
-        b_support_top=max(table.b, default=0),
-    )
-    return table, e_n, audit
+    return xy_tables(rt), e_n  # xy_tables raises on any failed cancellation
 
 
 def advance(state: SeriesState) -> SeriesState:
@@ -314,30 +313,22 @@ def advance(state: SeriesState) -> SeriesState:
     """
     n = state.current_order + 1
     if n == 1:
-        table, e_n = base_order1(state.params)
-        audit = OrderAudit(n, "closed-form", None, None, None, 0, 1)
+        (table, e_n), path = base_order1(state.params), "closed-form"
     elif n == 2:
-        table, e_n = base_order2(state.params)
-        audit = OrderAudit(n, "closed-form", None, None, None, 1, 1)
+        (table, e_n), path = base_order2(state.params), "closed-form"
     elif n == 3:
-        table, e_n, audit = _general_order(state, n)
+        table, e_n = _general_order(state, n)
         ref_table, ref_e = base_order3(state.params)
         if table.a != ref_table.a or table.b != ref_table.b or e_n != ref_e:
             raise SeriesInconsistencyError(
                 "order 3: recurrence path disagrees with the closed form "
                 f"(got a={table.a}, b={table.b}, e={e_n})"
             )
-        audit = OrderAudit(
-            n,
-            "both",
-            audit.divergence_cancelled,
-            audit.divergent_coefficient_zero,
-            audit.parity_truncated,
-            audit.a_support_top,
-            audit.b_support_top,
-        )
+        path = "both"
     else:
-        table, e_n, audit = _general_order(state, n)
+        (table, e_n), path = _general_order(state, n), "recurrence"
+    digits = (len(str(abs(e_n.numerator))), len(str(e_n.denominator)))
+    audit = OrderAudit(n, path, *digits, len(table.a) + len(table.b))
 
     return SeriesState(
         params=state.params,

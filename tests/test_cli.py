@@ -165,6 +165,19 @@ class TestVerify:
         assert lines[0].startswith("m,beta,order,series_value")
         assert len(lines) == 2 and lines[1].endswith("pass")
 
+    def test_skipped_slope_check_says_why(self, capsys):
+        # At N = 2 and theta = pi/3 the truncated defect is exactly zero
+        # (W_2 vanishes there for m = 1), so the slope fit has no signal.
+        code, out, err = run(["verify", "--m", "1", "--order", "2", "--beta", "0.05"], capsys)
+        assert "  residual_slope      = nan" in out
+        assert (
+            "  check residual_slope: skipped "
+            "(residual is below the noise floor over the whole sweep)" in out
+        )
+        # The verdict is the eigenvalue gap's: |E_3| beta^3 ~ 9e-6 exceeds
+        # the 1e-6 tolerance, and a skipped check neither passes nor fails.
+        assert code == 3 and "eigenvalue_gap" in err and "residual_slope" not in err
+
 
 class TestParser:
     def test_unknown_flag_exits_1(self, capsys):

@@ -109,6 +109,14 @@ class TestTables:
         assert t.a_at(7) == 0
         assert t.b_at(-1) == 0
 
+    def test_integer_form_over_common_denominator(self):
+        t = WnTable(4, {2: Fraction(-1, 4)}, {1: Fraction(1, 6), 2: Fraction(3, 10)})
+        assert t.den == 60
+        assert t.a_num == (0, -15)
+        assert t.b_num == (10, 18)
+        empty = WnTable(1, {}, {})
+        assert (empty.den, empty.a_num, empty.b_num) == (1, (), (0,))
+
     def test_zero_entries_dropped(self):
         t = WnTable(3, {1: Fraction(0)}, {1: Fraction(1, 3)})
         assert 1 not in t.a

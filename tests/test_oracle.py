@@ -197,6 +197,9 @@ class TestVerifyAll:
         # slope window, so the check must be skipped, not failed
         reports = verify_all(ModeParams(m=1, N=8), [0.0], state=state_m1_n8)
         assert "residual_slope" not in reports[0].checks
+        assert reports[0].skipped == {
+            "residual_slope": "residual is below the noise floor over the whole sweep"
+        }
         assert math.isnan(reports[0].residual_slope)
         assert reports[0].passed is True
 

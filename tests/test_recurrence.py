@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sws1.core import ModeParams, RTXYTables
+from sws1.core import ModeParams, RTXYTables, tables_to_text
 from sws1.evaluate import order_term, p_antiderivative
 from sws1.recurrence import (
     SeriesInconsistencyError,
@@ -231,11 +234,28 @@ class TestRtXyTables:
         for state in states_n8.values():
             src = convolve_sources(state, 3)
             e3 = energy_coeff(src, state.params)
-            xy = xy_tables(rt_tables(src, e3, state.params))
+            table = xy_tables(rt_tables(src, e3, state.params))
             ref, ref_e = base_order3(state.params)
             assert e3 == ref_e
-            assert dict(xy.Y) == dict(ref.a)
-            assert dict(xy.X) == dict(ref.b)
+            assert table.n == 3
+            assert dict(table.a) == dict(ref.a)
+            assert dict(table.b) == dict(ref.b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_t_table_matches_closed_form_sum(self, states_n10, m):
+        # rt_tables builds T by a Horner recurrence; the closed form sums
+        # the i_coeff antiderivative families term by term
+        state = states_n10[m]
+        for n in range(3, 11):
+            src = convolve_sources(state, n)
+            rt = rt_tables(src, state.energy[n], state.params)
+            for j in range(n // 2 + 1):
+                t = state.energy[n] / (2 * m + 1) if j == 0 else Fraction(0)
+                for p in range(2, n // 2 + 2):
+                    hp, gp = src.h_at(p), src.g_at(p)
+                    t += (gp - hp) / (m + p - 1) * i_coeff(m + p - 2, p - 2 - j)
+                    t += (hp - 2 * gp) / (2 * m + 2 * p) * i_coeff(m + p - 1, p - 1 - j)
+                assert rt.t_at(j) == t
 
     def test_failed_cancellation_raises_naming_order(self, state_m1_n8):
         src = convolve_sources(state_m1_n8, 4)
@@ -265,13 +285,18 @@ class TestSeriesState:
         assert state.orders == ()
 
     def test_advance_to_order10_all_audits_pass(self, states_n10):
+        # one audit per order, each naming the path that built the order
+        # and the sizes measured on the order it describes
+        paths = {1: "closed-form", 2: "closed-form", 3: "both"}
         for state in states_n10.values():
             assert state.current_order == 10
-            for audit in state.audit:
-                if audit.path != "closed-form":
-                    assert audit.divergence_cancelled is True
-                    assert audit.divergent_coefficient_zero is True
-                    assert audit.parity_truncated is True
+            assert [audit.n for audit in state.audit] == list(range(1, 11))
+            for audit, table in zip(state.audit, state.orders):
+                e_n = state.energy[audit.n]
+                assert audit.path == paths.get(audit.n, "recurrence")
+                assert audit.energy_num_digits == len(str(abs(e_n.numerator)))
+                assert audit.energy_den_digits == len(str(e_n.denominator))
+                assert audit.nonzero_entries == len(table.a) + len(table.b) > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_supports_obey_parity_truncation(self, states_n10, m):
@@ -290,3 +315,65 @@ class TestSeriesState:
                 energy=state.energy.__class__(state.energy.coeffs + (Fraction(1),)),
                 audit=state.audit,
             )
+
+
+def _riccati_orders(state, sin, cos, energy):
+    """Exact beta^n coefficients, n = 0..N, of W^2 - W' - V + E at one angle.
+
+    Evaluated straight from the stored tables, with d sin = cos and
+    d cos = -sin; nothing of the build is reused.
+    """
+    m = state.params.m
+    c1 = -Fraction(2 * m + 1, 2)
+    w = [(-1 + c1 * cos) / sin]
+    dw = [(-c1 + cos) / sin**2]
+    for t in state.orders:
+        ks = range(1, t.n + 1)
+        w.append(sum((cos * t.a_at(k) + t.b_at(k)) * sin ** (2 * k - 1) for k in ks))
+        dw.append(
+            sum(
+                t.a_at(k) * ((2 * k - 1) * cos**2 * sin ** (2 * k - 2) - sin ** (2 * k))
+                + t.b_at(k) * (2 * k - 1) * cos * sin ** (2 * k - 2)
+                for k in ks
+            )
+        )
+    v = [((m + cos) ** 2 - Fraction(1, 4)) / sin**2 - Fraction(5, 4), 2 * cos, -(cos**2)]
+    v += [Fraction(0)] * len(w)
+    return [
+        sum(w[i] * w[n - i] for i in range(n + 1)) - dw[n] - v[n] + energy[n]
+        for n in range(len(w))
+    ]
+
+
+PYTHAGOREAN_ANGLES = [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(5, 13), Fraction(-12, 13)),
+    (Fraction(8, 17), Fraction(15, 17)),
+]
+
+
+class TestExactRiccatiIdentity:
+    @pytest.mark.parametrize("m,N", [(1, 24), (2, 20), (20, 16)])
+    def test_every_order_vanishes_exactly(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        for sin, cos in PYTHAGOREAN_ANGLES:
+            assert sin**2 + cos**2 == 1
+            assert _riccati_orders(state, sin, cos, state.energy.coeffs) == [0] * (N + 1)
+
+    def test_perturbed_energy_shows_at_its_order_only(self, state_m2_n8):
+        energy = list(state_m2_n8.energy.coeffs)
+        energy[5] += Fraction(1, 7)
+        for sin, cos in PYTHAGOREAN_ANGLES:
+            orders = _riccati_orders(state_m2_n8, sin, cos, energy)
+            assert orders == [0] * 5 + [Fraction(1, 7)] + [0] * 3
+
+
+class TestBitIdentity:
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+    @pytest.mark.parametrize("m,N", [(1, 48), (2, 40), (20, 32)])
+    def test_table_text_matches_reference_digest(self, m, N):
+        digests = json.loads(self.REFERENCE.read_text())["coeffs_sha256"]
+        state = compute_series(ModeParams(m=m, N=N))
+        text = tables_to_text(m, state.energy, state.orders)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[f"m={m},N={N}"]
