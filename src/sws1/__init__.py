@@ -10,11 +10,7 @@ from .core import (
     EnergySeries,
     ModeParams,
     Rational,
-    RTXYTables,
-    SourceTables,
-    W0Form,
     WnTable,
-    normalize_rational,
     tables_from_text,
     tables_to_text,
 )
@@ -50,7 +46,6 @@ from .recurrence import (
     base_order3,
     compute_series,
     convolve_sources,
-    divergent_coefficient,
     energy_coeff,
     i_coeff,
     rt_tables,
@@ -67,11 +62,8 @@ __all__ = [
     "OracleError",
     "OracleReport",
     "Rational",
-    "RTXYTables",
     "SeriesInconsistencyError",
     "SeriesState",
-    "SourceTables",
-    "W0Form",
     "WavefunctionSample",
     "WnTable",
     "advance",
@@ -81,7 +73,6 @@ __all__ = [
     "base_order3",
     "compute_series",
     "convolve_sources",
-    "divergent_coefficient",
     "energy_coeff",
     "eval_energy",
     "eval_ground_wavefunction",
@@ -90,7 +81,6 @@ __all__ = [
     "fd_ground_eigenvalue",
     "fd_ground_eigenvector",
     "i_coeff",
-    "normalize_rational",
     "p_antiderivative",
     "potential",
     "quadrature_an",

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from fractions import Fraction
 
-from .core import EnergySeries, ModeParams, tables_to_text
+from .core import ModeParams, tables_to_text
 from .evaluate import (
     eval_energy,
     riccati_residual_on_grid,
@@ -81,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VAL",
         help=f"tolerance override, keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
     )
-    p_verify.add_argument("--corrupt-energy", type=int, default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -223,15 +220,6 @@ def cmd_verify(args) -> int:
     tolerances = _parse_tolerances(args.tol)
     params = ModeParams(m=args.m, N=args.order)
     state = compute_series(params)
-    if args.corrupt_energy is not None:
-        # Test hook: damage one energy coefficient so the battery must fail.
-        idx = args.corrupt_energy
-        if not 0 <= idx <= state.current_order:
-            raise ValueError(f"--corrupt-energy index {idx} out of range")
-        coeffs = list(state.energy.coeffs)
-        coeffs[idx] += Fraction(1, 1000)
-        state = replace(state, energy=EnergySeries(tuple(coeffs)))
-
     reports = verify_all(params, betas, tolerances=tolerances, state=state)
     text = (
         _render_reports_csv(reports)

@@ -6,9 +6,10 @@ super-potential order, convolution sources, antiderivative tables) is a
 rational number, so the whole data model is exact.  Floating point enters
 only at evaluation time.
 
-All table indices are stored sparsely; lookups outside the stored support
-return exact zero, which lets the recurrences reference out-of-range
-indices freely.
+Every table is a dense tuple over its whole support, indexed from the
+bottom of that support; exact zeros inside the support are kept.  They
+are dropped only where a table leaves the exact core: in the table
+document written here, and in the float tables of the evaluation.
 """
 
 from __future__ import annotations
@@ -17,20 +18,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
-
-
-def normalize_rational(num: int, den: int) -> Rational:
-    """Exact rational num/den in lowest terms with positive denominator.
-
-    Raises ZeroDivisionError when den == 0; a zero denominator is never
-    turned into a silent value.
-    """
-    return Fraction(num, den)
 
 
 def format_rational(value: Rational) -> str:
@@ -40,7 +31,9 @@ def format_rational(value: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of :func:`format_rational`; exact round trip."""
+    """Inverse of :func:`format_rational`; exact round trip, in lowest
+    terms with a positive denominator (a zero denominator raises
+    ZeroDivisionError)."""
     num, sep, den = text.partition("/")
     if not sep:
         raise ValueError(f"rational must look like 'num/den', got {text!r}")
@@ -49,8 +42,8 @@ def parse_rational(text: str) -> Rational:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Problem instance: azimuthal index m, spin weight (fixed at 1) and
-    series truncation order N.
+    """Problem instance of spin weight 1: azimuthal index m and series
+    truncation order N.
 
     m >= 1 is required: the recurrence denominators m, m+1, 2m+1, 2m+3,
     m+p-1, 2m+2p, 2m+2j are then all positive.  The spheroidicity
@@ -59,71 +52,36 @@ class ModeParams:
 
     m: int
     N: int
-    s: int = 1
 
     def __post_init__(self) -> None:
-        if self.s != 1:
-            raise ValueError(f"spin weight is fixed at 1, got s={self.s}")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise ValueError(f"truncation order N must be an integer >= 0, got {self.N!r}")
 
 
-@dataclass(frozen=True)
-class W0Form:
-    """Zeroth-order super-potential (c_const + c_cos*cos(theta))/sin(theta)."""
-
-    c_const: Rational
-    c_cos: Rational
-
-    def __post_init__(self) -> None:
-        if self.c_const != Fraction(-1):
-            raise ValueError("the constant part of the zeroth order is always -1")
-
-    @classmethod
-    def for_mode(cls, m: int) -> "W0Form":
-        return cls(Fraction(-1), Fraction(-(2 * m + 1), 2))
-
-
-def _frozen_table(mapping: Mapping[int, Rational], lo: int, hi: int, what: str) -> dict:
-    """Copy a sparse coefficient map, dropping exact zeros and rejecting
-    nonzero entries outside lo..hi."""
-    out = {}
-    for k in sorted(mapping):
-        v = Fraction(mapping[k])
-        if v == 0:
-            continue
-        if k < lo or k > hi:
-            raise ValueError(f"{what}[{k}] = {v} lies outside the support {lo}..{hi}")
-        out[k] = v
-    return out
-
-
-def _dense_numerators(table: Mapping[int, Rational], top: int, den: int) -> tuple:
-    """den * table[k] for k = 1..top, as integers."""
-    return tuple(int(table.get(k, 0) * den) for k in range(1, top + 1))
+def _numerators(values: tuple, den: int) -> tuple:
+    """den * v for every entry, as integers (den is a common denominator)."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
 class WnTable:
     """Sine-polynomial table of one super-potential order n >= 1:
 
-        W_n(theta) = cos(theta) * sum_k a[k] sin^(2k-1)(theta)
-                     + sum_k b[k] sin^(2k-1)(theta)
+        W_n(theta) = cos(theta) * sum_k a[k-1] sin^(2k-1)(theta)
+                     + sum_k b[k-1] sin^(2k-1)(theta)
 
-    with a supported on 1..n//2 and b on 1..(n+1)//2.  Lookups outside the
-    stored keys return exact zero.
+    with a dense over k = 1..n//2 and b over k = 1..(n+1)//2.
 
     The same order is also held fraction-free, derived once here: `den` is
-    the least common denominator of all entries, and the dense integer
-    tuples `a_num`/`b_num` hold den * a[k] and den * b[k] at index k - 1
-    over the whole support.
+    the least common denominator of all entries, and `a_num`/`b_num` hold
+    den * a[k-1] and den * b[k-1] at the same indices.
     """
 
     n: int
-    a: Mapping[int, Rational]
-    b: Mapping[int, Rational]
+    a: tuple
+    b: tuple
     den: int = field(init=False, repr=False, compare=False)
     a_num: tuple = field(init=False, repr=False, compare=False)
     b_num: tuple = field(init=False, repr=False, compare=False)
@@ -131,20 +89,10 @@ class WnTable:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order must be >= 1, got {self.n}")
-        a = _frozen_table(self.a, 1, self.n // 2, "a")
-        b = _frozen_table(self.b, 1, (self.n + 1) // 2, "b")
-        den = math.lcm(*(v.denominator for v in (*a.values(), *b.values())))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        den = math.lcm(*(v.denominator for v in (*self.a, *self.b)))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "a_num", _dense_numerators(a, self.n // 2, den))
-        object.__setattr__(self, "b_num", _dense_numerators(b, (self.n + 1) // 2, den))
-
-    def a_at(self, k: int) -> Rational:
-        return self.a.get(k, _ZERO)
-
-    def b_at(self, k: int) -> Rational:
-        return self.b.get(k, _ZERO)
+        object.__setattr__(self, "a_num", _numerators(self.a, den))
+        object.__setattr__(self, "b_num", _numerators(self.b, den))
 
 
 @dataclass(frozen=True)
@@ -170,56 +118,6 @@ class EnergySeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class SourceTables:
-    """Convolution coefficients of sum_{k=1}^{n-1} W_k W_{n-k} written as
-
-        sum_p h[p] sin^(2p-2)(theta) + cos(theta) * sum_p g[p] sin^(2p-2)(theta)
-
-    h is supported on 2..n//2+1 and g on 2..(n+1)//2.
-    """
-
-    n: int
-    h: Mapping[int, Rational]
-    g: Mapping[int, Rational]
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("source tables exist for orders n >= 3 only")
-        object.__setattr__(self, "h", _frozen_table(self.h, 2, self.n // 2 + 1, "h"))
-        object.__setattr__(self, "g", _frozen_table(self.g, 2, (self.n + 1) // 2, "g"))
-
-    def h_at(self, p: int) -> Rational:
-        return self.h.get(p, _ZERO)
-
-    def g_at(self, p: int) -> Rational:
-        return self.g.get(p, _ZERO)
-
-
-@dataclass(frozen=True)
-class RTXYTables:
-    """Expansion tables of the antiderivative for one order n:
-
-        A_n(theta) = R_n(theta) + cos(theta) * T_n(theta)
-
-    with R[p] multiplying sin^(2m+2p) and T[j] multiplying sin^(2m+2j).
-    """
-
-    n: int
-    R: Mapping[int, Rational]
-    T: Mapping[int, Rational]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "R", _frozen_table(self.R, 0, (self.n + 1) // 2, "R"))
-        object.__setattr__(self, "T", _frozen_table(self.T, 0, self.n // 2, "T"))
-
-    def r_at(self, p: int) -> Rational:
-        return self.R.get(p, _ZERO)
-
-    def t_at(self, j: int) -> Rational:
-        return self.T.get(j, _ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient-table file format (consumed and produced by the CLI).
 #
@@ -237,13 +135,25 @@ def tables_to_text(m: int, energy: EnergySeries, orders) -> str:
         "orders": [
             {
                 "n": t.n,
-                "a": {str(k): format_rational(v) for k, v in sorted(t.a.items())},
-                "b": {str(k): format_rational(v) for k, v in sorted(t.b.items())},
+                "a": {str(k): format_rational(v) for k, v in enumerate(t.a, start=1) if v},
+                "b": {str(k): format_rational(v) for k, v in enumerate(t.b, start=1) if v},
             }
             for t in orders
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _dense_entries(entries: dict, top: int, what: str) -> tuple:
+    """Dense table over k = 1..top from a document's {k: "num/den"} map;
+    absent keys are exact zero, keys outside 1..top are rejected."""
+    values = [_ZERO] * top
+    for key, text in entries.items():
+        k = int(key)
+        if not 1 <= k <= top:
+            raise ValueError(f"{what}[{k}] lies outside the support 1..{top}")
+        values[k - 1] = parse_rational(text)
+    return tuple(values)
 
 
 def tables_from_text(text: str):
@@ -254,8 +164,8 @@ def tables_from_text(text: str):
     orders = [
         WnTable(
             n=entry["n"],
-            a={int(k): parse_rational(v) for k, v in entry["a"].items()},
-            b={int(k): parse_rational(v) for k, v in entry["b"].items()},
+            a=_dense_entries(entry["a"], entry["n"] // 2, "a"),
+            b=_dense_entries(entry["b"], (entry["n"] + 1) // 2, "b"),
         )
         for entry in doc["orders"]
     ]

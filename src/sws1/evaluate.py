@@ -57,21 +57,22 @@ class _FloatTables:
 
     m: int
     order: int
-    w0_const: float
-    w0_cos: float
-    a: tuple  # per order n: tuple of (k, coeff)
+    a: tuple  # per order n: tuple of (k, coeff) over the nonzero entries
     b: tuple
     energy: tuple
+
+
+def _float_entries(values: tuple) -> tuple:
+    """(k, float) over the nonzero entries of a dense table over k = 1.."""
+    return tuple((k, float(v)) for k, v in enumerate(values, start=1) if v)
 
 
 def float_tables(state: SeriesState) -> _FloatTables:
     return _FloatTables(
         m=state.params.m,
         order=state.current_order,
-        w0_const=float(state.w0.c_const),
-        w0_cos=float(state.w0.c_cos),
-        a=tuple(tuple((k, float(v)) for k, v in sorted(t.a.items())) for t in state.orders),
-        b=tuple(tuple((k, float(v)) for k, v in sorted(t.b.items())) for t in state.orders),
+        a=tuple(_float_entries(t.a) for t in state.orders),
+        b=tuple(_float_entries(t.b) for t in state.orders),
         energy=tuple(float(c) for c in state.energy.coeffs),
     )
 
@@ -116,16 +117,17 @@ def order_term(state: SeriesState, n: int, theta) -> float:
     table = state.order_table(n)
     s = np.sin(theta)
     c = np.cos(theta)
-    acc_a = sum(float(v) * s ** (2 * k - 1) for k, v in table.a.items())
-    acc_b = sum(float(v) * s ** (2 * k - 1) for k, v in table.b.items())
+    acc_a = sum(float(v) * s ** (2 * k - 1) for k, v in enumerate(table.a, start=1))
+    acc_b = sum(float(v) * s ** (2 * k - 1) for k, v in enumerate(table.b, start=1))
     return c * acc_a + acc_b
 
 
 def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
-    """Truncated super-potential W(theta; beta) on an array of angles."""
+    """Truncated super-potential W(theta; beta) on an array of angles,
+    from W_0 = -(1 + (m+1/2) cos)/sin up."""
     tabs = float_tables(state)
     s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
-    w = (tabs.w0_const + tabs.w0_cos * c) / s
+    w = -(1.0 + (tabs.m + 0.5) * c) / s
     bp = 1.0
     for term in _order_values(tabs, s, c):
         bp *= beta
@@ -140,14 +142,14 @@ def eval_w(state: SeriesState, point: EvalPoint) -> float:
 def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Analytic theta-derivative of the truncated super-potential.
 
-    Uses d/dtheta[(c0 + c1*cos)/sin] = -(c1 + c0*cos)/sin^2 and the
+    Uses d/dtheta[-(1 + (m+1/2) cos)/sin] = (m + 1/2 + cos)/sin^2 and the
     term-wise derivatives of cos*sin^(2k-1) and sin^(2k-1).
     """
     tabs = float_tables(state)
     th = np.asarray(thetas, dtype=float)
     s, c, one_minus, one_plus = _half_angle(th)
     sin2 = one_minus * one_plus
-    dw = -(tabs.w0_cos + tabs.w0_const * c) / sin2
+    dw = (tabs.m + 0.5 + c) / sin2
     bp = 1.0
     for an, bn in zip(tabs.a, tabs.b):
         bp *= beta

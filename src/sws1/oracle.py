@@ -29,8 +29,10 @@ import numpy as np
 from .core import ModeParams
 from .evaluate import (
     eval_energy,
+    float_tables,
     potential_on_grid,
-    riccati_residual_on_grid,
+    w_derivative_on_grid,
+    w_on_grid,
     wavefunction_on_grid,
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
@@ -45,6 +47,7 @@ DEFAULT_TOLERANCES = {
     "residual_slope_above": 0.7,  # and overshoot by this much
 }
 
+_ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _BISECTION_TOL = 1e-13
 _BISECTION_MAX_ITER = 200
 
@@ -244,8 +247,8 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
         raise ValueError("theta must lie in (0, pi]")
     m = state.params.m
     e_n = float(state.energy[n])
-    lower_a = [tuple((k, float(v)) for k, v in sorted(t.a.items())) for t in state.orders[: n - 1]]
-    lower_b = [tuple((k, float(v)) for k, v in sorted(t.b.items())) for t in state.orders[: n - 1]]
+    tabs = float_tables(state)
+    lower_a, lower_b = tabs.a[: n - 1], tabs.b[: n - 1]
 
     def w_order(k: int, s: float, c: float) -> float:
         acc_a = sum(v * s ** (2 * i - 1) for i, v in lower_a[k - 1])
@@ -267,13 +270,13 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
 def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     """Rebuild the order-n antiderivative from the plain/cos-weighted
     expansion tables, the quantity the quadrature is checked against."""
-    sources = convolve_sources(state, n)
-    rt = rt_tables(sources, state.energy[n], state.params)
+    h, g = convolve_sources(state, n)
+    R, T = rt_tables(h, g, state.energy[n], state.params)
     m = state.params.m
     s = math.sin(theta)
     c = math.cos(theta)
-    r_val = sum(float(v) * s ** (2 * m + 2 * p) for p, v in rt.R.items())
-    t_val = sum(float(v) * s ** (2 * m + 2 * j) for j, v in rt.T.items())
+    r_val = sum(float(v) * s ** (2 * m + 2 * p) for p, v in enumerate(R))
+    t_val = sum(float(v) * s ** (2 * m + 2 * j) for j, v in enumerate(T))
     return r_val + c * t_val
 
 
@@ -315,19 +318,30 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
 
 
 def residual_slope(state: SeriesState, theta: float = math.pi / 3.0) -> float:
-    """Log-log slope of the Riccati defect against beta over [1e-3, 1e-1].
+    """Log-log slope of the Riccati defect W^2 - W' - V + E against beta
+    over [1e-3, 1e-1].
 
-    Samples whose magnitude sits at the double-precision noise floor are
-    excluded from the fit: at truncation order 4 the smallest betas give
-    defects below 1e-15, which no longer carry slope information.
+    The four terms cancel far below their own size, so float64 leaves a
+    roundoff floor of 16 eps (W^2 + |W'| + |V| + |E|) per beta; samples at
+    or below it carry no slope information and are excluded from the fit.
     """
     betas = np.logspace(-3, -1, 9)
-    values = np.array(
-        [abs(float(riccati_residual_on_grid(state, b, np.array([theta]))[0])) for b in betas]
-    )
-    keep = values > 1e-13
+    th = np.array([theta])
+    values = np.empty(len(betas))
+    floors = np.empty(len(betas))
+    for i, beta in enumerate(betas):
+        w = float(w_on_grid(state, beta, th)[0])
+        wp = float(w_derivative_on_grid(state, beta, th)[0])
+        v = float(potential_on_grid(th, state.params, beta)[0])
+        e = eval_energy(state, beta)
+        values[i] = abs(w * w - wp - v + e)
+        floors[i] = _ROUNDOFF_FLOOR * (w * w + abs(wp) + abs(v) + abs(e))
+    keep = values > floors
     if keep.sum() < 3:
-        raise OracleError("residual is below the noise floor over the whole sweep")
+        raise OracleError(
+            f"residual is above its roundoff floor 16 eps (W^2 + |W'| + |V| + |E|) "
+            f"at {keep.sum()} of {len(betas)} betas; the fit needs 3"
+        )
     slope, _ = np.polyfit(np.log(betas[keep]), np.log(values[keep]), 1)
     return float(slope)
 

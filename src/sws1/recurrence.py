@@ -22,15 +22,7 @@ from functools import cache
 from itertools import zip_longest
 from operator import mul
 
-from .core import (
-    EnergySeries,
-    ModeParams,
-    Rational,
-    RTXYTables,
-    SourceTables,
-    W0Form,
-    WnTable,
-)
+from .core import EnergySeries, ModeParams, Rational, WnTable
 
 _ZERO = Fraction(0)
 
@@ -68,33 +60,35 @@ def i_coeff(mm: int, k: int) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-def base_order0(params: ModeParams) -> tuple[W0Form, Rational]:
-    """Zeroth order: W_0 = -(1 + (m+1/2)cos)/sin and energy m^2 + m - 2."""
+def base_order0(params: ModeParams) -> Rational:
+    """Zeroth-order energy m^2 + m - 2.  The zeroth order of the
+    super-potential, W_0 = -(1 + (m+1/2)cos)/sin, has no table: the float
+    evaluation forms it directly."""
     m = params.m
-    return W0Form.for_mode(m), Fraction(m * m + m - 2)
+    return Fraction(m * m + m - 2)
 
 
 def base_order1(params: ModeParams) -> tuple[WnTable, Rational]:
     """First order: W_1 = -sin(theta)/(m+1), energy -2/(m+1)."""
     m = params.m
-    return WnTable(1, {}, {1: Fraction(-1, m + 1)}), Fraction(-2, m + 1)
+    return WnTable(1, (), (Fraction(-1, m + 1),)), Fraction(-2, m + 1)
 
 
 def base_order2(params: ModeParams) -> tuple[WnTable, Rational]:
     m = params.m
-    a = {1: Fraction(m * (m + 2), (2 * m + 3) * (m + 1) ** 2)}
-    b = {1: Fraction(-m * (m + 2), (2 * m + 3) * (m + 1) ** 3)}
+    a = (Fraction(m * (m + 2), (2 * m + 3) * (m + 1) ** 2),)
+    b = (Fraction(-m * (m + 2), (2 * m + 3) * (m + 1) ** 3),)
     e2 = Fraction(-(m**3 + 7 * m**2 + 11 * m + 3), (m + 1) ** 3 * (2 * m + 3))
     return WnTable(2, a, b), e2
 
 
 def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
     m = params.m
-    a = {1: Fraction(-2 * m, (m + 1) ** 4 * (2 * m + 3))}
-    b = {
-        1: Fraction(2 * m, (m + 1) ** 5 * (2 * m + 3)),
-        2: Fraction(-m, (m + 1) ** 3 * (2 * m + 3)),
-    }
+    a = (Fraction(-2 * m, (m + 1) ** 4 * (2 * m + 3)),)
+    b = (
+        Fraction(2 * m, (m + 1) ** 5 * (2 * m + 3)),
+        Fraction(-m, (m + 1) ** 3 * (2 * m + 3)),
+    )
     e3 = Fraction(-4 * m * m * (m + 2), (m + 1) ** 5 * (2 * m + 3))
     return WnTable(3, a, b), e3
 
@@ -122,7 +116,6 @@ class SeriesState:
     coefficient.  Immutable; advance() returns a new state."""
 
     params: ModeParams
-    w0: W0Form
     orders: tuple[WnTable, ...]
     energy: EnergySeries
     audit: tuple[OrderAudit, ...]
@@ -157,8 +150,13 @@ def _poly_add(x, y) -> list:
     return [u + v for u, v in zip_longest(x, y, fillvalue=0)]
 
 
-def convolve_sources(state: SeriesState, n: int) -> SourceTables:
-    """Expand sum_{k=1}^{n-1} W_k W_{n-k} as a sine polynomial.
+def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple]:
+    """Expand sum_{k=1}^{n-1} W_k W_{n-k} as a sine polynomial
+
+        sum_p h[p] sin^(2p-2)(theta) + cos(theta) * sum_p g[p] sin^(2p-2)(theta)
+
+    and return (h, g), dense over p = 2..n//2+1 and p = 2..(n+1)//2 (the
+    entry of p at index p - 2).
 
     With x = sin^2, cos^2 = 1 - x and A_k, B_k the polynomials
     sum_i a_k[i] x^(i-1), sum_i b_k[i] x^(i-1), W_k W_l contributes
@@ -166,13 +164,14 @@ def convolve_sources(state: SeriesState, n: int) -> SourceTables:
     formed on the integer numerators of the two orders and reduced to
     exact rationals once per pair, over the product of their denominators;
     the pair (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
+    The degrees of A_k and B_k bound the products to those supports.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
     if state.current_order < n - 1:
         raise ValueError(f"need orders 1..{n - 1} computed, have {state.current_order}")
-    h: dict[int, Rational] = {}
-    g: dict[int, Rational] = {}
+    h = [_ZERO] * (n // 2)
+    g = [_ZERO] * ((n + 1) // 2 - 1)
     for k in range(1, n // 2 + 1):
         wk, wl = state.orders[k - 1], state.orders[n - k - 1]
         aa = _poly_mul(wk.a_num, wl.a_num)
@@ -180,52 +179,38 @@ def convolve_sources(state: SeriesState, n: int) -> SourceTables:
         gk = _poly_add(_poly_mul(wk.a_num, wl.b_num), _poly_mul(wk.b_num, wl.a_num))
         weight = 1 if 2 * k == n else 2
         for table, terms in ((h, hk), (g, gk)):
-            for p, v in enumerate(terms, start=2):
+            for i, v in enumerate(terms):
                 if v:
-                    table[p] = table.get(p, _ZERO) + Fraction(weight * v, wk.den * wl.den)
-    # SourceTables enforces the support bounds, in particular that the
-    # cos-weighted part vanishes at p = n//2 + 1 for even n.
-    return SourceTables(n, h, g)
+                    table[i] += Fraction(weight * v, wk.den * wl.den)
+    return tuple(h), tuple(g)
 
 
-def energy_coeff(sources: SourceTables, params: ModeParams) -> Rational:
+def energy_coeff(h: tuple, g: tuple, params: ModeParams) -> Rational:
     """The unique energy coefficient that removes the boundary-divergent
     antiderivative from A_n."""
     m = params.m
     total = _ZERO
-    for p in range(2, sources.n // 2 + 2):
-        hp, gp = sources.h_at(p), sources.g_at(p)
+    for p, (hp, gp) in enumerate(zip_longest(h, g, fillvalue=_ZERO), start=2):
         total += (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
         total += (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
     return Fraction(-(2 * m + 1) * (2 * m - 1), 2 * (m + 1)) * total
 
 
-def divergent_coefficient(sources: SourceTables, e_n: Rational, params: ModeParams) -> Rational:
-    """Rebuild the coefficient of the boundary-divergent antiderivative in
-    A_n for a candidate energy coefficient; exact zero iff e_n is the
-    admissible choice."""
-    m = params.m
-    total = Fraction(2 * (m + 1), 2 * m + 1) * e_n
-    for p in range(2, sources.n // 2 + 2):
-        hp, gp = sources.h_at(p), sources.g_at(p)
-        total += (2 * m - 1) * (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
-        total += (2 * m - 1) * (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
-    return total
-
-
-def rt_tables(sources: SourceTables, e_n: Rational, params: ModeParams) -> RTXYTables:
+def rt_tables(h: tuple, g: tuple, e_n: Rational, params: ModeParams) -> tuple[tuple, tuple]:
     """Assemble the plain (R) and cos-weighted (T) expansion tables of the
-    antiderivative A_n once the divergent term has been removed."""
-    m = params.m
-    n = sources.n
+    antiderivative A_n once the divergent term has been removed:
 
-    R: dict[int, Rational] = {}
-    R[0] = -e_n * Fraction(1, m)
-    R[1] = (sources.g_at(2) - sources.h_at(2)) * Fraction(1, m + 1)
-    for p in range(2, n // 2 + 2):
-        R[p] = (
-            2 * sources.g_at(p + 1) - 2 * sources.h_at(p + 1) - sources.g_at(p)
-        ) * Fraction(1, 2 * m + 2 * p)
+        A_n(theta) = sum_p R[p] sin^(2m+2p) + cos(theta) * sum_j T[j] sin^(2m+2j)
+
+    R is dense over p = 0..(n+1)//2 and T over j = 0..n//2.
+    """
+    m = params.m
+    hs = (_ZERO, _ZERO, *h, _ZERO)  # h[p] at index p, zero off 2..n//2+1
+    gs = (_ZERO, _ZERO, *g, _ZERO, _ZERO)  # g[p] at index p, zero off 2..(n+1)//2
+
+    R = [-e_n * Fraction(1, m), (gs[2] - hs[2]) * Fraction(1, m + 1)]
+    for p in range(2, len(g) + 2):
+        R.append((2 * gs[p + 1] - 2 * hs[p + 1] - gs[p]) * Fraction(1, 2 * m + 2 * p))
 
     # T[j] = [j == 0] e_n/(2m+1) + sum_p u[p] i_coeff(m+p-2, p-2-j)
     #                                  + v[p] i_coeff(m+p-1, p-1-j),
@@ -233,24 +218,21 @@ def rt_tables(sources: SourceTables, e_n: Rational, params: ModeParams) -> RTXYT
     # of r(x) = (2x+2)/(2x+1) over x = m+j .. m+p-2 (resp. m+p-1), so the
     # sums obey the Horner step T[j] = r(m+j) (u[j+2] + v[j+1] + T[j+1]),
     # taken from the top of the support down.
-    ps = range(2, n // 2 + 2)
-    u = {p: (sources.g_at(p) - sources.h_at(p)) / (m + p - 1) for p in ps}
-    v = {p: (sources.h_at(p) - 2 * sources.g_at(p)) / (2 * m + 2 * p) for p in ps}
-    T: dict[int, Rational] = {}
+    ps = range(2, len(h) + 2)
+    u = [_ZERO, _ZERO, *((gs[p] - hs[p]) / (m + p - 1) for p in ps), _ZERO]
+    v = [_ZERO, _ZERO, *((hs[p] - 2 * gs[p]) / (2 * m + 2 * p) for p in ps)]
+    T = []
     t = _ZERO
-    for j in range(n // 2, -1, -1):
-        t = Fraction(2 * m + 2 * j + 2, 2 * m + 2 * j + 1) * (
-            u.get(j + 2, _ZERO) + v.get(j + 1, _ZERO) + t
-        )
-        T[j] = t
+    for j in range(len(h), -1, -1):
+        t = Fraction(2 * m + 2 * j + 2, 2 * m + 2 * j + 1) * (u[j + 2] + v[j + 1] + t)
+        T.append(t)
+    T.reverse()
     T[0] += e_n / (2 * m + 1)
-
-    # RTXYTables enforces the support bounds of both tables.
-    return RTXYTables(n, R, T)
+    return tuple(R), tuple(T)
 
 
-def xy_tables(rt: RTXYTables) -> WnTable:
-    """Convert the antiderivative tables to the sine-polynomial
+def xy_tables(n: int, R: tuple, T: tuple) -> WnTable:
+    """Convert the antiderivative tables of order n to the sine-polynomial
     coefficients of W_n (X the plain table b, Y the cos-weighted table a),
     checking every cancellation that has to hold for W_n to stay finite at
     the boundaries:
@@ -259,14 +241,18 @@ def xy_tables(rt: RTXYTables) -> WnTable:
         (otherwise W_n would blow up like inverse sine powers), and
       * the top-of-support entries must vanish according to the parity
         of n, which is what keeps the general table shape closed.
+
+    R and T are read as zero at index -1 and past their supports.
     """
-    n = rt.n
-    X: dict[int, Rational] = {}
-    Y: dict[int, Rational] = {}
-    for j in range(-1, n // 2 + 2):
-        common = 2 * rt.r_at(j + 1) + 2 * rt.t_at(j + 1)
-        X[j] = common - rt.r_at(j) - 2 * rt.t_at(j)
-        Y[j] = common - rt.t_at(j)
+    top = n // 2 + 1
+    rs = (_ZERO, *R, _ZERO, _ZERO)  # R[j] at index j + 1
+    ts = (_ZERO, *T, _ZERO, _ZERO)
+    X = {}
+    Y = {}
+    for j in range(-1, top + 1):
+        common = 2 * rs[j + 2] + 2 * ts[j + 2]
+        X[j] = common - rs[j + 1] - 2 * ts[j + 1]
+        Y[j] = common - ts[j + 1]
 
     for j in (-1, 0):
         if X[j] != 0 or Y[j] != 0:
@@ -275,7 +261,6 @@ def xy_tables(rt: RTXYTables) -> WnTable:
                 f"(X[{j}]={X[j]}, Y[{j}]={Y[j]})"
             )
 
-    top = n // 2 + 1
     if n % 2 == 0:
         if X[top] != 0 or Y[top] != 0:
             raise SeriesInconsistencyError(
@@ -288,20 +273,16 @@ def xy_tables(rt: RTXYTables) -> WnTable:
                 f"index {top} is {Y[top]}"
             )
 
-    # WnTable drops the exact zeros and enforces the support bounds.
-    return WnTable(n, {j: Y[j] for j in Y if j >= 1}, {j: X[j] for j in X if j >= 1})
+    a = tuple(Y[j] for j in range(1, n // 2 + 1))
+    b = tuple(X[j] for j in range(1, (n + 1) // 2 + 1))
+    return WnTable(n, a, b)
 
 
 def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational]:
-    sources = convolve_sources(state, n)
-    e_n = energy_coeff(sources, state.params)
-    b1 = divergent_coefficient(sources, e_n, state.params)
-    if b1 != 0:
-        raise SeriesInconsistencyError(
-            f"order {n}: chosen energy coefficient leaves divergent coefficient {b1}"
-        )
-    rt = rt_tables(sources, e_n, state.params)
-    return xy_tables(rt), e_n  # xy_tables raises on any failed cancellation
+    h, g = convolve_sources(state, n)
+    e_n = energy_coeff(h, g, state.params)
+    R, T = rt_tables(h, g, e_n, state.params)
+    return xy_tables(n, R, T), e_n  # xy_tables raises on any failed cancellation
 
 
 def advance(state: SeriesState) -> SeriesState:
@@ -319,7 +300,7 @@ def advance(state: SeriesState) -> SeriesState:
     elif n == 3:
         table, e_n = _general_order(state, n)
         ref_table, ref_e = base_order3(state.params)
-        if table.a != ref_table.a or table.b != ref_table.b or e_n != ref_e:
+        if table != ref_table or e_n != ref_e:
             raise SeriesInconsistencyError(
                 "order 3: recurrence path disagrees with the closed form "
                 f"(got a={table.a}, b={table.b}, e={e_n})"
@@ -328,11 +309,10 @@ def advance(state: SeriesState) -> SeriesState:
     else:
         (table, e_n), path = _general_order(state, n), "recurrence"
     digits = (len(str(abs(e_n.numerator))), len(str(e_n.denominator)))
-    audit = OrderAudit(n, path, *digits, len(table.a) + len(table.b))
+    audit = OrderAudit(n, path, *digits, sum(1 for v in (*table.a, *table.b) if v))
 
     return SeriesState(
         params=state.params,
-        w0=state.w0,
         orders=state.orders + (table,),
         energy=EnergySeries(state.energy.coeffs + (e_n,)),
         audit=state.audit + (audit,),
@@ -341,12 +321,10 @@ def advance(state: SeriesState) -> SeriesState:
 
 def compute_series(params: ModeParams) -> SeriesState:
     """Run the recurrences from order 0 through params.N."""
-    w0, e0 = base_order0(params)
     state = SeriesState(
         params=params,
-        w0=w0,
         orders=(),
-        energy=EnergySeries((e0,)),
+        energy=EnergySeries((base_order0(params),)),
         audit=(),
     )
     for _ in range(params.N):

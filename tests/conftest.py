@@ -1,9 +1,24 @@
+from fractions import Fraction
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
 from sws1.core import ModeParams
 from sws1.evaluate import eval_energy, potential_on_grid, w_derivative_on_grid, w_on_grid
-from sws1.recurrence import compute_series
+from sws1.recurrence import compute_series, i_coeff
+
+
+def _divergent_coefficient(h, g, e_n, params):
+    """Rebuild the coefficient of the boundary-divergent antiderivative in
+    A_n from the source tables h, g (dense over p = 2..) for a candidate
+    energy coefficient; exact zero iff e_n is the admissible choice."""
+    m = params.m
+    total = Fraction(2 * (m + 1), 2 * m + 1) * e_n
+    for p, (hp, gp) in enumerate(zip_longest(h, g, fillvalue=0), start=2):
+        total += (2 * m - 1) * (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
+        total += (2 * m - 1) * (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
+    return total
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +44,14 @@ def states_n8(state_m1_n8, state_m2_n8, state_m3_n8):
 @pytest.fixture(scope="session")
 def states_n10():
     return {m: compute_series(ModeParams(m=m, N=10)) for m in (1, 2, 3)}
+
+
+@pytest.fixture(scope="session")
+def divergent_coefficient():
+    """Criterion 3's reference formula.  It equals -2m (R_0 + T_0) of
+    rt_tables, and the build checks X[-1] = 2 (R_0 + T_0) = 0 in xy_tables,
+    so the build itself needs no separate copy of it."""
+    return _divergent_coefficient
 
 
 @pytest.fixture(scope="session")

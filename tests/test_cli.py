@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sws1 import cli
 from sws1.cli import main
-from sws1.core import tables_from_text
+from sws1.core import EnergySeries, tables_from_text
+from sws1.recurrence import compute_series
 
 
 def run(argv, capsys):
@@ -134,11 +140,15 @@ class TestVerify:
         assert code == 0
         assert out.count("status = PASS") == 2
 
-    def test_corrupted_coefficient_exits_3(self, capsys):
-        code, out, err = run(
-            ["verify", "--m", "1", "--order", "3", "--beta", "0", "--corrupt-energy", "0"],
-            capsys,
-        )
+    def test_corrupted_coefficient_exits_3(self, capsys, monkeypatch):
+        # damage E_0 by 1/1000 in the series the command builds
+        def corrupted_series(params):
+            state = compute_series(params)
+            energy = (state.energy[0] + Fraction(1, 1000),) + state.energy.coeffs[1:]
+            return replace(state, energy=EnergySeries(energy))
+
+        monkeypatch.setattr(cli, "compute_series", corrupted_series)
+        code, out, err = run(["verify", "--m", "1", "--order", "3", "--beta", "0"], capsys)
         assert code == 3
         assert "status = FAIL" in out
         assert "verification failed at m=1" in err
@@ -171,8 +181,8 @@ class TestVerify:
         code, out, err = run(["verify", "--m", "1", "--order", "2", "--beta", "0.05"], capsys)
         assert "  residual_slope      = nan" in out
         assert (
-            "  check residual_slope: skipped "
-            "(residual is below the noise floor over the whole sweep)" in out
+            "  check residual_slope: skipped (residual is above its roundoff floor "
+            "16 eps (W^2 + |W'| + |V| + |E|) at 0 of 9 betas; the fit needs 3)" in out
         )
         # The verdict is the eigenvalue gap's: |E_3| beta^3 ~ 9e-6 exceeds
         # the 1e-6 tolerance, and a skipped check neither passes nor fails.
@@ -189,10 +199,14 @@ class TestParser:
         assert code == 1
 
     def test_console_script_installed(self):
+        # the child process imports the same sws1 as this one, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sws1.cli", "coeffs", "--m", "2", "--order", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["m"] == 2

@@ -108,6 +108,19 @@ class TestSuperPotential:
         w0 = (-1.0 - 1.5 * np.cos(thetas)) / np.sin(thetas)
         np.testing.assert_allclose(w, w0, rtol=1e-13, atol=1e-13)
 
+    def test_zeroth_order_constants(self):
+        # W_0 = (c0 + c1 cos)/sin with c0 = -1 and c1 = -(m + 1/2), and
+        # W_0' = -(c1 + c0 cos)/sin^2
+        for m in (1, 2, 7):
+            state = compute_series(ModeParams(m=m, N=0))
+            c0, c1 = -1.0, -(m + 0.5)
+            for theta, sin, cos in ((math.pi / 2, 1.0, 0.0), (math.pi / 3, 3**0.5 / 2, 0.5)):
+                point = EvalPoint(theta, 0.3)
+                assert eval_w(state, point) == pytest.approx((c0 + c1 * cos) / sin, rel=1e-15)
+                assert eval_w_derivative(state, point) == pytest.approx(
+                    -(c1 + c0 * cos) / sin**2, rel=1e-15
+                )
+
 
 class TestDerivative:
     def test_zeroth_order_value_at_midpoint(self):

@@ -198,10 +198,21 @@ class TestVerifyAll:
         reports = verify_all(ModeParams(m=1, N=8), [0.0], state=state_m1_n8)
         assert "residual_slope" not in reports[0].checks
         assert reports[0].skipped == {
-            "residual_slope": "residual is below the noise floor over the whole sweep"
+            "residual_slope": (
+                "residual is above its roundoff floor 16 eps (W^2 + |W'| + |V| + |E|) "
+                "at 0 of 9 betas; the fit needs 3"
+            )
         }
         assert math.isnan(reports[0].residual_slope)
         assert reports[0].passed is True
+
+    def test_large_m_slope_skipped_not_failed(self):
+        # at m = 40 the cancelling terms W^2 and V are ~2e3; an absolute
+        # 1e-13 floor let roundoff through and fitted a false slope of 0.05
+        (report,) = verify_all(ModeParams(m=40, N=8), [0.0])
+        assert "residual_slope" not in report.checks
+        assert "roundoff floor" in report.skipped["residual_slope"]
+        assert math.isnan(report.residual_slope)
 
 
 class TestGapScaling:
@@ -227,5 +238,11 @@ class TestResidualSlope:
         assert slope == pytest.approx(3.0, abs=0.3)
 
     def test_unmeasurable_raises(self, state_m1_n8):
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match="at 0 of 9 betas"):
             residual_slope(state_m1_n8)
+
+    @pytest.mark.parametrize("m", [1, 20, 40])
+    def test_slope_at_order_3_for_large_m(self, m):
+        # the scaled floor keeps the roundoff of the large terms out of the fit
+        slope = residual_slope(compute_series(ModeParams(m=m, N=3)))
+        assert slope == pytest.approx(4.0, abs=0.05)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sws1.core import ModeParams, RTXYTables, tables_to_text
+from sws1 import recurrence
+from sws1.core import ModeParams, WnTable, tables_to_text
 from sws1.evaluate import order_term, p_antiderivative
 from sws1.recurrence import (
     SeriesInconsistencyError,
@@ -18,12 +19,16 @@ from sws1.recurrence import (
     base_order3,
     compute_series,
     convolve_sources,
-    divergent_coefficient,
     energy_coeff,
     i_coeff,
     rt_tables,
     xy_tables,
 )
+
+
+def at(table, i):
+    """table[i] inside a dense table, exact zero outside it."""
+    return table[i] if 0 <= i < len(table) else Fraction(0)
 
 
 def closed_form_energy(m: int, n: int) -> Fraction:
@@ -66,29 +71,26 @@ class TestICoeff:
 
 class TestBaseOrders:
     def test_order0_m1(self):
-        w0, e0 = base_order0(ModeParams(m=1, N=0))
-        assert e0 == 0
-        assert w0.c_cos == Fraction(-3, 2)
+        assert base_order0(ModeParams(m=1, N=0)) == 0
 
     def test_order0_m2(self):
-        _, e0 = base_order0(ModeParams(m=2, N=0))
-        assert e0 == 4
+        assert base_order0(ModeParams(m=2, N=0)) == 4
 
     def test_order1(self):
         t, e1 = base_order1(ModeParams(m=1, N=1))
-        assert e1 == -1 and t.b == {1: Fraction(-1, 2)} and t.a == {}
+        assert e1 == -1 and t.b == (Fraction(-1, 2),) and t.a == ()
         _, e1_m3 = base_order1(ModeParams(m=3, N=1))
         assert e1_m3 == Fraction(-1, 2)
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_order1_cos_weighted_table_always_empty(self, m):
         t, _ = base_order1(ModeParams(m=m, N=1))
-        assert t.a == {}
+        assert t.a == ()
 
     def test_order2_m1(self):
         t, e2 = base_order2(ModeParams(m=1, N=2))
-        assert t.a == {1: Fraction(3, 20)}
-        assert t.b == {1: Fraction(-3, 40)}
+        assert t.a == (Fraction(3, 20),)
+        assert t.b == (Fraction(-3, 40),)
         assert e2 == Fraction(-11, 20)
 
     def test_order2_m2(self):
@@ -97,8 +99,8 @@ class TestBaseOrders:
 
     def test_order3_m1(self):
         t, e3 = base_order3(ModeParams(m=1, N=3))
-        assert t.a == {1: Fraction(-1, 40)}
-        assert t.b == {1: Fraction(1, 80), 2: Fraction(-1, 40)}
+        assert t.a == (Fraction(-1, 40),)
+        assert t.b == (Fraction(1, 80), Fraction(-1, 40))
         assert e3 == Fraction(-3, 40)
 
     def test_order3_m2(self):
@@ -135,20 +137,20 @@ class TestConvolution:
     def test_cos_weighted_support_n3(self, states_n8):
         # the cos-weighted part may not reach beyond (n+1)//2 = 2
         for state in states_n8.values():
-            src = convolve_sources(state, 3)
-            assert all(p <= 2 for p in src.g)
+            h, g = convolve_sources(state, 3)
+            assert len(h) == 1 and len(g) == 1
 
     def test_frozen_exact_values_n4_m1(self, state_m1_n8):
         # hand-convolved from the order 1..3 tables at m = 1
-        src = convolve_sources(state_m1_n8, 4)
-        assert src.h == {2: Fraction(1, 64), 3: Fraction(1, 400)}
-        assert src.g == {2: Fraction(1, 400)}
+        h, g = convolve_sources(state_m1_n8, 4)
+        assert h == (Fraction(1, 64), Fraction(1, 400))  # p = 2, 3
+        assert g == (Fraction(1, 400),)  # p = 2
 
     def test_trig_polynomial_fit_recovers_sources_n4_m1(self, state_m1_n8):
         # Independent oracle: sample sum_k W_k W_{4-k} at 16 angles and fit
         # the sine-polynomial model; the fitted coefficients must match the
         # convolution output.
-        src = convolve_sources(state_m1_n8, 4)
+        h, g = convolve_sources(state_m1_n8, 4)
         thetas = np.linspace(0.2, math.pi - 0.2, 16)
         samples = np.array(
             [
@@ -164,19 +166,20 @@ class TestConvolution:
         design = np.column_stack([s**2, s**4, c * s**2, c * s**4])
         coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
         fitted = dict(zip(["h2", "h3", "g2", "g3"], coef))
-        assert fitted["h2"] == pytest.approx(float(src.h_at(2)), abs=1e-12)
-        assert fitted["h3"] == pytest.approx(float(src.h_at(3)), abs=1e-12)
-        assert fitted["g2"] == pytest.approx(float(src.g_at(2)), abs=1e-12)
+        assert fitted["h2"] == pytest.approx(float(h[0]), abs=1e-12)
+        assert fitted["h3"] == pytest.approx(float(h[1]), abs=1e-12)
+        assert fitted["g2"] == pytest.approx(float(g[0]), abs=1e-12)
         assert fitted["g3"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_symmetry_under_factor_exchange(self, state_m2_n8, n):
         # the assembly is invariant under k -> n-k; re-accumulate with the
-        # loop reversed and demand identical exact tables
+        # loop reversed and demand identical exact tables, zero past the
+        # dense supports (g stops at (n+1)//2, one short of h for even n)
         state = state_m2_n8
-        src = convolve_sources(state, n)
-        h = {}
-        g = {}
+        src_h, src_g = convolve_sources(state, n)
+        h = []
+        g = []
         for p in range(2, n // 2 + 2):
             hp = Fraction(0)
             gp = Fraction(0)
@@ -185,61 +188,70 @@ class TestConvolution:
                 wnk = state.order_table(k)
                 for j in range(1, p):
                     hp += (
-                        wk.a_at(p - j) * wnk.a_at(j)
-                        - wk.a_at(p - 1 - j) * wnk.a_at(j)
-                        + wk.b_at(p - j) * wnk.b_at(j)
+                        at(wk.a, p - j - 1) * at(wnk.a, j - 1)
+                        - at(wk.a, p - 2 - j) * at(wnk.a, j - 1)
+                        + at(wk.b, p - j - 1) * at(wnk.b, j - 1)
                     )
-                    gp += wk.a_at(p - j) * wnk.b_at(j) + wk.b_at(p - j) * wnk.a_at(j)
-            if hp:
-                h[p] = hp
-            if gp:
-                g[p] = gp
-        assert h == dict(src.h) and g == dict(src.g)
+                    gp += (
+                        at(wk.a, p - j - 1) * at(wnk.b, j - 1)
+                        + at(wk.b, p - j - 1) * at(wnk.a, j - 1)
+                    )
+            h.append(hp)
+            g.append(gp)
+        assert tuple(h) == src_h
+        assert tuple(g[: len(src_g)]) == src_g and not any(g[len(src_g) :])
 
 
 class TestEnergyAndDivergence:
     def test_order3_energy_from_recurrence(self, state_m1_n8):
-        src = convolve_sources(state_m1_n8, 3)
-        assert energy_coeff(src, state_m1_n8.params) == Fraction(-3, 40)
+        h, g = convolve_sources(state_m1_n8, 3)
+        assert energy_coeff(h, g, state_m1_n8.params) == Fraction(-3, 40)
 
     def test_frozen_order4_energy_m1(self, state_m1_n8):
         # independently derived by running the convolution by hand
         assert state_m1_n8.energy[4] == Fraction(-561, 56000)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_divergent_coefficient_vanishes_for_chosen_energy(self, states_n10, m):
+    def test_divergent_coefficient_vanishes_for_chosen_energy(
+        self, states_n10, m, divergent_coefficient
+    ):
         state = states_n10[m]
         for n in range(3, 11):
-            src = convolve_sources(state, n)
-            assert divergent_coefficient(src, state.energy[n], state.params) == 0
+            h, g = convolve_sources(state, n)
+            assert divergent_coefficient(h, g, state.energy[n], state.params) == 0
 
-    def test_divergent_coefficient_nonzero_off_the_choice(self, state_m1_n8):
-        src = convolve_sources(state_m1_n8, 4)
+    def test_divergent_coefficient_nonzero_off_the_choice(self, state_m1_n8, divergent_coefficient):
+        h, g = convolve_sources(state_m1_n8, 4)
         wrong = state_m1_n8.energy[4] + Fraction(1, 7)
-        assert divergent_coefficient(src, wrong, state_m1_n8.params) != 0
+        assert divergent_coefficient(h, g, wrong, state_m1_n8.params) != 0
 
 
 class TestRtXyTables:
     def test_r0_is_minus_energy_over_m(self, state_m1_n8):
-        src = convolve_sources(state_m1_n8, 3)
-        rt = rt_tables(src, state_m1_n8.energy[3], state_m1_n8.params)
-        assert rt.r_at(0) == Fraction(3, 40)
+        h, g = convolve_sources(state_m1_n8, 3)
+        R, _ = rt_tables(h, g, state_m1_n8.energy[3], state_m1_n8.params)
+        assert R[0] == Fraction(3, 40)
 
-    def test_out_of_support_queries_are_zero(self, state_m1_n8):
-        src = convolve_sources(state_m1_n8, 3)
-        rt = rt_tables(src, state_m1_n8.energy[3], state_m1_n8.params)
-        assert rt.r_at(-2) == 0 and rt.t_at(99) == 0
+    def test_tables_are_dense_over_their_supports(self, states_n10):
+        for state in states_n10.values():
+            for n in range(3, 11):
+                h, g = convolve_sources(state, n)
+                assert (len(h), len(g)) == (n // 2, (n + 1) // 2 - 1)  # p = 2..
+                R, T = rt_tables(h, g, state.energy[n], state.params)
+                assert (len(R), len(T)) == ((n + 1) // 2 + 1, n // 2 + 1)  # p, j = 0..
+                table = state.order_table(n)
+                assert (len(table.a), len(table.b)) == (n // 2, (n + 1) // 2)  # k = 1..
 
     def test_pipeline_reproduces_order3_closed_form(self, states_n8):
         for state in states_n8.values():
-            src = convolve_sources(state, 3)
-            e3 = energy_coeff(src, state.params)
-            table = xy_tables(rt_tables(src, e3, state.params))
+            h, g = convolve_sources(state, 3)
+            e3 = energy_coeff(h, g, state.params)
+            table = xy_tables(3, *rt_tables(h, g, e3, state.params))
             ref, ref_e = base_order3(state.params)
             assert e3 == ref_e
             assert table.n == 3
-            assert dict(table.a) == dict(ref.a)
-            assert dict(table.b) == dict(ref.b)
+            assert table.a == ref.a
+            assert table.b == ref.b
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_t_table_matches_closed_form_sum(self, states_n10, m):
@@ -247,22 +259,40 @@ class TestRtXyTables:
         # the i_coeff antiderivative families term by term
         state = states_n10[m]
         for n in range(3, 11):
-            src = convolve_sources(state, n)
-            rt = rt_tables(src, state.energy[n], state.params)
+            h, g = convolve_sources(state, n)
+            _, T = rt_tables(h, g, state.energy[n], state.params)
             for j in range(n // 2 + 1):
                 t = state.energy[n] / (2 * m + 1) if j == 0 else Fraction(0)
                 for p in range(2, n // 2 + 2):
-                    hp, gp = src.h_at(p), src.g_at(p)
+                    hp, gp = at(h, p - 2), at(g, p - 2)
                     t += (gp - hp) / (m + p - 1) * i_coeff(m + p - 2, p - 2 - j)
                     t += (hp - 2 * gp) / (2 * m + 2 * p) * i_coeff(m + p - 1, p - 1 - j)
-                assert rt.t_at(j) == t
+                assert T[j] == t
 
     def test_failed_cancellation_raises_naming_order(self, state_m1_n8):
-        src = convolve_sources(state_m1_n8, 4)
-        rt = rt_tables(src, state_m1_n8.energy[4], state_m1_n8.params)
-        broken = RTXYTables(rt.n, {**rt.R, 0: rt.r_at(0) + 1}, rt.T)
-        with pytest.raises(SeriesInconsistencyError, match="order 4"):
-            xy_tables(broken)
+        h, g = convolve_sources(state_m1_n8, 4)
+        R, T = rt_tables(h, g, state_m1_n8.energy[4], state_m1_n8.params)
+        with pytest.raises(SeriesInconsistencyError, match="order 4: boundary-divergent"):
+            xy_tables(4, (R[0] + 1, *R[1:]), T)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_spill_past_the_support_fails_parity_truncation(self, state_m1_n8, n):
+        # an R or T entry one past its support reaches the top X/Y entries
+        h, g = convolve_sources(state_m1_n8, n)
+        R, T = rt_tables(h, g, state_m1_n8.energy[n], state_m1_n8.params)
+        assert xy_tables(n, R, T) == state_m1_n8.order_table(n)
+        for broken in ((R + (Fraction(1),), T), (R, T + (Fraction(1),))):
+            with pytest.raises(SeriesInconsistencyError, match=f"order {n}: parity truncation"):
+                xy_tables(n, *broken)
+
+    def test_order3_seam_disagreement_raises(self, monkeypatch):
+        def shifted_closed_form(params):
+            table, e3 = base_order3(params)
+            return WnTable(3, table.a, (table.b[0] + 1, table.b[1])), e3
+
+        monkeypatch.setattr(recurrence, "base_order3", shifted_closed_form)
+        with pytest.raises(SeriesInconsistencyError, match="order 3: recurrence path disagrees"):
+            compute_series(ModeParams(m=1, N=3))
 
 
 class TestSeriesState:
@@ -296,21 +326,19 @@ class TestSeriesState:
                 assert audit.path == paths.get(audit.n, "recurrence")
                 assert audit.energy_num_digits == len(str(abs(e_n.numerator)))
                 assert audit.energy_den_digits == len(str(e_n.denominator))
-                assert audit.nonzero_entries == len(table.a) + len(table.b) > 0
+                assert audit.nonzero_entries == sum(1 for v in table.a + table.b if v) > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_supports_obey_parity_truncation(self, states_n10, m):
         for table in states_n10[m].orders:
             n = table.n
-            assert all(1 <= k <= n // 2 for k in table.a)
-            assert all(1 <= k <= (n + 1) // 2 for k in table.b)
+            assert len(table.a) == n // 2 and len(table.b) == (n + 1) // 2
 
     def test_inconsistent_state_rejected(self):
         state = compute_series(ModeParams(m=1, N=2))
         with pytest.raises(ValueError):
             SeriesState(
                 params=state.params,
-                w0=state.w0,
                 orders=state.orders,
                 energy=state.energy.__class__(state.energy.coeffs + (Fraction(1),)),
                 audit=state.audit,
@@ -329,11 +357,11 @@ def _riccati_orders(state, sin, cos, energy):
     dw = [(-c1 + cos) / sin**2]
     for t in state.orders:
         ks = range(1, t.n + 1)
-        w.append(sum((cos * t.a_at(k) + t.b_at(k)) * sin ** (2 * k - 1) for k in ks))
+        w.append(sum((cos * at(t.a, k - 1) + at(t.b, k - 1)) * sin ** (2 * k - 1) for k in ks))
         dw.append(
             sum(
-                t.a_at(k) * ((2 * k - 1) * cos**2 * sin ** (2 * k - 2) - sin ** (2 * k))
-                + t.b_at(k) * (2 * k - 1) * cos * sin ** (2 * k - 2)
+                at(t.a, k - 1) * ((2 * k - 1) * cos**2 * sin ** (2 * k - 2) - sin ** (2 * k))
+                + at(t.b, k - 1) * (2 * k - 1) * cos * sin ** (2 * k - 2)
                 for k in ks
             )
         )
