@@ -204,6 +204,11 @@ def rt_tables(h: tuple, g: tuple, e_n: Rational, params: ModeParams) -> tuple[tu
 
     R is dense over p = 0..(n+1)//2 and T over j = 0..n//2.
     """
+    if not len(h) - 1 <= len(g) <= len(h):
+        raise ValueError(
+            f"g spans p = 2..{len(g) + 1}, outside the support allowed beside "
+            f"h over p = 2..{len(h) + 1} (g ends at h's top or one below it)"
+        )
     m = params.m
     hs = (_ZERO, _ZERO, *h, _ZERO)  # h[p] at index p, zero off 2..n//2+1
     gs = (_ZERO, _ZERO, *g, _ZERO, _ZERO)  # g[p] at index p, zero off 2..(n+1)//2

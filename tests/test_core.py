@@ -16,7 +16,14 @@ from sws1.core import (
     tables_from_text,
     tables_to_text,
 )
-from sws1.recurrence import compute_series
+from sws1.recurrence import (
+    SeriesInconsistencyError,
+    compute_series,
+    convolve_sources,
+    energy_coeff,
+    rt_tables,
+    xy_tables,
+)
 
 rationals = st.builds(
     Fraction,
@@ -130,6 +137,25 @@ class TestTables:
             tables_from_text(document(2, {}, {"2": "1/1"}))
         with pytest.raises(ValueError, match=r"a\[0\] lies outside the support 1..2"):
             tables_from_text(document(4, {"0": "1/1"}, {}))
+
+    def test_source_support_enforced(self, state_m1_n8):
+        # g is supported on p = 2..(n+1)//2
+        h, g = convolve_sources(state_m1_n8, 3)
+        with pytest.raises(ValueError, match="support"):
+            rt_tables(h, (*g, Fraction(1)), state_m1_n8.energy[3], state_m1_n8.params)
+        h, g = convolve_sources(state_m1_n8, 4)
+        assert len(g) == 1  # g top is (n+1)//2 = 2
+        g = (*g, Fraction(1))
+        R, T = rt_tables(h, g, energy_coeff(h, g, state_m1_n8.params), state_m1_n8.params)
+        with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
+            xy_tables(4, R, T)
+
+    def test_rt_support_enforced(self, state_m1_n8):
+        h, g = convolve_sources(state_m1_n8, 4)
+        R, T = rt_tables(h, g, state_m1_n8.energy[4], state_m1_n8.params)
+        assert len(R) == 3  # R top is (n+1)//2 = 2
+        with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
+            xy_tables(4, (*R, Fraction(1)), T)
 
     def test_entry_must_be_num_den(self):
         with pytest.raises(ValueError, match="num/den"):

@@ -232,6 +232,15 @@ class TestRtXyTables:
         R, _ = rt_tables(h, g, state_m1_n8.energy[3], state_m1_n8.params)
         assert R[0] == Fraction(3, 40)
 
+    def test_out_of_support_queries_are_zero(self, states_n10):
+        # xy_tables reads R and T as zero past their supports
+        for state in states_n10.values():
+            for n in range(3, 11):
+                h, g = convolve_sources(state, n)
+                R, T = rt_tables(h, g, state.energy[n], state.params)
+                padded = ((*R, Fraction(0), Fraction(0)), (*T, Fraction(0), Fraction(0)))
+                assert xy_tables(n, *padded) == xy_tables(n, R, T) == state.order_table(n)
+
     def test_tables_are_dense_over_their_supports(self, states_n10):
         for state in states_n10.values():
             for n in range(3, 11):
