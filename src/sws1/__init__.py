@@ -21,7 +21,6 @@ from .evaluate import (
     eval_ground_wavefunction,
     eval_w,
     eval_w_derivative,
-    p_antiderivative,
     potential,
     riccati_residual,
     uniform_interior_grid,
@@ -81,7 +80,6 @@ __all__ = [
     "fd_ground_eigenvalue",
     "fd_ground_eigenvector",
     "i_coeff",
-    "p_antiderivative",
     "potential",
     "quadrature_an",
     "richardson_eigenvalue",

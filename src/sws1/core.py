@@ -8,8 +8,7 @@ only at evaluation time.
 
 Every table is a dense tuple over its whole support, indexed from the
 bottom of that support; exact zeros inside the support are kept.  They
-are dropped only where a table leaves the exact core: in the table
-document written here, and in the float tables of the evaluation.
+are dropped only in the table document written here.
 """
 
 from __future__ import annotations

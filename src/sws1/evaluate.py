@@ -1,10 +1,28 @@
 """Floating-point evaluation of the series.
 
-Everything upstream is exact rational arithmetic; this module converts the
-coefficient tables to binary floating point once per call batch and
-evaluates the potential, the truncated super-potential and its analytic
-derivative, the Riccati defect, eigenvalue partial sums, and the ground
-eigenfunction.
+Everything upstream is exact rational arithmetic.  Here every sine
+polynomial of the series is evaluated along one path.  A weight per order
+(the powers of beta for the truncated series, a unit vector for a single
+order) sums the dense tables once into
+
+    alpha_k = sum_n w_n a_{n,k},    gamma_k = sum_n w_n b_{n,k},
+
+and with s = sin(theta), c = cos(theta) and x = s^2 the weighted orders are
+
+    sum_n w_n W_n(theta) = s (c PA(x) + PB(x)),
+
+PA and PB having the coefficients alpha and gamma.  Their theta-derivative
+and the phase of the ground eigenfunction, sum_k alpha_k x^k / (2k) + c Q(x)
+with Q the image of gamma under the closed-form antiderivative rows of the
+odd sine powers (`i_coeff`), are polynomials in x as well.  All of them are
+evaluated by Horner's rule, O(N) per point.
+
+The eigenfunction is normalized by Gauss-Legendre quadrature on [0, pi];
+its square is analytic there, so the rule converges geometrically.  The
+rule is composite, 64 nodes on each of ceil(sqrt(m/40)) equal panels:
+sin^(2m-1) narrows the integrand around pi/2 like 1/sqrt(m), and panels
+keep the nodes evenly spread over it without building a rule of hundreds
+of nodes.
 
 Trigonometric bookkeeping: 1 -+ cos(theta) are always formed from
 half-angle squares, which stays accurate near both endpoints where the
@@ -15,15 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .core import ModeParams
 from .recurrence import SeriesState, i_coeff
-
-_NORM_POINTS = 4097  # composite-Simpson node count for eigenfunction normalization
-_NORM_MARGIN = 1e-8  # endpoint inset; the integrand vanishes there for m >= 1
 
 
 @dataclass(frozen=True)
@@ -51,30 +66,37 @@ class WavefunctionSample:
     norm_const: float
 
 
-@dataclass(frozen=True)
-class _FloatTables:
-    """Coefficient tables of a series state converted to floats once."""
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the three-term recurrence of P_64 (no linear algebra,
+    so no LAPACK is loaded).  From these starting values four steps reach
+    roundoff; six are taken."""
+    n = 64
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-    m: int
-    order: int
-    a: tuple  # per order n: tuple of (k, coeff) over the nonzero entries
-    b: tuple
-    energy: tuple
+
+def gauss_legendre(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule: the 64-point Gauss-Legendre
+    rule on each of `panels` equal panels of [a, b]."""
+    nodes, weights = _legendre_rule()
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
 
 
-def _float_entries(values: tuple) -> tuple:
-    """(k, float) over the nonzero entries of a dense table over k = 1.."""
-    return tuple((k, float(v)) for k, v in enumerate(values, start=1) if v)
-
-
-def float_tables(state: SeriesState) -> _FloatTables:
-    return _FloatTables(
-        m=state.params.m,
-        order=state.current_order,
-        a=tuple(_float_entries(t.a) for t in state.orders),
-        b=tuple(_float_entries(t.b) for t in state.orders),
-        energy=tuple(float(c) for c in state.energy.coeffs),
-    )
+def gauss_panels(m: int) -> int:
+    """Panel count of the composite Gauss-Legendre rules over integrands
+    weighted by sin^(2m-1), whose width around pi/2 shrinks like 1/sqrt(m):
+    one 64-node panel over [0, pi] is at roundoff up to m = 40."""
+    return math.ceil(math.sqrt(m / 40))
 
 
 def _half_angle(theta):
@@ -83,6 +105,35 @@ def _half_angle(theta):
     one_minus = 2.0 * np.sin(half) ** 2
     one_plus = 2.0 * np.cos(half) ** 2
     return np.sin(theta), 1.0 - one_minus, one_minus, one_plus
+
+
+def _horner(coeffs: np.ndarray, x):
+    """sum_i coeffs[i] x^i."""
+    acc = np.zeros_like(x)
+    for v in coeffs[::-1]:
+        acc = acc * x + v
+    return acc
+
+
+def _weighted_tables(state: SeriesState, weights) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_k = sum_n weights[n-1] a_{n,k} over k = 1..N//2 and gamma_k,
+    the same sum of the b tables, over k = 1..(N+1)//2."""
+    alpha = np.zeros(state.current_order // 2)
+    gamma = np.zeros((state.current_order + 1) // 2)
+    for w, table in zip(weights, state.orders):
+        alpha[: len(table.a)] += w * np.array(table.a, dtype=float)
+        gamma[: len(table.b)] += w * np.array(table.b, dtype=float)
+    return alpha, gamma
+
+
+def _beta_tables(state: SeriesState, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tables weighted by beta^n, the truncated series at beta."""
+    return _weighted_tables(state, np.cumprod(np.full(state.current_order, float(beta))))
+
+
+def _orders_at(alpha: np.ndarray, gamma: np.ndarray, s, c):
+    x = s * s
+    return s * (c * _horner(alpha, x) + _horner(gamma, x))
 
 
 def potential_on_grid(thetas: np.ndarray, params: ModeParams, beta: float) -> np.ndarray:
@@ -98,41 +149,19 @@ def potential(point: EvalPoint, params: ModeParams) -> float:
     return float(potential_on_grid(np.array([point.theta]), params, point.beta)[0])
 
 
-def _order_values(tabs: _FloatTables, s, c):
-    """Yield W_n(theta) for n = 1..order; s, c may be scalars or arrays."""
-    for an, bn in zip(tabs.a, tabs.b):
-        acc_a = 0.0
-        for k, v in an:
-            acc_a = acc_a + v * s ** (2 * k - 1)
-        acc_b = 0.0
-        for k, v in bn:
-            acc_b = acc_b + v * s ** (2 * k - 1)
-        yield c * acc_a + acc_b
-
-
-def order_term(state: SeriesState, n: int, theta) -> float:
-    """Evaluate the single series order W_n at theta (no beta power)."""
-    if not 1 <= n <= state.current_order:
-        raise ValueError(f"order {n} not available (state holds 1..{state.current_order})")
-    table = state.order_table(n)
-    s = np.sin(theta)
-    c = np.cos(theta)
-    acc_a = sum(float(v) * s ** (2 * k - 1) for k, v in enumerate(table.a, start=1))
-    acc_b = sum(float(v) * s ** (2 * k - 1) for k, v in enumerate(table.b, start=1))
-    return c * acc_a + acc_b
+def weighted_orders_on_grid(state: SeriesState, weights, thetas: np.ndarray) -> np.ndarray:
+    """sum_n weights[n-1] W_n(theta) on an array of angles; a unit weight
+    vector gives a single order."""
+    s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
+    return _orders_at(*_weighted_tables(state, weights), s, c)
 
 
 def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Truncated super-potential W(theta; beta) on an array of angles,
     from W_0 = -(1 + (m+1/2) cos)/sin up."""
-    tabs = float_tables(state)
     s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
-    w = -(1.0 + (tabs.m + 0.5) * c) / s
-    bp = 1.0
-    for term in _order_values(tabs, s, c):
-        bp *= beta
-        w = w + bp * term
-    return w
+    w0 = -(1.0 + (state.params.m + 0.5) * c) / s
+    return w0 + _orders_at(*_beta_tables(state, beta), s, c)
 
 
 def eval_w(state: SeriesState, point: EvalPoint) -> float:
@@ -142,25 +171,20 @@ def eval_w(state: SeriesState, point: EvalPoint) -> float:
 def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Analytic theta-derivative of the truncated super-potential.
 
-    Uses d/dtheta[-(1 + (m+1/2) cos)/sin] = (m + 1/2 + cos)/sin^2 and the
-    term-wise derivatives of cos*sin^(2k-1) and sin^(2k-1).
+    Uses d/dtheta[-(1 + (m+1/2) cos)/sin] = (m + 1/2 + cos)/sin^2 and, per
+    k, d/dtheta[cos sin^(2k-1)] = (2k-1) x^(k-1) - 2k x^k and
+    d/dtheta[sin^(2k-1)] = (2k-1) cos x^(k-1).
     """
-    tabs = float_tables(state)
-    th = np.asarray(thetas, dtype=float)
-    s, c, one_minus, one_plus = _half_angle(th)
-    sin2 = one_minus * one_plus
-    dw = (tabs.m + 0.5 + c) / sin2
-    bp = 1.0
-    for an, bn in zip(tabs.a, tabs.b):
-        bp *= beta
-        term = np.zeros_like(th)
-        for k, v in an:
-            # d/dtheta [cos * sin^(2k-1)] = (2k-1) sin^(2k-2) - 2k sin^(2k)
-            term = term + v * ((2 * k - 1) * s ** (2 * k - 2) - 2 * k * s ** (2 * k))
-        for k, v in bn:
-            term = term + v * (2 * k - 1) * c * s ** (2 * k - 2)
-        dw = dw + bp * term
-    return dw
+    s, c, one_minus, one_plus = _half_angle(np.asarray(thetas, dtype=float))
+    alpha, gamma = _beta_tables(state, beta)
+    ka = np.arange(1, len(alpha) + 1)
+    da = np.zeros(len(alpha) + 1)
+    da[:-1] += (2 * ka - 1) * alpha
+    da[1:] -= 2 * ka * alpha
+    db = (2 * np.arange(1, len(gamma) + 1) - 1) * gamma
+    x = s * s
+    w0_prime = (state.params.m + 0.5 + c) / (one_minus * one_plus)
+    return w0_prime + _horner(da, x) + c * _horner(db, x)
 
 
 def eval_w_derivative(state: SeriesState, point: EvalPoint) -> float:
@@ -195,71 +219,34 @@ def riccati_residual(state: SeriesState, point: EvalPoint) -> float:
     return float(riccati_residual_on_grid(state, point.beta, np.array([point.theta]))[0])
 
 
-@lru_cache(maxsize=None)
-def _p_row(k: int) -> tuple:
-    """Float coefficients of the closed-form antiderivative of sin^(2k-1)."""
-    return tuple(float(i_coeff(k - 1, j)) for j in range(k))
-
-
-def p_antiderivative(k: int, theta) -> float:
-    """Antiderivative of sin^(2k-1); finite on [0, pi], zero slope at the
-    endpoints for k >= 2."""
-    if k < 1:
-        raise ValueError(f"p_antiderivative needs k >= 1, got {k}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th > math.pi):
-        raise ValueError("theta must lie in [0, pi]")
-    s = np.sin(th)
-    acc = np.zeros_like(th)
-    for j, coeff in enumerate(_p_row(k)):
-        acc = acc + coeff * s ** (2 * k - 2 - 2 * j)
-    out = -np.cos(th) / (2 * k) * acc
-    return float(out) if np.isscalar(theta) or out.ndim == 0 else out
-
-
-def _wavefunction_unnormalized(tabs: _FloatTables, beta: float, thetas: np.ndarray) -> np.ndarray:
-    th = np.asarray(thetas, dtype=float)
-    s, c, one_minus, _ = _half_angle(th)
-    phase = np.zeros_like(th)
-    bp = 1.0
-    for an, bn in zip(tabs.a, tabs.b):
-        bp *= beta
-        term = np.zeros_like(th)
-        for k, v in an:
-            term = term + v * s ** (2 * k) / (2 * k)
-        for k, v in bn:
-            term = term + v * p_antiderivative(k, th)
-        phase = phase + bp * term
-    return one_minus * s ** (tabs.m - 0.5) * np.exp(-phase)
-
-
-def _simpson_weights(npts: int, spacing: float) -> np.ndarray:
-    if npts < 3 or npts % 2 == 0:
-        raise ValueError("composite Simpson needs an odd point count >= 3")
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (spacing / 3.0)
-
-
-def _norm_const(tabs: _FloatTables, beta: float) -> float:
-    grid = np.linspace(_NORM_MARGIN, math.pi - _NORM_MARGIN, _NORM_POINTS)
-    values = _wavefunction_unnormalized(tabs, beta, grid)
-    weights = _simpson_weights(_NORM_POINTS, grid[1] - grid[0])
-    return 1.0 / math.sqrt(float(weights @ (values * values)))
-
-
 def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
     """Normalized ground eigenfunction on an array of interior angles.
 
-    Returns (psi, theta_big, norm_const) where the normalization makes the
-    square of psi integrate to one over (0, pi).
+    psi = norm (1 - cos) sin^(m-1/2) exp(-phase), where the phase is the
+    antiderivative of W - W_0 whose odd-sine-power parts are the closed
+    forms -cos/(2k) sum_j i_coeff(k-1, j) sin^(2k-2-2j).  Returns
+    (psi, theta_big, norm_const) where the normalization makes the square
+    of psi integrate to one over (0, pi).
     """
-    tabs = float_tables(state)
-    norm = _norm_const(tabs, beta)
-    psi = norm * _wavefunction_unnormalized(tabs, beta, np.asarray(thetas, dtype=float))
-    theta_big = psi / np.sqrt(np.sin(np.asarray(thetas, dtype=float)))
-    return psi, theta_big, norm
+    alpha, gamma = _beta_tables(state, beta)
+    # phase = sum_k alpha_k x^k / (2k) + c Q(x), both polynomials in x = sin^2
+    plain = np.concatenate(([0.0], alpha / (2 * np.arange(1, len(alpha) + 1))))
+    q = np.zeros(len(gamma))
+    for k, g in enumerate(gamma, start=1):
+        for i in range(k):
+            q[i] -= float(i_coeff(k - 1, k - 1 - i)) * g / (2 * k)
+    m = state.params.m
+
+    def unnormalized(th):
+        s, c, one_minus, _ = _half_angle(th)
+        x = s * s
+        return one_minus * s ** (m - 0.5) * np.exp(-(_horner(plain, x) + c * _horner(q, x)))
+
+    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
+    norm = 1.0 / math.sqrt(float(weights @ unnormalized(nodes) ** 2))
+    th = np.asarray(thetas, dtype=float)
+    psi = norm * unnormalized(th)
+    return psi, psi / np.sqrt(np.sin(th)), norm
 
 
 def eval_ground_wavefunction(state: SeriesState, point: EvalPoint) -> WavefunctionSample:

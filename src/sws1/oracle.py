@@ -3,8 +3,9 @@
 The boundary-value problem is discretized on a uniform interior grid with
 Dirichlet endpoints and solved by Sturm-sequence bisection on the
 symmetric tridiagonal operator, entirely independently of the recurrence
-path.  A quadrature re-computation of the order-n antiderivative provides
-a second cross-check of the coefficient tables themselves.
+path.  A Gauss-Legendre re-computation of the order-n antiderivative from
+the nearer endpoint provides a second cross-check of the coefficient
+tables themselves.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -29,11 +30,13 @@ import numpy as np
 from .core import ModeParams
 from .evaluate import (
     eval_energy,
-    float_tables,
+    gauss_legendre,
+    gauss_panels,
     potential_on_grid,
     w_derivative_on_grid,
     w_on_grid,
     wavefunction_on_grid,
+    weighted_orders_on_grid,
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
@@ -235,10 +238,16 @@ def richardson_eigenvalue(
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
-    """Recompute the order-n antiderivative by adaptive Simpson quadrature
-    of the assembled source term, fully independently of the closed-form
-    tables (the integrand vanishes at zero for m >= 1, fixing the
-    integration constant)."""
+    """Recompute the order-n antiderivative A_n(theta) = int_0^theta f by a
+    Gauss-Legendre rule, fully independently of the closed-form tables: the
+    integrand f = (E_n + sum_k W_k W_(n-k)) (1 - cos)^2 sin^(2m-1) is
+    assembled from the W_k tables of the lower orders.
+
+    E_n is fixed by int_0^pi f = 0, so A_n vanishes at both ends, and past
+    pi/2 the rule runs over [theta, pi] and returns minus that integral: from
+    0, A_n there is left by a cancellation down to ~1e-14 against an
+    integrand mass of ~1e-3, which no float64 rule resolves.
+    """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; quadrature starts at n = 3")
     if n > state.current_order:
@@ -246,25 +255,13 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
     m = state.params.m
-    e_n = float(state.energy[n])
-    tabs = float_tables(state)
-    lower_a, lower_b = tabs.a[: n - 1], tabs.b[: n - 1]
-
-    def w_order(k: int, s: float, c: float) -> float:
-        acc_a = sum(v * s ** (2 * i - 1) for i, v in lower_a[k - 1])
-        acc_b = sum(v * s ** (2 * i - 1) for i, v in lower_b[k - 1])
-        return c * acc_a + acc_b
-
-    def integrand(t: float) -> float:
-        s = math.sin(t)
-        c = math.cos(t)
-        one_minus = 2.0 * math.sin(t / 2.0) ** 2
-        f = e_n
-        for k in range(1, n):
-            f += w_order(k, s, c) * w_order(n - k, s, c)
-        return f * one_minus**2 * s ** (2 * m - 1)
-
-    return _adaptive_simpson(integrand, 0.0, theta, rel_tol=1e-12)
+    lo, hi, sign = (0.0, theta, 1.0) if theta <= math.pi / 2.0 else (theta, math.pi, -1.0)
+    t, w = gauss_legendre(lo, hi, gauss_panels(m))
+    unit = np.eye(state.current_order)
+    orders = [weighted_orders_on_grid(state, unit[k - 1], t) for k in range(1, n)]
+    f = float(state.energy[n]) + sum(orders[k - 1] * orders[n - k - 1] for k in range(1, n))
+    one_minus = 2.0 * np.sin(t / 2.0) ** 2
+    return sign * float(w @ (f * one_minus**2 * np.sin(t) ** (2 * m - 1)))
 
 
 def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
@@ -278,43 +275,6 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     r_val = sum(float(v) * s ** (2 * m + 2 * p) for p, v in enumerate(R))
     t_val = sum(float(v) * s ** (2 * m + 2 * j) for j, v in enumerate(T))
     return r_val + c * t_val
-
-
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
-    """Adaptive Simpson with a relative target; the absolute cutoff is
-    seeded by a coarse composite pass so that small-magnitude integrals
-    keep their relative accuracy."""
-    coarse_n = 64
-    xs = np.linspace(a, b, coarse_n + 1)
-    fs = np.array([f(x) for x in xs])
-    hgrid = (b - a) / coarse_n
-    coarse = hgrid / 3.0 * (fs[0] + fs[-1] + 4.0 * fs[1:-1:2].sum() + 2.0 * fs[2:-1:2].sum())
-    scale = max(abs(coarse), float(np.max(np.abs(fs))) * abs(b - a) * 1e-6, 1e-300)
-    abs_tol = rel_tol * scale
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        if depth <= 0:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, fl, f1, left, tol / 2.0, depth - 1) + recurse(
-            x1, x2, f1, fr, f2, right, tol / 2.0, depth - 1
-        )
-
-    mid = 0.5 * (a + b)
-    f0, f1, f2 = f(a), f(mid), f(b)
-    whole = simpson(a, b, f0, f1, f2)
-    return recurse(a, b, f0, f1, f2, whole, abs_tol, depth=40)
 
 
 def residual_slope(state: SeriesState, theta: float = math.pi / 3.0) -> float:

@@ -200,6 +200,19 @@ REMOVED_NAMES = (
     "divergent_coefficient",
     "_frozen_table",
     "_dense_numerators",
+    "_FloatTables",
+    "_float_entries",
+    "float_tables",
+    "_order_values",
+    "order_term",
+    "_p_row",
+    "p_antiderivative",
+    "_wavefunction_unnormalized",
+    "_simpson_weights",
+    "_NORM_POINTS",
+    "_NORM_MARGIN",
+    "_adaptive_simpson",
+    "w_order",
 )
 
 

