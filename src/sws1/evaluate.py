@@ -131,6 +131,17 @@ def _beta_tables(state: SeriesState, beta: float) -> tuple[np.ndarray, np.ndarra
     return _weighted_tables(state, np.cumprod(np.full(state.current_order, float(beta))))
 
 
+def _odd_sine_antiderivative(gamma: np.ndarray) -> np.ndarray:
+    """Coefficients of Q(x) with cos(theta) Q(sin^2 theta) an antiderivative
+    of sum_k gamma_k sin^(2k-1): per k, -cos/(2k) sum_j i_coeff(k-1, j)
+    sin^(2k-2-2j)."""
+    q = np.zeros(len(gamma))
+    for k, g in enumerate(gamma, start=1):
+        for i in range(k):
+            q[i] -= float(i_coeff(k - 1, k - 1 - i)) * g / (2 * k)
+    return q
+
+
 def _orders_at(alpha: np.ndarray, gamma: np.ndarray, s, c):
     x = s * s
     return s * (c * _horner(alpha, x) + _horner(gamma, x))
@@ -231,10 +242,7 @@ def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
     alpha, gamma = _beta_tables(state, beta)
     # phase = sum_k alpha_k x^k / (2k) + c Q(x), both polynomials in x = sin^2
     plain = np.concatenate(([0.0], alpha / (2 * np.arange(1, len(alpha) + 1))))
-    q = np.zeros(len(gamma))
-    for k, g in enumerate(gamma, start=1):
-        for i in range(k):
-            q[i] -= float(i_coeff(k - 1, k - 1 - i)) * g / (2 * k)
+    q = _odd_sine_antiderivative(gamma)
     m = state.params.m
 
     def unnormalized(th):

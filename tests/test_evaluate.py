@@ -12,6 +12,7 @@ from sws1.evaluate import (
     eval_w,
     eval_w_derivative,
     gauss_legendre,
+    _odd_sine_antiderivative,
     gauss_panels,
     potential,
     riccati_residual,
@@ -257,6 +258,33 @@ class TestEnergyPartialSums:
             eval_energy(state_m1_n8, 0.1, 9)
         with pytest.raises(ValueError):
             eval_energy(state_m1_n8, 0.1, -1)
+
+
+def sine_power_antiderivative(k, theta):
+    """Antiderivative of sin^(2k-1) through the phase's Q map at a unit
+    gamma vector: cos(theta) Q(sin^2 theta)."""
+    q = _odd_sine_antiderivative(np.eye(k)[k - 1])
+    return math.cos(theta) * np.polynomial.polynomial.polyval(math.sin(theta) ** 2, q)
+
+
+class TestAntiderivative:
+    def test_lowest_order_is_minus_cos(self):
+        for theta in (0.0, 0.7, 2.0, math.pi):
+            assert sine_power_antiderivative(1, theta) == pytest.approx(-math.cos(theta), abs=1e-15)
+
+    def test_cubic_at_zero(self):
+        assert sine_power_antiderivative(2, 0.0) == pytest.approx(-2.0 / 3.0, abs=1e-15)
+
+    def test_cubic_at_midpoint(self):
+        assert sine_power_antiderivative(2, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_quadrature(self, k):
+        # independent route: integrate sin^(2k-1) numerically
+        for theta in (0.8, 1.9, 2.9):
+            quad = simpson(lambda x: np.sin(x) ** (2 * k - 1), 0.0, theta)
+            diff = sine_power_antiderivative(k, theta) - sine_power_antiderivative(k, 0.0)
+            assert diff == pytest.approx(quad, abs=1e-12)
 
 
 class TestPhase:

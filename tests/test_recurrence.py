@@ -9,7 +9,7 @@ import pytest
 
 from sws1 import recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
-from sws1.evaluate import weighted_orders_on_grid
+from sws1.evaluate import _odd_sine_antiderivative, weighted_orders_on_grid
 from sws1.recurrence import (
     SeriesInconsistencyError,
     SeriesState,
@@ -59,6 +59,20 @@ class TestICoeff:
             i_coeff(1, 2)
         with pytest.raises(ValueError):
             i_coeff(-1, 0)
+
+    def test_antiderivative_derivative_recovers_sine_power(self):
+        # d/dtheta of the closed-form antiderivative of sin^3, cos Q(sin^2)
+        # with Q the i_coeff map at gamma = (0, 1), must give sin^3; this
+        # pins the i_coeff(1, k) values through an independent route.
+        q = _odd_sine_antiderivative(np.array([0.0, 1.0]))
+
+        def antiderivative(theta):
+            return math.cos(theta) * (q[0] + q[1] * math.sin(theta) ** 2)
+
+        h = 1e-6
+        for theta in (0.3, 1.1, 2.2):
+            fd = (antiderivative(theta + h) - antiderivative(theta - h)) / (2 * h)
+            assert fd == pytest.approx(math.sin(theta) ** 3, rel=1e-8)
 
 
 class TestBaseOrders:
