@@ -14,6 +14,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import ModeParams, tables_to_text
@@ -88,7 +89,11 @@ def _parse_betas(text: str, allow_list: bool) -> list[float]:
         raise ValueError("empty beta list")
     if len(parts) > 1 and not allow_list:
         raise ValueError("this command takes a single beta")
-    return [float(p) for p in parts]
+    betas = [float(p) for p in parts]
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
+    return betas
 
 
 def _parse_tolerances(items) -> dict:

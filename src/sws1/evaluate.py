@@ -32,38 +32,12 @@ naive difference cancels catastrophically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .core import ModeParams
 from .recurrence import SeriesState, i_coeff
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Evaluation point: polar angle in the open interval (0, pi) and the
-    spheroidicity parameter beta."""
-
-    theta: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError(f"theta must lie strictly inside (0, pi), got {self.theta}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class WavefunctionSample:
-    """Ground-eigenfunction sample: psi includes the normalization constant,
-    theta_big = psi / sqrt(sin(theta)) is the original angular variable."""
-
-    psi: float
-    theta_big: float
-    norm_const: float
 
 
 @cache
@@ -156,10 +130,6 @@ def potential_on_grid(thetas: np.ndarray, params: ModeParams, beta: float) -> np
     return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
 
 
-def potential(point: EvalPoint, params: ModeParams) -> float:
-    return float(potential_on_grid(np.array([point.theta]), params, point.beta)[0])
-
-
 def weighted_orders_on_grid(state: SeriesState, weights, thetas: np.ndarray) -> np.ndarray:
     """sum_n weights[n-1] W_n(theta) on an array of angles; a unit weight
     vector gives a single order."""
@@ -173,10 +143,6 @@ def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray
     s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
     w0 = -(1.0 + (state.params.m + 0.5) * c) / s
     return w0 + _orders_at(*_beta_tables(state, beta), s, c)
-
-
-def eval_w(state: SeriesState, point: EvalPoint) -> float:
-    return float(w_on_grid(state, point.beta, np.array([point.theta]))[0])
 
 
 def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
@@ -196,10 +162,6 @@ def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) ->
     x = s * s
     w0_prime = (state.params.m + 0.5 + c) / (one_minus * one_plus)
     return w0_prime + _horner(da, x) + c * _horner(db, x)
-
-
-def eval_w_derivative(state: SeriesState, point: EvalPoint) -> float:
-    return float(w_derivative_on_grid(state, point.beta, np.array([point.theta]))[0])
 
 
 def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> float:
@@ -224,10 +186,6 @@ def riccati_residual_on_grid(state: SeriesState, beta: float, thetas: np.ndarray
     v = potential_on_grid(thetas, state.params, beta)
     e = eval_energy(state, beta)
     return w * w - wp - v + e
-
-
-def riccati_residual(state: SeriesState, point: EvalPoint) -> float:
-    return float(riccati_residual_on_grid(state, point.beta, np.array([point.theta]))[0])
 
 
 def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
@@ -255,11 +213,6 @@ def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
     th = np.asarray(thetas, dtype=float)
     psi = norm * unnormalized(th)
     return psi, psi / np.sqrt(np.sin(th)), norm
-
-
-def eval_ground_wavefunction(state: SeriesState, point: EvalPoint) -> WavefunctionSample:
-    psi, theta_big, norm = wavefunction_on_grid(state, point.beta, np.array([point.theta]))
-    return WavefunctionSample(psi=float(psi[0]), theta_big=float(theta_big[0]), norm_const=norm)
 
 
 def uniform_interior_grid(points: int) -> np.ndarray:

@@ -159,14 +159,6 @@ def fd_ground_eigenvalue(params: ModeParams, beta: float, grid: FdGrid) -> float
     )
 
 
-def sturm_count_below(params: ModeParams, beta: float, grid: FdGrid, lam: float) -> int:
-    """Public probe of the Sturm count; the found ground eigenvalue must
-    have count 0 just below and >= 1 just above."""
-    diag = _assemble_diagonal(params, beta, grid).tolist()
-    off = 1.0 / grid.h**2
-    return _sturm_count(diag, off * off, lam)
-
-
 def _solve_tridiagonal(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
     """Thomas solve with constant off-diagonal and tiny-pivot guards (the
     matrix is deliberately near-singular during inverse iteration)."""

@@ -99,18 +99,6 @@ def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
 
 
 @dataclass(frozen=True)
-class OrderAudit:
-    """Measured facts of one order, recorded once every runtime assertion
-    of that order has passed (a failed one raises instead)."""
-
-    n: int
-    path: str  # "closed-form", "recurrence", or "both"
-    energy_num_digits: int  # decimal digits of |E_n|'s numerator
-    energy_den_digits: int  # decimal digits of E_n's denominator
-    nonzero_entries: int  # nonzero entries of the a and b tables together
-
-
-@dataclass(frozen=True)
 class SeriesState:
     """Truncated series: orders[k-1] holds W_k, energy[n] the n-th energy
     coefficient.  Immutable; advance() returns a new state."""
@@ -118,7 +106,6 @@ class SeriesState:
     params: ModeParams
     orders: tuple[WnTable, ...]
     energy: EnergySeries
-    audit: tuple[OrderAudit, ...]
 
     def __post_init__(self) -> None:
         if len(self.energy) != len(self.orders) + 1:
@@ -299,28 +286,20 @@ def advance(state: SeriesState) -> SeriesState:
     """
     n = state.current_order + 1
     if n == 1:
-        (table, e_n), path = base_order1(state.params), "closed-form"
+        table, e_n = base_order1(state.params)
     elif n == 2:
-        (table, e_n), path = base_order2(state.params), "closed-form"
-    elif n == 3:
+        table, e_n = base_order2(state.params)
+    else:
         table, e_n = _general_order(state, n)
-        ref_table, ref_e = base_order3(state.params)
-        if table != ref_table or e_n != ref_e:
+        if n == 3 and (table, e_n) != base_order3(state.params):
             raise SeriesInconsistencyError(
                 "order 3: recurrence path disagrees with the closed form "
                 f"(got a={table.a}, b={table.b}, e={e_n})"
             )
-        path = "both"
-    else:
-        (table, e_n), path = _general_order(state, n), "recurrence"
-    digits = (len(str(abs(e_n.numerator))), len(str(e_n.denominator)))
-    audit = OrderAudit(n, path, *digits, sum(1 for v in (*table.a, *table.b) if v))
-
     return SeriesState(
         params=state.params,
         orders=state.orders + (table,),
         energy=EnergySeries(state.energy.coeffs + (e_n,)),
-        audit=state.audit + (audit,),
     )
 
 
@@ -330,7 +309,6 @@ def compute_series(params: ModeParams) -> SeriesState:
         params=params,
         orders=(),
         energy=EnergySeries((base_order0(params),)),
-        audit=(),
     )
     for _ in range(params.N):
         state = advance(state)

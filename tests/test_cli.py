@@ -101,6 +101,12 @@ class TestEval:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "1e400"])
+    def test_non_finite_beta_exits_1(self, capsys, beta):
+        code, out, err = run(["eval", "--m", "1", "--order", "2", "--beta", beta], capsys)
+        assert code == 1 and out == ""
+        assert "beta must be finite, got" in err
+
     def test_large_beta_caution(self, capsys):
         code, _, err = run(
             ["eval", "--m", "1", "--order", "1", "--beta", "2.0", "--theta-points", "1"],
@@ -165,6 +171,11 @@ class TestVerify:
             ["verify", "--m", "1", "--order", "3", "--beta", "0.1", "--tol", "nope=1"], capsys
         )
         assert code == 1 and "nope" in err
+
+    def test_non_finite_beta_in_list_exits_1(self, capsys):
+        code, out, err = run(["verify", "--m", "1", "--order", "2", "--beta", "0,nan"], capsys)
+        assert code == 1 and out == ""
+        assert "beta must be finite, got nan" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

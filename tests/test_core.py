@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -213,6 +217,15 @@ REMOVED_NAMES = (
     "_NORM_MARGIN",
     "_adaptive_simpson",
     "w_order",
+    "EvalPoint",
+    "WavefunctionSample",
+    "potential",
+    "eval_w",
+    "eval_w_derivative",
+    "riccati_residual",
+    "eval_ground_wavefunction",
+    "sturm_count_below",
+    "OrderAudit",
 )
 
 
@@ -231,6 +244,28 @@ class TestPackageExports:
             assert not hasattr(sws1.WnTable, accessor)
         assert "s" not in sws1.ModeParams.__dataclass_fields__
         assert "w0" not in sws1.SeriesState.__dataclass_fields__
+        assert "audit" not in sws1.SeriesState.__dataclass_fields__
+
+    def test_exact_core_imports_no_numpy(self):
+        # a fresh interpreter: this one has numpy loaded already
+        src = str(Path(sws1.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, sws1, sws1.recurrence; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_readme_library_snippet_runs(self):
+        # the first python block under "## Library" is the documented API
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1]
+        snippet = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(snippet, "README.md", "exec"), {})
 
     def test_no_corrupt_energy_option(self, capsys):
         argv = ["verify", "--m", "1", "--order", "1", "--beta", "0", "--corrupt-energy", "0"]

@@ -6,16 +6,11 @@ import pytest
 
 from sws1.core import ModeParams
 from sws1.evaluate import (
-    EvalPoint,
     eval_energy,
-    eval_ground_wavefunction,
-    eval_w,
-    eval_w_derivative,
     gauss_legendre,
     _odd_sine_antiderivative,
     gauss_panels,
-    potential,
-    riccati_residual,
+    potential_on_grid,
     riccati_residual_on_grid,
     uniform_interior_grid,
     w_derivative_on_grid,
@@ -57,25 +52,14 @@ def exact_w_and_derivative(state, beta, theta):
     return w, wp, (1 + half * abs(c)) / s, (half + abs(c)) / pw[2]
 
 
-class TestEvalPoint:
-    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, 4.0])
-    def test_endpoints_and_exterior_rejected(self, theta):
-        with pytest.raises(ValueError):
-            EvalPoint(theta=theta, beta=0.1)
-
-    def test_non_finite_beta_rejected(self):
-        with pytest.raises(ValueError):
-            EvalPoint(theta=1.0, beta=float("nan"))
-
-
 class TestPotential:
     def test_midpoint_beta0(self):
-        v = potential(EvalPoint(math.pi / 2, 0.0), ModeParams(m=1, N=0))
+        v = potential_on_grid(np.array([math.pi / 2]), ModeParams(m=1, N=0), 0.0)[0]
         assert v == pytest.approx(-0.5, abs=1e-14)
 
     def test_midpoint_beta_irrelevant(self):
         # both beta terms carry a cosine factor, which vanishes at pi/2
-        v = potential(EvalPoint(math.pi / 2, 0.5), ModeParams(m=1, N=0))
+        v = potential_on_grid(np.array([math.pi / 2]), ModeParams(m=1, N=0), 0.5)[0]
         assert v == pytest.approx(-0.5, abs=1e-14)
 
     def test_consistent_with_original_variable_operator(self):
@@ -107,27 +91,24 @@ class TestPotential:
             + (1 + beta**2 * c**2 - 2 * beta * c - (m + c) ** 2 / s**2)
             * original_form(theta)
         )
-        v = potential(EvalPoint(theta, beta), params)
+        v = potential_on_grid(np.array([theta]), params, beta)[0]
         rhs = second(transformed, theta) - v * transformed(theta)
         assert rhs / math.sqrt(s) == pytest.approx(lhs, rel=1e-6)
-
-    def test_endpoint_rejected_via_eval_point(self):
-        with pytest.raises(ValueError):
-            potential(EvalPoint(0.0, 0.0), ModeParams(m=1, N=0))
 
 
 class TestSuperPotential:
     def test_first_order_at_midpoint(self):
         state = compute_series(ModeParams(m=1, N=1))
         for beta in (0.0, 0.3, 0.7):
-            w = eval_w(state, EvalPoint(math.pi / 2, beta))
+            w = w_on_grid(state, beta, np.array([math.pi / 2]))[0]
             assert w == pytest.approx(-1.0 - 0.5 * beta, abs=1e-14)
 
     def test_second_order_contribution_at_midpoint(self):
         s1 = compute_series(ModeParams(m=1, N=1))
         s2 = compute_series(ModeParams(m=1, N=2))
         beta = 0.2
-        gap = eval_w(s2, EvalPoint(math.pi / 2, beta)) - eval_w(s1, EvalPoint(math.pi / 2, beta))
+        mid = np.array([math.pi / 2])
+        gap = w_on_grid(s2, beta, mid)[0] - w_on_grid(s1, beta, mid)[0]
         assert gap == pytest.approx(beta**2 * (-3.0 / 40.0), abs=1e-15)
 
     def test_beta_zero_reduces_to_zeroth_order(self, state_m1_n8):
@@ -143,9 +124,10 @@ class TestSuperPotential:
             state = compute_series(ModeParams(m=m, N=0))
             c0, c1 = -1.0, -(m + 0.5)
             for theta, sin, cos in ((math.pi / 2, 1.0, 0.0), (math.pi / 3, 3**0.5 / 2, 0.5)):
-                point = EvalPoint(theta, 0.3)
-                assert eval_w(state, point) == pytest.approx((c0 + c1 * cos) / sin, rel=1e-15)
-                assert eval_w_derivative(state, point) == pytest.approx(
+                point = np.array([theta])
+                w = w_on_grid(state, 0.3, point)[0]
+                assert w == pytest.approx((c0 + c1 * cos) / sin, rel=1e-15)
+                assert w_derivative_on_grid(state, 0.3, point)[0] == pytest.approx(
                     -(c1 + c0 * cos) / sin**2, rel=1e-15
                 )
 
@@ -153,22 +135,22 @@ class TestSuperPotential:
 class TestDerivative:
     def test_zeroth_order_value_at_midpoint(self):
         state = compute_series(ModeParams(m=1, N=0))
-        d = eval_w_derivative(state, EvalPoint(math.pi / 2, 0.0))
+        d = w_derivative_on_grid(state, 0.0, np.array([math.pi / 2]))[0]
         assert d == pytest.approx(1.5, abs=1e-14)
 
     def test_first_order_term_flat_at_midpoint(self):
         # the derivative of the order-1 term carries a cosine factor
         state = compute_series(ModeParams(m=1, N=1))
-        d = eval_w_derivative(state, EvalPoint(math.pi / 2, 0.4))
+        d = w_derivative_on_grid(state, 0.4, np.array([math.pi / 2]))[0]
         assert d == pytest.approx(1.5, abs=1e-14)
 
     def test_matches_central_difference_at_reference_point(self):
         state = compute_series(ModeParams(m=1, N=3))
         theta, beta, step = 1.0, 0.2, 1e-5
-        exact = eval_w_derivative(state, EvalPoint(theta, beta))
+        exact = w_derivative_on_grid(state, beta, np.array([theta]))[0]
         fd = (
-            eval_w(state, EvalPoint(theta + step, beta))
-            - eval_w(state, EvalPoint(theta - step, beta))
+            w_on_grid(state, beta, np.array([theta + step]))[0]
+            - w_on_grid(state, beta, np.array([theta - step]))[0]
         ) / (2 * step)
         assert fd == pytest.approx(exact, rel=1e-8)
 
@@ -224,8 +206,10 @@ class TestRiccatiResidual:
             assert np.max(np.abs(r)) < 1e-12
 
     def test_scalar_wrapper(self, state_m1_n8):
-        r = riccati_residual(state_m1_n8, EvalPoint(1.0, 0.0))
-        assert abs(r) < 1e-12
+        # a single-point grid stands in for the former scalar entry point
+        r = riccati_residual_on_grid(state_m1_n8, 0.0, np.array([1.0]))
+        assert r.shape == (1,)
+        assert abs(float(r[0])) < 1e-12
 
     def test_low_order_slopes(self, riccati_floor):
         # the defect decays one beta power past the truncation order; checked
@@ -319,12 +303,12 @@ class TestGroundWavefunction:
 
     def test_unnormalized_midpoint_value(self):
         state = compute_series(ModeParams(m=1, N=4))
-        sample = eval_ground_wavefunction(state, EvalPoint(math.pi / 2, 0.0))
-        assert sample.psi / sample.norm_const == pytest.approx(1.0, abs=1e-14)
+        psi, _, norm = wavefunction_on_grid(state, 0.0, np.array([math.pi / 2]))
+        assert psi[0] / norm == pytest.approx(1.0, abs=1e-14)
 
     def test_theta_big_relation(self, state_m1_n8):
-        sample = eval_ground_wavefunction(state_m1_n8, EvalPoint(1.1, 0.1))
-        assert sample.theta_big == pytest.approx(sample.psi / math.sqrt(math.sin(1.1)), rel=1e-15)
+        psi, theta_big, _ = wavefunction_on_grid(state_m1_n8, 0.1, np.array([1.1]))
+        assert theta_big[0] == pytest.approx(psi[0] / math.sqrt(math.sin(1.1)), rel=1e-15)
 
     @pytest.mark.parametrize("m,beta", [(1, 0.0), (1, 0.1), (2, 0.1)])
     def test_normalization_self_consistency(self, m, beta):

