@@ -51,13 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_beta:
             p.add_argument("--beta", type=str, required=True, help="spheroidicity parameter")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("csv", "structured-text"),
-            default=None,
-            help="output format (commands accept the formats that fit their payload)",
-        )
 
     p_coeffs = sub.add_parser("coeffs", help="export the exact coefficient tables")
     common(p_coeffs, with_beta=False)
@@ -73,6 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the independent verification battery")
     common(p_verify, with_beta=True)
+    p_verify.add_argument(
+        "--format",
+        dest="output_format",
+        choices=("structured-text", "csv"),
+        default="structured-text",
+        help="report format",
+    )
     p_verify.add_argument(
         "--tol",
         action="append",
@@ -127,8 +127,6 @@ def _beta_caution(betas) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    if args.output_format not in (None, "structured-text"):
-        raise ValueError("coeffs emits the structured coefficient-table format only")
     params = ModeParams(m=args.m, N=args.order)
     state = compute_series(params)
     _write_output(tables_to_text(params.m, state.energy, state.orders), args.out)
@@ -136,8 +134,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.output_format not in (None, "csv"):
-        raise ValueError("eval emits CSV only")
+    import numpy as np  # loaded already by the evaluation path
+
     if args.theta_points < 1:
         raise ValueError("--theta-points must be >= 1")
     beta = _parse_betas(args.beta, allow_list=False)[0]
@@ -150,76 +148,71 @@ def cmd_eval(args) -> int:
     w = w_on_grid(state, beta, thetas)
     residual = riccati_residual_on_grid(state, beta, thetas)
     e0 = eval_energy(state, beta)
+    columns = (thetas, psi, theta_big, w, residual)
+    if not (math.isfinite(e0) and np.isfinite(columns).all()):
+        raise ValueError(f"the series is not finite at beta={_fmt(beta)} (E0={_fmt(e0)})")
 
     lines = [
         f"# m={params.m} N={params.N} beta={_fmt(beta)} E0={_fmt(e0)}",
         "theta,psi,theta_big,w,residual",
     ]
-    for i in range(args.theta_points):
-        lines.append(
-            ",".join(_fmt(v) for v in (thetas[i], psi[i], theta_big[i], w[i], residual[i]))
-        )
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
+
+
+# The measured values of an OracleReport in print order, each with whether
+# the CSV view has a column for it (the per-grid tuples have none).
+_REPORT_FIELDS = (
+    ("series_value", True),
+    ("numeric_value", True),
+    ("abs_gap", True),
+    ("rel_gap", True),
+    ("grid_sizes", False),
+    ("grid_eigenvalues", False),
+    ("richardson_estimate", True),
+    ("wavefunction_gap", True),
+    ("residual_slope", True),
+)
+_CSV_FIELDS = tuple(name for name, in_csv in _REPORT_FIELDS if in_csv)
+_NAME_WIDTH = max(len(name) for name, _ in _REPORT_FIELDS)
+
+
+def _cell(value) -> str:
+    return ",".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+
+
+def _status(r: OracleReport) -> str:
+    return "NOT-JUDGED" if r.passed is None else ("PASS" if r.passed else "FAIL")
 
 
 def _render_reports_text(reports: list[OracleReport]) -> str:
     lines = []
     for r in reports:
         lines.append(f"report m={r.m} order={r.order} beta={_fmt(r.beta)}")
-        lines.append(f"  series_value        = {_fmt(r.series_value)}")
-        lines.append(f"  numeric_value       = {_fmt(r.numeric_value)}")
-        lines.append(f"  abs_gap             = {_fmt(r.abs_gap)}")
-        lines.append(f"  rel_gap             = {_fmt(r.rel_gap)}")
-        lines.append(f"  grid_sizes          = {','.join(str(p) for p in r.grid_sizes)}")
-        lines.append(
-            "  grid_eigenvalues    = " + ",".join(_fmt(v) for v in r.grid_eigenvalues)
-        )
-        lines.append(f"  richardson_estimate = {_fmt(r.richardson_estimate)}")
-        lines.append(f"  wavefunction_gap    = {_fmt(r.wavefunction_gap)}")
-        lines.append(f"  residual_slope      = {_fmt(r.residual_slope)}")
+        for name, _ in _REPORT_FIELDS:
+            lines.append(f"  {name:<{_NAME_WIDTH}} = {_cell(getattr(r, name))}")
         for name in sorted(r.checks):
             lines.append(f"  check {name}: {'pass' if r.checks[name] else 'FAIL'}")
         for name in sorted(r.skipped):
             lines.append(f"  check {name}: skipped ({r.skipped[name]})")
         if r.error is not None:
             lines.append(f"  error = {r.error}")
-        status = "NOT-JUDGED" if r.passed is None else ("PASS" if r.passed else "FAIL")
-        lines.append(f"  status = {status}")
+        lines.append(f"  status = {_status(r)}")
     return "\n".join(lines) + "\n"
 
 
 def _render_reports_csv(reports: list[OracleReport]) -> str:
-    header = (
-        "m,beta,order,series_value,numeric_value,abs_gap,rel_gap,"
-        "richardson_estimate,wavefunction_gap,residual_slope,status"
-    )
-    rows = [header]
+    rows = [",".join(("m", "beta", "order") + _CSV_FIELDS + ("status",))]
     for r in reports:
-        status = "not-judged" if r.passed is None else ("pass" if r.passed else "fail")
-        rows.append(
-            ",".join(
-                [
-                    str(r.m),
-                    _fmt(r.beta),
-                    str(r.order),
-                    _fmt(r.series_value),
-                    _fmt(r.numeric_value),
-                    _fmt(r.abs_gap),
-                    _fmt(r.rel_gap),
-                    _fmt(r.richardson_estimate),
-                    _fmt(r.wavefunction_gap),
-                    _fmt(r.residual_slope),
-                    status,
-                ]
-            )
-        )
+        cells = [_fmt(v) for v in (r.m, r.beta, r.order)]
+        cells += [_cell(getattr(r, name)) for name in _CSV_FIELDS]
+        rows.append(",".join(cells + [_status(r).lower()]))
     return "\n".join(rows) + "\n"
 
 
 def cmd_verify(args) -> int:
-    if args.output_format not in (None, "structured-text", "csv"):
-        raise ValueError("verify emits structured-text or csv")
     betas = _parse_betas(args.beta, allow_list=True)
     _beta_caution(betas)
     tolerances = _parse_tolerances(args.tol)

@@ -12,6 +12,7 @@ import pytest
 from sws1 import cli
 from sws1.cli import main
 from sws1.core import EnergySeries, tables_from_text
+from sws1.oracle import OracleReport
 from sws1.recurrence import compute_series
 
 
@@ -45,6 +46,11 @@ class TestCoeffs:
     def test_csv_format_rejected(self, capsys):
         code, _, err = run(["coeffs", "--m", "1", "--order", "1", "--format", "csv"], capsys)
         assert code == 1
+
+    def test_format_flag_unrecognized(self, capsys):
+        argv = ["coeffs", "--m", "1", "--order", "1", "--format", "structured-text"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "" and "unrecognized arguments: --format" in err
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(["coeffs", "--m", "2", "--order", "6"], capsys)
@@ -100,6 +106,19 @@ class TestEval:
             capsys,
         )
         assert code == 1
+
+    def test_format_flag_unrecognized(self, capsys):
+        argv = ["eval", "--m", "1", "--order", "1", "--beta", "0.1", "--format", "csv"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "" and "unrecognized arguments: --format" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_1(self, capsys):
+        # E_n beta^n overflows at beta = 1e200 and every column turns NaN
+        argv = ["eval", "--m", "1", "--order", "8", "--beta", "1e200", "--theta-points", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert "error: the series is not finite at beta=" in err and "E0=-inf" in err
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "1e400"])
     def test_non_finite_beta_exits_1(self, capsys, beta):
@@ -186,6 +205,11 @@ class TestVerify:
         assert lines[0].startswith("m,beta,order,series_value")
         assert len(lines) == 2 and lines[1].endswith("pass")
 
+    def test_unknown_format_exits_1(self, capsys):
+        argv = ["verify", "--m", "1", "--order", "3", "--beta", "0", "--format", "json"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "" and "invalid choice: 'json'" in err
+
     def test_skipped_slope_check_says_why(self, capsys):
         # At N = 2 and theta = pi/3 the truncated defect is exactly zero
         # (W_2 vanishes there for m = 1), so the slope fit has no signal.
@@ -221,3 +245,117 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["m"] == 2
+
+
+def _pinned_reports():
+    """Four hand-built reports, one of each verdict, with fixed values."""
+    nan = float("nan")
+    slope_skip = "residual is above its roundoff floor"
+    common = dict(grid_sizes=(1024, 2048, 4096))
+    return [
+        OracleReport(
+            m=1, beta=0.0, order=3, series_value=0.0, numeric_value=-2.5e-7,
+            abs_gap=2.5e-7, rel_gap=math.inf, grid_eigenvalues=(-4e-6, -1e-6, -2.5e-7),
+            richardson_estimate=-2.5e-7, wavefunction_gap=1.5e-5, residual_slope=nan,
+            checks={"eigenvalue_gap": True, "wavefunction_gap": True},
+            skipped={"residual_slope": slope_skip}, passed=True, **common,
+        ),
+        OracleReport(
+            m=10, beta=0.05, order=8, series_value=110.125, numeric_value=110.0,
+            abs_gap=0.125, rel_gap=0.125 / 110.125, grid_eigenvalues=(109.5, 109.875, 110.0),
+            richardson_estimate=110.0, wavefunction_gap=2e-4, residual_slope=9.25,
+            checks={"eigenvalue_gap": False, "wavefunction_gap": True, "residual_slope": True},
+            passed=False, **common,
+        ),
+        OracleReport(
+            m=2, beta=1e200, order=8, series_value=nan, numeric_value=nan, abs_gap=nan,
+            rel_gap=nan, grid_eigenvalues=(), richardson_estimate=nan, wavefunction_gap=nan,
+            residual_slope=nan, skipped={"residual_slope": slope_skip},
+            passed=False, error="bisection did not converge", **common,
+        ),
+        OracleReport(
+            m=40, beta=-1.5, order=4, series_value=1638.0, numeric_value=1639.0, abs_gap=1.0,
+            rel_gap=1.0 / 1638.0, grid_eigenvalues=(1636.0, 1638.5, 1639.0),
+            richardson_estimate=1639.0, wavefunction_gap=0.5, residual_slope=4.75,
+            checks={"wavefunction_gap": False, "eigenvalue_gap": False, "residual_slope": True},
+            passed=None, **common,
+        ),
+    ]
+
+
+PINNED_TEXT = """\
+report m=1 order=3 beta=0
+  series_value        = 0
+  numeric_value       = -2.4999999999999999e-07
+  abs_gap             = 2.4999999999999999e-07
+  rel_gap             = inf
+  grid_sizes          = 1024,2048,4096
+  grid_eigenvalues    = -3.9999999999999998e-06,-9.9999999999999995e-07,-2.4999999999999999e-07
+  richardson_estimate = -2.4999999999999999e-07
+  wavefunction_gap    = 1.5e-05
+  residual_slope      = nan
+  check eigenvalue_gap: pass
+  check wavefunction_gap: pass
+  check residual_slope: skipped (residual is above its roundoff floor)
+  status = PASS
+report m=10 order=8 beta=0.050000000000000003
+  series_value        = 110.125
+  numeric_value       = 110
+  abs_gap             = 0.125
+  rel_gap             = 0.0011350737797956867
+  grid_sizes          = 1024,2048,4096
+  grid_eigenvalues    = 109.5,109.875,110
+  richardson_estimate = 110
+  wavefunction_gap    = 0.00020000000000000001
+  residual_slope      = 9.25
+  check eigenvalue_gap: FAIL
+  check residual_slope: pass
+  check wavefunction_gap: pass
+  status = FAIL
+report m=2 order=8 beta=9.9999999999999997e+199
+  series_value        = nan
+  numeric_value       = nan
+  abs_gap             = nan
+  rel_gap             = nan
+  grid_sizes          = 1024,2048,4096
+  grid_eigenvalues    = 
+  richardson_estimate = nan
+  wavefunction_gap    = nan
+  residual_slope      = nan
+  check residual_slope: skipped (residual is above its roundoff floor)
+  error = bisection did not converge
+  status = FAIL
+report m=40 order=4 beta=-1.5
+  series_value        = 1638
+  numeric_value       = 1639
+  abs_gap             = 1
+  rel_gap             = 0.0006105006105006105
+  grid_sizes          = 1024,2048,4096
+  grid_eigenvalues    = 1636,1638.5,1639
+  richardson_estimate = 1639
+  wavefunction_gap    = 0.5
+  residual_slope      = 4.75
+  check eigenvalue_gap: FAIL
+  check residual_slope: pass
+  check wavefunction_gap: FAIL
+  status = NOT-JUDGED
+"""
+
+PINNED_CSV = """\
+m,beta,order,series_value,numeric_value,abs_gap,rel_gap,richardson_estimate,wavefunction_gap,residual_slope,status
+1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,-2.4999999999999999e-07,1.5e-05,nan,pass
+10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,110,0.00020000000000000001,9.25,fail
+2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,nan,nan,fail
+40,-1.5,4,1638,1639,1,0.0006105006105006105,1639,0.5,4.75,not-judged
+"""
+
+
+class TestReportLayout:
+    """The whole text and CSV layout of verify reports, pinned byte for byte
+    on hand-built reports (no finite-difference solve runs)."""
+
+    def test_text_layout(self):
+        assert cli._render_reports_text(_pinned_reports()) == PINNED_TEXT
+
+    def test_csv_layout(self):
+        assert cli._render_reports_csv(_pinned_reports()) == PINNED_CSV
