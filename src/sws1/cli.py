@@ -16,17 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .core import ModeParams, tables_to_text
-from .evaluate import (
-    eval_energy,
-    riccati_residual_on_grid,
-    uniform_interior_grid,
-    w_on_grid,
-    wavefunction_on_grid,
-)
-from .oracle import DEFAULT_TOLERANCES, OracleReport, verify_all
+from .core import DEFAULT_TOLERANCES, ModeParams, tables_to_text
 from .recurrence import compute_series
+
+if TYPE_CHECKING:
+    from .oracle import OracleReport
 
 
 def _fmt(x: float) -> str:
@@ -134,7 +130,17 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np  # loaded already by the evaluation path
+    # numpy and the float layer load here, not at import: `coeffs` and
+    # `--help` need neither
+    import numpy as np
+
+    from .evaluate import (
+        eval_energy,
+        riccati_residual_on_grid,
+        uniform_interior_grid,
+        w_on_grid,
+        wavefunction_on_grid,
+    )
 
     if args.theta_points < 1:
         raise ValueError("--theta-points must be >= 1")
@@ -213,6 +219,8 @@ def _render_reports_csv(reports: list[OracleReport]) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify_all
+
     betas = _parse_betas(args.beta, allow_list=True)
     _beta_caution(betas)
     tolerances = _parse_tolerances(args.tol)

@@ -59,6 +59,18 @@ class ModeParams:
             raise ValueError(f"truncation order N must be an integer >= 0, got {self.N!r}")
 
 
+# Tolerances of the verification battery.  The oracle judges by them and
+# the CLI parser names their keys, so they live here, where reading them
+# loads no numpy.
+DEFAULT_TOLERANCES = {
+    "eigenvalue": 1e-6,  # series partial sum vs Richardson-extrapolated value
+    "eigenvalue_beta0": 5e-5,  # single finest grid, beta = 0 only
+    "wavefunction": 1e-3,  # max-norm vs the normalized discrete eigenvector
+    "residual_slope_below": 0.3,  # slope may undershoot N+1 by this much
+    "residual_slope_above": 0.7,  # and overshoot by this much
+}
+
+
 def _numerators(values: tuple, den: int) -> tuple:
     """den * v for every entry, as integers (den is a common denominator)."""
     return tuple(v.numerator * (den // v.denominator) for v in values)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ModeParams
+from .core import DEFAULT_TOLERANCES, ModeParams
 from .evaluate import (
     eval_energy,
     gauss_legendre,
@@ -43,14 +43,6 @@ from .evaluate import (
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
 RICHARDSON_GRIDS = (1024, 2048, 4096)
-
-DEFAULT_TOLERANCES = {
-    "eigenvalue": 1e-6,  # series partial sum vs Richardson-extrapolated value
-    "eigenvalue_beta0": 5e-5,  # single finest grid, beta = 0 only
-    "wavefunction": 1e-3,  # max-norm vs the normalized discrete eigenvector
-    "residual_slope_below": 0.3,  # slope may undershoot N+1 by this much
-    "residual_slope_above": 0.7,  # and overshoot by this much
-}
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _BISECTION_TOL = 1e-13
@@ -138,8 +130,15 @@ def _sturm_count(diag: list, offsq: float, lam: float) -> int:
 
 def fd_ground_eigenvalue(params: ModeParams, beta: float, grid: FdGrid) -> float:
     """Smallest eigenvalue of the discretized boundary-value problem via
-    bisection on the Sturm-sequence count."""
-    diag = _assemble_diagonal(params, beta, grid).tolist()
+    bisection on the Sturm-sequence count.  A potential that is not finite
+    on the grid (a beta whose square overflows) is refused: there is no
+    bracket to bisect."""
+    diag = _assemble_diagonal(params, beta, grid)
+    if not np.isfinite(diag).all():
+        raise ValueError(
+            f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
+        )
+    diag = diag.tolist()
     off = 1.0 / grid.h**2
     offsq = off * off
     lo = min(diag) - 2.0 * off
@@ -247,13 +246,13 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
 def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     """Rebuild the order-n antiderivative from the plain/cos-weighted
     expansion tables, the quantity the quadrature is checked against."""
-    h, g = convolve_sources(state, n)
-    R, T = rt_tables(h, g, state.energy[n], state.params)
+    h, g, den = convolve_sources(state, n)
+    R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
     m = state.params.m
     s = math.sin(theta)
     c = math.cos(theta)
-    r_val = sum(float(v) * s ** (2 * m + 2 * p) for p, v in enumerate(R))
-    t_val = sum(float(v) * s ** (2 * m + 2 * j) for j, v in enumerate(T))
+    r_val = sum(v / Z * s ** (2 * m + 2 * p) for p, v in enumerate(R))
+    t_val = sum(v / Z * s ** (2 * m + 2 * j) for j, v in enumerate(T))
     return r_val + c * t_val
 
 
@@ -295,7 +294,8 @@ def verify_all(
     """Run the full comparison battery for each beta.
 
     Sub-oracle failures are captured per report instead of aborting the
-    batch.  Above |beta| = 1 the gaps are reported without a pass/fail
+    batch; a beta the oracle cannot take (a non-finite potential) raises
+    ValueError.  Above |beta| = 1 the gaps are reported without a pass/fail
     judgment, since series truncation dominates every tolerance there.
     """
     tol = dict(DEFAULT_TOLERANCES)
@@ -356,6 +356,8 @@ def verify_all(
                 checks=checks,
                 passed=None if abs(beta) > 1.0 else all(checks.values()),
             )
+        except ValueError:
+            raise  # an input out of range is refused, not judged
         except Exception as exc:
             report = OracleReport(**common, passed=False, error=str(exc))
         reports.append(report)

@@ -8,21 +8,25 @@ order 3 on the pipeline is
     convolve_sources -> energy_coeff -> rt_tables -> xy_tables
 
 and at order 3 the closed form is computed as well and compared exactly,
-as a seam test between the two paths.  Every cancellation that keeps the
-eigenfunction finite at the boundaries is asserted at runtime in exact
-rational arithmetic; a failure raises SeriesInconsistencyError naming the
-offending order.
+as a seam test between the two paths.  Each general order stays in
+Python integers from end to end: the sources, the R/T tables and the X/Y
+tables are integer numerators over one denominator per table, and only
+E_n and the entries of W_n are reduced to rationals, once each.  Every
+cancellation that keeps the eigenfunction finite at the boundaries is
+asserted at runtime as an exact integer zero test; a failure raises
+SeriesInconsistencyError naming the offending order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from operator import mul
 
-from .core import EnergySeries, ModeParams, Rational, WnTable
+from .core import EnergySeries, ModeParams, Rational, WnTable, _numerators
 
 _ZERO = Fraction(0)
 
@@ -137,59 +141,99 @@ def _poly_add(x, y) -> list:
     return [u + v for u, v in zip_longest(x, y, fillvalue=0)]
 
 
-def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple]:
+def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     """Expand sum_{k=1}^{n-1} W_k W_{n-k} as a sine polynomial
 
         sum_p h[p] sin^(2p-2)(theta) + cos(theta) * sum_p g[p] sin^(2p-2)(theta)
 
-    and return (h, g), dense over p = 2..n//2+1 and p = 2..(n+1)//2 (the
-    entry of p at index p - 2).
+    and return (h, g, L): integer numerators over the one denominator L,
+    dense over p = 2..n//2+1 and p = 2..(n+1)//2 (the entry of p at
+    index p - 2).
 
     With x = sin^2, cos^2 = 1 - x and A_k, B_k the polynomials
     sum_i a_k[i] x^(i-1), sum_i b_k[i] x^(i-1), W_k W_l contributes
-    h = (1 - x) A_k A_l + B_k B_l and g = A_k B_l + B_k A_l.  These are
-    formed on the integer numerators of the two orders and reduced to
-    exact rationals once per pair, over the product of their denominators;
-    the pair (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
-    The degrees of A_k and B_k bound the products to those supports.
+    h = (1 - x) A_k A_l + B_k B_l and g = A_k B_l + B_k A_l
+      = (A_k + B_k)(A_l + B_l) - A_k A_l - B_k B_l.  These are formed on
+    the integer numerators of the two orders, with those of W_k scaled
+    from den_k den_l up to L = lcm over the pairs of den_k den_l, and
+    summed as integers; the pair (n-k, k) repeats (k, n-k), so each is
+    formed once, counted twice.  The degrees of A_k and B_k bound the
+    products to those supports.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
     if state.current_order < n - 1:
         raise ValueError(f"need orders 1..{n - 1} computed, have {state.current_order}")
-    h = [_ZERO] * (n // 2)
-    g = [_ZERO] * ((n + 1) // 2 - 1)
-    for k in range(1, n // 2 + 1):
-        wk, wl = state.orders[k - 1], state.orders[n - k - 1]
-        aa = _poly_mul(wk.a_num, wl.a_num)
-        hk = _poly_add(_poly_add(aa, [0] + [-v for v in aa]), _poly_mul(wk.b_num, wl.b_num))
-        gk = _poly_add(_poly_mul(wk.a_num, wl.b_num), _poly_mul(wk.b_num, wl.a_num))
-        weight = 1 if 2 * k == n else 2
-        for table, terms in ((h, hk), (g, gk)):
-            for i, v in enumerate(terms):
-                if v:
-                    table[i] += Fraction(weight * v, wk.den * wl.den)
-    return tuple(h), tuple(g)
+    pairs = [
+        (state.orders[k - 1], state.orders[n - k - 1], 1 if 2 * k == n else 2)
+        for k in range(1, n // 2 + 1)
+    ]
+    den = math.lcm(*(wk.den * wl.den for wk, wl, _ in pairs))
+    h = [0] * (n // 2)
+    # g holds one entry past its support at even n: the cross product of
+    # two odd orders reaches it, and -B_k B_l cancels it there
+    g = [0] * (n // 2)
+    for wk, wl, weight in pairs:
+        scale = weight * (den // (wk.den * wl.den))
+        ak = [scale * v for v in wk.a_num]
+        bk = [scale * v for v in wk.b_num]
+        aa = _poly_mul(ak, wl.a_num)
+        bb = _poly_mul(bk, wl.b_num)
+        cross = _poly_mul(_poly_add(ak, bk), _poly_add(wl.a_num, wl.b_num))
+        for i, v in enumerate(aa):
+            h[i] += v
+            h[i + 1] -= v
+            g[i] -= v
+        for i, v in enumerate(bb):
+            h[i] += v
+            g[i] -= v
+        for i, v in enumerate(cross):
+            g[i] += v
+    return tuple(h), tuple(g[: (n + 1) // 2 - 1]), den
 
 
-def energy_coeff(h: tuple, g: tuple, params: ModeParams) -> Rational:
+def energy_coeff(h: tuple, g: tuple, den: int, params: ModeParams) -> Rational:
     """The unique energy coefficient that removes the boundary-divergent
-    antiderivative from A_n."""
-    m = params.m
-    total = _ZERO
-    for p, (hp, gp) in enumerate(zip_longest(h, g, fillvalue=_ZERO), start=2):
-        total += (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
-        total += (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
-    return Fraction(-(2 * m + 1) * (2 * m - 1), 2 * (m + 1)) * total
+    antiderivative from A_n, from the sources h, g over den: one integer
+    dot product with the weights of _energy_weights, reduced once."""
+    wh, wg, wden = _energy_weights(params.m, len(h) + 1)
+    return Fraction(sum(map(mul, h, wh)) + sum(map(mul, g, wg)), den * wden)
 
 
-def rt_tables(h: tuple, g: tuple, e_n: Rational, params: ModeParams) -> tuple[tuple, tuple]:
+@cache
+def _energy_weights(m: int, top: int) -> tuple[tuple, tuple, int]:
+    """Integer weights (wh, wg) over one denominator, dense over p = 2..top,
+    with E_n = sum_p (h[p] wh[p] + g[p] wg[p]) / denominator and
+
+        E_n = c sum_p (h[p] - g[p]) I(m+p-2, p-1) / (m+p-1)
+                    + (2 g[p] - h[p]) I(m+p-1, p) / (2m+2p),
+
+    c = -(2m+1)(2m-1) / (2(m+1)), I = i_coeff.  Memoised across orders.
+    """
+    c = Fraction(-(2 * m + 1) * (2 * m - 1), 2 * (m + 1))
+    wh, wg = [], []
+    for p in range(2, top + 1):
+        alpha = c * i_coeff(m + p - 2, p - 1) / (m + p - 1)
+        beta = c * i_coeff(m + p - 1, p) / (2 * m + 2 * p)
+        wh.append(alpha - beta)
+        wg.append(2 * beta - alpha)
+    wden = math.lcm(*(w.denominator for w in wh + wg))
+    return _numerators(wh, wden), _numerators(wg, wden), wden
+
+
+def rt_tables(
+    h: tuple, g: tuple, den: int, e_n: Rational, params: ModeParams
+) -> tuple[tuple, tuple, int]:
     """Assemble the plain (R) and cos-weighted (T) expansion tables of the
     antiderivative A_n once the divergent term has been removed:
 
         A_n(theta) = sum_p R[p] sin^(2m+2p) + cos(theta) * sum_j T[j] sin^(2m+2j)
 
-    R is dense over p = 0..(n+1)//2 and T over j = 0..n//2.
+    from the sources h, g over den, and return (R, T, Z): integer
+    numerators over one denominator Z, R dense over p = 0..(n+1)//2 and T
+    over j = 0..n//2.  Z is lcm(den, denominator of e_n) times the lcm of
+    m and every m+p-1 and 2m+2p, times the product of the 2m+2j+1 of the
+    Horner step below, so that each division on the way is exact.
     """
     if not len(h) - 1 <= len(g) <= len(h):
         raise ValueError(
@@ -197,48 +241,56 @@ def rt_tables(h: tuple, g: tuple, e_n: Rational, params: ModeParams) -> tuple[tu
             f"h over p = 2..{len(h) + 1} (g ends at h's top or one below it)"
         )
     m = params.m
-    hs = (_ZERO, _ZERO, *h, _ZERO)  # h[p] at index p, zero off 2..n//2+1
-    gs = (_ZERO, _ZERO, *g, _ZERO, _ZERO)  # g[p] at index p, zero off 2..(n+1)//2
+    top = len(h) + 1
+    odd = math.prod(range(2 * m + 1, 2 * m + 2 * top, 2))  # 2m+2j+1, j = 0..top-1
+    small = math.lcm(m, *range(m + 1, m + top), *range(2 * m + 4, 2 * m + 2 * top + 1, 2))
+    Z = math.lcm(den, e_n.denominator) * small * odd
+    zs = Z // den  # h, g over Z
+    ze = Z // e_n.denominator * e_n.numerator  # e_n over Z
+    hs = (0, 0, *h, 0)  # h[p] at index p, zero off 2..n//2+1
+    gs = (0, 0, *g, 0, 0)  # g[p] at index p, zero off 2..(n+1)//2
 
-    R = [-e_n * Fraction(1, m), (gs[2] - hs[2]) * Fraction(1, m + 1)]
+    R = [-ze // m, (gs[2] - hs[2]) * (zs // (m + 1))]
     for p in range(2, len(g) + 2):
-        R.append((2 * gs[p + 1] - 2 * hs[p + 1] - gs[p]) * Fraction(1, 2 * m + 2 * p))
+        R.append((2 * gs[p + 1] - 2 * hs[p + 1] - gs[p]) * (zs // (2 * m + 2 * p)))
 
     # T[j] = [j == 0] e_n/(2m+1) + sum_p u[p] i_coeff(m+p-2, p-2-j)
     #                                  + v[p] i_coeff(m+p-1, p-1-j),
     # with the per-p weights u, v below.  Both i_coeff values are products
     # of r(x) = (2x+2)/(2x+1) over x = m+j .. m+p-2 (resp. m+p-1), so the
     # sums obey the Horner step T[j] = r(m+j) (u[j+2] + v[j+1] + T[j+1]),
-    # taken from the top of the support down.
-    ps = range(2, len(h) + 2)
-    u = [_ZERO, _ZERO, *((gs[p] - hs[p]) / (m + p - 1) for p in ps), _ZERO]
-    v = [_ZERO, _ZERO, *((hs[p] - 2 * gs[p]) / (2 * m + 2 * p) for p in ps)]
+    # taken from the top of the support down.  Every numerator over Z is
+    # a multiple of odd, so each division by 2m+2j+1 leaves no remainder.
+    ps = range(2, top + 1)
+    u = [0, 0, *((gs[p] - hs[p]) * (zs // (m + p - 1)) for p in ps), 0]
+    v = [0, 0, *((hs[p] - 2 * gs[p]) * (zs // (2 * m + 2 * p)) for p in ps)]
     T = []
-    t = _ZERO
+    t = 0
     for j in range(len(h), -1, -1):
-        t = Fraction(2 * m + 2 * j + 2, 2 * m + 2 * j + 1) * (u[j + 2] + v[j + 1] + t)
+        t = (2 * m + 2 * j + 2) * (u[j + 2] + v[j + 1] + t) // (2 * m + 2 * j + 1)
         T.append(t)
     T.reverse()
-    T[0] += e_n / (2 * m + 1)
-    return tuple(R), tuple(T)
+    T[0] += ze // (2 * m + 1)
+    return tuple(R), tuple(T), Z
 
 
-def xy_tables(n: int, R: tuple, T: tuple) -> WnTable:
-    """Convert the antiderivative tables of order n to the sine-polynomial
-    coefficients of W_n (X the plain table b, Y the cos-weighted table a),
-    checking every cancellation that has to hold for W_n to stay finite at
-    the boundaries:
+def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
+    """Convert the antiderivative tables of order n, integer numerators
+    over Z, to the sine-polynomial coefficients of W_n (X the plain table
+    b, Y the cos-weighted table a), checking every cancellation that has
+    to hold for W_n to stay finite at the boundaries:
 
       * the entries at index -1 and 0 of both X and Y must vanish exactly
         (otherwise W_n would blow up like inverse sine powers), and
       * the top-of-support entries must vanish according to the parity
         of n, which is what keeps the general table shape closed.
 
-    R and T are read as zero at index -1 and past their supports.
+    R and T are read as zero at index -1 and past their supports.  The
+    checks are integer zero tests; each entry of W_n is then reduced once.
     """
     top = n // 2 + 1
-    rs = (_ZERO, *R, _ZERO, _ZERO)  # R[j] at index j + 1
-    ts = (_ZERO, *T, _ZERO, _ZERO)
+    rs = (0, *R, 0, 0)  # R[j] at index j + 1
+    ts = (0, *T, 0, 0)
     X = {}
     Y = {}
     for j in range(-1, top + 1):
@@ -250,7 +302,7 @@ def xy_tables(n: int, R: tuple, T: tuple) -> WnTable:
         if X[j] != 0 or Y[j] != 0:
             raise SeriesInconsistencyError(
                 f"order {n}: boundary-divergent term survives "
-                f"(X[{j}]={X[j]}, Y[{j}]={Y[j]})"
+                f"(X[{j}]={Fraction(X[j], Z)}, Y[{j}]={Fraction(Y[j], Z)})"
             )
 
     if n % 2 == 0:
@@ -262,19 +314,19 @@ def xy_tables(n: int, R: tuple, T: tuple) -> WnTable:
         if Y[top] != 0:
             raise SeriesInconsistencyError(
                 f"order {n}: parity truncation failed, cos-weighted top "
-                f"index {top} is {Y[top]}"
+                f"index {top} is {Fraction(Y[top], Z)}"
             )
 
-    a = tuple(Y[j] for j in range(1, n // 2 + 1))
-    b = tuple(X[j] for j in range(1, (n + 1) // 2 + 1))
+    a = tuple(Fraction(Y[j], Z) for j in range(1, n // 2 + 1))
+    b = tuple(Fraction(X[j], Z) for j in range(1, (n + 1) // 2 + 1))
     return WnTable(n, a, b)
 
 
 def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational]:
-    h, g = convolve_sources(state, n)
-    e_n = energy_coeff(h, g, state.params)
-    R, T = rt_tables(h, g, e_n, state.params)
-    return xy_tables(n, R, T), e_n  # xy_tables raises on any failed cancellation
+    h, g, den = convolve_sources(state, n)
+    e_n = energy_coeff(h, g, den, state.params)
+    # xy_tables raises on any failed cancellation
+    return xy_tables(n, *rt_tables(h, g, den, e_n, state.params)), e_n
 
 
 def advance(state: SeriesState) -> SeriesState:

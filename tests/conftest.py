@@ -9,13 +9,15 @@ from sws1.evaluate import eval_energy, potential_on_grid, w_derivative_on_grid, 
 from sws1.recurrence import compute_series, i_coeff
 
 
-def _divergent_coefficient(h, g, e_n, params):
+def _divergent_coefficient(h, g, den, e_n, params):
     """Rebuild the coefficient of the boundary-divergent antiderivative in
-    A_n from the source tables h, g (dense over p = 2..) for a candidate
-    energy coefficient; exact zero iff e_n is the admissible choice."""
+    A_n from the source tables h, g (integer numerators over den, dense
+    over p = 2..) for a candidate energy coefficient; exact zero iff e_n
+    is the admissible choice."""
     m = params.m
     total = Fraction(2 * (m + 1), 2 * m + 1) * e_n
     for p, (hp, gp) in enumerate(zip_longest(h, g, fillvalue=0), start=2):
+        hp, gp = Fraction(hp, den), Fraction(gp, den)
         total += (2 * m - 1) * (hp - gp) * Fraction(1, m + p - 1) * i_coeff(m + p - 2, p - 1)
         total += (2 * m - 1) * (2 * gp - hp) * Fraction(1, 2 * m + 2 * p) * i_coeff(m + p - 1, p)
     return total
@@ -48,7 +50,7 @@ def states_n10():
 
 @pytest.fixture(scope="session")
 def divergent_coefficient():
-    """Criterion 3's reference formula.  It equals -2m (R_0 + T_0) of
+    """Criterion 3's reference formula.  It equals -2m (R_0 + T_0) / Z of
     rt_tables, and the build checks X[-1] = 2 (R_0 + T_0) = 0 in xy_tables,
     so the build itself needs no separate copy of it."""
     return _divergent_coefficient

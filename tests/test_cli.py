@@ -196,6 +196,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "beta must be finite, got nan" in err
 
+    def test_overflowing_beta_exits_1(self, capsys):
+        # beta^2 overflows: the potential is -inf on the grid, and the oracle
+        # refuses it instead of bisecting on [-inf, -inf]
+        argv = ["verify", "--m", "2", "--order", "8", "--beta", "0.1,1e200"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert "error: the potential is not finite on the 1024-point grid at beta=1e+200" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             ["verify", "--m", "1", "--order", "3", "--beta", "0", "--format", "csv"], capsys

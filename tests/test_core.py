@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sws1
-from sws1 import cli
+from sws1 import cli, evaluate, oracle
 from sws1.core import (
     EnergySeries,
     ModeParams,
@@ -144,22 +144,23 @@ class TestTables:
 
     def test_source_support_enforced(self, state_m1_n8):
         # g is supported on p = 2..(n+1)//2
-        h, g = convolve_sources(state_m1_n8, 3)
+        # (the sources are integer numerators over den: den is the value 1)
+        h, g, den = convolve_sources(state_m1_n8, 3)
         with pytest.raises(ValueError, match="support"):
-            rt_tables(h, (*g, Fraction(1)), state_m1_n8.energy[3], state_m1_n8.params)
-        h, g = convolve_sources(state_m1_n8, 4)
+            rt_tables(h, (*g, den), den, state_m1_n8.energy[3], state_m1_n8.params)
+        h, g, den = convolve_sources(state_m1_n8, 4)
         assert len(g) == 1  # g top is (n+1)//2 = 2
-        g = (*g, Fraction(1))
-        R, T = rt_tables(h, g, energy_coeff(h, g, state_m1_n8.params), state_m1_n8.params)
+        g = (*g, den)
+        e4 = energy_coeff(h, g, den, state_m1_n8.params)
         with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
-            xy_tables(4, R, T)
+            xy_tables(4, *rt_tables(h, g, den, e4, state_m1_n8.params))
 
     def test_rt_support_enforced(self, state_m1_n8):
-        h, g = convolve_sources(state_m1_n8, 4)
-        R, T = rt_tables(h, g, state_m1_n8.energy[4], state_m1_n8.params)
+        h, g, den = convolve_sources(state_m1_n8, 4)
+        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[4], state_m1_n8.params)
         assert len(R) == 3  # R top is (n+1)//2 = 2
         with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
-            xy_tables(4, (*R, Fraction(1)), T)
+            xy_tables(4, (*R, Z), T, Z)  # an R entry of 1 past the support
 
     def test_entry_must_be_num_den(self):
         with pytest.raises(ValueError, match="num/den"):
@@ -236,7 +237,7 @@ class TestPackageExports:
             assert getattr(sws1, name) is not None, name
 
     def test_removed_names_are_gone(self):
-        modules = (sws1, sws1.core, sws1.recurrence, sws1.evaluate, sws1.oracle, cli)
+        modules = (sws1, sws1.core, sws1.recurrence, evaluate, oracle, cli)
         for name in REMOVED_NAMES:
             assert name not in sws1.__all__
             assert not any(hasattr(module, name) for module in modules), name
@@ -246,11 +247,12 @@ class TestPackageExports:
         assert "w0" not in sws1.SeriesState.__dataclass_fields__
         assert "audit" not in sws1.SeriesState.__dataclass_fields__
 
-    def test_exact_core_imports_no_numpy(self):
-        # a fresh interpreter: this one has numpy loaded already
+    @staticmethod
+    def fresh_interpreter(code: str) -> str:
+        """stdout of `code` run in a fresh interpreter (this one has numpy
+        loaded already) that imports sws1 from the package under test."""
         src = str(Path(sws1.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, sws1, sws1.recurrence; print('numpy' in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -258,7 +260,19 @@ class TestPackageExports:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_exact_core_imports_no_numpy(self):
+        code = "import sys, sws1, sws1.recurrence; print('numpy' in sys.modules)"
+        assert self.fresh_interpreter(code) == "False"
+
+    def test_coeffs_command_imports_no_numpy(self, tmp_path):
+        # the CLI loads the float layer and the oracle for eval and verify only
+        out = tmp_path / "tables.json"
+        argv = ["coeffs", "--m", "2", "--order", "6", "--out", str(out)]
+        code = f"import sys, sws1.cli; print(sws1.cli.main({argv!r}), 'numpy' in sys.modules)"
+        assert self.fresh_interpreter(code) == "0 False"
+        assert tables_from_text(out.read_text())[0] == ModeParams(m=2, N=6)
 
     def test_readme_library_snippet_runs(self):
         # the first python block under "## Library" is the documented API

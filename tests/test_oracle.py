@@ -59,6 +59,12 @@ class TestGroundEigenvalue:
         e = fd_ground_eigenvalue(params, 0.1, grid)
         assert e == pytest.approx(dense_spectrum(params, 0.1, grid)[0], rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [1e200, -1e200])
+    def test_non_finite_potential_refused(self, beta):
+        # beta^2 overflows, so the potential is -inf at every node
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="potential is not finite"):
+            fd_ground_eigenvalue(ModeParams(m=2, N=0), beta, FdGrid(1024))
+
     def test_convergence_is_second_order(self):
         # eigenvalue error against the extrapolated limit scales like h^2
         params = ModeParams(m=2, N=0)

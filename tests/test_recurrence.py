@@ -31,6 +31,11 @@ def at(table, i):
     return table[i] if 0 <= i < len(table) else Fraction(0)
 
 
+def rationals(numerators, den):
+    """A table of integer numerators over den, as exact rationals."""
+    return tuple(Fraction(v, den) for v in numerators)
+
+
 def closed_form_energy(m: int, n: int) -> Fraction:
     """The first four energy coefficients as explicit rational functions of m."""
     if n == 0:
@@ -143,20 +148,20 @@ class TestConvolution:
     def test_cos_weighted_support_n3(self, states_n8):
         # the cos-weighted part may not reach beyond (n+1)//2 = 2
         for state in states_n8.values():
-            h, g = convolve_sources(state, 3)
+            h, g, _ = convolve_sources(state, 3)
             assert len(h) == 1 and len(g) == 1
 
     def test_frozen_exact_values_n4_m1(self, state_m1_n8):
         # hand-convolved from the order 1..3 tables at m = 1
-        h, g = convolve_sources(state_m1_n8, 4)
-        assert h == (Fraction(1, 64), Fraction(1, 400))  # p = 2, 3
-        assert g == (Fraction(1, 400),)  # p = 2
+        h, g, den = convolve_sources(state_m1_n8, 4)
+        assert rationals(h, den) == (Fraction(1, 64), Fraction(1, 400))  # p = 2, 3
+        assert rationals(g, den) == (Fraction(1, 400),)  # p = 2
 
     def test_trig_polynomial_fit_recovers_sources_n4_m1(self, state_m1_n8):
         # Independent oracle: sample sum_k W_k W_{4-k} at 16 angles and fit
         # the sine-polynomial model; the fitted coefficients must match the
         # convolution output.
-        h, g = convolve_sources(state_m1_n8, 4)
+        h, g, den = convolve_sources(state_m1_n8, 4)
         thetas = np.linspace(0.2, math.pi - 0.2, 16)
         unit = np.eye(state_m1_n8.current_order)
         orders = [weighted_orders_on_grid(state_m1_n8, unit[k - 1], thetas) for k in range(1, 4)]
@@ -166,9 +171,9 @@ class TestConvolution:
         design = np.column_stack([s**2, s**4, c * s**2, c * s**4])
         coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
         fitted = dict(zip(["h2", "h3", "g2", "g3"], coef))
-        assert fitted["h2"] == pytest.approx(float(h[0]), abs=1e-12)
-        assert fitted["h3"] == pytest.approx(float(h[1]), abs=1e-12)
-        assert fitted["g2"] == pytest.approx(float(g[0]), abs=1e-12)
+        assert fitted["h2"] == pytest.approx(h[0] / den, abs=1e-12)
+        assert fitted["h3"] == pytest.approx(h[1] / den, abs=1e-12)
+        assert fitted["g2"] == pytest.approx(g[0] / den, abs=1e-12)
         assert fitted["g3"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -177,7 +182,8 @@ class TestConvolution:
         # loop reversed and demand identical exact tables, zero past the
         # dense supports (g stops at (n+1)//2, one short of h for even n)
         state = state_m2_n8
-        src_h, src_g = convolve_sources(state, n)
+        src_h, src_g, den = convolve_sources(state, n)
+        src_h, src_g = rationals(src_h, den), rationals(src_g, den)
         h = []
         g = []
         for p in range(2, n // 2 + 2):
@@ -204,8 +210,8 @@ class TestConvolution:
 
 class TestEnergyAndDivergence:
     def test_order3_energy_from_recurrence(self, state_m1_n8):
-        h, g = convolve_sources(state_m1_n8, 3)
-        assert energy_coeff(h, g, state_m1_n8.params) == Fraction(-3, 40)
+        h, g, den = convolve_sources(state_m1_n8, 3)
+        assert energy_coeff(h, g, den, state_m1_n8.params) == Fraction(-3, 40)
 
     def test_frozen_order4_energy_m1(self, state_m1_n8):
         # independently derived by running the convolution by hand
@@ -217,45 +223,45 @@ class TestEnergyAndDivergence:
     ):
         state = states_n10[m]
         for n in range(3, 11):
-            h, g = convolve_sources(state, n)
-            assert divergent_coefficient(h, g, state.energy[n], state.params) == 0
+            h, g, den = convolve_sources(state, n)
+            assert divergent_coefficient(h, g, den, state.energy[n], state.params) == 0
 
     def test_divergent_coefficient_nonzero_off_the_choice(self, state_m1_n8, divergent_coefficient):
-        h, g = convolve_sources(state_m1_n8, 4)
+        h, g, den = convolve_sources(state_m1_n8, 4)
         wrong = state_m1_n8.energy[4] + Fraction(1, 7)
-        assert divergent_coefficient(h, g, wrong, state_m1_n8.params) != 0
+        assert divergent_coefficient(h, g, den, wrong, state_m1_n8.params) != 0
 
 
 class TestRtXyTables:
     def test_r0_is_minus_energy_over_m(self, state_m1_n8):
-        h, g = convolve_sources(state_m1_n8, 3)
-        R, _ = rt_tables(h, g, state_m1_n8.energy[3], state_m1_n8.params)
-        assert R[0] == Fraction(3, 40)
+        h, g, den = convolve_sources(state_m1_n8, 3)
+        R, _, Z = rt_tables(h, g, den, state_m1_n8.energy[3], state_m1_n8.params)
+        assert Fraction(R[0], Z) == Fraction(3, 40)
 
     def test_out_of_support_queries_are_zero(self, states_n10):
         # xy_tables reads R and T as zero past their supports
         for state in states_n10.values():
             for n in range(3, 11):
-                h, g = convolve_sources(state, n)
-                R, T = rt_tables(h, g, state.energy[n], state.params)
-                padded = ((*R, Fraction(0), Fraction(0)), (*T, Fraction(0), Fraction(0)))
-                assert xy_tables(n, *padded) == xy_tables(n, R, T) == state.order_table(n)
+                h, g, den = convolve_sources(state, n)
+                R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+                padded = ((*R, 0, 0), (*T, 0, 0))
+                assert xy_tables(n, *padded, Z) == xy_tables(n, R, T, Z) == state.order_table(n)
 
     def test_tables_are_dense_over_their_supports(self, states_n10):
         for state in states_n10.values():
             for n in range(3, 11):
-                h, g = convolve_sources(state, n)
+                h, g, den = convolve_sources(state, n)
                 assert (len(h), len(g)) == (n // 2, (n + 1) // 2 - 1)  # p = 2..
-                R, T = rt_tables(h, g, state.energy[n], state.params)
+                R, T, _ = rt_tables(h, g, den, state.energy[n], state.params)
                 assert (len(R), len(T)) == ((n + 1) // 2 + 1, n // 2 + 1)  # p, j = 0..
                 table = state.order_table(n)
                 assert (len(table.a), len(table.b)) == (n // 2, (n + 1) // 2)  # k = 1..
 
     def test_pipeline_reproduces_order3_closed_form(self, states_n8):
         for state in states_n8.values():
-            h, g = convolve_sources(state, 3)
-            e3 = energy_coeff(h, g, state.params)
-            table = xy_tables(3, *rt_tables(h, g, e3, state.params))
+            h, g, den = convolve_sources(state, 3)
+            e3 = energy_coeff(h, g, den, state.params)
+            table = xy_tables(3, *rt_tables(h, g, den, e3, state.params))
             ref, ref_e = base_order3(state.params)
             assert e3 == ref_e
             assert table.n == 3
@@ -268,8 +274,9 @@ class TestRtXyTables:
         # the i_coeff antiderivative families term by term
         state = states_n10[m]
         for n in range(3, 11):
-            h, g = convolve_sources(state, n)
-            _, T = rt_tables(h, g, state.energy[n], state.params)
+            h, g, den = convolve_sources(state, n)
+            _, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+            h, g, T = rationals(h, den), rationals(g, den), rationals(T, Z)
             for j in range(n // 2 + 1):
                 t = state.energy[n] / (2 * m + 1) if j == 0 else Fraction(0)
                 for p in range(2, n // 2 + 2):
@@ -279,20 +286,20 @@ class TestRtXyTables:
                 assert T[j] == t
 
     def test_failed_cancellation_raises_naming_order(self, state_m1_n8):
-        h, g = convolve_sources(state_m1_n8, 4)
-        R, T = rt_tables(h, g, state_m1_n8.energy[4], state_m1_n8.params)
+        h, g, den = convolve_sources(state_m1_n8, 4)
+        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[4], state_m1_n8.params)
         with pytest.raises(SeriesInconsistencyError, match="order 4: boundary-divergent"):
-            xy_tables(4, (R[0] + 1, *R[1:]), T)
+            xy_tables(4, (R[0] + Z, *R[1:]), T, Z)  # R_0 + 1
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_spill_past_the_support_fails_parity_truncation(self, state_m1_n8, n):
         # an R or T entry one past its support reaches the top X/Y entries
-        h, g = convolve_sources(state_m1_n8, n)
-        R, T = rt_tables(h, g, state_m1_n8.energy[n], state_m1_n8.params)
-        assert xy_tables(n, R, T) == state_m1_n8.order_table(n)
-        for broken in ((R + (Fraction(1),), T), (R, T + (Fraction(1),))):
+        h, g, den = convolve_sources(state_m1_n8, n)
+        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[n], state_m1_n8.params)
+        assert xy_tables(n, R, T, Z) == state_m1_n8.order_table(n)
+        for broken in ((R + (Z,), T), (R, T + (Z,))):  # an entry of 1
             with pytest.raises(SeriesInconsistencyError, match=f"order {n}: parity truncation"):
-                xy_tables(n, *broken)
+                xy_tables(n, *broken, Z)
 
     def test_order3_seam_disagreement_raises(self, monkeypatch):
         def shifted_closed_form(params):
@@ -398,12 +405,84 @@ class TestExactRiccatiIdentity:
             assert orders == [0] * 5 + [Fraction(1, 7)] + [0] * 3
 
 
+def rayleigh_schroedinger_energy(m: int, N: int, diagonal_sign: int = 1) -> list:
+    """E_0..E_N by Rayleigh-Schroedinger perturbation theory in Fraction.
+
+    In the spin-weighted spherical-harmonic basis l = m..m+N+1 the operator
+    is H_0 + 2 beta C - beta^2 C^2, with H_0 = diag(l(l+1) - 2) and C the
+    matrix of cos(theta); a diagonal similarity makes C rational (C~ below).
+    With intermediate normalization and r_k = 2 C~ psi_(k-1) - C~^2 psi_(k-2),
+    E_k is the l = m entry of r_k, and psi_k is zero at l = m and elsewhere
+    (sum_{j=1..k} E_j psi_(k-j) - r_k) / (l(l+1) - m(m+1)).  Nothing of the
+    SUSY recurrence is used.
+    """
+    ls = range(m, m + N + 2)
+    size = len(ls)
+    lower = [
+        Fraction(
+            ((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - 1), (2 * l + 1) * (2 * l + 3) * (l + 1) ** 2
+        )
+        for l in ls
+    ]
+    diag = [Fraction(-diagonal_sign * m, l * (l + 1)) for l in ls]
+
+    def c_tilde(v):  # C~_ll = diag, C~_l,l+1 = 1, C~_l+1,l = lower
+        return [
+            diag[i] * v[i]
+            + (v[i + 1] if i + 1 < size else 0)
+            + (lower[i - 1] * v[i - 1] if i > 0 else 0)
+            for i in range(size)
+        ]
+
+    h0 = [l * (l + 1) - 2 for l in ls]
+    zero = [Fraction(0)] * size
+    psi = [[Fraction(1)] + zero[1:]]
+    energy = [Fraction(h0[0])]
+    for k in range(1, N + 1):
+        older = c_tilde(c_tilde(psi[k - 2])) if k >= 2 else zero
+        rhs = [2 * u - v for u, v in zip(c_tilde(psi[k - 1]), older)]
+        energy.append(rhs[0])
+        psi.append(
+            [Fraction(0)]
+            + [
+                (sum(energy[j] * psi[k - j][i] for j in range(1, k + 1)) - rhs[i]) / (h0[i] - h0[0])
+                for i in range(1, size)
+            ]
+        )
+    return energy
+
+
+class TestRayleighSchroedingerEnergy:
+    @pytest.mark.parametrize("m,N", [(1, 24), (2, 12), (7, 12), (40, 16)])
+    def test_every_energy_coefficient_agrees_exactly(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        assert rayleigh_schroedinger_energy(m, N) == list(state.energy.coeffs)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_flipped_diagonal_breaks_first_order(self, m):
+        assert rayleigh_schroedinger_energy(m, 1)[1] == Fraction(-2, m + 1)
+        assert rayleigh_schroedinger_energy(m, 1, diagonal_sign=-1)[1] != Fraction(-2, m + 1)
+
+
 class TestBitIdentity:
     REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    # sha256 of the coeffs text of two modes outside the benchmark's three:
+    # a longer series at m = 1 and a large m
+    PINNED = {
+        (1, 64): "534043de542527c209cd9de4e04bacad9cc9c535b4e2a30bcfd278c55a2166a1",
+        (40, 24): "efe543fb704e2928576773e7663942d1acfbd95324eca020fb8fb581b1f2242b",
+    }
+
+    @staticmethod
+    def digest(m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        return hashlib.sha256(tables_to_text(m, state.energy, state.orders).encode()).hexdigest()
 
     @pytest.mark.parametrize("m,N", [(1, 48), (2, 40), (20, 32)])
     def test_table_text_matches_reference_digest(self, m, N):
         digests = json.loads(self.REFERENCE.read_text())["coeffs_sha256"]
-        state = compute_series(ModeParams(m=m, N=N))
-        text = tables_to_text(m, state.energy, state.orders)
-        assert hashlib.sha256(text.encode()).hexdigest() == digests[f"m={m},N={N}"]
+        assert self.digest(m, N) == digests[f"m={m},N={N}"]
+
+    @pytest.mark.parametrize("m,N", sorted(PINNED))
+    def test_table_text_matches_pinned_digest(self, m, N):
+        assert self.digest(m, N) == self.PINNED[(m, N)]
