@@ -150,9 +150,11 @@ def cmd_eval(args) -> int:
     state = compute_series(params)
 
     thetas = uniform_interior_grid(args.theta_points)
-    psi, theta_big, _ = wavefunction_on_grid(state, beta, thetas)
-    w = w_on_grid(state, beta, thetas)
-    residual = riccati_residual_on_grid(state, beta, thetas)
+    # a beta whose powers overflow leaves inf and NaN here, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, theta_big, _ = wavefunction_on_grid(state, beta, thetas)
+        w = w_on_grid(state, beta, thetas)
+        residual = riccati_residual_on_grid(state, beta, thetas)
     e0 = eval_energy(state, beta)
     columns = (thetas, psi, theta_big, w, residual)
     if not (math.isfinite(e0) and np.isfinite(columns).all()):

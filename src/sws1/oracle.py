@@ -9,6 +9,13 @@ of the order-n antiderivative from the nearer endpoint, cross-checks the
 coefficient tables themselves; `verify_all` does not call it, the test
 suite and the benchmark's verify-battery do.
 
+Cost: the floating-point Sturm count is monotone in the shift (Demmel,
+Dhillon & Ren 1995), so the bisection sweeps only at midpoints between
+its certified bounds, which the finer Richardson grids seed from the
+coarser grids' values; it takes the plain bisection's midpoints and
+decisions, so every eigenvalue is the same float.  Inverse iteration
+factors its shifted matrix once.
+
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
 the critical coupling -1/4 where a naive nodal discretization loses its
@@ -97,7 +104,9 @@ class OracleReport:
 
 def _indicial_correction(m: int, points: int, h: float) -> np.ndarray:
     """Diagonal replacement of the inverse-square potential parts by the
-    exact discrete curvature of x^alpha, applied from both endpoints."""
+    exact discrete curvature of x^alpha, applied from both endpoints.  The
+    powers j^alpha overflow at large m; a rescaled form would move the last
+    digits of every FD value below that."""
     j = np.arange(1, points + 1, dtype=float)
     corr = np.zeros(points)
     for from_left, alpha in ((True, m + 1.5), (False, m - 0.5)):
@@ -109,9 +118,25 @@ def _indicial_correction(m: int, points: int, h: float) -> np.ndarray:
 
 
 def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
+    """Diagonal of the operator.  A diagonal that is not finite is refused
+    with its cause, a beta whose square overflows or an m past the indicial
+    correction's range; numpy's warnings about that overflow are silenced."""
     h = grid.h
-    v = potential_on_grid(grid.thetas, params, beta)
-    return 2.0 / h**2 + v + _indicial_correction(params.m, grid.points, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = _indicial_correction(params.m, grid.points, h)
+        diag = 2.0 / h**2 + potential_on_grid(grid.thetas, params, beta) + corr
+    if not np.isfinite(diag).all():
+        if not np.isfinite(corr).all():
+            # finite while 2 (points+1)^(m+3/2) is: m <= 83 at 4096 points
+            largest = math.log(np.finfo(float).max / 2.0) / math.log(grid.points + 1) - 1.5
+            raise ValueError(
+                f"the indicial correction overflows on the {grid.points}-point grid "
+                f"at m={params.m}; this grid supports m <= {math.floor(largest)}"
+            )
+        raise ValueError(
+            f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
+        )
+    return diag
 
 
 def _sturm_count(diag: list, offsq: float, lam: float) -> int:
@@ -121,33 +146,59 @@ def _sturm_count(diag: list, offsq: float, lam: float) -> int:
     d = math.inf  # no coupling into the first row
     for t in diag:
         d = (t - lam) - offsq / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
+        if d <= 0.0:  # a zero pivot counts as a tiny negative one
             count += 1
+            if d == 0.0:
+                d = -1e-300
     return count
 
 
-def fd_ground_eigenvalue(params: ModeParams, beta: float, grid: FdGrid) -> float:
+def fd_ground_eigenvalue(
+    params: ModeParams, beta: float, grid: FdGrid, *, guess: float | None = None
+) -> float:
     """Smallest eigenvalue of the discretized boundary-value problem via
-    bisection on the Sturm-sequence count.  A potential that is not finite
-    on the grid (a beta whose square overflows) is refused: there is no
-    bracket to bisect."""
-    diag = _assemble_diagonal(params, beta, grid)
-    if not np.isfinite(diag).all():
-        raise ValueError(
-            f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
-        )
-    diag = diag.tolist()
+    bisection on the Sturm-sequence count, from the Gershgorin bracket to a
+    width of 1e-13 relative.
+
+    Two certified bounds are kept: the highest probe with count 0 and the
+    lowest with count >= 1.  The count is monotone in lam (Demmel, Dhillon
+    & Ren 1995), so a midpoint at or beyond them is decided without a
+    sweep; only one strictly between them runs `_sturm_count`.  A `guess`
+    sets the bounds first, by counts at guess -+ 1e-6 max(1, |guess|) with
+    the offset widened 64-fold until they bracket the eigenvalue.  The
+    midpoints and decisions stay those of the plain bisection, so the
+    result is the same float for any guess or none; a good guess only
+    saves sweeps.  A diagonal that is not finite is refused
+    (`_assemble_diagonal`): there is no bracket to bisect."""
+    diag = _assemble_diagonal(params, beta, grid).tolist()
     off = 1.0 / grid.h**2
     offsq = off * off
     lo = min(diag) - 2.0 * off
     hi = max(diag) + 2.0 * off
+    below, above = lo, hi  # certified: count 0 at or below, >= 1 at or above
+
+    def probe(lam: float) -> None:
+        nonlocal below, above
+        if below < lam < above:
+            if _sturm_count(diag, offsq, lam) >= 1:
+                above = lam
+            else:
+                below = lam
+
+    if guess is not None:
+        step = 1e-6 * max(1.0, abs(guess))
+        while True:
+            probe(guess - step)
+            probe(guess + step)
+            if not (below < guess - step or above > guess + step):
+                break
+            step *= 64.0
     for _ in range(_BISECTION_MAX_ITER):
         if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
-        if _sturm_count(diag, offsq, mid) >= 1:
+        probe(mid)
+        if mid >= above:
             hi = mid
         else:
             lo = mid
@@ -157,22 +208,30 @@ def fd_ground_eigenvalue(params: ModeParams, beta: float, grid: FdGrid) -> float
     )
 
 
-def _solve_tridiagonal(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
-    """Thomas solve with constant off-diagonal and tiny-pivot guards (the
-    matrix is deliberately near-singular during inverse iteration)."""
-    n = len(diag)
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[-1] = dp[-1] = 0.0  # no coupling into the first row; row n-1 overwrites them
-    for i in range(n):
-        piv = diag[i] - off * cp[i - 1]
+def _factor_tridiagonal(diag: list, off: float) -> tuple[list, list]:
+    """Thomas pivots and multipliers for a constant off-diagonal, with
+    tiny-pivot guards (the matrix is deliberately near-singular during
+    inverse iteration)."""
+    pivots, mults = [], []
+    c = 0.0  # no coupling into the first row
+    for t in diag:
+        piv = t - off * c
         if abs(piv) < 1e-200:
             piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
-        cp[i] = off / piv
-        dp[i] = (rhs[i] - off * dp[i - 1]) / piv
-    x = dp
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        c = off / piv
+        pivots.append(piv)
+        mults.append(c)
+    return pivots, mults
+
+
+def _substitute(pivots: list, mults: list, off: float, x: list) -> list:
+    """Forward and back substitution through a `_factor_tridiagonal`, in
+    place on the right-hand side x."""
+    y = 0.0
+    for i, piv in enumerate(pivots):
+        y = x[i] = (x[i] - off * y) / piv
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= mults[i] * x[i + 1]
     return x
 
 
@@ -182,16 +241,19 @@ def fd_ground_eigenvector(
     grid: FdGrid,
     eigenvalue: float,
 ) -> np.ndarray:
-    """Ground eigenvector by inverse iteration at the converged eigenvalue
-    of the same grid (`fd_ground_eigenvalue`), normalized to unit discrete
-    L2 (h-weighted) with positive interior sign.  The ground state is
-    nodeless; a detected node means the eigenvalue belongs to another
-    state and raises OracleError."""
-    diag = _assemble_diagonal(params, beta, grid) - eigenvalue
+    """Ground eigenvector by three steps of inverse iteration at the
+    converged eigenvalue of the same grid (`fd_ground_eigenvalue`),
+    normalized to unit discrete L2 (h-weighted) with positive interior
+    sign.  The shifted matrix is factored once; each step is a forward and
+    a back substitution over Python floats.  The ground state is nodeless;
+    a detected node means the eigenvalue belongs to another state and
+    raises OracleError."""
     off = -1.0 / grid.h**2
+    shifted = _assemble_diagonal(params, beta, grid) - eigenvalue
+    pivots, mults = _factor_tridiagonal(shifted.tolist(), off)
     x = np.ones(grid.points)
     for _ in range(3):
-        x = _solve_tridiagonal(diag, off, x)
+        x = np.array(_substitute(pivots, mults, off, x.tolist()))
         x /= np.linalg.norm(x)
     x /= math.sqrt(grid.h) * np.linalg.norm(x)
     if x[int(np.argmax(np.abs(x)))] < 0.0:
@@ -209,11 +271,18 @@ def fd_ground_eigenvector(
 def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
     """Eigenvalue on the three nested RICHARDSON_GRIDS plus one level of h^2
     elimination on the two finest.  The coarsest grid's value enters no
-    estimate; it is only reported, with the others, per grid size."""
-    values = {p: fd_ground_eigenvalue(params, beta, FdGrid(p)) for p in RICHARDSON_GRIDS}
-    _, middle, finest = RICHARDSON_GRIDS
-    estimate = (4.0 * values[finest] - values[middle]) / 3.0
-    return estimate, values
+    estimate; it is only reported, with the others, per grid size.
+
+    Each grid's bisection is seeded from the coarser ones: the 2048-point
+    grid guesses the 1024-point value, the 4096-point grid the h^2
+    extrapolation v2 + (v2 - v1)/3 of the two.  The guesses save sweeps and
+    change no value (`fd_ground_eigenvalue`)."""
+    coarsest, middle, finest = RICHARDSON_GRIDS
+    v1 = fd_ground_eigenvalue(params, beta, FdGrid(coarsest))
+    v2 = fd_ground_eigenvalue(params, beta, FdGrid(middle), guess=v1)
+    v3 = fd_ground_eigenvalue(params, beta, FdGrid(finest), guess=v2 + (v2 - v1) / 3.0)
+    estimate = (4.0 * v3 - v2) / 3.0
+    return estimate, {coarsest: v1, middle: v2, finest: v3}
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,12 @@ from sws1.cli import main
 from sws1.core import EnergySeries, tables_from_text
 from sws1.oracle import OracleReport
 from sws1.recurrence import compute_series
+
+
+CAUTION = (
+    "caution: |beta| > 1 lies outside the small-parameter regime; "
+    "series truncation dominates all tolerances\n"
+)
 
 
 def run(argv, capsys):
@@ -112,13 +119,15 @@ class TestEval:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == "" and "unrecognized arguments: --format" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_1(self, capsys):
-        # E_n beta^n overflows at beta = 1e200 and every column turns NaN
+        # E_n beta^n overflows at beta = 1e200 and every column turns NaN;
+        # numpy's overflow warnings stay silent, the refusal says it once
         argv = ["eval", "--m", "1", "--order", "8", "--beta", "1e200", "--theta-points", "3"]
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
-        assert "error: the series is not finite at beta=" in err and "E0=-inf" in err
+        assert err == CAUTION + (
+            "error: the series is not finite at beta=9.9999999999999997e+199 (E0=-inf)\n"
+        )
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "1e400"])
     def test_non_finite_beta_exits_1(self, capsys, beta):
@@ -202,7 +211,37 @@ class TestVerify:
         argv = ["verify", "--m", "2", "--order", "8", "--beta", "0.1,1e200"]
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
-        assert "error: the potential is not finite on the 1024-point grid at beta=1e+200" in err
+        assert err == CAUTION + (
+            "error: the potential is not finite on the 1024-point grid at beta=1e+200\n"
+        )
+
+    def test_m_past_the_indicial_range_exits_1(self, capsys):
+        # the potential is finite at m = 84; (j+1)^(m+3/2) of the endpoint
+        # correction overflows on the 4096-point grid
+        code, out, err = run(["verify", "--m", "84", "--order", "4", "--beta", "0"], capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the indicial correction overflows on the 4096-point grid at m=84; "
+            "this grid supports m <= 83\n"
+        )
+
+    # sha256 of the verify text and its exit status; every eigenvalue and
+    # eigenvector gap prints at 17 digits, so these pin the oracle's floats
+    PINNED = {
+        ("1", "0,0.05,0.1"): (
+            0,
+            "554b37e5ba3006d4ac2158a515308ad74c0bc0f33af48910c83073e16c22eb0c",
+        ),
+        ("40", "0,0.05,0.45"): (
+            3,
+            "70c531a4641a675f3a5457c034e7af7cbbba0b07c705d2513c4c0500f615e869",
+        ),
+    }
+
+    @pytest.mark.parametrize("m,betas", sorted(PINNED))
+    def test_report_bytes_match_pinned_digest(self, capsys, m, betas):
+        code, out, _ = run(["verify", "--m", m, "--order", "8", "--beta", betas], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED[(m, betas)]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

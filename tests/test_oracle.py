@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -7,12 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sws1 import oracle
 from sws1.core import EnergySeries, ModeParams
 from sws1.evaluate import wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
     OracleError,
     _assemble_diagonal,
+    _sturm_count,
     an_closed_form,
     fd_ground_eigenvalue,
     fd_ground_eigenvector,
@@ -32,6 +35,22 @@ def dense_spectrum(params, beta, grid):
     off = np.full(grid.points - 1, -1.0 / grid.h**2)
     matrix = np.diag(_assemble_diagonal(params, beta, grid)) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(matrix)
+
+
+def plain_bisection(params, beta, grid):
+    """The bisection with no certified bounds and no guess: a Sturm sweep
+    at every midpoint of the Gershgorin bracket, to the oracle's stopping
+    rule."""
+    diag = _assemble_diagonal(params, beta, grid).tolist()
+    off = 1.0 / grid.h**2
+    lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
+    while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if _sturm_count(diag, off * off, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 class TestFdGrid:
@@ -62,8 +81,21 @@ class TestGroundEigenvalue:
     @pytest.mark.parametrize("beta", [1e200, -1e200])
     def test_non_finite_potential_refused(self, beta):
         # beta^2 overflows, so the potential is -inf at every node
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="potential is not finite"):
+        with pytest.raises(ValueError, match="potential is not finite"):
             fd_ground_eigenvalue(ModeParams(m=2, N=0), beta, FdGrid(1024))
+
+    @pytest.mark.parametrize("points,largest", [(1024, 100), (2048, 91), (4096, 83)])
+    def test_indicial_overflow_refused_past_the_stated_m(self, points, largest):
+        # (j+1)^(m+3/2) overflows at the far end of the grid; the potential
+        # itself is finite
+        grid = FdGrid(points)
+        assert np.isfinite(_assemble_diagonal(ModeParams(m=largest, N=0), 0.0, grid)).all()
+        message = (
+            f"indicial correction overflows on the {points}-point grid at m={largest + 1}; "
+            f"this grid supports m <= {largest}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            fd_ground_eigenvalue(ModeParams(m=largest + 1, N=0), 0.0, grid)
 
     def test_convergence_is_second_order(self):
         # eigenvalue error against the extrapolated limit scales like h^2
@@ -75,6 +107,41 @@ class TestGroundEigenvalue:
         hs = np.array([math.pi / (p + 1) for p in sizes[:-1]])
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
+
+
+class TestCertifiedBisection:
+    def test_zero_pivot_counts_as_negative(self):
+        # [[1, 1], [1, 1]] has eigenvalues 0 and 2; at lam = 0 the second
+        # pivot is exactly zero and counts.  With a third row (eigenvalues
+        # 1 - sqrt 2, 1, 1 + sqrt 2) the sweep goes on past it.
+        assert _sturm_count([1.0, 1.0], 1.0, 0.0) == 1
+        assert _sturm_count([1.0, 1.0], 1.0, -1e-9) == 0
+        assert _sturm_count([1.0, 1.0, 1.0], 1.0, 0.0) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 40, 80])
+    @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7, 2.0])
+    def test_same_float_as_plain_bisection_for_any_guess(self, m, beta):
+        params, grid = ModeParams(m=m, N=0), FdGrid(1024)
+        exact = plain_bisection(params, beta, grid)
+        # the true value, 1e-3 off, 10x off, the wrong side of 0, no number
+        for guess in (exact, exact * (1.0 + 1e-3), 10.0 * exact, -exact, math.nan):
+            assert fd_ground_eigenvalue(params, beta, grid, guess=guess) == exact
+
+    @pytest.mark.parametrize("m", [1, 40])
+    @pytest.mark.parametrize("beta", [0.0, 0.33])
+    def test_seeded_grids_sweep_at_most_40_times(self, monkeypatch, m, beta):
+        sweeps = collections.Counter()
+        count = oracle._sturm_count
+
+        def counting(diag, offsq, lam):
+            sweeps[len(diag)] += 1
+            return count(diag, offsq, lam)
+
+        monkeypatch.setattr(oracle, "_sturm_count", counting)
+        richardson_eigenvalue(ModeParams(m=m, N=0), beta)
+        # the coarsest grid has no seed and sweeps at every midpoint
+        assert sweeps[1024] > 40
+        assert sweeps[2048] <= 40 and sweeps[4096] <= 40
 
 
 class TestGroundEigenvector:
