@@ -101,7 +101,12 @@ def _parse_tolerances(items) -> dict:
                 f"bad tolerance override {item!r}; known keys: "
                 f"{', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
-        out[key] = float(val)
+        value = float(val)
+        # a NaN fails every check, an infinity passes every one, and a
+        # negative slope margin empties the slope window: none is a tolerance
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {key} must be finite and >= 0, got {val}")
+        out[key] = value
     return out
 
 

@@ -11,10 +11,13 @@ suite and the benchmark's verify-battery do.
 
 Cost: the floating-point Sturm count is monotone in the shift (Demmel,
 Dhillon & Ren 1995), so the bisection sweeps only at midpoints between
-its certified bounds, which the finer Richardson grids seed from the
-coarser grids' values; it takes the plain bisection's midpoints and
-decisions, so every eigenvalue is the same float.  Inverse iteration
-factors its shifted matrix once.
+its certified bounds.  Newton steps on det(T - lam) from a seed place
+those bounds within the float noise of the eigenvalue: the 1024-point
+grid is seeded by the 256-point value, the finer Richardson grids by the
+coarser grids' values, and a count at min(diag) caps the bracket.  The
+bisection keeps the plain bisection's midpoints and decisions, so every
+eigenvalue is the same float.  Inverse iteration factors its shifted
+matrix once.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -50,6 +53,7 @@ from .evaluate import (
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
 RICHARDSON_GRIDS = (1024, 2048, 4096)
+SEED_GRID = 256  # its value seeds a finer grid that has no guess, and is reported nowhere
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _BISECTION_TOL = 1e-13
@@ -153,6 +157,25 @@ def _sturm_count(diag: list, offsq: float, lam: float) -> int:
     return count
 
 
+def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
+    """`_sturm_count` at lam, its pivots d_i formed by the very same float
+    operations, with the Newton step -1 / (d/dlam log|det(T - lam)|) from
+    the pivots' derivatives d_i' = -1 + offsq d_(i-1)' / d_(i-1)^2.  A zero
+    sum gives a NaN step."""
+    count = 0
+    d, r, dlog = math.inf, 0.0, 0.0  # r = d_i' / d_i
+    for t in diag:
+        q = offsq / d
+        d = (t - lam) - q
+        if d <= 0.0:
+            count += 1
+            if d == 0.0:
+                d = -1e-300
+        r = (q * r - 1.0) / d
+        dlog += r
+    return count, (-1.0 / dlog if dlog else math.nan)
+
+
 def fd_ground_eigenvalue(
     params: ModeParams, beta: float, grid: FdGrid, *, guess: float | None = None
 ) -> float:
@@ -163,36 +186,56 @@ def fd_ground_eigenvalue(
     Two certified bounds are kept: the highest probe with count 0 and the
     lowest with count >= 1.  The count is monotone in lam (Demmel, Dhillon
     & Ren 1995), so a midpoint at or beyond them is decided without a
-    sweep; only one strictly between them runs `_sturm_count`.  A `guess`
-    sets the bounds first, by counts at guess -+ 1e-6 max(1, |guess|) with
-    the offset widened 64-fold until they bracket the eigenvalue.  The
-    midpoints and decisions stay those of the plain bisection, so the
+    sweep; only one strictly between them runs `_sturm_count`.
+
+    The bounds are placed first, where the eigenvalue is.  Newton steps on
+    det(T - lam) run from `guess` (`_sturm_newton`, whose count certifies
+    each iterate): below the eigenvalue a step never overshoots, and from
+    between it and the next one a step lands below it.  Then counts at four
+    last steps to either side of the final iterate, the distance widened
+    fourfold until both bounds lie within it, and one count at min(diag),
+    which is at or above the eigenvalue, close the bracket.  Without a guess, a grid finer than
+    SEED_GRID is seeded by the SEED_GRID value, which enters nothing else.
+    The midpoints and decisions stay those of the plain bisection, so the
     result is the same float for any guess or none; a good guess only
     saves sweeps.  A diagonal that is not finite is refused
-    (`_assemble_diagonal`): there is no bracket to bisect."""
+    (`_assemble_diagonal`), before any seed is computed: there is no
+    bracket to bisect."""
     diag = _assemble_diagonal(params, beta, grid).tolist()
+    if guess is None and grid.points > SEED_GRID:
+        guess = fd_ground_eigenvalue(params, beta, FdGrid(SEED_GRID))
     off = 1.0 / grid.h**2
     offsq = off * off
     lo = min(diag) - 2.0 * off
     hi = max(diag) + 2.0 * off
     below, above = lo, hi  # certified: count 0 at or below, >= 1 at or above
 
-    def probe(lam: float) -> None:
+    def certify(lam: float, count: int) -> None:
         nonlocal below, above
-        if below < lam < above:
-            if _sturm_count(diag, offsq, lam) >= 1:
-                above = lam
-            else:
-                below = lam
+        if count >= 1:
+            above = lam
+        else:
+            below = lam
 
-    if guess is not None:
-        step = 1e-6 * max(1.0, abs(guess))
-        while True:
-            probe(guess - step)
-            probe(guess + step)
-            if not (below < guess - step or above > guess + step):
-                break
-            step *= 64.0
+    def probe(lam: float) -> None:
+        if below < lam < above:
+            certify(lam, _sturm_count(diag, offsq, lam))
+
+    # Newton until its steps stop shrinking fourfold (the float noise of
+    # the pivots), stepping up from below or down from above
+    x, last = math.nan if guess is None else guess, math.inf
+    while below < x < above:
+        count, step = _sturm_newton(diag, offsq, x)
+        certify(x, count)
+        if not abs(step) <= last / 4.0 or (step > 0.0) != (count == 0):
+            break
+        x, last = x + step, abs(step)
+    gap = max(4.0 * last, _BISECTION_TOL * max(1.0, abs(x)))
+    while below < x - gap or x + gap < above:
+        probe(x - gap)
+        probe(x + gap)
+        gap *= 4.0
+    probe(min(diag))
     for _ in range(_BISECTION_MAX_ITER):
         if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
@@ -273,9 +316,10 @@ def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]
     elimination on the two finest.  The coarsest grid's value enters no
     estimate; it is only reported, with the others, per grid size.
 
-    Each grid's bisection is seeded from the coarser ones: the 2048-point
-    grid guesses the 1024-point value, the 4096-point grid the h^2
-    extrapolation v2 + (v2 - v1)/3 of the two.  The guesses save sweeps and
+    Every grid's bisection is seeded.  The 1024-point grid takes the
+    SEED_GRID (256-point) value, which is used only as that seed, the
+    2048-point grid the 1024-point value, and the 4096-point grid the h^2
+    extrapolation v2 + (v2 - v1)/3 of the two.  The seeds save sweeps and
     change no value (`fd_ground_eigenvalue`)."""
     coarsest, middle, finest = RICHARDSON_GRIDS
     v1 = fd_ground_eigenvalue(params, beta, FdGrid(coarsest))

@@ -200,6 +200,18 @@ class TestVerify:
         )
         assert code == 1 and "nope" in err
 
+    @pytest.mark.parametrize(
+        "tol", ["eigenvalue=nan", "eigenvalue=inf", "residual_slope_below=-0.5"]
+    )
+    def test_tolerance_that_fakes_a_verdict_exits_1(self, capsys, tol):
+        # NaN forced a FAIL, inf a PASS with no evidence behind it, and a
+        # negative slope margin a FAIL on an empty window
+        argv = ["verify", "--m", "1", "--order", "4", "--beta", "0.1", "--tol", tol]
+        code, out, err = run(argv, capsys)
+        key, _, val = tol.partition("=")
+        assert code == 1 and out == ""
+        assert err == f"error: tolerance {key} must be finite and >= 0, got {val}\n"
+
     def test_non_finite_beta_in_list_exits_1(self, capsys):
         code, out, err = run(["verify", "--m", "1", "--order", "2", "--beta", "0,nan"], capsys)
         assert code == 1 and out == ""

@@ -53,6 +53,16 @@ def plain_bisection(params, beta, grid):
     return 0.5 * (lo + hi)
 
 
+def pivots(diag, offsq, lam):
+    """The LDL^T pivots of the Sturm sweep, before a zero one is replaced."""
+    out, d = [], math.inf
+    for t in diag:
+        d = (t - lam) - offsq / d
+        out.append(d)
+        d = d or -1e-300
+    return out
+
+
 class TestFdGrid:
     def test_spacing_and_nodes(self):
         g = FdGrid(127)
@@ -118,30 +128,93 @@ class TestCertifiedBisection:
         assert _sturm_count([1.0, 1.0], 1.0, -1e-9) == 0
         assert _sturm_count([1.0, 1.0, 1.0], 1.0, 0.0) == 1
 
+    def test_newton_sweep_counts_as_sturm_count_on_small_systems(self):
+        # small integer systems at integer and half-integer shifts hit exact
+        # zero pivots often; the count must not depend on the sweep
+        rng = random.Random(20261018)
+        zero_pivots = 0
+        for _ in range(10_000):
+            diag = [float(rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+            offsq = rng.choice((0.25, 1.0, 4.0))
+            for lam in (rng.randint(-8, 8) / 2.0 for _ in range(6)):
+                assert oracle._sturm_newton(diag, offsq, lam)[0] == _sturm_count(diag, offsq, lam)
+                zero_pivots += 0.0 in pivots(diag, offsq, lam)
+        assert zero_pivots > 1000
+
+    @pytest.mark.parametrize("m", [1, 10, 40])
+    def test_newton_sweep_counts_as_sturm_count_on_the_operator(self, m):
+        # at every midpoint of the plain bisection, down to the float noise
+        # around the eigenvalue, and across the whole Gershgorin bracket
+        params, grid = ModeParams(m=m, N=0), FdGrid(1024)
+        diag = _assemble_diagonal(params, 0.33, grid).tolist()
+        off = 1.0 / grid.h**2
+        lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
+        shifts = list(np.linspace(lo, hi, 64))
+        while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            shifts.append(mid)
+            lo, hi = (lo, mid) if _sturm_count(diag, off * off, mid) >= 1 else (mid, hi)
+        shifts += [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        for lam in shifts:
+            assert oracle._sturm_newton(diag, off * off, lam)[0] == _sturm_count(
+                diag, off * off, lam
+            )
+
+    def test_newton_step_is_the_distance_to_a_lone_eigenvalue(self):
+        # 1x1: det(T - lam) = t - lam, so one step lands on t from either side
+        assert oracle._sturm_newton([3.0], 1.0, 1.0) == (0, 2.0)
+        assert oracle._sturm_newton([3.0], 1.0, 5.0) == (1, -2.0)
+
     @pytest.mark.parametrize("m", [1, 2, 10, 40, 80])
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7, 2.0])
     def test_same_float_as_plain_bisection_for_any_guess(self, m, beta):
-        params, grid = ModeParams(m=m, N=0), FdGrid(1024)
-        exact = plain_bisection(params, beta, grid)
-        # the true value, 1e-3 off, 10x off, the wrong side of 0, no number
-        for guess in (exact, exact * (1.0 + 1e-3), 10.0 * exact, -exact, math.nan):
-            assert fd_ground_eigenvalue(params, beta, grid, guess=guess) == exact
+        params = ModeParams(m=m, N=0)
+        for points in (oracle.SEED_GRID, 1024):
+            grid = FdGrid(points)
+            exact = plain_bisection(params, beta, grid)
+            diag = _assemble_diagonal(params, beta, grid)
+            width = float(diag.max() - diag.min()) + 4.0 / grid.h**2
+            # none (the seed grid's value at 1024 points), the true value,
+            # one ulp off either way, 1e-3 off, 10x off, the wrong side of
+            # 0, beyond the Gershgorin bracket either way, no number
+            guesses = (
+                None,
+                exact,
+                math.nextafter(exact, math.inf),
+                math.nextafter(exact, -math.inf),
+                exact * (1.0 + 1e-3),
+                10.0 * exact,
+                -exact,
+                float(diag.max()) + width,
+                float(diag.min()) - width,
+                math.inf,
+                -math.inf,
+                math.nan,
+            )
+            for guess in guesses:
+                assert fd_ground_eigenvalue(params, beta, grid, guess=guess) == exact, guess
+
+    # rows swept per richardson_eigenvalue before probes were placed by
+    # Newton steps, when the 1024-point grid had no seed
+    PARENT_ROWS = {(1, 0.0): 232_448, (1, 0.33): 234_496, (40, 0.0): 308_224, (40, 0.33): 308_224}
 
     @pytest.mark.parametrize("m", [1, 40])
     @pytest.mark.parametrize("beta", [0.0, 0.33])
     def test_seeded_grids_sweep_at_most_40_times(self, monkeypatch, m, beta):
-        sweeps = collections.Counter()
-        count = oracle._sturm_count
+        rows = collections.Counter()  # per grid size, count and Newton sweeps alike
+        for name in ("_sturm_count", "_sturm_newton"):
 
-        def counting(diag, offsq, lam):
-            sweeps[len(diag)] += 1
-            return count(diag, offsq, lam)
+            def counting(diag, offsq, lam, sweep=getattr(oracle, name)):
+                rows[len(diag)] += len(diag)
+                return sweep(diag, offsq, lam)
 
-        monkeypatch.setattr(oracle, "_sturm_count", counting)
+            monkeypatch.setattr(oracle, name, counting)
         richardson_eigenvalue(ModeParams(m=m, N=0), beta)
-        # the coarsest grid has no seed and sweeps at every midpoint
-        assert sweeps[1024] > 40
-        assert sweeps[2048] <= 40 and sweeps[4096] <= 40
+        # the unseeded seed grid bisects below min(diag), not the Gershgorin
+        # top: 58 and 48 sweeps at m = 1 and 40 (87 at m = 40 from the top)
+        assert rows[oracle.SEED_GRID] <= 60 * oracle.SEED_GRID
+        assert rows[2048] <= 40 * 2048 and rows[4096] <= 40 * 4096
+        assert sum(rows.values()) <= 0.6 * self.PARENT_ROWS[m, beta]
 
 
 class TestGroundEigenvector:
