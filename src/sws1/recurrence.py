@@ -11,7 +11,10 @@ and at order 3 the closed form is computed as well and compared exactly,
 as a seam test between the two paths.  Each general order stays in
 Python integers from end to end: the sources, the R/T tables and the X/Y
 tables are integer numerators over one denominator per table, and only
-E_n and the entries of W_n are reduced to rationals, once each.  Every
+E_n and the entries of W_n are reduced to rationals, once each.  The
+sources are formed on packed integers, each polynomial held as its value
+at a power of two wide enough for every entry of the result, so that each
+polynomial product is one exact big-integer multiplication.  Every
 cancellation that keeps the eigenfunction finite at the boundaries is
 asserted at runtime as an exact integer zero test; a failure raises
 SeriesInconsistencyError naming the offending order.
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from operator import mul
 
 from .core import EnergySeries, ModeParams, Rational, WnTable, _numerators
@@ -126,19 +128,38 @@ class SeriesState:
         return self.orders[n - 1]
 
 
-def _poly_mul(x: tuple, y: tuple) -> list:
-    """Coefficients of the product of two integer polynomials (index =
-    power, counted from the lowest stored one)."""
-    ry = y[::-1]
-    top = len(y) - 1
-    return [
-        sum(map(mul, x[max(0, q - top) : q + 1], ry[max(0, top - q) :]))
-        for q in range(len(x) + top)
-    ]
+def _largest(table: WnTable) -> int:
+    """The largest integer numerator of an order in size."""
+    return max(map(abs, table.a_num + table.b_num))
 
 
-def _poly_add(x, y) -> list:
-    return [u + v for u, v in zip_longest(x, y, fillvalue=0)]
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot of a packed table whose entries all lie within
+    +-bound: room for bound and a sign bit, rounded up to whole bytes."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(values, w: int) -> int:
+    """The integer sum_i values[i] 2^(w i), by Horner's rule."""
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << w) + v
+    return packed
+
+
+def _unpack(packed: int, slots: int, nb: int) -> tuple:
+    """Inverse of _pack at w = 8 nb over `slots` slots, for entries below
+    2^(w-1) in size.  Adding 2^(w-1) to every slot makes each entry a
+    w-bit digit in [0, 2^w) with no carry into the next, so the bytes of
+    the biased value are the digits.  A packed value that reaches past
+    the top slot, or is negative after the bias, makes to_bytes raise
+    OverflowError rather than truncate."""
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+    data = (packed + bias).to_bytes(slots * nb, "little")
+    return tuple(
+        int.from_bytes(data[i : i + nb], "little") - half for i in range(0, slots * nb, nb)
+    )
 
 
 def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
@@ -154,11 +175,24 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     sum_i a_k[i] x^(i-1), sum_i b_k[i] x^(i-1), W_k W_l contributes
     h = (1 - x) A_k A_l + B_k B_l and g = A_k B_l + B_k A_l
       = (A_k + B_k)(A_l + B_l) - A_k A_l - B_k B_l.  These are formed on
-    the integer numerators of the two orders, with those of W_k scaled
-    from den_k den_l up to L = lcm over the pairs of den_k den_l, and
-    summed as integers; the pair (n-k, k) repeats (k, n-k), so each is
-    formed once, counted twice.  The degrees of A_k and B_k bound the
-    products to those supports.
+    the integer numerators of the two orders, the product scaled from
+    den_k den_l up to L = lcm over the pairs of den_k den_l; the pair
+    (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
+
+    Each polynomial is held packed, as its value at x = 2^w (Kronecker
+    substitution), so each of the three products of a pair is one
+    big-integer multiplication, and the sums over pairs, the shift by x
+    and the differences above are integer additions and one shift.  The
+    packed value of a polynomial is exact whatever the size of its
+    entries, so only the final h and g must fit their slots to be
+    unpacked.  With M_k the largest numerator of order k in size and
+    t = (k+1)//2, the length of b_k, the most terms any product of the
+    pair adds into one entry (k <= n-k), every entry of h is at most 3 S
+    in size and every entry of g at most 2 S, S = sum over pairs of
+    scale M_k M_(n-k) t; w gives 3 S a sign bit and is rounded up to
+    whole bytes.  This takes
+    the per-entry Python work out of the products, most of the cost up to
+    n = 48; around n = 96 the multiplications themselves dominate.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
@@ -169,27 +203,23 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
         for k in range(1, n // 2 + 1)
     ]
     den = math.lcm(*(wk.den * wl.den for wk, wl, _ in pairs))
-    h = [0] * (n // 2)
-    # g holds one entry past its support at even n: the cross product of
-    # two odd orders reaches it, and -B_k B_l cancels it there
-    g = [0] * (n // 2)
-    for wk, wl, weight in pairs:
-        scale = weight * (den // (wk.den * wl.den))
-        ak = [scale * v for v in wk.a_num]
-        bk = [scale * v for v in wk.b_num]
-        aa = _poly_mul(ak, wl.a_num)
-        bb = _poly_mul(bk, wl.b_num)
-        cross = _poly_mul(_poly_add(ak, bk), _poly_add(wl.a_num, wl.b_num))
-        for i, v in enumerate(aa):
-            h[i] += v
-            h[i + 1] -= v
-            g[i] -= v
-        for i, v in enumerate(bb):
-            h[i] += v
-            g[i] -= v
-        for i, v in enumerate(cross):
-            g[i] += v
-    return tuple(h), tuple(g[: (n + 1) // 2 - 1]), den
+    scaled = [(wk, wl, weight * (den // (wk.den * wl.den))) for wk, wl, weight in pairs]
+    bound = sum(
+        scale * _largest(wk) * _largest(wl) * len(wk.b_num) for wk, wl, scale in scaled
+    )
+    nb = _slot_bytes(3 * bound)
+    w = 8 * nb
+    aa = bb = cross = 0
+    for wk, wl, scale in scaled:
+        ak, bk, al, bl = (_pack(v, w) for v in (wk.a_num, wk.b_num, wl.a_num, wl.b_num))
+        aa += scale * (ak * al)
+        bb += scale * (bk * bl)
+        cross += scale * ((ak + bk) * (al + bl))
+    # at even n the cross products of two odd orders reach one slot past
+    # g's support, where -B_k B_l cancels them; _unpack raises otherwise
+    h = _unpack(aa - (aa << w) + bb, n // 2, nb)
+    g = _unpack(cross - aa - bb, (n + 1) // 2 - 1, nb)
+    return h, g, den
 
 
 def energy_coeff(h: tuple, g: tuple, den: int, params: ModeParams) -> Rational:

@@ -2,10 +2,14 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sws1 import recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
@@ -34,6 +38,66 @@ def at(table, i):
 def rationals(numerators, den):
     """A table of integer numerators over den, as exact rationals."""
     return tuple(Fraction(v, den) for v in numerators)
+
+
+def schoolbook_mul(x, y) -> list:
+    """Coefficients of the product of two integer polynomials (index =
+    power, counted from the lowest stored one), term by term."""
+    ry = y[::-1]
+    top = len(y) - 1
+    return [
+        sum(map(mul, x[max(0, q - top) : q + 1], ry[max(0, top - q) :]))
+        for q in range(len(x) + top)
+    ]
+
+
+def schoolbook_sources(state, n):
+    """The sources of order n as convolve_sources returned them before the
+    packed products: each product formed entry by entry on lists."""
+    pairs = [
+        (state.orders[k - 1], state.orders[n - k - 1], 1 if 2 * k == n else 2)
+        for k in range(1, n // 2 + 1)
+    ]
+    den = math.lcm(*(wk.den * wl.den for wk, wl, _ in pairs))
+    h = [0] * (n // 2)
+    g = [0] * (n // 2)
+    for wk, wl, weight in pairs:
+        scale = weight * (den // (wk.den * wl.den))
+        ak = [scale * v for v in wk.a_num]
+        bk = [scale * v for v in wk.b_num]
+        aa = schoolbook_mul(ak, wl.a_num)
+        bb = schoolbook_mul(bk, wl.b_num)
+        cross = schoolbook_mul(
+            [u + v for u, v in zip_longest(ak, bk, fillvalue=0)],
+            [u + v for u, v in zip_longest(wl.a_num, wl.b_num, fillvalue=0)],
+        )
+        for i, v in enumerate(aa):
+            h[i] += v
+            h[i + 1] -= v
+            g[i] -= v
+        for i, v in enumerate(bb):
+            h[i] += v
+            g[i] -= v
+        for i, v in enumerate(cross):
+            g[i] += v
+    return tuple(h), tuple(g[: (n + 1) // 2 - 1]), den
+
+
+def packed_product(x, y):
+    """x times y through pack, one integer product and unpack, at the slot
+    width of the bound max|x| max|y| min(len x, len y)."""
+    top = max(map(abs, (*x, *y)), default=0)
+    nb = recurrence._slot_bytes(top * top * min(len(x), len(y)))
+    w = 8 * nb
+    slots = max(len(x) + len(y) - 1, 0)
+    return list(recurrence._unpack(recurrence._pack(x, w) * recurrence._pack(y, w), slots, nb))
+
+
+# integer tables of one magnitude each, 2^0 up to 2^4096, signed, zeros and
+# the empty table included
+int_tables = st.integers(0, 4096).flatmap(
+    lambda e: st.lists(st.integers(-(2**e), 2**e) | st.just(0), max_size=12)
+)
 
 
 def closed_form_energy(m: int, n: int) -> Fraction:
@@ -206,6 +270,50 @@ class TestConvolution:
             g.append(gp)
         assert tuple(h) == src_h
         assert tuple(g[: len(src_g)]) == src_g and not any(g[len(src_g) :])
+
+
+class TestPackedProducts:
+    @given(int_tables, int_tables)
+    def test_matches_schoolbook(self, x, y):
+        assert packed_product(x, y) == schoolbook_mul(x, y)
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 2**4096) | st.sampled_from([1, 2**63 - 1, 2**64, 2**4096]),
+        st.sampled_from([1, -1]),
+        st.sampled_from([1, -1]),
+    )
+    def test_width_bound_worst_case(self, p, q, top, sx, sy):
+        # every entry at the largest size with one sign per table: the
+        # middle entries of the product reach the bound itself
+        x, y = [sx * top] * p, [sy * top] * q
+        product = packed_product(x, y)
+        assert product == schoolbook_mul(x, y)
+        assert max(map(abs, product)) == top * top * min(p, q)
+
+    @pytest.mark.parametrize("lengths", [(1, 1), (1, 5), (5, 1), (0, 3), (0, 0)])
+    def test_short_and_empty_tables(self, lengths):
+        x = [(-3) ** i for i in range(lengths[0])]
+        y = [7 - 2 * i for i in range(lengths[1])]
+        assert packed_product(x, y) == schoolbook_mul(x, y)
+
+    @pytest.mark.parametrize("top", [1, -1, 2**200, -(2**200)])
+    def test_entry_past_the_slots_raises(self, top):
+        # an entry one slot past the unpacked range is refused, never dropped
+        nb = recurrence._slot_bytes(abs(top))
+        packed = recurrence._pack([5, -6, top], 8 * nb)
+        assert recurrence._unpack(packed, 3, nb) == (5, -6, top)
+        with pytest.raises(OverflowError):
+            recurrence._unpack(packed, 2, nb)
+
+
+class TestConvolutionReference:
+    @pytest.mark.parametrize("m,N", [(1, 48), (20, 32), (80, 16)])
+    def test_every_order_matches_schoolbook_sources(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        for n in range(3, N + 1):
+            assert convolve_sources(state, n) == schoolbook_sources(state, n), n
 
 
 class TestEnergyAndDivergence:
@@ -466,11 +574,13 @@ class TestRayleighSchroedingerEnergy:
 
 class TestBitIdentity:
     REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    # sha256 of the coeffs text of two modes outside the benchmark's three:
-    # a longer series at m = 1 and a large m
+    # sha256 of the coeffs text of three modes outside the benchmark's
+    # three: a longer series at m = 1, a large m, and m = 80, whose
+    # denominators are the widest of any m that verify accepts (m <= 83)
     PINNED = {
         (1, 64): "534043de542527c209cd9de4e04bacad9cc9c535b4e2a30bcfd278c55a2166a1",
         (40, 24): "efe543fb704e2928576773e7663942d1acfbd95324eca020fb8fb581b1f2242b",
+        (80, 32): "6dfc23965054c00f5ddf03531b6548071b883499026d80011b1f164f53b7f200",
     }
 
     @staticmethod
