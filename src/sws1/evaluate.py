@@ -95,8 +95,9 @@ def _weighted_tables(state: SeriesState, weights) -> tuple[np.ndarray, np.ndarra
     alpha = np.zeros(state.current_order // 2)
     gamma = np.zeros((state.current_order + 1) // 2)
     for w, table in zip(weights, state.orders):
-        alpha[: len(table.a)] += w * np.array(table.a, dtype=float)
-        gamma[: len(table.b)] += w * np.array(table.b, dtype=float)
+        a, b = table.floats
+        alpha[: len(a)] += w * np.array(a)
+        gamma[: len(b)] += w * np.array(b)
     return alpha, gamma
 
 

@@ -11,13 +11,15 @@ suite and the benchmark's verify-battery do.
 
 Cost: the floating-point Sturm count is monotone in the shift (Demmel,
 Dhillon & Ren 1995), so the bisection sweeps only at midpoints between
-its certified bounds.  Newton steps on det(T - lam) from a seed place
-those bounds within the float noise of the eigenvalue: the 1024-point
-grid is seeded by the 256-point value, the finer Richardson grids by the
-coarser grids' values, and a count at min(diag) caps the bracket.  The
-bisection keeps the plain bisection's midpoints and decisions, so every
-eigenvalue is the same float.  Inverse iteration factors its shifted
-matrix once.
+its certified bounds.  Newton steps on det(T - lam) place those bounds
+within the float noise of the eigenvalue from a seed, and a count at
+min(diag) caps the bracket.  Every seed comes from `spectral_eigenvalue`,
+the operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
+(Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021),
+and from the h^2 fall of the FD error (`richardson_eigenvalue`); no
+verdict reads the spectral value yet.  The bisection keeps the plain
+bisection's midpoints and decisions, so every eigenvalue is the same
+float.  Inverse iteration factors its shifted matrix once.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -53,7 +55,7 @@ from .evaluate import (
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
 RICHARDSON_GRIDS = (1024, 2048, 4096)
-SEED_GRID = 256  # its value seeds a finer grid that has no guess, and is reported nowhere
+_SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80, |beta| <= 2
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _BISECTION_TOL = 1e-13
@@ -177,7 +179,7 @@ def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
 
 
 def fd_ground_eigenvalue(
-    params: ModeParams, beta: float, grid: FdGrid, *, guess: float | None = None
+    params: ModeParams, beta: float, grid: FdGrid, *, guess: float = math.nan
 ) -> float:
     """Smallest eigenvalue of the discretized boundary-value problem via
     bisection on the Sturm-sequence count, from the Gershgorin bracket to a
@@ -190,20 +192,18 @@ def fd_ground_eigenvalue(
 
     The bounds are placed first, where the eigenvalue is.  Newton steps on
     det(T - lam) run from `guess` (`_sturm_newton`, whose count certifies
-    each iterate): below the eigenvalue a step never overshoots, and from
-    between it and the next one a step lands below it.  Then counts at four
+    each iterate; `richardson_eigenvalue` guesses from the spectral
+    value): below the eigenvalue a step never overshoots, and from between
+    it and the next one a step lands below it.  Then counts at four
     last steps to either side of the final iterate, the distance widened
     fourfold until both bounds lie within it, and one count at min(diag),
-    which is at or above the eigenvalue, close the bracket.  Without a guess, a grid finer than
-    SEED_GRID is seeded by the SEED_GRID value, which enters nothing else.
+    which is at or above the eigenvalue, close the bracket.  A guess that
+    is NaN, the default, or outside the bracket takes no Newton step.
     The midpoints and decisions stay those of the plain bisection, so the
-    result is the same float for any guess or none; a good guess only
-    saves sweeps.  A diagonal that is not finite is refused
-    (`_assemble_diagonal`), before any seed is computed: there is no
-    bracket to bisect."""
+    result is the same float for any guess; a good guess only saves
+    sweeps.  A diagonal that is not finite is refused
+    (`_assemble_diagonal`): there is no bracket to bisect."""
     diag = _assemble_diagonal(params, beta, grid).tolist()
-    if guess is None and grid.points > SEED_GRID:
-        guess = fd_ground_eigenvalue(params, beta, FdGrid(SEED_GRID))
     off = 1.0 / grid.h**2
     offsq = off * off
     lo = min(diag) - 2.0 * off
@@ -223,7 +223,7 @@ def fd_ground_eigenvalue(
 
     # Newton until its steps stop shrinking fourfold (the float noise of
     # the pivots), stepping up from below or down from above
-    x, last = math.nan if guess is None else guess, math.inf
+    x, last = guess, math.inf
     while below < x < above:
         count, step = _sturm_newton(diag, offsq, x)
         certify(x, count)
@@ -311,22 +311,49 @@ def fd_ground_eigenvector(
     return x
 
 
+def spectral_eigenvalue(m: int, beta: float) -> float:
+    """Ground eigenvalue of the operator in the spin-weighted spherical
+    harmonics 1Y_l^m, l = m..m+39 (Hughes 2000; Cook & Zalutskiy 2014):
+    the smallest eigenvalue of diag(l(l+1) - 2) + 2 beta C - beta^2 C^2,
+    where C, the matrix of cos(theta), has
+
+        C_ll = -m / (l(l+1)),
+        C_l,l+1 = sqrt(((l+1)^2 - m^2) ((l+1)^2 - 1) / ((2l+1)(2l+3))) / (l+1).
+
+    C^2 is formed from one more row of C before it is truncated, so its
+    kept block is that of the untruncated C.  A matrix that is not finite
+    (beta^2 or an entry overflows) gives NaN, and no numpy warning: the FD
+    grids then refuse that input with its cause."""
+    m = float(m)
+    l = m + np.arange(_SPECTRAL_SIZE + 1)
+    k = l[:-1] + 1.0
+    with np.errstate(all="ignore"):
+        band = np.sqrt((k * k - m * m) * (k * k - 1.0) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))) / k
+        cos = np.diag(-m / (l * (l + 1.0))) + np.diag(band, 1) + np.diag(band, -1)
+        matrix = np.diag(l * (l + 1.0) - 2.0) + 2.0 * beta * cos - beta * beta * (cos @ cos)
+    matrix = matrix[:_SPECTRAL_SIZE, :_SPECTRAL_SIZE]
+    if not np.isfinite(matrix).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(matrix)[0])
+
+
 def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
     """Eigenvalue on the three nested RICHARDSON_GRIDS plus one level of h^2
     elimination on the two finest.  The coarsest grid's value enters no
     estimate; it is only reported, with the others, per grid size.
 
-    Every grid's bisection is seeded.  The 1024-point grid takes the
-    SEED_GRID (256-point) value, which is used only as that seed, the
-    2048-point grid the 1024-point value, and the 4096-point grid the h^2
-    extrapolation v2 + (v2 - v1)/3 of the two.  The seeds save sweeps and
-    change no value (`fd_ground_eigenvalue`)."""
-    coarsest, middle, finest = RICHARDSON_GRIDS
-    v1 = fd_ground_eigenvalue(params, beta, FdGrid(coarsest))
-    v2 = fd_ground_eigenvalue(params, beta, FdGrid(middle), guess=v1)
-    v3 = fd_ground_eigenvalue(params, beta, FdGrid(finest), guess=v2 + (v2 - v1) / 3.0)
-    estimate = (4.0 * v3 - v2) / 3.0
-    return estimate, {coarsest: v1, middle: v2, finest: v3}
+    Every grid's bisection is seeded from the spectral value s
+    (`spectral_eigenvalue`): the 1024-point grid takes s, and each finer
+    grid s + (v - s)/4, v the value of the grid before it, since the FD
+    error falls like h^2.  The seeds save sweeps and change no value
+    (`fd_ground_eigenvalue`)."""
+    spectral = guess = spectral_eigenvalue(params.m, beta)
+    per_grid = {}
+    for points in RICHARDSON_GRIDS:
+        per_grid[points] = fd_ground_eigenvalue(params, beta, FdGrid(points), guess=guess)
+        guess = spectral + (per_grid[points] - spectral) / 4.0
+    _, middle, finest = RICHARDSON_GRIDS
+    return (4.0 * per_grid[finest] - per_grid[middle]) / 3.0, per_grid
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:

@@ -127,6 +127,13 @@ class TestTables:
         empty = WnTable(1, (), (Fraction(0),))
         assert (empty.den, empty.a_num, empty.b_num) == (1, (), (0,))
 
+    def test_float_view_rounds_each_entry_once(self):
+        t = WnTable(4, (Fraction(0), Fraction(-1, 3)), (Fraction(1, 7), Fraction(10**400, 3**800)))
+        # correctly rounded, though 10^400 and 3^800 overflow a float
+        assert t.floats == ((0.0, -1 / 3), (1 / 7, 2.0090753457532982e18))
+        assert t.floats is t.floats
+        assert t == WnTable(4, t.a, t.b)
+
     def test_zero_entries_dropped(self):
         # exact zeros inside the support stay in the table, not in the text
         t = WnTable(3, (Fraction(0),), (Fraction(1, 3), Fraction(0)))
@@ -227,6 +234,7 @@ REMOVED_NAMES = (
     "eval_ground_wavefunction",
     "sturm_count_below",
     "OrderAudit",
+    "SEED_GRID",
 )
 
 
