@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 Rational = Fraction
 
@@ -105,12 +104,6 @@ class WnTable:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "a_num", _numerators(self.a, den))
         object.__setattr__(self, "b_num", _numerators(self.b, den))
-
-    @cached_property
-    def floats(self) -> tuple[tuple, tuple]:
-        """(a, b) rounded to float entry by entry, converted on first use
-        and kept, since every evaluation reads them."""
-        return tuple(map(float, self.a)), tuple(map(float, self.b))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Floating-point evaluation of the series.
 
-Everything upstream is exact rational arithmetic.  Here every sine
-polynomial of the series is evaluated along one path.  A weight per order
-(the powers of beta for the truncated series, a unit vector for a single
-order) sums the dense tables once into
+Everything upstream is exact rational arithmetic.  A series' tables become
+floats once per series (`SeriesState.floats`, each entry rounded once), and
+every sine polynomial of the series is evaluated along one path.  Each call
+weights the rows of those tables by beta^n once,
 
-    alpha_k = sum_n w_n a_{n,k},    gamma_k = sum_n w_n b_{n,k},
+    alpha_k = sum_n beta^n a_{n,k},    gamma_k = sum_n beta^n b_{n,k},
 
-and with s = sin(theta), c = cos(theta) and x = s^2 the weighted orders are
+by a sequential cumulative sum over the orders from a zero row, which keeps
+the floats of adding one order at a time; a single order is one row.  With
+s = sin(theta), c = cos(theta) and x = s^2 (formed once per call and shared
+by W, W' and V) the weighted orders are
 
-    sum_n w_n W_n(theta) = s (c PA(x) + PB(x)),
+    sum_n beta^n W_n(theta) = s (c PA(x) + PB(x)),
 
 PA and PB having the coefficients alpha and gamma.  Their theta-derivative
 and the phase of the ground eigenfunction, sum_k alpha_k x^k / (2k) + c Q(x)
@@ -85,36 +88,38 @@ def _horner(coeffs: np.ndarray, x):
     """sum_i coeffs[i] x^i."""
     acc = np.zeros_like(x)
     for v in coeffs[::-1]:
-        acc = acc * x + v
+        acc *= x
+        acc += v
     return acc
 
 
-def _weighted_tables(state: SeriesState, weights) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_k = sum_n weights[n-1] a_{n,k} over k = 1..N//2 and gamma_k,
-    the same sum of the b tables, over k = 1..(N+1)//2."""
-    alpha = np.zeros(state.current_order // 2)
-    gamma = np.zeros((state.current_order + 1) // 2)
-    for w, table in zip(weights, state.orders):
-        a, b = table.floats
-        alpha[: len(a)] += w * np.array(a)
-        gamma[: len(b)] += w * np.array(b)
-    return alpha, gamma
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows one at a time from a +0.0 row: each entry is the
+    float a loop adding row after row gives."""
+    return np.cumsum(np.vstack((np.zeros(rows.shape[1]), rows)), axis=0)[-1]
 
 
 def _beta_tables(state: SeriesState, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The tables weighted by beta^n, the truncated series at beta."""
-    return _weighted_tables(state, np.cumprod(np.full(state.current_order, float(beta))))
+    """alpha_k = sum_n beta^n a_{n,k} over k = 1..N//2 and gamma_k, the same
+    sum of the b tables, over k = 1..(N+1)//2: the truncated series at beta."""
+    a, b, _ = state.floats
+    w = np.cumprod(np.full(state.current_order, float(beta)))[:, None]
+    return _ordered_sum(w * a), _ordered_sum(w * b)
+
+
+@cache
+def _i_coeff_rows(size: int) -> np.ndarray:
+    """rows[k, i] = i_coeff(k, k - i) as floats, zero for i > k."""
+    rows = [[float(i_coeff(k, k - i)) for i in range(size)] for k in range(size)]
+    return np.array(rows).reshape(size, size)
 
 
 def _odd_sine_antiderivative(gamma: np.ndarray) -> np.ndarray:
     """Coefficients of Q(x) with cos(theta) Q(sin^2 theta) an antiderivative
     of sum_k gamma_k sin^(2k-1): per k, -cos/(2k) sum_j i_coeff(k-1, j)
     sin^(2k-2-2j)."""
-    q = np.zeros(len(gamma))
-    for k, g in enumerate(gamma, start=1):
-        for i in range(k):
-            q[i] -= float(i_coeff(k - 1, k - 1 - i)) * g / (2 * k)
-    return q
+    two_k = 2 * np.arange(1, len(gamma) + 1)[:, None]
+    return _ordered_sum(-(_i_coeff_rows(len(gamma)) * gamma[:, None] / two_k))
 
 
 def _orders_at(alpha: np.ndarray, gamma: np.ndarray, s, c):
@@ -122,47 +127,56 @@ def _orders_at(alpha: np.ndarray, gamma: np.ndarray, s, c):
     return s * (c * _horner(alpha, x) + _horner(gamma, x))
 
 
-def potential_on_grid(thetas: np.ndarray, params: ModeParams, beta: float) -> np.ndarray:
-    """Potential of the transformed boundary-value problem on an array of
-    interior angles (spin weight 1)."""
-    s, c, one_minus, one_plus = _half_angle(np.asarray(thetas, dtype=float))
-    m = params.m
-    inv_sin2 = ((m + c) ** 2 - 0.25) / (one_minus * one_plus)
-    return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
+def _w(m: int, tables, trig):
+    s, c, _, _ = trig
+    return -(1.0 + (m + 0.5) * c) / s + _orders_at(*tables, s, c)
 
 
-def weighted_orders_on_grid(state: SeriesState, weights, thetas: np.ndarray) -> np.ndarray:
-    """sum_n weights[n-1] W_n(theta) on an array of angles; a unit weight
-    vector gives a single order."""
-    s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
-    return _orders_at(*_weighted_tables(state, weights), s, c)
-
-
-def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
-    """Truncated super-potential W(theta; beta) on an array of angles,
-    from W_0 = -(1 + (m+1/2) cos)/sin up."""
-    s, c, _, _ = _half_angle(np.asarray(thetas, dtype=float))
-    w0 = -(1.0 + (state.params.m + 0.5) * c) / s
-    return w0 + _orders_at(*_beta_tables(state, beta), s, c)
-
-
-def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
-    """Analytic theta-derivative of the truncated super-potential.
-
-    Uses d/dtheta[-(1 + (m+1/2) cos)/sin] = (m + 1/2 + cos)/sin^2 and, per
+def _w_derivative(m: int, tables, trig):
+    """Uses d/dtheta[-(1 + (m+1/2) cos)/sin] = (m + 1/2 + cos)/sin^2 and, per
     k, d/dtheta[cos sin^(2k-1)] = (2k-1) x^(k-1) - 2k x^k and
-    d/dtheta[sin^(2k-1)] = (2k-1) cos x^(k-1).
-    """
-    s, c, one_minus, one_plus = _half_angle(np.asarray(thetas, dtype=float))
-    alpha, gamma = _beta_tables(state, beta)
+    d/dtheta[sin^(2k-1)] = (2k-1) cos x^(k-1)."""
+    s, c, one_minus, one_plus = trig
+    alpha, gamma = tables
     ka = np.arange(1, len(alpha) + 1)
     da = np.zeros(len(alpha) + 1)
     da[:-1] += (2 * ka - 1) * alpha
     da[1:] -= 2 * ka * alpha
     db = (2 * np.arange(1, len(gamma) + 1) - 1) * gamma
     x = s * s
-    w0_prime = (state.params.m + 0.5 + c) / (one_minus * one_plus)
+    w0_prime = (m + 0.5 + c) / (one_minus * one_plus)
     return w0_prime + _horner(da, x) + c * _horner(db, x)
+
+
+def _potential(m: int, beta: float, trig):
+    _, c, one_minus, one_plus = trig
+    inv_sin2 = ((m + c) ** 2 - 0.25) / (one_minus * one_plus)
+    return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
+
+
+def _riccati_terms(state: SeriesState, beta: float, trig) -> tuple:
+    """W, W', V and E at beta on the `_half_angle` values `trig`."""
+    m, tables, e = state.params.m, _beta_tables(state, beta), eval_energy(state, beta)
+    return _w(m, tables, trig), _w_derivative(m, tables, trig), _potential(m, beta, trig), e
+
+
+def potential_on_grid(thetas: np.ndarray, params: ModeParams, beta: float) -> np.ndarray:
+    """Potential of the transformed boundary-value problem on an array of
+    interior angles (spin weight 1)."""
+    return _potential(params.m, beta, _half_angle(np.asarray(thetas, dtype=float)))
+
+
+def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
+    """Truncated super-potential W(theta; beta) on an array of angles,
+    from W_0 = -(1 + (m+1/2) cos)/sin up."""
+    trig = _half_angle(np.asarray(thetas, dtype=float))
+    return _w(state.params.m, _beta_tables(state, beta), trig)
+
+
+def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
+    """Analytic theta-derivative of the truncated super-potential."""
+    trig = _half_angle(np.asarray(thetas, dtype=float))
+    return _w_derivative(state.params.m, _beta_tables(state, beta), trig)
 
 
 def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> float:
@@ -172,9 +186,8 @@ def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> flo
         raise ValueError(f"requested order {top} exceeds computed order {state.current_order}")
     if top < 0:
         raise ValueError("upto must be >= 0")
-    coeffs = [float(c) for c in state.energy.coeffs[: top + 1]]
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in reversed(state.floats[2][: top + 1]):
         acc = acc * beta + c
     return acc
 
@@ -182,10 +195,7 @@ def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> flo
 def riccati_residual_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Defect W^2 - W' - V + E of the truncated series; decays one power of
     beta faster than the last retained order."""
-    w = w_on_grid(state, beta, thetas)
-    wp = w_derivative_on_grid(state, beta, thetas)
-    v = potential_on_grid(thetas, state.params, beta)
-    e = eval_energy(state, beta)
+    w, wp, v, e = _riccati_terms(state, beta, _half_angle(np.asarray(thetas, dtype=float)))
     return w * w - wp - v + e
 
 
@@ -204,16 +214,15 @@ def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
     q = _odd_sine_antiderivative(gamma)
     m = state.params.m
 
-    def unnormalized(th):
-        s, c, one_minus, _ = _half_angle(th)
+    def unnormalized(s, c, one_minus, _):
         x = s * s
         return one_minus * s ** (m - 0.5) * np.exp(-(_horner(plain, x) + c * _horner(q, x)))
 
     nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
-    norm = 1.0 / math.sqrt(float(weights @ unnormalized(nodes) ** 2))
-    th = np.asarray(thetas, dtype=float)
-    psi = norm * unnormalized(th)
-    return psi, psi / np.sqrt(np.sin(th)), norm
+    norm = 1.0 / math.sqrt(float(weights @ unnormalized(*_half_angle(nodes)) ** 2))
+    trig = _half_angle(np.asarray(thetas, dtype=float))
+    psi = norm * unnormalized(*trig)
+    return psi, psi / np.sqrt(trig[0]), norm
 
 
 def uniform_interior_grid(points: int) -> np.ndarray:

@@ -43,14 +43,14 @@ import numpy as np
 
 from .core import DEFAULT_TOLERANCES, ModeParams
 from .evaluate import (
+    _half_angle,
+    _orders_at,
+    _riccati_terms,
     eval_energy,
     gauss_legendre,
     gauss_panels,
     potential_on_grid,
-    w_derivative_on_grid,
-    w_on_grid,
     wavefunction_on_grid,
-    weighted_orders_on_grid,
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
@@ -376,11 +376,11 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
     m = state.params.m
     lo, hi, sign = (0.0, theta, 1.0) if theta <= math.pi / 2.0 else (theta, math.pi, -1.0)
     t, w = gauss_legendre(lo, hi, gauss_panels(m))
-    unit = np.eye(state.current_order)
-    orders = [weighted_orders_on_grid(state, unit[k - 1], t) for k in range(1, n)]
-    f = float(state.energy[n]) + sum(orders[k - 1] * orders[n - k - 1] for k in range(1, n))
-    one_minus = 2.0 * np.sin(t / 2.0) ** 2
-    return sign * float(w @ (f * one_minus**2 * np.sin(t) ** (2 * m - 1)))
+    s, c, one_minus, _ = _half_angle(t)
+    a, b, energy = state.floats
+    orders = [_orders_at(a[k - 1], b[k - 1], s, c) for k in range(1, n)]
+    f = energy[n] + sum(orders[k - 1] * orders[n - k - 1] for k in range(1, n))
+    return sign * float(w @ (f * one_minus**2 * s ** (2 * m - 1)))
 
 
 def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
@@ -405,14 +405,12 @@ def residual_slope(state: SeriesState, theta: float = math.pi / 3.0) -> float:
     or below it carry no slope information and are excluded from the fit.
     """
     betas = np.logspace(-3, -1, 9)
-    th = np.array([theta])
+    trig = _half_angle(np.array([theta]))
     values = np.empty(len(betas))
     floors = np.empty(len(betas))
     for i, beta in enumerate(betas):
-        w = float(w_on_grid(state, beta, th)[0])
-        wp = float(w_derivative_on_grid(state, beta, th)[0])
-        v = float(potential_on_grid(th, state.params, beta)[0])
-        e = eval_energy(state, beta)
+        *on_grid, e = _riccati_terms(state, beta, trig)
+        w, wp, v = (float(term[0]) for term in on_grid)
         values[i] = abs(w * w - wp - v + e)
         floors[i] = _ROUNDOFF_FLOOR * (w * w + abs(wp) + abs(v) + abs(e))
     keep = values > floors

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 
 from .core import EnergySeries, ModeParams, Rational, WnTable, _numerators
@@ -126,6 +126,22 @@ class SeriesState:
 
     def order_table(self, n: int) -> WnTable:
         return self.orders[n - 1]
+
+    @cached_property
+    def floats(self) -> tuple:
+        """The series rounded to float entry by entry, on first use and
+        once per series: (a, b, energy), a and b read-only zero-padded
+        matrices whose row n-1 holds W_n's table, energy a tuple.  numpy
+        loads here, so the exact layer loads none."""
+        import numpy as np
+
+        n = self.current_order
+        a, b = np.zeros((n, n // 2)), np.zeros((n, (n + 1) // 2))
+        for row, table in enumerate(self.orders):
+            a[row, : len(table.a)] = [float(v) for v in table.a]
+            b[row, : len(table.b)] = [float(v) for v in table.b]
+        a.flags.writeable = b.flags.writeable = False
+        return a, b, tuple(map(float, self.energy.coeffs))
 
 
 def _largest(table: WnTable) -> int:

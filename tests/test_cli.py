@@ -150,6 +150,21 @@ class TestEval:
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
 
+    # sha256 of the eval text: every float of W, W', the phase, the
+    # normalization and E prints at 17 digits, so these pin the float path
+    PINNED = {
+        ("1", "32", "0.1", "4096"): "73c19fd23bcf375c8bbd2e20166991ba77314a348b4243c86912f6b1261628e4",
+        ("20", "16", "0.1", "181"): "d6edbd175040f6b07402011aa0d0251ebec57bd32c2fd65680724270e525dc73",
+        ("2", "40", "-0.7", "777"): "7465bfcc4652c11287f03ceadce676e8874abfa12acc3bdb75fa8b1a8d594d0d",
+    }
+
+    @pytest.mark.parametrize("m,order,beta,points", sorted(PINNED))
+    def test_output_bytes_match_pinned_digest(self, capsys, m, order, beta, points):
+        argv = ["eval", "--m", m, "--order", order, "--beta", beta, "--theta-points", points]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[(m, order, beta, points)]
+
     def test_unwritable_path_exits_2(self, capsys):
         code, _, err = run(
             [

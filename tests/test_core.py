@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from sws1.core import (
 )
 from sws1.recurrence import (
     SeriesInconsistencyError,
+    SeriesState,
     compute_series,
     convolve_sources,
     energy_coeff,
@@ -128,11 +130,27 @@ class TestTables:
         assert (empty.den, empty.a_num, empty.b_num) == (1, (), (0,))
 
     def test_float_view_rounds_each_entry_once(self):
-        t = WnTable(4, (Fraction(0), Fraction(-1, 3)), (Fraction(1, 7), Fraction(10**400, 3**800)))
+        huge = Fraction(10**400, 3**800)
+        last = WnTable(4, (Fraction(0), Fraction(-1, 3)), (Fraction(1, 7), huge))
+        lower = compute_series(ModeParams(m=1, N=3))
+        state = SeriesState(lower.params, (*lower.orders, last), EnergySeries((0, 0, 0, 0, huge)))
+        a, b, energy = state.floats
         # correctly rounded, though 10^400 and 3^800 overflow a float
-        assert t.floats == ((0.0, -1 / 3), (1 / 7, 2.0090753457532982e18))
-        assert t.floats is t.floats
-        assert t == WnTable(4, t.a, t.b)
+        assert a[3].tolist() == [0.0, -1 / 3]
+        assert b[3].tolist() == [1 / 7, 2.0090753457532982e18]
+        assert energy[4] == 2.0090753457532982e18
+        # row n-1 holds W_n, zero-padded past its support: W_1 = -sin/2 at m = 1
+        assert a.shape == b.shape == (4, 2)
+        assert a[0].tolist() == [0.0, 0.0] and b[0].tolist() == [-0.5, 0.0]
+        assert not np.signbit(a[0]).any()
+        assert state.floats is state.floats
+        assert not (a.flags.writeable or b.flags.writeable)
+        assert state == SeriesState(state.params, state.orders, state.energy)
+
+    @pytest.mark.parametrize("N, a_shape, b_shape", [(0, (0, 0), (0, 0)), (1, (1, 0), (1, 1))])
+    def test_float_view_of_empty_tables(self, N, a_shape, b_shape):
+        a, b, energy = compute_series(ModeParams(m=1, N=N)).floats
+        assert (a.shape, b.shape, len(energy)) == (a_shape, b_shape, N + 1)
 
     def test_zero_entries_dropped(self):
         # exact zeros inside the support stay in the table, not in the text
@@ -235,6 +253,8 @@ REMOVED_NAMES = (
     "sturm_count_below",
     "OrderAudit",
     "SEED_GRID",
+    "weighted_orders_on_grid",
+    "_weighted_tables",
 )
 
 

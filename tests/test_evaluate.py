@@ -352,6 +352,28 @@ class TestGroundWavefunction:
         assert np.all(np.diff(psi0) > 0) and np.all(np.diff(psi_pi) > 0)
 
 
+class TestFloatView:
+    def test_warm_evaluation_rounds_no_fraction(self, monkeypatch):
+        # a series' tables become floats once: after a warm-up, the four
+        # calls of `sws1 eval` on 4096 points round no Fraction at all
+        state = compute_series(ModeParams(m=1, N=32))
+        thetas = uniform_interior_grid(4096)
+
+        def evaluate(beta):
+            wavefunction_on_grid(state, beta, thetas)
+            w_on_grid(state, beta, thetas)
+            riccati_residual_on_grid(state, beta, thetas)
+            eval_energy(state, beta)
+
+        evaluate(0.1)
+        rounded = []
+        to_float = Fraction.__float__
+        monkeypatch.setattr(Fraction, "__float__", lambda q: rounded.append(q) or to_float(q))
+        evaluate(0.3)
+        assert rounded == []
+        assert float(Fraction(1, 4)) == 0.25 and rounded == [Fraction(1, 4)]  # the count counts
+
+
 class TestGrids:
     def test_single_point_is_midpoint(self):
         grid = uniform_interior_grid(1)

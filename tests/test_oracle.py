@@ -385,6 +385,18 @@ class TestQuadrature:
             closed = an_closed_form(bad, n, theta)
             assert abs(quadrature_an(bad, n, theta) - closed) > 1e-8 * abs(closed), theta
 
+    def test_floats_match_pinned_digest(self):
+        # sha256 of the repr of A_n at m in {3, 8}, n in {3, 8}, theta in {0.3, 2.9}
+        values = [
+            quadrature_an(compute_series(ModeParams(m=m, N=8)), n, theta)
+            for m in (3, 8)
+            for n in (3, 8)
+            for theta in (0.3, 2.9)
+        ]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "3150deb8ac6955104743d8c1a61ae72e31c21c38e106a06c75c8d93757b9b083"
+        )
+
     def test_agreement_at_random_samples(self, states_n8):
         rng = random.Random(20260810)
         for _ in range(20):
@@ -484,3 +496,14 @@ class TestResidualSlope:
         # the scaled floor keeps the roundoff of the large terms out of the fit
         slope = residual_slope(compute_series(ModeParams(m=m, N=3)))
         assert slope == pytest.approx(4.0, abs=0.05)
+
+    def test_floats_match_pinned_digest(self):
+        # sha256 of the repr of the slopes at every (m, N) measured here
+        # whose fit has 3 betas above the roundoff floor
+        slopes = [
+            residual_slope(compute_series(ModeParams(m=m, N=n)))
+            for m, n in ((1, 1), (1, 3), (1, 4), (40, 3))
+        ]
+        assert hashlib.sha256(repr(slopes).encode()).hexdigest() == (
+            "bcb635b65caeb6b68945b9ab9751fe66814c5666215e53a7b1f1b70a1393e3f7"
+        )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sws1 import recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
-from sws1.evaluate import _odd_sine_antiderivative, weighted_orders_on_grid
+from sws1.evaluate import _odd_sine_antiderivative, _orders_at
 from sws1.recurrence import (
     SeriesInconsistencyError,
     SeriesState,
@@ -227,11 +227,11 @@ class TestConvolution:
         # convolution output.
         h, g, den = convolve_sources(state_m1_n8, 4)
         thetas = np.linspace(0.2, math.pi - 0.2, 16)
-        unit = np.eye(state_m1_n8.current_order)
-        orders = [weighted_orders_on_grid(state_m1_n8, unit[k - 1], thetas) for k in range(1, 4)]
-        samples = sum(orders[k - 1] * orders[3 - k] for k in range(1, 4))
         s = np.sin(thetas)
         c = np.cos(thetas)
+        a, b, _ = state_m1_n8.floats
+        orders = [_orders_at(a[k - 1], b[k - 1], s, c) for k in range(1, 4)]
+        samples = sum(orders[k - 1] * orders[3 - k] for k in range(1, 4))
         design = np.column_stack([s**2, s**4, c * s**2, c * s**4])
         coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
         fitted = dict(zip(["h2", "h3", "g2", "g3"], coef))
