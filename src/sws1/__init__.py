@@ -8,13 +8,12 @@ text tables.  It imports no numpy.  The float evaluation lives in
 the README for the CLI and the acceptance battery.
 """
 
-from .core import EnergySeries, ModeParams, WnTable, tables_from_text, tables_to_text
+from .core import ModeParams, WnTable, tables_from_text, tables_to_text
 from .recurrence import SeriesInconsistencyError, SeriesState, compute_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnergySeries",
     "ModeParams",
     "SeriesInconsistencyError",
     "SeriesState",

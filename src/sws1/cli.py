@@ -18,7 +18,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_TOLERANCES, ModeParams, tables_to_text
+from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams, tables_to_text
 from .recurrence import compute_series
 
 if TYPE_CHECKING:
@@ -119,9 +119,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _beta_caution(betas) -> None:
-    if any(abs(b) > 1.0 for b in betas):
+    if any(abs(b) > JUDGED_BETA_LIMIT for b in betas):
         print(
-            "caution: |beta| > 1 lies outside the small-parameter regime; "
+            f"caution: |beta| > {JUDGED_BETA_LIMIT:g} lies outside the small-parameter regime; "
             "series truncation dominates all tolerances",
             file=sys.stderr,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -70,6 +70,11 @@ DEFAULT_TOLERANCES = {
     "residual_slope_above": 0.7,  # and overshoot by this much
 }
 
+# Above this |beta| series truncation dominates every tolerance: the
+# oracle reports its gaps there without a pass/fail verdict, and the CLI
+# warns that it does.
+JUDGED_BETA_LIMIT = 1.0
+
 
 def _numerators(values: tuple, den: int) -> tuple:
     """den * v for every entry, as integers (den is a common denominator)."""
@@ -85,48 +90,37 @@ class WnTable:
 
     with a dense over k = 1..n//2 and b over k = 1..(n+1)//2.
 
-    The same order is also held fraction-free, derived once here: `den` is
-    the least common denominator of all entries, and `a_num`/`b_num` hold
-    den * a[k-1] and den * b[k-1] at the same indices.
+    The order is stored once, fraction-free: a_num[k-1] / den and
+    b_num[k-1] / den are the entries.  Construction puts the table in
+    lowest terms, den > 0 and gcd(den, *a_num, *b_num) = 1, so den is the
+    least common denominator of the entries and two tables of the same
+    order are equal exactly when their entries are.  `a` and `b` are
+    Fraction views of the entries, computed on access.
     """
 
     n: int
-    a: tuple
-    b: tuple
-    den: int = field(init=False, repr=False, compare=False)
-    a_num: tuple = field(init=False, repr=False, compare=False)
-    b_num: tuple = field(init=False, repr=False, compare=False)
+    a_num: tuple
+    b_num: tuple
+    den: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order must be >= 1, got {self.n}")
-        den = math.lcm(*(v.denominator for v in (*self.a, *self.b)))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "a_num", _numerators(self.a, den))
-        object.__setattr__(self, "b_num", _numerators(self.b, den))
-
-
-@dataclass(frozen=True)
-class EnergySeries:
-    """Ground-eigenvalue series coefficients; index = power of the
-    spheroidicity parameter."""
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("energy series needs at least the constant coefficient")
+        if self.den == 0:
+            raise ZeroDivisionError(f"order {self.n} has denominator zero")
+        g = math.gcd(self.den, *self.a_num, *self.b_num)
+        g = -g if self.den < 0 else g
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "a_num", tuple(v // g for v in self.a_num))
+        object.__setattr__(self, "b_num", tuple(v // g for v in self.b_num))
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def a(self) -> tuple:
+        return tuple(Fraction(v, self.den) for v in self.a_num)
 
-    def __getitem__(self, n: int) -> Rational:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
+    @property
+    def b(self) -> tuple:
+        return tuple(Fraction(v, self.den) for v in self.b_num)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +132,13 @@ class EnergySeries:
 # ---------------------------------------------------------------------------
 
 
-def tables_to_text(m: int, energy: EnergySeries, orders) -> str:
+def tables_to_text(m: int, energy: tuple, orders) -> str:
+    """The document of a series: energy[n] the n-th energy coefficient,
+    orders the tables W_1 .. W_N."""
     doc = {
         "m": m,
-        "N": energy.order,
-        "energy": [format_rational(c) for c in energy.coeffs],
+        "N": len(energy) - 1,
+        "energy": [format_rational(c) for c in energy],
         "orders": [
             {
                 "n": t.n,
@@ -167,19 +163,24 @@ def _dense_entries(entries: dict, top: int, what: str) -> tuple:
     return tuple(values)
 
 
+def _order_from_entry(entry: dict) -> WnTable:
+    """One order of a document, lifted over the lcm of its denominators."""
+    n = entry["n"]
+    a = _dense_entries(entry["a"], n // 2, "a")
+    b = _dense_entries(entry["b"], (n + 1) // 2, "b")
+    den = math.lcm(*(v.denominator for v in a + b))
+    return WnTable(n, _numerators(a, den), _numerators(b, den), den)
+
+
 def tables_from_text(text: str):
-    """Parse the coefficient-table format; returns (params, energy, orders)."""
+    """Parse the coefficient-table format; returns (params, energy, orders),
+    energy a tuple of Fractions.  A document whose energy list does not
+    run over orders 0..N, or whose tables are not W_1 .. W_N in order, is
+    refused."""
     doc = json.loads(text)
     params = ModeParams(m=doc["m"], N=doc["N"])
-    energy = EnergySeries(tuple(parse_rational(c) for c in doc["energy"]))
-    orders = [
-        WnTable(
-            n=entry["n"],
-            a=_dense_entries(entry["a"], entry["n"] // 2, "a"),
-            b=_dense_entries(entry["b"], (entry["n"] + 1) // 2, "b"),
-        )
-        for entry in doc["orders"]
-    ]
-    if energy.order != params.N or len(orders) != params.N:
+    energy = tuple(parse_rational(c) for c in doc["energy"])
+    orders = [_order_from_entry(entry) for entry in doc["orders"]]
+    if len(energy) != params.N + 1 or [t.n for t in orders] != list(range(1, params.N + 1)):
         raise ValueError("table document is inconsistent: N does not match contents")
     return params, energy, orders

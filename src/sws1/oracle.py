@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, ModeParams
+from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams
 from .evaluate import (
     _half_angle,
     _orders_at,
@@ -433,8 +433,9 @@ def verify_all(
 
     Sub-oracle failures are captured per report instead of aborting the
     batch; a beta the oracle cannot take (a non-finite potential) raises
-    ValueError.  Above |beta| = 1 the gaps are reported without a pass/fail
-    judgment, since series truncation dominates every tolerance there.
+    ValueError.  Above |beta| = JUDGED_BETA_LIMIT the gaps are reported
+    without a pass/fail judgment, since series truncation dominates every
+    tolerance there.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -492,7 +493,7 @@ def verify_all(
                 richardson_estimate=estimate,
                 wavefunction_gap=wavefunction_gap,
                 checks=checks,
-                passed=None if abs(beta) > 1.0 else all(checks.values()),
+                passed=None if abs(beta) > JUDGED_BETA_LIMIT else all(checks.values()),
             )
         except ValueError:
             raise  # an input out of range is refused, not judged

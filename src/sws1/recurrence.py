@@ -10,11 +10,12 @@ order 3 on the pipeline is
 and at order 3 the closed form is computed as well and compared exactly,
 as a seam test between the two paths.  Each general order stays in
 Python integers from end to end: the sources, the R/T tables and the X/Y
-tables are integer numerators over one denominator per table, and only
-E_n and the entries of W_n are reduced to rationals, once each.  The
-sources are formed on packed integers, each polynomial held as its value
-at a power of two wide enough for every entry of the result, so that each
-polynomial product is one exact big-integer multiplication.  Every
+tables are integer numerators over one denominator per table, W_n is
+stored as its X/Y numerators over Z with their one common gcd cancelled
+(WnTable), and only E_n becomes a Fraction.  The sources are formed on
+packed integers, each polynomial held as its value at a power of two
+wide enough for every entry of the result, so that each polynomial
+product is one exact big-integer multiplication.  Every
 cancellation that keeps the eigenfunction finite at the boundaries is
 asserted at runtime as an exact integer zero test; a failure raises
 SeriesInconsistencyError naming the offending order.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .core import EnergySeries, ModeParams, Rational, WnTable, _numerators
+from .core import ModeParams, Rational, WnTable, _numerators
 
 _ZERO = Fraction(0)
 
@@ -77,26 +78,21 @@ def base_order0(params: ModeParams) -> Rational:
 def base_order1(params: ModeParams) -> tuple[WnTable, Rational]:
     """First order: W_1 = -sin(theta)/(m+1), energy -2/(m+1)."""
     m = params.m
-    return WnTable(1, (), (Fraction(-1, m + 1),)), Fraction(-2, m + 1)
+    return WnTable(1, (), (-1,), m + 1), Fraction(-2, m + 1)
 
 
 def base_order2(params: ModeParams) -> tuple[WnTable, Rational]:
     m = params.m
-    a = (Fraction(m * (m + 2), (2 * m + 3) * (m + 1) ** 2),)
-    b = (Fraction(-m * (m + 2), (2 * m + 3) * (m + 1) ** 3),)
-    e2 = Fraction(-(m**3 + 7 * m**2 + 11 * m + 3), (m + 1) ** 3 * (2 * m + 3))
-    return WnTable(2, a, b), e2
+    den = (m + 1) ** 3 * (2 * m + 3)
+    table = WnTable(2, (m * (m + 2) * (m + 1),), (-m * (m + 2),), den)
+    return table, Fraction(-(m**3 + 7 * m**2 + 11 * m + 3), den)
 
 
 def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
     m = params.m
-    a = (Fraction(-2 * m, (m + 1) ** 4 * (2 * m + 3)),)
-    b = (
-        Fraction(2 * m, (m + 1) ** 5 * (2 * m + 3)),
-        Fraction(-m, (m + 1) ** 3 * (2 * m + 3)),
-    )
-    e3 = Fraction(-4 * m * m * (m + 2), (m + 1) ** 5 * (2 * m + 3))
-    return WnTable(3, a, b), e3
+    den = (m + 1) ** 5 * (2 * m + 3)
+    table = WnTable(3, (-2 * m * (m + 1),), (2 * m, -m * (m + 1) ** 2), den)
+    return table, Fraction(-4 * m * m * (m + 2), den)
 
 
 # ---------------------------------------------------------------------------
@@ -107,41 +103,33 @@ def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
 @dataclass(frozen=True)
 class SeriesState:
     """Truncated series: orders[k-1] holds W_k, energy[n] the n-th energy
-    coefficient.  Immutable; advance() returns a new state."""
+    coefficient, a Fraction.  Immutable; advance() returns a new state."""
 
     params: ModeParams
     orders: tuple[WnTable, ...]
-    energy: EnergySeries
-
-    def __post_init__(self) -> None:
-        if len(self.energy) != len(self.orders) + 1:
-            raise ValueError("energy series and order tables are out of step")
-        for idx, table in enumerate(self.orders, start=1):
-            if table.n != idx:
-                raise ValueError(f"order table at position {idx} claims n={table.n}")
+    energy: tuple[Rational, ...]
 
     @property
     def current_order(self) -> int:
         return len(self.orders)
 
-    def order_table(self, n: int) -> WnTable:
-        return self.orders[n - 1]
-
     @cached_property
     def floats(self) -> tuple:
         """The series rounded to float entry by entry, on first use and
         once per series: (a, b, energy), a and b read-only zero-padded
-        matrices whose row n-1 holds W_n's table, energy a tuple.  numpy
-        loads here, so the exact layer loads none."""
+        matrices whose row n-1 holds W_n's table, energy a tuple.  Each
+        entry is v / den, an int division, which Python rounds correctly:
+        the float of the Fraction.  numpy loads here, so the exact layer
+        loads none."""
         import numpy as np
 
         n = self.current_order
         a, b = np.zeros((n, n // 2)), np.zeros((n, (n + 1) // 2))
-        for row, table in enumerate(self.orders):
-            a[row, : len(table.a)] = [float(v) for v in table.a]
-            b[row, : len(table.b)] = [float(v) for v in table.b]
+        for row, t in enumerate(self.orders):
+            a[row, : len(t.a_num)] = [v / t.den for v in t.a_num]
+            b[row, : len(t.b_num)] = [v / t.den for v in t.b_num]
         a.flags.writeable = b.flags.writeable = False
-        return a, b, tuple(map(float, self.energy.coeffs))
+        return a, b, tuple(map(float, self.energy))
 
 
 def _largest(table: WnTable) -> int:
@@ -332,7 +320,8 @@ def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
         of n, which is what keeps the general table shape closed.
 
     R and T are read as zero at index -1 and past their supports.  The
-    checks are integer zero tests; each entry of W_n is then reduced once.
+    checks are integer zero tests, and W_n is the X/Y numerators over Z,
+    which WnTable cancels by their one common gcd.
     """
     top = n // 2 + 1
     rs = (0, *R, 0, 0)  # R[j] at index j + 1
@@ -363,9 +352,9 @@ def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
                 f"index {top} is {Fraction(Y[top], Z)}"
             )
 
-    a = tuple(Fraction(Y[j], Z) for j in range(1, n // 2 + 1))
-    b = tuple(Fraction(X[j], Z) for j in range(1, (n + 1) // 2 + 1))
-    return WnTable(n, a, b)
+    a = tuple(Y[j] for j in range(1, n // 2 + 1))
+    b = tuple(X[j] for j in range(1, (n + 1) // 2 + 1))
+    return WnTable(n, a, b, Z)
 
 
 def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational]:
@@ -394,20 +383,12 @@ def advance(state: SeriesState) -> SeriesState:
                 "order 3: recurrence path disagrees with the closed form "
                 f"(got a={table.a}, b={table.b}, e={e_n})"
             )
-    return SeriesState(
-        params=state.params,
-        orders=state.orders + (table,),
-        energy=EnergySeries(state.energy.coeffs + (e_n,)),
-    )
+    return SeriesState(state.params, state.orders + (table,), state.energy + (e_n,))
 
 
 def compute_series(params: ModeParams) -> SeriesState:
     """Run the recurrences from order 0 through params.N."""
-    state = SeriesState(
-        params=params,
-        orders=(),
-        energy=EnergySeries((base_order0(params),)),
-    )
+    state = SeriesState(params, (), (base_order0(params),))
     for _ in range(params.N):
         state = advance(state)
     return state

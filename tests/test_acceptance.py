@@ -72,7 +72,7 @@ def test_criterion_1_exact_closed_form_reproduction():
             ok &= state.energy[n] == closed_form_energy(m, n)
         for builder, n in ((base_order1, 1), (base_order2, 2), (base_order3, 3)):
             ref, _ = builder(state.params)
-            table = state.order_table(n)
+            table = state.orders[n - 1]
             ok &= table.a == ref.a and table.b == ref.b
     elapsed = time.monotonic() - t0
     ok &= elapsed < 1.0
@@ -105,7 +105,7 @@ def test_criterion_2_induction_as_assertion(states_n10):
                 ok &= x_top == 0 and y_top == 0
             else:
                 ok &= y_top == 0
-            table = state.order_table(n)
+            table = state.orders[n - 1]
             ok &= len(table.a) == n // 2 and len(table.b) == (n + 1) // 2
     elapsed = time.monotonic() - t0
     ok &= elapsed < 5.0

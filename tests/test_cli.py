@@ -12,7 +12,7 @@ import pytest
 
 from sws1 import cli
 from sws1.cli import main
-from sws1.core import EnergySeries, tables_from_text
+from sws1.core import tables_from_text
 from sws1.oracle import OracleReport
 from sws1.recurrence import compute_series
 
@@ -193,8 +193,8 @@ class TestVerify:
         # damage E_0 by 1/1000 in the series the command builds
         def corrupted_series(params):
             state = compute_series(params)
-            energy = (state.energy[0] + Fraction(1, 1000),) + state.energy.coeffs[1:]
-            return replace(state, energy=EnergySeries(energy))
+            energy = (state.energy[0] + Fraction(1, 1000),) + state.energy[1:]
+            return replace(state, energy=energy)
 
         monkeypatch.setattr(cli, "compute_series", corrupted_series)
         code, out, err = run(["verify", "--m", "1", "--order", "3", "--beta", "0"], capsys)

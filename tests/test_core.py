@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 import sws1
 from sws1 import cli, evaluate, oracle
 from sws1.core import (
-    EnergySeries,
     ModeParams,
     WnTable,
     format_rational,
@@ -122,18 +123,30 @@ class TestTables:
         assert orders[-1].b == (Fraction(1, 3), 0)
 
     def test_integer_form_over_common_denominator(self):
-        t = WnTable(4, (Fraction(0), Fraction(-1, 4)), (Fraction(1, 6), Fraction(3, 10)))
-        assert t.den == 60
-        assert t.a_num == (0, -15)
-        assert t.b_num == (10, 18)
-        empty = WnTable(1, (), (Fraction(0),))
+        t = WnTable(4, (0, -15), (10, 18), 60)
+        assert t.a == (0, Fraction(-1, 4))
+        assert t.b == (Fraction(1, 6), Fraction(3, 10))
+        # construction cancels the common gcd and keeps the denominator positive
+        assert WnTable(4, (0, -90), (60, 108), 360) == t == WnTable(4, (0, 15), (-10, -18), -60)
+        assert (t.n, t.a_num, t.b_num, t.den) == (4, (0, -15), (10, 18), 60)
+        empty = WnTable(1, (), (0,), 7)
         assert (empty.den, empty.a_num, empty.b_num) == (1, (), (0,))
+        # only the integer form is stored; a and b are views
+        assert [f.name for f in dataclasses.fields(WnTable)] == ["n", "a_num", "b_num", "den"]
+        assert vars(t).keys() == {"n", "a_num", "b_num", "den"}
+
+    def test_bad_table_rejected(self):
+        with pytest.raises(ZeroDivisionError, match="denominator zero"):
+            WnTable(1, (), (1,), 0)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            WnTable(0, (), (), 1)
 
     def test_float_view_rounds_each_entry_once(self):
         huge = Fraction(10**400, 3**800)
-        last = WnTable(4, (Fraction(0), Fraction(-1, 3)), (Fraction(1, 7), huge))
+        # entries 0, -1/3 and 1/7, huge over their lcm 7 * 3^800
+        last = WnTable(4, (0, -7 * 3**799), (3**800, 7 * 10**400), 7 * 3**800)
         lower = compute_series(ModeParams(m=1, N=3))
-        state = SeriesState(lower.params, (*lower.orders, last), EnergySeries((0, 0, 0, 0, huge)))
+        state = SeriesState(lower.params, (*lower.orders, last), (*lower.energy, huge))
         a, b, energy = state.floats
         # correctly rounded, though 10^400 and 3^800 overflow a float
         assert a[3].tolist() == [0.0, -1 / 3]
@@ -154,8 +167,8 @@ class TestTables:
 
     def test_zero_entries_dropped(self):
         # exact zeros inside the support stay in the table, not in the text
-        t = WnTable(3, (Fraction(0),), (Fraction(1, 3), Fraction(0)))
-        (entry,) = json.loads(tables_to_text(1, EnergySeries((0, 0, 0, 0)), [t]))["orders"]
+        t = WnTable(3, (0,), (1, 0), 3)
+        (entry,) = json.loads(tables_to_text(1, (Fraction(0),) * 4, [t]))["orders"]
         assert entry == {"n": 3, "a": {}, "b": {"1": "1/3"}}
 
     def test_support_enforced(self):
@@ -193,9 +206,17 @@ class TestTables:
         with pytest.raises(ValueError, match="num/den"):
             tables_from_text(document(3, {"1": "2"}, {}))
 
-    def test_energy_series_needs_constant_term(self):
-        with pytest.raises(ValueError):
-            EnergySeries(())
+    def test_document_without_energy_refused(self):
+        # the energy list runs from order 0, so it is never empty
+        text = json.dumps({"m": 1, "N": 0, "energy": [], "orders": []})
+        with pytest.raises(ValueError, match="inconsistent"):
+            tables_from_text(text)
+
+    def test_misnumbered_order_refused(self):
+        doc = json.loads(document(3, {}, {"1": "1/3"}))
+        doc["orders"][0]["n"] = 5  # W_5's support holds W_1's one b entry
+        with pytest.raises(ValueError, match="inconsistent"):
+            tables_from_text(json.dumps(doc))
 
 
 class TestTableDocument:
@@ -204,13 +225,11 @@ class TestTableDocument:
         text = tables_to_text(2, state.energy, state.orders)
         params, energy, orders = tables_from_text(text)
         assert params.m == 2 and params.N == 5
-        assert energy.coeffs == state.energy.coeffs
-        assert [(t.n, t.a, t.b) for t in orders] == [
-            (t.n, t.a, t.b) for t in state.orders
-        ]
+        assert energy == state.energy
+        assert tuple(orders) == state.orders
 
     def test_round_trip_is_exact_not_float(self):
-        text = tables_to_text(1, EnergySeries((Fraction(1, 3),)), [])
+        text = tables_to_text(1, (Fraction(1, 3),), [])
         assert "0.333" not in text
         _, energy, _ = tables_from_text(text)
         assert energy[0] == Fraction(1, 3)
@@ -220,6 +239,20 @@ class TestTableDocument:
         text = tables_to_text(1, state.energy, state.orders[:1])
         with pytest.raises(ValueError, match="inconsistent"):
             tables_from_text(text)
+
+
+class TestOneStoredForm:
+    @pytest.mark.parametrize("m, N", [(1, 24), (20, 16), (80, 16)])
+    def test_every_order_in_lowest_terms(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        for t in state.orders:
+            assert t.den > 0 and math.gcd(t.den, *t.a_num, *t.b_num) == 1
+            assert t.den == math.lcm(*(v.denominator for v in t.a + t.b))
+            six = [tuple(6 * v for v in part) for part in (t.a_num, t.b_num)]
+            assert WnTable(t.n, *six, 6 * t.den) == t
+        _, energy, orders = tables_from_text(tables_to_text(m, state.energy, state.orders))
+        assert energy == state.energy
+        assert tuple(orders) == state.orders
 
 
 REMOVED_NAMES = (
@@ -255,6 +288,8 @@ REMOVED_NAMES = (
     "SEED_GRID",
     "weighted_orders_on_grid",
     "_weighted_tables",
+    "EnergySeries",
+    "order_table",
 )
 
 
@@ -266,6 +301,7 @@ class TestPackageExports:
 
     def test_removed_names_are_gone(self):
         modules = (sws1, sws1.core, sws1.recurrence, evaluate, oracle, cli)
+        modules += (sws1.SeriesState, sws1.WnTable)
         for name in REMOVED_NAMES:
             assert name not in sws1.__all__
             assert not any(hasattr(module, name) for module in modules), name
@@ -308,6 +344,12 @@ class TestPackageExports:
         library = readme.split("\n## Library\n", 1)[1]
         snippet = library.split("```python\n", 1)[1].split("\n```", 1)[0]
         exec(compile(snippet, "README.md", "exec"), {})
+
+    def test_readme_export_list_matches_package(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        prose = readme.split("The package root exports the exact core only (", 1)[1]
+        listed = prose.split(")", 1)[0].replace("\n", " ").split(", ")
+        assert sorted(name.strip("`") for name in listed) == sorted(sws1.__all__)
 
     def test_no_corrupt_energy_option(self, capsys):
         argv = ["verify", "--m", "1", "--order", "1", "--beta", "0", "--corrupt-energy", "0"]

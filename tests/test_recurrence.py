@@ -16,7 +16,6 @@ from sws1.core import ModeParams, WnTable, tables_to_text
 from sws1.evaluate import _odd_sine_antiderivative, _orders_at
 from sws1.recurrence import (
     SeriesInconsistencyError,
-    SeriesState,
     base_order0,
     base_order1,
     base_order2,
@@ -194,9 +193,7 @@ class TestGoldenClosedForms:
         t1, _ = base_order1(state.params)
         t2, _ = base_order2(state.params)
         t3, _ = base_order3(state.params)
-        assert state.order_table(1).a == t1.a and state.order_table(1).b == t1.b
-        assert state.order_table(2).a == t2.a and state.order_table(2).b == t2.b
-        assert state.order_table(3).a == t3.a and state.order_table(3).b == t3.b
+        assert state.orders == (t1, t2, t3)
 
 
 class TestConvolution:
@@ -254,8 +251,8 @@ class TestConvolution:
             hp = Fraction(0)
             gp = Fraction(0)
             for k in reversed(range(1, n)):
-                wk = state.order_table(n - k)  # swapped roles
-                wnk = state.order_table(k)
+                wk = state.orders[n - k - 1]  # swapped roles
+                wnk = state.orders[k - 1]
                 for j in range(1, p):
                     hp += (
                         at(wk.a, p - j - 1) * at(wnk.a, j - 1)
@@ -353,7 +350,7 @@ class TestRtXyTables:
                 h, g, den = convolve_sources(state, n)
                 R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
                 padded = ((*R, 0, 0), (*T, 0, 0))
-                assert xy_tables(n, *padded, Z) == xy_tables(n, R, T, Z) == state.order_table(n)
+                assert xy_tables(n, *padded, Z) == xy_tables(n, R, T, Z) == state.orders[n - 1]
 
     def test_tables_are_dense_over_their_supports(self, states_n10):
         for state in states_n10.values():
@@ -362,7 +359,7 @@ class TestRtXyTables:
                 assert (len(h), len(g)) == (n // 2, (n + 1) // 2 - 1)  # p = 2..
                 R, T, _ = rt_tables(h, g, den, state.energy[n], state.params)
                 assert (len(R), len(T)) == ((n + 1) // 2 + 1, n // 2 + 1)  # p, j = 0..
-                table = state.order_table(n)
+                table = state.orders[n - 1]
                 assert (len(table.a), len(table.b)) == (n // 2, (n + 1) // 2)  # k = 1..
 
     def test_pipeline_reproduces_order3_closed_form(self, states_n8):
@@ -404,15 +401,37 @@ class TestRtXyTables:
         # an R or T entry one past its support reaches the top X/Y entries
         h, g, den = convolve_sources(state_m1_n8, n)
         R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[n], state_m1_n8.params)
-        assert xy_tables(n, R, T, Z) == state_m1_n8.order_table(n)
+        assert xy_tables(n, R, T, Z) == state_m1_n8.orders[n - 1]
         for broken in ((R + (Z,), T), (R, T + (Z,))):  # an entry of 1
             with pytest.raises(SeriesInconsistencyError, match=f"order {n}: parity truncation"):
                 xy_tables(n, *broken, Z)
 
+    def test_xy_tables_makes_no_fraction(self, state_m1_n8, monkeypatch):
+        # W_n leaves the build as the X/Y numerators over Z; no entry is
+        # reduced to a Fraction on the way
+        state = state_m1_n8
+        rtz = {}
+        for n in range(3, 9):
+            h, g, den = convolve_sources(state, n)
+            rtz[n] = rt_tables(h, g, den, state.energy[n], state.params)
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        tables = [xy_tables(n, *rtz[n]) for n in range(3, 9)]
+        monkeypatch.undo()
+        assert made == []
+        assert tuple(tables) == state.orders[2:]
+
     def test_order3_seam_disagreement_raises(self, monkeypatch):
         def shifted_closed_form(params):
             table, e3 = base_order3(params)
-            return WnTable(3, table.a, (table.b[0] + 1, table.b[1])), e3
+            b_num = (table.b_num[0] + table.den, table.b_num[1])  # b[0] + 1
+            return WnTable(3, table.a_num, b_num, table.den), e3
 
         monkeypatch.setattr(recurrence, "base_order3", shifted_closed_form)
         with pytest.raises(SeriesInconsistencyError, match="order 3: recurrence path disagrees"):
@@ -431,11 +450,11 @@ class TestSeriesState:
 
     def test_compute_series_m2_n1(self):
         state = compute_series(ModeParams(m=2, N=1))
-        assert state.energy.coeffs == (Fraction(4), Fraction(-2, 3))
+        assert state.energy == (Fraction(4), Fraction(-2, 3))
 
     def test_zeroth_order_only(self):
         state = compute_series(ModeParams(m=1, N=0))
-        assert state.energy.coeffs == (Fraction(0),)
+        assert state.energy == (Fraction(0),)
         assert state.orders == ()
 
     def test_advance_to_order10_all_audits_pass(self, states_n10):
@@ -451,15 +470,6 @@ class TestSeriesState:
         for table in states_n10[m].orders:
             n = table.n
             assert len(table.a) == n // 2 and len(table.b) == (n + 1) // 2
-
-    def test_inconsistent_state_rejected(self):
-        state = compute_series(ModeParams(m=1, N=2))
-        with pytest.raises(ValueError):
-            SeriesState(
-                params=state.params,
-                orders=state.orders,
-                energy=state.energy.__class__(state.energy.coeffs + (Fraction(1),)),
-            )
 
 
 def _riccati_orders(state, sin, cos, energy):
@@ -503,10 +513,10 @@ class TestExactRiccatiIdentity:
         state = compute_series(ModeParams(m=m, N=N))
         for sin, cos in PYTHAGOREAN_ANGLES:
             assert sin**2 + cos**2 == 1
-            assert _riccati_orders(state, sin, cos, state.energy.coeffs) == [0] * (N + 1)
+            assert _riccati_orders(state, sin, cos, state.energy) == [0] * (N + 1)
 
     def test_perturbed_energy_shows_at_its_order_only(self, state_m2_n8):
-        energy = list(state_m2_n8.energy.coeffs)
+        energy = list(state_m2_n8.energy)
         energy[5] += Fraction(1, 7)
         for sin, cos in PYTHAGOREAN_ANGLES:
             orders = _riccati_orders(state_m2_n8, sin, cos, energy)
@@ -564,7 +574,7 @@ class TestRayleighSchroedingerEnergy:
     @pytest.mark.parametrize("m,N", [(1, 24), (2, 12), (7, 12), (40, 16)])
     def test_every_energy_coefficient_agrees_exactly(self, m, N):
         state = compute_series(ModeParams(m=m, N=N))
-        assert rayleigh_schroedinger_energy(m, N) == list(state.energy.coeffs)
+        assert rayleigh_schroedinger_energy(m, N) == list(state.energy)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 40])
     def test_flipped_diagonal_breaks_first_order(self, m):
