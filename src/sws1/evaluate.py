@@ -8,7 +8,9 @@ weights the rows of those tables by beta^n once,
     alpha_k = sum_n beta^n a_{n,k},    gamma_k = sum_n beta^n b_{n,k},
 
 by a sequential cumulative sum over the orders from a zero row, which keeps
-the floats of adding one order at a time; a single order is one row.  With
+the floats of adding one order at a time; a single order is one row.  beta
+may be an array, whose axes then trail k: each element goes through the
+float operations of its own scalar call.  With
 s = sin(theta), c = cos(theta) and x = s^2 (formed once per call and shared
 by W, W' and V) the weighted orders are
 
@@ -96,14 +98,17 @@ def _horner(coeffs: np.ndarray, x):
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     """Sum of the rows one at a time from a +0.0 row: each entry is the
     float a loop adding row after row gives."""
-    return np.cumsum(np.vstack((np.zeros(rows.shape[1]), rows)), axis=0)[-1]
+    return np.cumsum(np.concatenate((np.zeros((1, *rows.shape[1:])), rows)), axis=0)[-1]
 
 
-def _beta_tables(state: SeriesState, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _beta_tables(state: SeriesState, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha_k = sum_n beta^n a_{n,k} over k = 1..N//2 and gamma_k, the same
-    sum of the b tables, over k = 1..(N+1)//2: the truncated series at beta."""
+    sum of the b tables, over k = 1..(N+1)//2: the truncated series at beta.
+    An array of betas adds its axes after k."""
     a, b, _ = state.floats
-    w = np.cumprod(np.full(state.current_order, float(beta)))[:, None]
+    beta = np.asarray(beta, dtype=float)
+    w = np.cumprod(np.broadcast_to(beta, (state.current_order, 1, *beta.shape)), axis=0)
+    a, b = (t.reshape(*t.shape, *(1,) * beta.ndim) for t in (a, b))
     return _ordered_sum(w * a), _ordered_sum(w * b)
 
 
@@ -138,11 +143,12 @@ def _w_derivative(m: int, tables, trig):
     d/dtheta[sin^(2k-1)] = (2k-1) cos x^(k-1)."""
     s, c, one_minus, one_plus = trig
     alpha, gamma = tables
-    ka = np.arange(1, len(alpha) + 1)
-    da = np.zeros(len(alpha) + 1)
+    k = np.arange(1, len(gamma) + 1).reshape(-1, *(1,) * (gamma.ndim - 1))  # over any beta axes
+    ka = k[: len(alpha)]
+    da = np.zeros((len(alpha) + 1, *alpha.shape[1:]))
     da[:-1] += (2 * ka - 1) * alpha
     da[1:] -= 2 * ka * alpha
-    db = (2 * np.arange(1, len(gamma) + 1) - 1) * gamma
+    db = (2 * k - 1) * gamma
     x = s * s
     w0_prime = (m + 0.5 + c) / (one_minus * one_plus)
     return w0_prime + _horner(da, x) + c * _horner(db, x)
@@ -154,7 +160,7 @@ def _potential(m: int, beta: float, trig):
     return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
 
 
-def _riccati_terms(state: SeriesState, beta: float, trig) -> tuple:
+def _riccati_terms(state: SeriesState, beta: float | np.ndarray, trig) -> tuple:
     """W, W', V and E at beta on the `_half_angle` values `trig`."""
     m, tables, e = state.params.m, _beta_tables(state, beta), eval_energy(state, beta)
     return _w(m, tables, trig), _w_derivative(m, tables, trig), _potential(m, beta, trig), e

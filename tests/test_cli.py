@@ -253,22 +253,45 @@ class TestVerify:
         )
 
     # sha256 of the verify text and its exit status; every eigenvalue and
-    # eigenvector gap prints at 17 digits, so these pin the oracle's floats
+    # eigenvector gap prints at 17 digits, so these pin the oracle's floats.
+    # The third entry is the digest of the same text without its
+    # `wavefunction_gap =` lines: a change that moves only the eigenvector
+    # moves the second entry and keeps the third.
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "554b37e5ba3006d4ac2158a515308ad74c0bc0f33af48910c83073e16c22eb0c",
+            "afe43a7785c1cef9f03a2fe4c91b2c1620c51b822eceba6cd38026007adf6adf",
+            "69e3941fe66380a462c06e3e53e812b38cf30aa750ff3fd612c0e7cdd3c7364b",
         ),
         ("40", "0,0.05,0.45"): (
             3,
-            "70c531a4641a675f3a5457c034e7af7cbbba0b07c705d2513c4c0500f615e869",
+            "e7f3e14ad3dc42ac261f9b16bc08be80cd4bc638001ceaced69d1db3882e1ef7",
+            "7c0415aec655ab9f107e62a3ec610a8f3706232451f67f15f17f1a1b227d4e62",
         ),
     }
 
     @pytest.mark.parametrize("m,betas", sorted(PINNED))
     def test_report_bytes_match_pinned_digest(self, capsys, m, betas):
         code, out, _ = run(["verify", "--m", m, "--order", "8", "--beta", betas], capsys)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED[(m, betas)]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED[(m, betas)][:2]
+
+    @pytest.mark.parametrize("m,betas", sorted(PINNED))
+    def test_report_without_eigenvector_gap_matches_pinned_digest(self, capsys, m, betas):
+        code, out, _ = run(["verify", "--m", m, "--order", "8", "--beta", betas], capsys)
+        lines = out.splitlines(keepends=True)
+        kept = "".join(line for line in lines if not line.startswith("  wavefunction_gap "))
+        assert len(kept) < len(out)
+        expected = self.PINNED[(m, betas)]
+        assert (code, hashlib.sha256(kept.encode()).hexdigest()) == (expected[0], expected[2])
+
+    def test_large_beta_reports_nan_gap_without_numpy_warnings(self, capsys):
+        # exp overflows in the series eigenfunction at beta = 10: the gap is
+        # NaN and fails its check, the report is not judged, and stderr
+        # holds the caution line alone
+        code, out, err = run(["verify", "--m", "1", "--order", "8", "--beta", "10"], capsys)
+        assert code == 0 and err == CAUTION
+        assert "  wavefunction_gap    = nan\n" in out
+        assert "  check wavefunction_gap: FAIL\n" in out and "status = NOT-JUDGED" in out
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -290,6 +290,8 @@ REMOVED_NAMES = (
     "_weighted_tables",
     "EnergySeries",
     "order_table",
+    "_factor_tridiagonal",
+    "_substitute",
 )
 
 

@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sws1.core import ModeParams
 from sws1.evaluate import (
+    _half_angle,
+    _riccati_terms,
     eval_energy,
     gauss_legendre,
     _odd_sine_antiderivative,
@@ -372,6 +377,32 @@ class TestFloatView:
         evaluate(0.3)
         assert rounded == []
         assert float(Fraction(1, 4)) == 0.25 and rounded == [Fraction(1, 4)]  # the count counts
+
+
+@cache
+def cached_series(m, order):
+    return compute_series(ModeParams(m=m, N=order))
+
+
+class TestBetaAxis:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 12),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    )
+    def test_array_of_betas_gives_the_scalar_bytes(self, m, order, betas, theta):
+        # the slope's one call at nine betas: each element must take the
+        # float operations of its own scalar call, overflow next to an
+        # endpoint included
+        state = cached_series(m, order)
+        with np.errstate(all="ignore"):
+            trig = _half_angle(np.array([theta]))
+            terms = _riccati_terms(state, np.array(betas), [np.repeat(t, len(betas)) for t in trig])
+            for i, beta in enumerate(betas):
+                for array, scalar in zip(terms, _riccati_terms(state, beta, trig)):
+                    assert np.float64(array[i]).tobytes() == np.ravel(scalar)[0].tobytes()
 
 
 class TestGrids:

@@ -16,6 +16,7 @@ from sws1.oracle import (
     FdGrid,
     OracleError,
     _assemble_diagonal,
+    _indicial_correction,
     _sturm_count,
     an_closed_form,
     fd_ground_eigenvalue,
@@ -108,6 +109,20 @@ class TestGroundEigenvalue:
         )
         with pytest.raises(ValueError, match=message):
             fd_ground_eigenvalue(ModeParams(m=largest + 1, N=0), 0.0, grid)
+
+    @pytest.mark.parametrize("points", [64, 1024, 2048, 4096])
+    def test_one_power_table_gives_the_three_power_bytes(self, points):
+        # the reference forms (j+1)^alpha, j^alpha and (j-1)^alpha each on
+        # its own; overflow starts at m = 84 on the 4096-point grid
+        h = math.pi / (points + 1)
+        j = np.arange(1, points + 1, dtype=float)
+        for m in range(1, 84):
+            corr = np.zeros(points)
+            for from_left, alpha in ((True, m + 1.5), (False, m - 0.5)):
+                disc = (j + 1.0) ** alpha - 2.0 * j**alpha + (j - 1.0) ** alpha
+                adj = (disc / j**alpha - alpha * (alpha - 1.0) / j**2) / h**2
+                corr += adj if from_left else adj[::-1]
+            assert _indicial_correction(m, points, h).tobytes() == corr.tobytes(), m
 
     def test_convergence_is_second_order(self):
         # eigenvalue error against the extrapolated limit scales like h^2
@@ -262,6 +277,41 @@ class TestGroundEigenvector:
         psi, _, _ = wavefunction_on_grid(state, 0.1, grid.thetas)
         psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
         assert np.max(np.abs(psi - vec)) < 1e-3
+
+    @staticmethod
+    def six_step_reference(params, beta, grid, eigenvalue):
+        """Inverse iteration run to convergence, six steps: the Thomas
+        factorization and each substitution in separate passes, the vector
+        rescaled after each step."""
+        off = -1.0 / grid.h**2
+        pivots, mults, c = [], [], 0.0
+        for t in (_assemble_diagonal(params, beta, grid) - eigenvalue).tolist():
+            piv = t - off * c
+            if abs(piv) < 1e-200:
+                piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
+            c = off / piv
+            pivots.append(piv)
+            mults.append(c)
+        x = np.ones(grid.points)
+        for _ in range(6):
+            x, y = x.tolist(), 0.0
+            for i, piv in enumerate(pivots):
+                y = x[i] = (x[i] - off * y) / piv
+            for i in range(len(x) - 2, -1, -1):
+                x[i] -= mults[i] * x[i + 1]
+            x = np.array(x) / np.linalg.norm(x)
+        x /= math.sqrt(grid.h) * np.linalg.norm(x)
+        return x if x[int(np.argmax(np.abs(x)))] > 0.0 else -x
+
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
+    @pytest.mark.parametrize("m", [1, 10, 40, 83])
+    def test_two_steps_reach_the_converged_vector(self, m, beta):
+        # one step is 2e-13 to 3e-11 away from the converged vector here
+        params, grid = ModeParams(m=m, N=0), FdGrid(4096)
+        eigenvalue = fd_ground_eigenvalue(params, beta, grid, guess=spectral_eigenvalue(m, beta))
+        vec = fd_ground_eigenvector(params, beta, grid, eigenvalue)
+        reference = self.six_step_reference(params, beta, grid, eigenvalue)
+        assert np.max(np.abs(vec - reference)) < 1e-13
 
     def test_excited_state_detected_as_nodal(self):
         # aiming inverse iteration at the second eigenvalue must trip the
