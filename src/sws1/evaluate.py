@@ -107,9 +107,9 @@ def _beta_tables(state: SeriesState, beta: float | np.ndarray) -> tuple[np.ndarr
     An array of betas adds its axes after k."""
     a, b, _ = state.floats
     beta = np.asarray(beta, dtype=float)
-    w = np.cumprod(np.broadcast_to(beta, (state.current_order, 1, *beta.shape)), axis=0)
-    a, b = (t.reshape(*t.shape, *(1,) * beta.ndim) for t in (a, b))
-    return _ordered_sum(w * a), _ordered_sum(w * b)
+    w = np.cumprod(np.full((state.current_order, 1, *beta.shape), beta), axis=0)
+    axes = (1,) * beta.ndim
+    return _ordered_sum(w * a.reshape(a.shape + axes)), _ordered_sum(w * b.reshape(b.shape + axes))
 
 
 @cache
