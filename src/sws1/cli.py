@@ -139,13 +139,7 @@ def cmd_eval(args) -> int:
     # `--help` need neither
     import numpy as np
 
-    from .evaluate import (
-        eval_energy,
-        riccati_residual_on_grid,
-        uniform_interior_grid,
-        w_on_grid,
-        wavefunction_on_grid,
-    )
+    from .evaluate import eval_on_grid, uniform_interior_grid
 
     if args.theta_points < 1:
         raise ValueError("--theta-points must be >= 1")
@@ -157,10 +151,7 @@ def cmd_eval(args) -> int:
     thetas = uniform_interior_grid(args.theta_points)
     # a beta whose powers overflow leaves inf and NaN here, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        psi, theta_big, _ = wavefunction_on_grid(state, beta, thetas)
-        w = w_on_grid(state, beta, thetas)
-        residual = riccati_residual_on_grid(state, beta, thetas)
-    e0 = eval_energy(state, beta)
+        psi, theta_big, w, residual, e0 = eval_on_grid(state, beta, thetas)
     columns = (thetas, psi, theta_big, w, residual)
     if not (math.isfinite(e0) and np.isfinite(columns).all()):
         raise ValueError(f"the series is not finite at beta={_fmt(beta)} (E0={_fmt(e0)})")

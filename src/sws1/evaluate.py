@@ -12,7 +12,7 @@ the floats of adding one order at a time; a single order is one row.  beta
 may be an array, whose axes then trail k: each element goes through the
 float operations of its own scalar call.  With
 s = sin(theta), c = cos(theta) and x = s^2 (formed once per call and shared
-by W, W' and V) the weighted orders are
+by W, W', V and psi) the weighted orders are
 
     sum_n beta^n W_n(theta) = s (c PA(x) + PB(x)),
 
@@ -41,7 +41,6 @@ from functools import cache
 
 import numpy as np
 
-from .core import ModeParams
 from .recurrence import SeriesState, i_coeff
 
 
@@ -160,16 +159,42 @@ def _potential(m: int, beta: float, trig):
     return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
 
 
-def _riccati_terms(state: SeriesState, beta: float | np.ndarray, trig) -> tuple:
-    """W, W', V and E at beta on the `_half_angle` values `trig`."""
-    m, tables, e = state.params.m, _beta_tables(state, beta), eval_energy(state, beta)
+def _riccati_terms(state: SeriesState, beta: float | np.ndarray, tables, trig) -> tuple:
+    """W, W', V and E at beta from its `_beta_tables` on the `_half_angle` values."""
+    m, e = state.params.m, eval_energy(state, beta)
     return _w(m, tables, trig), _w_derivative(m, tables, trig), _potential(m, beta, trig), e
 
 
-def potential_on_grid(thetas: np.ndarray, params: ModeParams, beta: float) -> np.ndarray:
-    """Potential of the transformed boundary-value problem on an array of
-    interior angles (spin weight 1)."""
-    return _potential(params.m, beta, _half_angle(np.asarray(thetas, dtype=float)))
+def _wavefunction(m: int, tables, trig):
+    """psi = norm (1 - cos) sin^(m-1/2) exp(-phase), where the phase is the
+    antiderivative of W - W_0 whose odd-sine-power parts are the closed
+    forms -cos/(2k) sum_j i_coeff(k-1, j) sin^(2k-2-2j).  Returns
+    (psi, theta_big, norm_const) where the normalization makes the square
+    of psi integrate to one over (0, pi)."""
+    alpha, gamma = tables
+    # phase = sum_k alpha_k x^k / (2k) + c Q(x), both polynomials in x = sin^2
+    plain = np.concatenate(([0.0], alpha / (2 * np.arange(1, len(alpha) + 1))))
+    q = _odd_sine_antiderivative(gamma)
+
+    def unnormalized(s, c, one_minus, _):
+        x = s * s
+        return one_minus * s ** (m - 0.5) * np.exp(-(_horner(plain, x) + c * _horner(q, x)))
+
+    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
+    norm = 1.0 / math.sqrt(float(weights @ unnormalized(*_half_angle(nodes)) ** 2))
+    psi = norm * unnormalized(*trig)
+    return psi, psi / np.sqrt(trig[0]), norm
+
+
+def eval_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> tuple:
+    """(psi, theta_big, W, Riccati defect, E), all `sws1 eval` prints, from one
+    `_half_angle` of the grid and one `_beta_tables`; each holds the floats of
+    its view: the matching `*_on_grid` function or `eval_energy`."""
+    trig = _half_angle(np.asarray(thetas, dtype=float))
+    tables = _beta_tables(state, beta)
+    psi, theta_big, _ = _wavefunction(state.params.m, tables, trig)
+    w, wp, v, e = _riccati_terms(state, beta, tables, trig)
+    return psi, theta_big, w, w * w - wp - v + e, e
 
 
 def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
@@ -177,12 +202,6 @@ def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray
     from W_0 = -(1 + (m+1/2) cos)/sin up."""
     trig = _half_angle(np.asarray(thetas, dtype=float))
     return _w(state.params.m, _beta_tables(state, beta), trig)
-
-
-def w_derivative_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
-    """Analytic theta-derivative of the truncated super-potential."""
-    trig = _half_angle(np.asarray(thetas, dtype=float))
-    return _w_derivative(state.params.m, _beta_tables(state, beta), trig)
 
 
 def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> float:
@@ -201,34 +220,15 @@ def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> flo
 def riccati_residual_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Defect W^2 - W' - V + E of the truncated series; decays one power of
     beta faster than the last retained order."""
-    w, wp, v, e = _riccati_terms(state, beta, _half_angle(np.asarray(thetas, dtype=float)))
+    trig = _half_angle(np.asarray(thetas, dtype=float))
+    w, wp, v, e = _riccati_terms(state, beta, _beta_tables(state, beta), trig)
     return w * w - wp - v + e
 
 
 def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
-    """Normalized ground eigenfunction on an array of interior angles.
-
-    psi = norm (1 - cos) sin^(m-1/2) exp(-phase), where the phase is the
-    antiderivative of W - W_0 whose odd-sine-power parts are the closed
-    forms -cos/(2k) sum_j i_coeff(k-1, j) sin^(2k-2-2j).  Returns
-    (psi, theta_big, norm_const) where the normalization makes the square
-    of psi integrate to one over (0, pi).
-    """
-    alpha, gamma = _beta_tables(state, beta)
-    # phase = sum_k alpha_k x^k / (2k) + c Q(x), both polynomials in x = sin^2
-    plain = np.concatenate(([0.0], alpha / (2 * np.arange(1, len(alpha) + 1))))
-    q = _odd_sine_antiderivative(gamma)
-    m = state.params.m
-
-    def unnormalized(s, c, one_minus, _):
-        x = s * s
-        return one_minus * s ** (m - 0.5) * np.exp(-(_horner(plain, x) + c * _horner(q, x)))
-
-    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
-    norm = 1.0 / math.sqrt(float(weights @ unnormalized(*_half_angle(nodes)) ** 2))
+    """Normalized ground eigenfunction on interior angles; see `_wavefunction`."""
     trig = _half_angle(np.asarray(thetas, dtype=float))
-    psi = norm * unnormalized(*trig)
-    return psi, psi / np.sqrt(trig[0]), norm
+    return _wavefunction(state.params.m, _beta_tables(state, beta), trig)
 
 
 def uniform_interior_grid(points: int) -> np.ndarray:

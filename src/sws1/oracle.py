@@ -45,13 +45,14 @@ import numpy as np
 
 from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams
 from .evaluate import (
+    _beta_tables,
     _half_angle,
     _orders_at,
+    _potential,
     _riccati_terms,
     eval_energy,
     gauss_legendre,
     gauss_panels,
-    potential_on_grid,
     wavefunction_on_grid,
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
@@ -134,7 +135,7 @@ def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndar
     h = grid.h
     with np.errstate(over="ignore", invalid="ignore"):
         corr = _indicial_correction(params.m, grid.points, h)
-        diag = 2.0 / h**2 + potential_on_grid(grid.thetas, params, beta) + corr
+        diag = 2.0 / h**2 + _potential(params.m, beta, _half_angle(grid.thetas)) + corr
     if not np.isfinite(diag).all():
         if not np.isfinite(corr).all():
             # finite while 2 (points+1)^(m+3/2) is: m <= 83 at 4096 points
@@ -334,9 +335,12 @@ def spectral_eigenvalue(m: int, beta: float) -> float:
 
 
 def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
-    """Eigenvalue on the three nested RICHARDSON_GRIDS plus one level of h^2
-    elimination on the two finest.  The coarsest grid's value enters no
-    estimate; it is only reported, with the others, per grid size.
+    """Eigenvalue on the three RICHARDSON_GRIDS plus one level of h^2
+    elimination on the two finest, (4 v_4096 - v_2048)/3; the coarsest
+    grid's value is only reported, with the others, per grid size.  The
+    grids are not nested: h = pi/(p+1) on p points, so h_2048/h_4096 is
+    4097/2049, not 2, and the weight 4 is only approximate (it keeps about
+    6.5e-4 of the finest grid's h^2 error; ROADMAP.md, item 1).
 
     Every grid's bisection is seeded from the spectral value s
     (`spectral_eigenvalue`): the 1024-point grid takes s, and each finer
@@ -392,17 +396,17 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     return r_val + c * t_val
 
 
-def residual_slope(state: SeriesState, theta: float = math.pi / 3.0) -> float:
+def residual_slope(state: SeriesState) -> float:
     """Log-log slope of the Riccati defect W^2 - W' - V + E against beta
-    over [1e-3, 1e-1].
+    over [1e-3, 1e-1], at theta = pi/3.
 
     The four terms cancel far below their own size, so float64 leaves a
     roundoff floor of 16 eps (W^2 + |W'| + |V| + |E|) per beta; samples at
     or below it carry no slope information and are excluded from the fit.
     """
     betas = np.logspace(-3, -1, 9)
-    trig = [np.repeat(t, len(betas)) for t in _half_angle(np.array([theta]))]
-    w, wp, v, e = _riccati_terms(state, betas, trig)
+    trig = [np.repeat(t, len(betas)) for t in _half_angle(np.array([math.pi / 3.0]))]
+    w, wp, v, e = _riccati_terms(state, betas, _beta_tables(state, betas), trig)
     values = np.abs(w * w - wp - v + e)
     floors = _ROUNDOFF_FLOOR * (w * w + np.abs(wp) + np.abs(v) + np.abs(e))
     keep = values > floors

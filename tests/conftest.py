@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sws1.core import ModeParams
-from sws1.evaluate import eval_energy, potential_on_grid, w_derivative_on_grid, w_on_grid
+from sws1.evaluate import _beta_tables, _half_angle, _riccati_terms
 from sws1.recurrence import compute_series, i_coeff
 
 
@@ -57,7 +57,19 @@ def divergent_coefficient():
 
 
 @pytest.fixture(scope="session")
-def riccati_floor():
+def riccati_terms():
+    """(W, W', V, E) of a series at beta on an array of angles, from the
+    float path's own Riccati terms."""
+
+    def terms(state, beta, thetas):
+        trig = _half_angle(np.asarray(thetas, dtype=float))
+        return _riccati_terms(state, beta, _beta_tables(state, beta), trig)
+
+    return terms
+
+
+@pytest.fixture(scope="session")
+def riccati_floor(riccati_terms):
     """Roundoff floor of the float Riccati defect W^2 - W' - V + E.
 
     The four terms cancel to far below their own size, so what float64
@@ -66,14 +78,7 @@ def riccati_floor():
     """
 
     def floor(state, beta, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        w = w_on_grid(state, beta, thetas)
-        size = (
-            w * w
-            + np.abs(w_derivative_on_grid(state, beta, thetas))
-            + np.abs(potential_on_grid(thetas, state.params, beta))
-            + abs(eval_energy(state, beta))
-        )
-        return 16.0 * np.finfo(float).eps * size
+        w, wp, v, e = riccati_terms(state, beta, thetas)
+        return 16.0 * np.finfo(float).eps * (w * w + np.abs(wp) + np.abs(v) + abs(e))
 
     return floor

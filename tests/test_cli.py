@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sws1 import cli
+from sws1 import cli, evaluate
 from sws1.cli import main
 from sws1.core import tables_from_text
 from sws1.oracle import OracleReport
@@ -164,6 +164,22 @@ class TestEval:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[(m, order, beta, points)]
+
+    def test_one_evaluation_pass(self, capsys, monkeypatch):
+        # one beta weighting, and two half-angle passes: the Gauss nodes of
+        # the normalization and the grid
+        calls = {"_beta_tables": 0, "_half_angle": 0}
+        for name in calls:
+            original = getattr(evaluate, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(evaluate, name, counted)
+        argv = ["eval", "--m", "1", "--order", "32", "--beta", "0.1", "--theta-points", "4096"]
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2}
 
     def test_unwritable_path_exits_2(self, capsys):
         code, _, err = run(

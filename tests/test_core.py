@@ -292,6 +292,8 @@ REMOVED_NAMES = (
     "order_table",
     "_factor_tridiagonal",
     "_substitute",
+    "w_derivative_on_grid",
+    "potential_on_grid",
 )
 
 

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from sws1.core import ModeParams
 from sws1.evaluate import (
+    _beta_tables,
     _half_angle,
+    _potential,
     _riccati_terms,
     eval_energy,
+    eval_on_grid,
     gauss_legendre,
     _odd_sine_antiderivative,
     gauss_panels,
-    potential_on_grid,
     riccati_residual_on_grid,
     uniform_interior_grid,
-    w_derivative_on_grid,
     w_on_grid,
     wavefunction_on_grid,
 )
@@ -59,12 +60,12 @@ def exact_w_and_derivative(state, beta, theta):
 
 class TestPotential:
     def test_midpoint_beta0(self):
-        v = potential_on_grid(np.array([math.pi / 2]), ModeParams(m=1, N=0), 0.0)[0]
+        v = _potential(1, 0.0, _half_angle(np.array([math.pi / 2])))[0]
         assert v == pytest.approx(-0.5, abs=1e-14)
 
     def test_midpoint_beta_irrelevant(self):
         # both beta terms carry a cosine factor, which vanishes at pi/2
-        v = potential_on_grid(np.array([math.pi / 2]), ModeParams(m=1, N=0), 0.5)[0]
+        v = _potential(1, 0.5, _half_angle(np.array([math.pi / 2])))[0]
         assert v == pytest.approx(-0.5, abs=1e-14)
 
     def test_consistent_with_original_variable_operator(self):
@@ -74,7 +75,6 @@ class TestPotential:
         # transformed operator applied to sqrt(sin)*F, divided by
         # sqrt(sin).  Build both sides with central differences.
         m, beta, theta = 2, 0.1, math.pi / 3
-        params = ModeParams(m=m, N=0)
         h = 1e-4
 
         def original_form(t):
@@ -96,7 +96,7 @@ class TestPotential:
             + (1 + beta**2 * c**2 - 2 * beta * c - (m + c) ** 2 / s**2)
             * original_form(theta)
         )
-        v = potential_on_grid(np.array([theta]), params, beta)[0]
+        v = _potential(m, beta, _half_angle(np.array([theta])))[0]
         rhs = second(transformed, theta) - v * transformed(theta)
         assert rhs / math.sqrt(s) == pytest.approx(lhs, rel=1e-6)
 
@@ -122,7 +122,7 @@ class TestSuperPotential:
         w0 = (-1.0 - 1.5 * np.cos(thetas)) / np.sin(thetas)
         np.testing.assert_allclose(w, w0, rtol=1e-13, atol=1e-13)
 
-    def test_zeroth_order_constants(self):
+    def test_zeroth_order_constants(self, riccati_terms):
         # W_0 = (c0 + c1 cos)/sin with c0 = -1 and c1 = -(m + 1/2), and
         # W_0' = -(c1 + c0 cos)/sin^2
         for m in (1, 2, 7):
@@ -132,27 +132,27 @@ class TestSuperPotential:
                 point = np.array([theta])
                 w = w_on_grid(state, 0.3, point)[0]
                 assert w == pytest.approx((c0 + c1 * cos) / sin, rel=1e-15)
-                assert w_derivative_on_grid(state, 0.3, point)[0] == pytest.approx(
+                assert riccati_terms(state, 0.3, point)[1][0] == pytest.approx(
                     -(c1 + c0 * cos) / sin**2, rel=1e-15
                 )
 
 
 class TestDerivative:
-    def test_zeroth_order_value_at_midpoint(self):
+    def test_zeroth_order_value_at_midpoint(self, riccati_terms):
         state = compute_series(ModeParams(m=1, N=0))
-        d = w_derivative_on_grid(state, 0.0, np.array([math.pi / 2]))[0]
+        d = riccati_terms(state, 0.0, np.array([math.pi / 2]))[1][0]
         assert d == pytest.approx(1.5, abs=1e-14)
 
-    def test_first_order_term_flat_at_midpoint(self):
+    def test_first_order_term_flat_at_midpoint(self, riccati_terms):
         # the derivative of the order-1 term carries a cosine factor
         state = compute_series(ModeParams(m=1, N=1))
-        d = w_derivative_on_grid(state, 0.4, np.array([math.pi / 2]))[0]
+        d = riccati_terms(state, 0.4, np.array([math.pi / 2]))[1][0]
         assert d == pytest.approx(1.5, abs=1e-14)
 
-    def test_matches_central_difference_at_reference_point(self):
+    def test_matches_central_difference_at_reference_point(self, riccati_terms):
         state = compute_series(ModeParams(m=1, N=3))
         theta, beta, step = 1.0, 0.2, 1e-5
-        exact = w_derivative_on_grid(state, beta, np.array([theta]))[0]
+        exact = riccati_terms(state, beta, np.array([theta]))[1][0]
         fd = (
             w_on_grid(state, beta, np.array([theta + step]))[0]
             - w_on_grid(state, beta, np.array([theta - step]))[0]
@@ -161,13 +161,13 @@ class TestDerivative:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0.0, 0.05, 0.2])
-    def test_matches_central_difference_at_random_points(self, m, beta):
+    def test_matches_central_difference_at_random_points(self, m, beta, riccati_terms):
         rng = np.random.default_rng(1234 + m)
         thetas = rng.uniform(0.15, math.pi - 0.15, size=100)
         step = 1e-5
         for order in range(1, 7):
             state = compute_series(ModeParams(m=m, N=order))
-            exact = w_derivative_on_grid(state, beta, thetas)
+            exact = riccati_terms(state, beta, thetas)[1]
             fd = (
                 w_on_grid(state, beta, thetas + step) - w_on_grid(state, beta, thetas - step)
             ) / (2 * step)
@@ -182,23 +182,22 @@ class TestExactRationalAccuracy:
 
     THETAS = np.array([0.01, 1.0, 2.0, math.pi - 0.01])
 
-    def check(self, state, beta):
-        w = w_on_grid(state, beta, self.THETAS)
-        wp = w_derivative_on_grid(state, beta, self.THETAS)
+    def check(self, state, beta, riccati_terms):
+        w, wp, _, _ = riccati_terms(state, beta, self.THETAS)
         for i, theta in enumerate(self.THETAS):
             w_exact, wp_exact, w_size, wp_size = exact_w_and_derivative(state, beta, theta)
             assert abs(Fraction(float(w[i])) - w_exact) <= Fraction(1e-14) * w_size, theta
             assert abs(Fraction(float(wp[i])) - wp_exact) <= Fraction(1e-14) * wp_size, theta
 
     @pytest.mark.parametrize("beta", [0.1, 0.45])
-    def test_order_40(self, beta):
-        self.check(compute_series(ModeParams(m=1, N=40)), beta)
+    def test_order_40(self, beta, riccati_terms):
+        self.check(compute_series(ModeParams(m=1, N=40)), beta, riccati_terms)
 
     @pytest.mark.parametrize("order", [0, 1])
-    def test_orders_without_a_table(self, order):
+    def test_orders_without_a_table(self, order, riccati_terms):
         state = compute_series(ModeParams(m=1, N=order))
         for beta in (0.1, 0.45):
-            self.check(state, beta)
+            self.check(state, beta, riccati_terms)
 
 
 class TestRiccatiResidual:
@@ -359,12 +358,14 @@ class TestGroundWavefunction:
 
 class TestFloatView:
     def test_warm_evaluation_rounds_no_fraction(self, monkeypatch):
-        # a series' tables become floats once: after a warm-up, the four
-        # calls of `sws1 eval` on 4096 points round no Fraction at all
+        # a series' tables become floats once: after a warm-up, neither the
+        # one pass of `sws1 eval` nor the four views on 4096 points round a
+        # Fraction at all
         state = compute_series(ModeParams(m=1, N=32))
         thetas = uniform_interior_grid(4096)
 
         def evaluate(beta):
+            eval_on_grid(state, beta, thetas)
             wavefunction_on_grid(state, beta, thetas)
             w_on_grid(state, beta, thetas)
             riccati_residual_on_grid(state, beta, thetas)
@@ -384,6 +385,23 @@ def cached_series(m, order):
     return compute_series(ModeParams(m=m, N=order))
 
 
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "m,order,beta,points", [(1, 32, 0.1, 4096), (20, 16, 0.1, 181), (2, 40, -0.7, 777)]
+    )
+    def test_views_give_the_same_bytes(self, m, order, beta, points):
+        # the CLI's one pass and the views the benchmark calls must not
+        # drift apart, at the modes whose eval output is pinned
+        state = cached_series(m, order)
+        thetas = uniform_interior_grid(points)
+        psi, theta_big, w, residual, e = eval_on_grid(state, beta, thetas)
+        view_psi, view_theta_big, _ = wavefunction_on_grid(state, beta, thetas)
+        assert np.array_equal(psi, view_psi) and np.array_equal(theta_big, view_theta_big)
+        assert np.array_equal(w, w_on_grid(state, beta, thetas))
+        assert np.array_equal(residual, riccati_residual_on_grid(state, beta, thetas))
+        assert e == eval_energy(state, beta)
+
+
 class TestBetaAxis:
     @settings(deadline=None)
     @given(
@@ -399,9 +417,11 @@ class TestBetaAxis:
         state = cached_series(m, order)
         with np.errstate(all="ignore"):
             trig = _half_angle(np.array([theta]))
-            terms = _riccati_terms(state, np.array(betas), [np.repeat(t, len(betas)) for t in trig])
+            beta_axis, axis_trig = np.array(betas), [np.repeat(t, len(betas)) for t in trig]
+            terms = _riccati_terms(state, beta_axis, _beta_tables(state, beta_axis), axis_trig)
             for i, beta in enumerate(betas):
-                for array, scalar in zip(terms, _riccati_terms(state, beta, trig)):
+                scalar_terms = _riccati_terms(state, beta, _beta_tables(state, beta), trig)
+                for array, scalar in zip(terms, scalar_terms):
                     assert np.float64(array[i]).tobytes() == np.ravel(scalar)[0].tobytes()
 
 
