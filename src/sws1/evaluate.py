@@ -85,6 +85,17 @@ def _half_angle(theta):
     return np.sin(theta), 1.0 - one_minus, one_minus, one_plus
 
 
+@cache
+def _normalization_rule(m: int) -> tuple[np.ndarray, tuple]:
+    """Weights of the composite rule over [0, pi] for this m and the
+    `_half_angle` values of its nodes, read-only: they depend on m alone."""
+    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
+    trig = _half_angle(nodes)
+    for values in (weights, *trig):
+        values.flags.writeable = False
+    return weights, trig
+
+
 def _horner(coeffs: np.ndarray, x):
     """sum_i coeffs[i] x^i."""
     acc = np.zeros_like(x)
@@ -180,8 +191,8 @@ def _wavefunction(m: int, tables, trig):
         x = s * s
         return one_minus * s ** (m - 0.5) * np.exp(-(_horner(plain, x) + c * _horner(q, x)))
 
-    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
-    norm = 1.0 / math.sqrt(float(weights @ unnormalized(*_half_angle(nodes)) ** 2))
+    weights, nodes = _normalization_rule(m)
+    norm = 1.0 / math.sqrt(float(weights @ unnormalized(*nodes) ** 2))
     psi = norm * unnormalized(*trig)
     return psi, psi / np.sqrt(trig[0]), norm
 

@@ -23,6 +23,15 @@ float.  The eigenvector takes two steps of inverse iteration on one
 factorization of the shifted matrix, the first forward substitution run
 inside it, and the residual slope evaluates its nine betas in one call.
 
+Most of a diagonal does not depend on beta.  The three Richardson grids
+are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
+values (`FdGrid.trig`), which the potential and the series psi read:
+about 224 KB for the three grids.  The indicial correction is cached per
+(m, grid), about 56 KB per m over the three grids.  A case at a new beta
+then evaluates only the potential for each diagonal, the eigenvector's
+second assembly of the finest one included.  Every cached array is
+read-only, and every float is the one a fresh build gives.
+
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
 the critical coupling -1/4 where a naive nodal discretization loses its
@@ -39,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,10 +59,10 @@ from .evaluate import (
     _orders_at,
     _potential,
     _riccati_terms,
+    _wavefunction,
     eval_energy,
     gauss_legendre,
     gauss_panels,
-    wavefunction_on_grid,
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
@@ -87,6 +96,18 @@ class FdGrid:
     def thetas(self) -> np.ndarray:
         return self.h * np.arange(1, self.points + 1)
 
+    @cached_property
+    def trig(self) -> tuple:
+        """`_half_angle` of the nodes, read-only: the potential's and psi's
+        trigonometric values at every beta."""
+        trig = _half_angle(self.thetas)
+        for values in trig:
+            values.flags.writeable = False
+        return trig
+
+
+_GRIDS = {points: FdGrid(points) for points in RICHARDSON_GRIDS}  # their trig is built once
+
 
 @dataclass
 class OracleReport:
@@ -111,12 +132,14 @@ class OracleReport:
     error: str | None = None
 
 
+@cache
 def _indicial_correction(m: int, points: int, h: float) -> np.ndarray:
     """Diagonal replacement of the inverse-square potential parts by the
     exact discrete curvature of x^alpha, applied from both endpoints.  The
     powers j^alpha overflow at large m; a rescaled form would move the last
     digits of every FD value below that.  Each power is formed once, over
-    j = 0..points+1, and read at j-1, j and j+1."""
+    j = 0..points+1, and read at j-1, j and j+1.  It does not depend on
+    beta, so it is formed once per (m, grid) and returned read-only."""
     j = np.arange(points + 2, dtype=float)
     corr = np.zeros(points)
     for from_left, alpha in ((True, m + 1.5), (False, m - 0.5)):
@@ -125,17 +148,20 @@ def _indicial_correction(m: int, points: int, h: float) -> np.ndarray:
         disc = power[2:] - 2.0 * power[1:-1] + power[:-2]
         adj = (disc / power[1:-1] - kappa / j[1:-1] ** 2) / h**2
         corr += adj if from_left else adj[::-1]
+    corr.flags.writeable = False
     return corr
 
 
 def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
-    """Diagonal of the operator.  A diagonal that is not finite is refused
+    """Diagonal of the operator, 2/h^2 + V + the indicial correction.  Only
+    the potential V depends on beta; the grid's `trig` and the correction
+    are built once and reused.  A diagonal that is not finite is refused
     with its cause, a beta whose square overflows or an m past the indicial
     correction's range; numpy's warnings about that overflow are silenced."""
     h = grid.h
     with np.errstate(over="ignore", invalid="ignore"):
         corr = _indicial_correction(params.m, grid.points, h)
-        diag = 2.0 / h**2 + _potential(params.m, beta, _half_angle(grid.thetas)) + corr
+        diag = 2.0 / h**2 + _potential(params.m, beta, grid.trig) + corr
     if not np.isfinite(diag).all():
         if not np.isfinite(corr).all():
             # finite while 2 (points+1)^(m+3/2) is: m <= 83 at 4096 points
@@ -198,8 +224,9 @@ def fd_ground_eigenvalue(
     The bounds are placed first, where the eigenvalue is.  Newton steps on
     det(T - lam) run from `guess` (`_sturm_newton`, whose count certifies
     each iterate; `richardson_eigenvalue` guesses from the spectral
-    value): below the eigenvalue a step never overshoots, and from between
-    it and the next one a step lands below it.  Then counts at four
+    value) until a step fails to halve the one before, at the float noise
+    of the pivots: below the eigenvalue a step never overshoots, and from
+    between it and the next one a step lands below it.  Then counts at four
     last steps to either side of the final iterate, the distance widened
     fourfold until both bounds lie within it, and one count at min(diag),
     which is at or above the eigenvalue, close the bracket.  A guess that
@@ -208,11 +235,12 @@ def fd_ground_eigenvalue(
     result is the same float for any guess; a good guess only saves
     sweeps.  A diagonal that is not finite is refused
     (`_assemble_diagonal`): there is no bracket to bisect."""
-    diag = _assemble_diagonal(params, beta, grid).tolist()
+    diagonal = _assemble_diagonal(params, beta, grid)
+    diag, least = diagonal.tolist(), float(diagonal.min())
     off = 1.0 / grid.h**2
     offsq = off * off
-    lo = min(diag) - 2.0 * off
-    hi = max(diag) + 2.0 * off
+    lo = least - 2.0 * off
+    hi = float(diagonal.max()) + 2.0 * off
     below, above = lo, hi  # certified: count 0 at or below, >= 1 at or above
 
     def certify(lam: float, count: int) -> None:
@@ -226,13 +254,13 @@ def fd_ground_eigenvalue(
         if below < lam < above:
             certify(lam, _sturm_count(diag, offsq, lam))
 
-    # Newton until its steps stop shrinking fourfold (the float noise of
-    # the pivots), stepping up from below or down from above
+    # Newton until its steps stop halving (the float noise of the pivots),
+    # stepping up from below or down from above
     x, last = guess, math.inf
     while below < x < above:
         count, step = _sturm_newton(diag, offsq, x)
         certify(x, count)
-        if not abs(step) <= last / 4.0 or (step > 0.0) != (count == 0):
+        if not abs(step) <= last / 2.0 or (step > 0.0) != (count == 0):
             break
         x, last = x + step, abs(step)
     gap = max(4.0 * last, _BISECTION_TOL * max(1.0, abs(x)))
@@ -240,7 +268,7 @@ def fd_ground_eigenvalue(
         probe(x - gap)
         probe(x + gap)
         gap *= 4.0
-    probe(min(diag))
+    probe(least)
     for _ in range(_BISECTION_MAX_ITER):
         if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
@@ -270,30 +298,31 @@ def fd_ground_eigenvector(
     is factored once, by Thomas pivots with a tiny-pivot guard (the matrix
     is deliberately near-singular), and the first forward substitution,
     whose right-hand side is all ones, runs in the same loop; the vector is
-    rescaled between the steps.  The ground state is nodeless; a detected
-    node means the eigenvalue belongs to another state and raises
-    OracleError."""
+    rescaled between the steps.  The four loops run over preallocated
+    lists, and each substitution carries the entry it last wrote.  The
+    diagonal is the eigenvalue's own (`_assemble_diagonal`), so at a
+    Richardson grid only its potential is formed again.  The ground state
+    is nodeless; a detected node means the eigenvalue belongs to another
+    state and raises OracleError."""
     off = -1.0 / grid.h**2
     shifted = _assemble_diagonal(params, beta, grid) - eigenvalue
-    pivots, mults, x = [], [], []
+    pivots, mults, x = [0.0] * grid.points, [0.0] * grid.points, [0.0] * grid.points
     c = y = 0.0  # no coupling into the first row
-    for t in shifted.tolist():
+    for i, t in enumerate(shifted.tolist()):
         piv = t - off * c
-        if abs(piv) < 1e-200:
+        if -1e-200 < piv < 1e-200:
             piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
-        c = off / piv
-        y = (1.0 - off * y) / piv  # forward substitution of the all-ones vector
-        pivots.append(piv)
-        mults.append(c)
-        x.append(y)
+        c = mults[i] = off / piv
+        y = x[i] = (1.0 - off * y) / piv  # forward substitution of the all-ones vector
+        pivots[i] = piv
     back = range(len(x) - 2, -1, -1)
-    for i in back:
-        x[i] -= mults[i] * x[i + 1]
+    for i in back:  # y holds x[-1], as after each forward loop
+        y = x[i] = x[i] - mults[i] * y
     scale, y = 1.0 / math.hypot(*x), 0.0  # the second step, from the rescaled first
     for i, piv in enumerate(pivots):
         y = x[i] = (x[i] * scale - off * y) / piv
     for i in back:
-        x[i] -= mults[i] * x[i + 1]
+        y = x[i] = x[i] - mults[i] * y
     x = np.array(x)
     x /= math.sqrt(grid.h) * np.linalg.norm(x)
     if x[int(np.argmax(np.abs(x)))] < 0.0:
@@ -349,8 +378,8 @@ def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]
     (`fd_ground_eigenvalue`)."""
     spectral = guess = spectral_eigenvalue(params.m, beta)
     per_grid = {}
-    for points in RICHARDSON_GRIDS:
-        per_grid[points] = fd_ground_eigenvalue(params, beta, FdGrid(points), guess=guess)
+    for points, grid in _GRIDS.items():
+        per_grid[points] = fd_ground_eigenvalue(params, beta, grid, guess=guess)
         guess = spectral + (per_grid[points] - spectral) / 4.0
     _, middle, finest = RICHARDSON_GRIDS
     return (4.0 * per_grid[finest] - per_grid[middle]) / 3.0, per_grid
@@ -456,10 +485,10 @@ def verify_all(
         try:
             series_value = eval_energy(state, beta, n_order)
             estimate, per_grid = richardson_eigenvalue(params, beta)
-            finest = FdGrid(RICHARDSON_GRIDS[-1])
+            finest = _GRIDS[RICHARDSON_GRIDS[-1]]
             vec = fd_ground_eigenvector(params, beta, finest, per_grid[finest.points])
             with np.errstate(over="ignore", invalid="ignore"):  # NaN at large |beta|
-                psi, _, _ = wavefunction_on_grid(state, beta, finest.thetas)
+                psi, _, _ = _wavefunction(state.params.m, _beta_tables(state, beta), finest.trig)
                 psi = psi / (math.sqrt(finest.h) * np.linalg.norm(psi))
                 wavefunction_gap = float(np.max(np.abs(psi - vec)))
             abs_gap = abs(series_value - estimate)

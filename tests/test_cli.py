@@ -167,7 +167,9 @@ class TestEval:
 
     def test_one_evaluation_pass(self, capsys, monkeypatch):
         # one beta weighting, and two half-angle passes: the Gauss nodes of
-        # the normalization and the grid
+        # the normalization and the grid; a second eval in the process
+        # reuses the nodes' values and makes one
+        evaluate._normalization_rule.cache_clear()
         calls = {"_beta_tables": 0, "_half_angle": 0}
         for name in calls:
             original = getattr(evaluate, name)
@@ -180,6 +182,8 @@ class TestEval:
         argv = ["eval", "--m", "1", "--order", "32", "--beta", "0.1", "--theta-points", "4096"]
         code, _, _ = run(argv, capsys)
         assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2}
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 3}
 
     def test_unwritable_path_exits_2(self, capsys):
         code, _, err = run(

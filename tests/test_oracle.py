@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sws1 import oracle
+from sws1 import evaluate, oracle
 from sws1.core import ModeParams
 from sws1.evaluate import wavefunction_on_grid
 from sws1.oracle import (
@@ -76,6 +76,14 @@ class TestFdGrid:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             FdGrid(63)
+
+    def test_cached_constants_are_read_only(self):
+        # every caller shares them: the grids' half-angle values, the
+        # indicial corrections and the normalization rule
+        grid = FdGrid(1024)
+        weights, nodes = evaluate._normalization_rule(1)
+        for values in (*grid.trig, _indicial_correction(1, 1024, grid.h), weights, *nodes):
+            assert not values.flags.writeable
 
 
 class TestGroundEigenvalue:
@@ -240,6 +248,30 @@ class TestCertifiedBisection:
         assert rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
 
 
+    # count and Newton sweeps per richardson_eigenvalue at beta = 0, measured
+    # 29 and 7 at m = 1, 4 and 13 at m = 40, 6 and 15 at m = 80
+    SWEEP_PINS = {1: (32, 8), 40: (6, 15), 80: (8, 18)}
+
+    @pytest.mark.parametrize("m", [1, 40, 80])
+    def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
+        sweeps = collections.Counter()  # (name, grid size) -> sweeps
+        for name in ("_sturm_count", "_sturm_newton"):
+
+            def counting(diag, offsq, lam, name=name, sweep=getattr(oracle, name)):
+                sweeps[name, len(diag)] += 1
+                return sweep(diag, offsq, lam)
+
+            monkeypatch.setattr(oracle, name, counting)
+        richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
+        counts, newtons = self.SWEEP_PINS[m]
+        assert sum(v for (name, _), v in sweeps.items() if name == "_sturm_count") <= counts
+        assert sum(v for (name, _), v in sweeps.items() if name == "_sturm_newton") <= newtons
+        if m == 80:
+            # the 1024-point value lies 10.3 above the spectral seed; Newton
+            # steps that stopped quartering there left 37 count sweeps
+            assert sweeps["_sturm_count", 1024] <= 12
+
+
 class TestGroundEigenvector:
     def test_spherical_limit_profile_m1(self):
         # the beta = 0 ground state is (1-cos) sqrt(sin) up to normalization
@@ -312,6 +344,45 @@ class TestGroundEigenvector:
         vec = fd_ground_eigenvector(params, beta, grid, eigenvalue)
         reference = self.six_step_reference(params, beta, grid, eigenvalue)
         assert np.max(np.abs(vec - reference)) < 1e-13
+
+    @staticmethod
+    def loop_reference(params, beta, grid, eigenvalue):
+        """The eigenvector's loops as first written: lists grown by append,
+        an abs() pivot guard, and each back substitution reading x[i + 1]."""
+        off = -1.0 / grid.h**2
+        pivots, mults, x = [], [], []
+        c = y = 0.0
+        for t in (_assemble_diagonal(params, beta, grid) - eigenvalue).tolist():
+            piv = t - off * c
+            if abs(piv) < 1e-200:
+                piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
+            c = off / piv
+            y = (1.0 - off * y) / piv
+            pivots.append(piv)
+            mults.append(c)
+            x.append(y)
+        back = range(len(x) - 2, -1, -1)
+        for i in back:
+            x[i] -= mults[i] * x[i + 1]
+        scale, y = 1.0 / math.hypot(*x), 0.0
+        for i, piv in enumerate(pivots):
+            y = x[i] = (x[i] * scale - off * y) / piv
+        for i in back:
+            x[i] -= mults[i] * x[i + 1]
+        x = np.array(x)
+        x /= math.sqrt(grid.h) * np.linalg.norm(x)
+        return -x if x[int(np.argmax(np.abs(x)))] < 0.0 else x
+
+    @pytest.mark.parametrize("beta", [0.0, 0.33, -0.4])
+    @pytest.mark.parametrize("m", [1, 10, 40, 83])
+    def test_same_bytes_as_the_loop_reference(self, m, beta):
+        params = ModeParams(m=m, N=0)
+        _, per_grid = richardson_eigenvalue(params, beta)
+        for points in (1024, 4096):
+            grid = FdGrid(points)
+            vec = fd_ground_eigenvector(params, beta, grid, per_grid[points])
+            reference = self.loop_reference(params, beta, grid, per_grid[points])
+            assert vec.tobytes() == reference.tobytes(), points
 
     def test_excited_state_detected_as_nodal(self):
         # aiming inverse iteration at the second eigenvalue must trip the
@@ -505,6 +576,25 @@ class TestVerifyAll:
         }
         assert math.isnan(reports[0].residual_slope)
         assert reports[0].passed is True
+
+    def test_second_case_reuses_the_grid_constants(self, monkeypatch):
+        # a new beta at the same m forms no indicial correction and no
+        # half-angle values of a grid or of the normalization rule
+        params = ModeParams(m=3, N=2)
+        state = compute_series(params)
+        verify_all(params, [0.1], state=state)
+        misses = oracle._indicial_correction.cache_info().misses
+        sizes = []
+        for module in (oracle, evaluate):
+
+            def counting(theta, half_angle=module._half_angle):
+                sizes.append(np.size(theta))
+                return half_angle(theta)
+
+            monkeypatch.setattr(module, "_half_angle", counting)
+        verify_all(params, [0.2], state=state)
+        assert oracle._indicial_correction.cache_info().misses == misses
+        assert sizes == [1]  # the residual slope's one angle
 
     def test_large_m_slope_skipped_not_failed(self):
         # at m = 40 the cancelling terms W^2 and V are ~2e3; an absolute
