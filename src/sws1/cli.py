@@ -201,6 +201,9 @@ def _render_reports_text(reports: list[OracleReport]) -> str:
             lines.append(f"  check {name}: {'pass' if r.checks[name] else 'FAIL'}")
         for name in sorted(r.skipped):
             lines.append(f"  check {name}: skipped ({r.skipped[name]})")
+        for name in sorted(r.oracle_checks):
+            why = r.oracle_checks[name]
+            lines.append(f"  oracle check {name}: {'pass' if why is None else f'FAIL ({why})'}")
         if r.error is not None:
             lines.append(f"  error = {r.error}")
         lines.append(f"  status = {_status(r)}")

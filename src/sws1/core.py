@@ -64,8 +64,8 @@ class ModeParams:
 # loads no numpy.
 DEFAULT_TOLERANCES = {
     "eigenvalue": 1e-6,  # series partial sum vs Richardson-extrapolated value
-    "eigenvalue_beta0": 5e-5,  # single finest grid, beta = 0 only
-    "wavefunction": 1e-3,  # max-norm vs the normalized discrete eigenvector
+    "eigenvalue_beta0": 5e-5,  # finest grid alone vs the exact E0 at beta = 0: an oracle check
+    "wavefunction": 1e-3,  # max-norm vs the extrapolated eigenvector on the shared nodes
     "residual_slope_below": 0.3,  # slope may undershoot N+1 by this much
     "residual_slope_above": 0.7,  # and overshoot by this much
 }

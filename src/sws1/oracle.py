@@ -3,7 +3,10 @@
 The boundary-value problem is discretized on a uniform interior grid with
 Dirichlet endpoints and solved by Sturm-sequence bisection on the
 symmetric tridiagonal operator, entirely independently of the recurrence
-path.  `verify_all` runs that comparison, plus the Riccati-defect slope
+path.  Four nested grids, h = pi/256 ... pi/2048, each coarse node every
+other node of the next grid, feed one Richardson table (Richardson 1911,
+Phil. Trans. R. Soc. A 210, 307) for the eigenvalue and the eigenvector
+alike.  `verify_all` runs that comparison, plus the Riccati-defect slope
 of the series itself.  `quadrature_an`, a Gauss-Legendre re-computation
 of the order-n antiderivative from the nearer endpoint, cross-checks the
 coefficient tables themselves; `verify_all` does not call it, the test
@@ -23,14 +26,14 @@ float.  The eigenvector takes two steps of inverse iteration on one
 factorization of the shifted matrix, the first forward substitution run
 inside it, and the residual slope evaluates its nine betas in one call.
 
-Most of a diagonal does not depend on beta.  The three Richardson grids
+Most of a diagonal does not depend on beta.  The four Richardson grids
 are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
 values (`FdGrid.trig`), which the potential and the series psi read:
-about 224 KB for the three grids.  The indicial correction is cached per
-(m, grid), about 56 KB per m over the three grids.  A case at a new beta
-then evaluates only the potential for each diagonal, the eigenvector's
-second assembly of the finest one included.  Every cached array is
-read-only, and every float is the one a fresh build gives.
+about 120 KB for the four grids.  The indicial correction is cached per
+(m, grid), about 30 KB per m over the four grids.  A case at a new beta
+then evaluates only the potential for each diagonal, the eigenvectors'
+second assemblies included.  Every cached array is read-only, and every
+float is the one a fresh build gives.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -66,7 +69,7 @@ from .evaluate import (
 )
 from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 
-RICHARDSON_GRIDS = (1024, 2048, 4096)
+RICHARDSON_GRIDS = (255, 511, 1023, 2047)  # h = pi/256 ... pi/2048, nested
 _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80, |beta| <= 2
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
@@ -107,6 +110,7 @@ class FdGrid:
 
 
 _GRIDS = {points: FdGrid(points) for points in RICHARDSON_GRIDS}  # their trig is built once
+_COARSEST = _GRIDS[RICHARDSON_GRIDS[0]]  # its nodes lie on every grid
 
 
 @dataclass
@@ -128,6 +132,9 @@ class OracleReport:
     residual_slope: float = math.nan
     checks: dict = field(default_factory=dict)
     skipped: dict = field(default_factory=dict)  # check name -> why it was not run
+    # checks of the oracle against an exact value: name -> None if it held,
+    # else why not.  They judge the oracle, not the series; `passed` omits them
+    oracle_checks: dict = field(default_factory=dict)
     passed: bool | None = None
     error: str | None = None
 
@@ -164,7 +171,7 @@ def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndar
         diag = 2.0 / h**2 + _potential(params.m, beta, grid.trig) + corr
     if not np.isfinite(diag).all():
         if not np.isfinite(corr).all():
-            # finite while 2 (points+1)^(m+3/2) is: m <= 83 at 4096 points
+            # finite while 2 (points+1)^(m+3/2) is: m <= 91 at 2047 points
             largest = math.log(np.finfo(float).max / 2.0) / math.log(grid.points + 1) - 1.5
             raise ValueError(
                 f"the indicial correction overflows on the {grid.points}-point grid "
@@ -363,16 +370,27 @@ def spectral_eigenvalue(m: int, beta: float) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
+def _richardson(values: list):
+    """Richardson's table over the nested grids, coarsest first: level k
+    combines adjacent entries as (4^k fine - coarse) / (4^k - 1), which
+    removes the h^(2k) term of the error, until one entry is left.  The
+    values are floats, or arrays on the nodes every grid shares."""
+    for k in range(1, len(values)):
+        weight = 4.0**k
+        pairs = zip(values, values[1:])
+        values = [(weight * fine - coarse) / (weight - 1.0) for coarse, fine in pairs]
+    (estimate,) = values
+    return estimate
+
+
 def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
-    """Eigenvalue on the three RICHARDSON_GRIDS plus one level of h^2
-    elimination on the two finest, (4 v_4096 - v_2048)/3; the coarsest
-    grid's value is only reported, with the others, per grid size.  The
-    grids are not nested: h = pi/(p+1) on p points, so h_2048/h_4096 is
-    4097/2049, not 2, and the weight 4 is only approximate (it keeps about
-    6.5e-4 of the finest grid's h^2 error; ROADMAP.md, item 1).
+    """Eigenvalue on the four RICHARDSON_GRIDS, extrapolated by three
+    levels of `_richardson` (h^2, h^4 and h^6 eliminated), and the value
+    per grid size.  The grids are nested, h = pi/256 ... pi/2048, so h
+    halves exactly from grid to grid and every weight 4^k is exact.
 
     Every grid's bisection is seeded from the spectral value s
-    (`spectral_eigenvalue`): the 1024-point grid takes s, and each finer
+    (`spectral_eigenvalue`): the coarsest grid takes s, and each finer
     grid s + (v - s)/4, v the value of the grid before it, since the FD
     error falls like h^2.  The seeds save sweeps and change no value
     (`fd_ground_eigenvalue`)."""
@@ -381,8 +399,7 @@ def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]
     for points, grid in _GRIDS.items():
         per_grid[points] = fd_ground_eigenvalue(params, beta, grid, guess=guess)
         guess = spectral + (per_grid[points] - spectral) / 4.0
-    _, middle, finest = RICHARDSON_GRIDS
-    return (4.0 * per_grid[finest] - per_grid[middle]) / 3.0, per_grid
+    return _richardson(list(per_grid.values())), per_grid
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
@@ -460,7 +477,9 @@ def verify_all(
     batch; a beta the oracle cannot take (a non-finite potential) raises
     ValueError.  Above |beta| = JUDGED_BETA_LIMIT the gaps are reported
     without a pass/fail judgment, since series truncation dominates every
-    tolerance there.
+    tolerance there.  At beta = 0 the finest grid alone is also held to
+    the exact E0 = m(m+1) - 2: a check of the oracle, not of the series,
+    reported in `oracle_checks` and left out of `passed`.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -485,11 +504,17 @@ def verify_all(
         try:
             series_value = eval_energy(state, beta, n_order)
             estimate, per_grid = richardson_eigenvalue(params, beta)
-            finest = _GRIDS[RICHARDSON_GRIDS[-1]]
-            vec = fd_ground_eigenvector(params, beta, finest, per_grid[finest.points])
+            vectors = [
+                fd_ground_eigenvector(params, beta, grid, per_grid[points])
+                for points, grid in _GRIDS.items()
+            ]
+            # each vector normalized on its own grid, read on the coarsest
+            # grid's nodes (grid j's every 2^j-th), then extrapolated like
+            # the eigenvalue: the table removes the h^2 terms of the discrete
+            # norm too, so the limit is psi normalized over (0, pi)
+            vec = _richardson([v[(1 << j) - 1 :: 1 << j] for j, v in enumerate(vectors)])
             with np.errstate(over="ignore", invalid="ignore"):  # NaN at large |beta|
-                psi, _, _ = _wavefunction(state.params.m, _beta_tables(state, beta), finest.trig)
-                psi = psi / (math.sqrt(finest.h) * np.linalg.norm(psi))
+                psi, _, _ = _wavefunction(params.m, _beta_tables(state, beta), _COARSEST.trig)
                 wavefunction_gap = float(np.max(np.abs(psi - vec)))
             abs_gap = abs(series_value - estimate)
 
@@ -497,10 +522,15 @@ def verify_all(
                 "eigenvalue_gap": abs_gap <= tol["eigenvalue"],
                 "wavefunction_gap": wavefunction_gap <= tol["wavefunction"],
             }
+            oracle_checks = {}
             if beta == 0.0:
-                single = per_grid[finest.points]
-                checks["eigenvalue_gap_beta0_single_grid"] = (
-                    abs(series_value - single) <= tol["eigenvalue_beta0"]
+                finest = RICHARDSON_GRIDS[-1]
+                single = abs(per_grid[finest] - (params.m * (params.m + 1) - 2))  # exact E0
+                oracle_checks["eigenvalue_gap_beta0_single_grid"] = (
+                    None
+                    if single <= tol["eigenvalue_beta0"]
+                    else f"the {finest}-point grid is too coarse at m={params.m}: "
+                    f"it lies {single:.3g} from E0, above {tol['eigenvalue_beta0']:g}"
                 )
             if n_order >= 1 and "residual_slope" not in skipped:
                 target = n_order + 1
@@ -519,6 +549,7 @@ def verify_all(
                 richardson_estimate=estimate,
                 wavefunction_gap=wavefunction_gap,
                 checks=checks,
+                oracle_checks=oracle_checks,
                 passed=None if abs(beta) > JUDGED_BETA_LIMIT else all(checks.values()),
             )
         except ValueError:

@@ -140,7 +140,7 @@ def test_criterion_4_series_vs_independent_eigensolver(states_n8):
             worst = max(worst, gap)
             ok &= gap <= 1e-6
             if beta == 0.0:
-                single = per_grid[4096]
+                single = per_grid[2047]
                 ok &= abs(series - single) <= 5e-5
     elapsed = time.monotonic() - t0
     ok &= elapsed < 60.0

@@ -259,18 +259,41 @@ class TestVerify:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err == CAUTION + (
-            "error: the potential is not finite on the 1024-point grid at beta=1e+200\n"
+            "error: the potential is not finite on the 255-point grid at beta=1e+200\n"
         )
 
     def test_m_past_the_indicial_range_exits_1(self, capsys):
-        # the potential is finite at m = 84; (j+1)^(m+3/2) of the endpoint
-        # correction overflows on the 4096-point grid
-        code, out, err = run(["verify", "--m", "84", "--order", "4", "--beta", "0"], capsys)
+        # the potential is finite at m = 92; (j+1)^(m+3/2) of the endpoint
+        # correction overflows on the 2047-point grid
+        code, out, err = run(["verify", "--m", "92", "--order", "4", "--beta", "0"], capsys)
         assert code == 1 and out == ""
         assert err == (
-            "error: the indicial correction overflows on the 4096-point grid at m=84; "
-            "this grid supports m <= 83\n"
+            "error: the indicial correction overflows on the 2047-point grid at m=92; "
+            "this grid supports m <= 91\n"
         )
+
+    def test_largest_supported_m_gives_a_verdict(self, capsys):
+        code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0,0.1"], capsys)
+        assert code == 0 and err == ""
+        assert out.count("status = PASS") == 2
+
+    def test_no_false_fail_at_m40(self, capsys):
+        # the one-level extrapolation over un-nested grids kept 2.4e-5 of
+        # the FD error at m = 40, and every beta failed eigenvalue_gap
+        argv = ["verify", "--m", "40", "--order", "8", "--beta", "0,0.05,0.45"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert out.count("status = PASS") == 3
+
+    def test_coarse_single_grid_is_reported_as_an_oracle_check(self, capsys):
+        # the 2047-point grid alone misses the exact E0 by 4.9e-4 at m = 10;
+        # that judges the oracle, and the series still passes
+        code, out, err = run(["verify", "--m", "10", "--order", "8", "--beta", "0"], capsys)
+        assert code == 0 and err == ""
+        assert (
+            "  oracle check eigenvalue_gap_beta0_single_grid: FAIL (the 2047-point grid is "
+            "too coarse at m=10: it lies 0.000486 from E0, above 5e-05)\n  status = PASS\n"
+        ) in out
 
     # sha256 of the verify text and its exit status; every eigenvalue and
     # eigenvector gap prints at 17 digits, so these pin the oracle's floats.
@@ -280,13 +303,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "afe43a7785c1cef9f03a2fe4c91b2c1620c51b822eceba6cd38026007adf6adf",
-            "69e3941fe66380a462c06e3e53e812b38cf30aa750ff3fd612c0e7cdd3c7364b",
+            "56379152d364fc8ad9b1cc31cbea80238025831ca951f73873f751029be1a4b5",
+            "6f3d2d8e8fa90c8bb5c47c680547f915653c639cd8fd1e88dc5de051f9de9ac8",
         ),
         ("40", "0,0.05,0.45"): (
-            3,
-            "e7f3e14ad3dc42ac261f9b16bc08be80cd4bc638001ceaced69d1db3882e1ef7",
-            "7c0415aec655ab9f107e62a3ec610a8f3706232451f67f15f17f1a1b227d4e62",
+            0,
+            "7f0d4e7d124aa7d589d5b5e7a5a6b727b928d6d0ba527c1e03404c65b56b1ca8",
+            "1d698863594fc88007efe28b71e34660578bd0be580b8286471031cbb0a426f6",
         ),
     }
 
@@ -365,21 +388,35 @@ class TestParser:
 
 
 def _pinned_reports():
-    """Four hand-built reports, one of each verdict, with fixed values."""
+    """Five hand-built reports, one of each verdict and a passing one whose
+    oracle check failed, with fixed values."""
     nan = float("nan")
     slope_skip = "residual is above its roundoff floor"
-    common = dict(grid_sizes=(1024, 2048, 4096))
+    single = "eigenvalue_gap_beta0_single_grid"
+    common = dict(grid_sizes=(255, 511, 1023, 2047))
     return [
         OracleReport(
             m=1, beta=0.0, order=3, series_value=0.0, numeric_value=-2.5e-7,
-            abs_gap=2.5e-7, rel_gap=math.inf, grid_eigenvalues=(-4e-6, -1e-6, -2.5e-7),
+            abs_gap=2.5e-7, rel_gap=math.inf,
+            grid_eigenvalues=(-1.6e-5, -4e-6, -1e-6, -2.5e-7),
             richardson_estimate=-2.5e-7, wavefunction_gap=1.5e-5, residual_slope=nan,
             checks={"eigenvalue_gap": True, "wavefunction_gap": True},
-            skipped={"residual_slope": slope_skip}, passed=True, **common,
+            skipped={"residual_slope": slope_skip}, oracle_checks={single: None},
+            passed=True, **common,
+        ),
+        OracleReport(
+            m=10, beta=0.0, order=8, series_value=108.0, numeric_value=108.0, abs_gap=0.0,
+            rel_gap=0.0, grid_eigenvalues=(108.25, 108.0625, 108.015625, 108.00390625),
+            richardson_estimate=108.0, wavefunction_gap=1e-13, residual_slope=nan,
+            checks={"eigenvalue_gap": True, "wavefunction_gap": True},
+            skipped={"residual_slope": slope_skip},
+            oracle_checks={single: "the 2047-point grid is too coarse at m=10"},
+            passed=True, **common,
         ),
         OracleReport(
             m=10, beta=0.05, order=8, series_value=110.125, numeric_value=110.0,
-            abs_gap=0.125, rel_gap=0.125 / 110.125, grid_eigenvalues=(109.5, 109.875, 110.0),
+            abs_gap=0.125, rel_gap=0.125 / 110.125,
+            grid_eigenvalues=(108.0, 109.5, 109.875, 110.0),
             richardson_estimate=110.0, wavefunction_gap=2e-4, residual_slope=9.25,
             checks={"eigenvalue_gap": False, "wavefunction_gap": True, "residual_slope": True},
             passed=False, **common,
@@ -392,7 +429,7 @@ def _pinned_reports():
         ),
         OracleReport(
             m=40, beta=-1.5, order=4, series_value=1638.0, numeric_value=1639.0, abs_gap=1.0,
-            rel_gap=1.0 / 1638.0, grid_eigenvalues=(1636.0, 1638.5, 1639.0),
+            rel_gap=1.0 / 1638.0, grid_eigenvalues=(1626.0, 1636.0, 1638.5, 1639.0),
             richardson_estimate=1639.0, wavefunction_gap=0.5, residual_slope=4.75,
             checks={"wavefunction_gap": False, "eigenvalue_gap": False, "residual_slope": True},
             passed=None, **common,
@@ -406,22 +443,38 @@ report m=1 order=3 beta=0
   numeric_value       = -2.4999999999999999e-07
   abs_gap             = 2.4999999999999999e-07
   rel_gap             = inf
-  grid_sizes          = 1024,2048,4096
-  grid_eigenvalues    = -3.9999999999999998e-06,-9.9999999999999995e-07,-2.4999999999999999e-07
+  grid_sizes          = 255,511,1023,2047
+  grid_eigenvalues    = -1.5999999999999999e-05,-3.9999999999999998e-06,-9.9999999999999995e-07,-2.4999999999999999e-07
   richardson_estimate = -2.4999999999999999e-07
   wavefunction_gap    = 1.5e-05
   residual_slope      = nan
   check eigenvalue_gap: pass
   check wavefunction_gap: pass
   check residual_slope: skipped (residual is above its roundoff floor)
+  oracle check eigenvalue_gap_beta0_single_grid: pass
+  status = PASS
+report m=10 order=8 beta=0
+  series_value        = 108
+  numeric_value       = 108
+  abs_gap             = 0
+  rel_gap             = 0
+  grid_sizes          = 255,511,1023,2047
+  grid_eigenvalues    = 108.25,108.0625,108.015625,108.00390625
+  richardson_estimate = 108
+  wavefunction_gap    = 1e-13
+  residual_slope      = nan
+  check eigenvalue_gap: pass
+  check wavefunction_gap: pass
+  check residual_slope: skipped (residual is above its roundoff floor)
+  oracle check eigenvalue_gap_beta0_single_grid: FAIL (the 2047-point grid is too coarse at m=10)
   status = PASS
 report m=10 order=8 beta=0.050000000000000003
   series_value        = 110.125
   numeric_value       = 110
   abs_gap             = 0.125
   rel_gap             = 0.0011350737797956867
-  grid_sizes          = 1024,2048,4096
-  grid_eigenvalues    = 109.5,109.875,110
+  grid_sizes          = 255,511,1023,2047
+  grid_eigenvalues    = 108,109.5,109.875,110
   richardson_estimate = 110
   wavefunction_gap    = 0.00020000000000000001
   residual_slope      = 9.25
@@ -434,7 +487,7 @@ report m=2 order=8 beta=9.9999999999999997e+199
   numeric_value       = nan
   abs_gap             = nan
   rel_gap             = nan
-  grid_sizes          = 1024,2048,4096
+  grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 
   richardson_estimate = nan
   wavefunction_gap    = nan
@@ -447,8 +500,8 @@ report m=40 order=4 beta=-1.5
   numeric_value       = 1639
   abs_gap             = 1
   rel_gap             = 0.0006105006105006105
-  grid_sizes          = 1024,2048,4096
-  grid_eigenvalues    = 1636,1638.5,1639
+  grid_sizes          = 255,511,1023,2047
+  grid_eigenvalues    = 1626,1636,1638.5,1639
   richardson_estimate = 1639
   wavefunction_gap    = 0.5
   residual_slope      = 4.75
@@ -461,6 +514,7 @@ report m=40 order=4 beta=-1.5
 PINNED_CSV = """\
 m,beta,order,series_value,numeric_value,abs_gap,rel_gap,richardson_estimate,wavefunction_gap,residual_slope,status
 1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,-2.4999999999999999e-07,1.5e-05,nan,pass
+10,0,8,108,108,0,0,108,1e-13,nan,pass
 10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,110,0.00020000000000000001,9.25,fail
 2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,nan,nan,fail
 40,-1.5,4,1638,1639,1,0.0006105006105006105,1639,0.5,4.75,not-judged

@@ -77,6 +77,12 @@ class TestFdGrid:
         with pytest.raises(ValueError):
             FdGrid(63)
 
+    def test_richardson_grids_are_nested(self):
+        # every node of a grid is every other node of the next, bit for bit
+        for coarse, fine in zip(oracle.RICHARDSON_GRIDS, oracle.RICHARDSON_GRIDS[1:]):
+            assert fine == 2 * coarse + 1
+            assert np.array_equal(oracle._GRIDS[coarse].thetas, oracle._GRIDS[fine].thetas[1::2])
+
     def test_cached_constants_are_read_only(self):
         # every caller shares them: the grids' half-angle values, the
         # indicial corrections and the normalization rule
@@ -242,34 +248,41 @@ class TestCertifiedBisection:
         assert sorted(sweeps) == list(oracle.RICHARDSON_GRIDS)  # no grid solved as a seed
         assert max(sweeps.values()) <= 40
         if m == 40:
-            # the 256-point seed sat 9.3 above the 1024-point value, out of
-            # Newton's quadratic range: 38 count and 2 Newton sweeps followed
-            assert sweeps[1024] <= 12
+            # a 256-point seed once sat 9.3 above the 1024-point value, out
+            # of Newton's quadratic range: 38 count and 2 Newton sweeps
+            # followed.  The 1023-point grid, seeded from the two before it,
+            # takes 2 and 4 at beta = 0
+            assert sweeps[1023] <= 12
         assert rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
 
-
-    # count and Newton sweeps per richardson_eigenvalue at beta = 0, measured
-    # 29 and 7 at m = 1, 4 and 13 at m = 40, 6 and 15 at m = 80
-    SWEEP_PINS = {1: (32, 8), 40: (6, 15), 80: (8, 18)}
+    # rows swept per richardson_eigenvalue at beta = 0, a Newton row counted
+    # twice, on the three grids 1024/2048/4096 (29/7, 4/13 and 6/15 count/
+    # Newton sweeps at m = 1, 40, 80).  The four nested grids take more
+    # sweeps (34/12, 4/19 and 46/14) over fewer rows: 57,286, 31,190 and
+    # 43,446 measured
+    THREE_GRID_ROWS = {1: 107_520, 40: 60_416, 80: 77_824}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
-        sweeps = collections.Counter()  # (name, grid size) -> sweeps
-        for name in ("_sturm_count", "_sturm_newton"):
+        sweeps, rows = collections.Counter(), 0  # (name, grid size) -> sweeps
+        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
 
-            def counting(diag, offsq, lam, name=name, sweep=getattr(oracle, name)):
+            def counting(diag, offsq, lam, name=name, weight=weight, sweep=getattr(oracle, name)):
+                nonlocal rows
                 sweeps[name, len(diag)] += 1
+                rows += weight * len(diag)
                 return sweep(diag, offsq, lam)
 
             monkeypatch.setattr(oracle, name, counting)
         richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
-        counts, newtons = self.SWEEP_PINS[m]
-        assert sum(v for (name, _), v in sweeps.items() if name == "_sturm_count") <= counts
-        assert sum(v for (name, _), v in sweeps.items() if name == "_sturm_newton") <= newtons
+        assert rows <= 0.6 * self.THREE_GRID_ROWS[m]
         if m == 80:
-            # the 1024-point value lies 10.3 above the spectral seed; Newton
-            # steps that stopped quartering there left 37 count sweeps
-            assert sweeps["_sturm_count", 1024] <= 12
+            # the 1024-point value once lay 10.3 above the spectral seed, and
+            # Newton steps that stopped quartering there left 37 count
+            # sweeps; the 1023-point grid now takes none.  The seed lies
+            # below the 255-point grid's Gershgorin bound, so Newton takes
+            # no step there and 46 count sweeps of 255 rows settle it
+            assert sweeps["_sturm_count", 1023] <= 12
 
 
 class TestGroundEigenvector:
@@ -378,7 +391,7 @@ class TestGroundEigenvector:
     def test_same_bytes_as_the_loop_reference(self, m, beta):
         params = ModeParams(m=m, N=0)
         _, per_grid = richardson_eigenvalue(params, beta)
-        for points in (1024, 4096):
+        for points in (1023, 2047):
             grid = FdGrid(points)
             vec = fd_ground_eigenvector(params, beta, grid, per_grid[points])
             reference = self.loop_reference(params, beta, grid, per_grid[points])
@@ -398,9 +411,26 @@ class TestRichardson:
     def test_estimate_consistency(self):
         params = ModeParams(m=3, N=0)
         estimate, per_grid = richardson_eigenvalue(params, 0.1)
-        finest = per_grid[4096]
-        coarsest = per_grid[1024]
+        finest = per_grid[2047]
+        coarsest = per_grid[255]
         assert abs(estimate - finest) < abs(finest - coarsest)
+
+    def test_table_removes_even_powers_of_h(self):
+        # values c0 + c1 h^2 + c2 h^4 + c3 h^6 at h = 1, 1/2, 1/4, 1/8, as
+        # floats and as arrays: three levels leave c0, to rounding
+        hs = 0.5 ** np.arange(4)
+        coeffs = np.array([[3.0, -1.5], [5.0, 2.0], [-7.0, 0.25], [2.0, 4.0]])
+        values = [coeffs[0] + coeffs[1] * h**2 + coeffs[2] * h**4 + coeffs[3] * h**6 for h in hs]
+        assert np.max(np.abs(oracle._richardson(values) - coeffs[0])) < 1e-13
+        assert abs(oracle._richardson([v[0] for v in values]) - 3.0) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 5, 10, 20, 40, 60, 80, 83, 91])
+    def test_estimate_agrees_with_spectral_value(self, m):
+        # the three-grid, one-level estimate kept up to 3.4e-4 (m = 83) of
+        # the FD error; the four-grid table keeps at most 1.3e-8 (m = 91)
+        for beta in (0.0, 0.45, -0.45, 1.0, -1.0):
+            estimate, _ = richardson_eigenvalue(ModeParams(m=m, N=0), beta)
+            assert abs(estimate - spectral_eigenvalue(m, beta)) <= 1e-7, beta
 
     def test_floats_match_pinned_digest(self):
         # sha256 of the repr of every (estimate, per-grid) pair; a change of
@@ -411,7 +441,7 @@ class TestRichardson:
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "dd6d822f7d4ca8f12bc0bcc81600c4a58b1274268a7703b1e64108431844f539"
+            "eb3521cf64bc370af72e893b12af52136da1ba553902834065c58a6469af2ae0"
         )
 
 
@@ -536,7 +566,7 @@ class TestVerifyAll:
         (report,) = reports
         assert report.passed is True
         assert report.abs_gap < 5e-5
-        assert report.checks["eigenvalue_gap_beta0_single_grid"]
+        assert report.oracle_checks == {"eigenvalue_gap_beta0_single_grid": None}
 
     def test_gap_grows_with_beta_at_fixed_order(self):
         # truncation error dominates, so the series-vs-numeric gap must
@@ -547,12 +577,33 @@ class TestVerifyAll:
 
     def test_report_fields_m3(self):
         (report,) = verify_all(ModeParams(m=3, N=8), [0.1])
-        assert report.grid_sizes == (1024, 2048, 4096)
+        assert report.grid_sizes == (255, 511, 1023, 2047)
         finest = report.grid_eigenvalues[-1]
         coarsest = report.grid_eigenvalues[0]
         assert abs(report.richardson_estimate - finest) < abs(finest - coarsest)
         assert report.abs_gap == abs(report.series_value - report.numeric_value)
         assert report.passed is True
+
+    def test_coarse_single_grid_judges_the_oracle_not_the_series(self):
+        # at m = 10 the 2047-point grid lies 4.9e-4 from the exact E0, past
+        # the 5e-5 bound; the series and the extrapolated value agree
+        (report,) = verify_all(ModeParams(m=10, N=8), [0.0])
+        assert report.oracle_checks == {
+            "eigenvalue_gap_beta0_single_grid": (
+                "the 2047-point grid is too coarse at m=10: it lies 0.000486 from E0, "
+                "above 5e-05"
+            )
+        }
+        assert "eigenvalue_gap_beta0_single_grid" not in report.checks
+        assert report.checks["eigenvalue_gap"] and report.passed is True
+
+    @pytest.mark.parametrize("m", [1, 5, 10, 20, 40, 60, 80, 83, 91])
+    def test_beta0_wavefunction_gap_sees_the_series(self, m):
+        # at beta = 0 psi is exact for every N: the extrapolated vector lies
+        # within 2.5e-9 of it (m = 91); the finest vector alone lay up to
+        # 1.6e-4 (m = 83) from it
+        (report,) = verify_all(ModeParams(m=m, N=16), [0.0])
+        assert report.wavefunction_gap < 1e-6
 
     def test_large_beta_reported_without_judgment(self):
         reports = verify_all(ModeParams(m=1, N=2), [1.5])

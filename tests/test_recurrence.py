@@ -585,8 +585,8 @@ class TestRayleighSchroedingerEnergy:
 class TestBitIdentity:
     REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     # sha256 of the coeffs text of three modes outside the benchmark's
-    # three: a longer series at m = 1, a large m, and m = 80, whose
-    # denominators are the widest of any m that verify accepts (m <= 83)
+    # three: a longer series at m = 1, a large m, and m = 80, near the top
+    # of the m that verify accepts (m <= 91)
     PINNED = {
         (1, 64): "534043de542527c209cd9de4e04bacad9cc9c535b4e2a30bcfd278c55a2166a1",
         (40, 24): "efe543fb704e2928576773e7663942d1acfbd95324eca020fb8fb581b1f2242b",
