@@ -8,7 +8,10 @@ only at evaluation time.
 
 Every table is a dense tuple over its whole support, indexed from the
 bottom of that support; exact zeros inside the support are kept.  They
-are dropped only in the table document written here.
+are dropped only in the table document written here.  The document is
+written and read in integers, straight from and into a table's
+numerators over its one denominator: no Fraction is built per entry,
+and the text keeps the layout of json.dumps(indent=2).
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
 
 
 def format_rational(value: Rational) -> str:
@@ -33,10 +35,15 @@ def parse_rational(text: str) -> Rational:
     """Inverse of :func:`format_rational`; exact round trip, in lowest
     terms with a positive denominator (a zero denominator raises
     ZeroDivisionError)."""
+    return Fraction(*_split_rational(text))
+
+
+def _split_rational(text: str) -> tuple[int, int]:
+    """The two integers of a "num/den" string, as written, unreduced."""
     num, sep, den = text.partition("/")
     if not sep:
         raise ValueError(f"rational must look like 'num/den', got {text!r}")
-    return Fraction(int(num), int(den))
+    return int(num), int(den)
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,12 @@ class WnTable:
     def b(self) -> tuple:
         return tuple(Fraction(v, self.den) for v in self.b_num)
 
+    @cached_property
+    def largest(self) -> int:
+        """The largest numerator in size, measured on first use and kept on
+        the table; it is no field, so equality, hash and repr ignore it."""
+        return max(map(abs, self.a_num + self.b_num))
+
 
 # ---------------------------------------------------------------------------
 # Coefficient-table file format (consumed and produced by the CLI).
@@ -132,51 +145,77 @@ class WnTable:
 # ---------------------------------------------------------------------------
 
 
+def _layout(items: list, depth: int, brackets: str) -> str:
+    """A list or object of already formatted items at nesting depth
+    `depth`, laid out as json.dumps(indent=2) lays it out."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _entries(nums: tuple, den: int) -> list:
+    """'"k": "num/den"' for every nonzero numerator over den, in lowest
+    terms with den > 0."""
+    out = []
+    for k, v in enumerate(nums, start=1):
+        if v:
+            g = math.gcd(v, den)
+            out.append(f'"{k}": "{v // g}/{den // g}"')
+    return out
+
+
 def tables_to_text(m: int, energy: tuple, orders) -> str:
     """The document of a series: energy[n] the n-th energy coefficient,
-    orders the tables W_1 .. W_N."""
-    doc = {
-        "m": m,
-        "N": len(energy) - 1,
-        "energy": [format_rational(c) for c in energy],
-        "orders": [
-            {
-                "n": t.n,
-                "a": {str(k): format_rational(v) for k, v in enumerate(t.a, start=1) if v},
-                "b": {str(k): format_rational(v) for k, v in enumerate(t.b, start=1) if v},
-            }
-            for t in orders
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    orders the tables W_1 .. W_N.  Each table entry is formatted from the
+    table's integers, reduced by one gcd, with no Fraction built; the text
+    is byte for byte json.dumps(doc, indent=2) + "\n" of the document."""
+    tables = []
+    for t in orders:
+        a, b = (_layout(_entries(nums, t.den), 3, "{}") for nums in (t.a_num, t.b_num))
+        tables.append(_layout([f'"n": {t.n}', f'"a": {a}', f'"b": {b}'], 2, "{}"))
+    energies = [f'"{format_rational(c)}"' for c in energy]
+    fields = [
+        f'"m": {m}',
+        f'"N": {len(energy) - 1}',
+        f'"energy": {_layout(energies, 1, "[]")}',
+        f'"orders": {_layout(tables, 1, "[]")}',
+    ]
+    return _layout(fields, 0, "{}") + "\n"
 
 
-def _dense_entries(entries: dict, top: int, what: str) -> tuple:
-    """Dense table over k = 1..top from a document's {k: "num/den"} map;
-    absent keys are exact zero, keys outside 1..top are rejected."""
-    values = [_ZERO] * top
+def _dense_pairs(entries: dict, top: int, what: str) -> list:
+    """(num, den) as written for k = 1..top, from a document's
+    {k: "num/den"} map; absent keys are exact zero, (0, 1), and keys
+    outside 1..top are rejected."""
+    pairs = [(0, 1)] * top
     for key, text in entries.items():
         k = int(key)
         if not 1 <= k <= top:
             raise ValueError(f"{what}[{k}] lies outside the support 1..{top}")
-        values[k - 1] = parse_rational(text)
-    return tuple(values)
+        pairs[k - 1] = _split_rational(text)
+    return pairs
 
 
 def _order_from_entry(entry: dict) -> WnTable:
-    """One order of a document, lifted over the lcm of its denominators."""
+    """One order of a document, its entries lifted over the lcm of their
+    denominators as written; WnTable reduces the lifted table once."""
     n = entry["n"]
-    a = _dense_entries(entry["a"], n // 2, "a")
-    b = _dense_entries(entry["b"], (n + 1) // 2, "b")
-    den = math.lcm(*(v.denominator for v in a + b))
-    return WnTable(n, _numerators(a, den), _numerators(b, den), den)
+    a = _dense_pairs(entry["a"], n // 2, "a")
+    b = _dense_pairs(entry["b"], (n + 1) // 2, "b")
+    den = math.lcm(*(d for _, d in a + b))
+    if den == 0:
+        raise ZeroDivisionError(f"order {n} has an entry with denominator zero")
+    a_num, b_num = (tuple(v * (den // d) for v, d in pairs) for pairs in (a, b))
+    return WnTable(n, a_num, b_num, den)
 
 
 def tables_from_text(text: str):
     """Parse the coefficient-table format; returns (params, energy, orders),
-    energy a tuple of Fractions.  A document whose energy list does not
-    run over orders 0..N, or whose tables are not W_1 .. W_N in order, is
-    refused."""
+    energy a tuple of Fractions.  Table entries are read as integer pairs
+    and each order is reduced once, by WnTable, so no Fraction is built per
+    entry.  A document whose energy list does not run over orders 0..N, or
+    whose tables are not W_1 .. W_N in order, is refused."""
     doc = json.loads(text)
     params = ModeParams(m=doc["m"], N=doc["N"])
     energy = tuple(parse_rational(c) for c in doc["energy"])

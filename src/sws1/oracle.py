@@ -75,6 +75,7 @@ _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _BISECTION_TOL = 1e-13
 _BISECTION_MAX_ITER = 200
+_FAR_STEP = 2.0**16  # stopping widths; the Sturm noise spans at most about 2^10
 
 
 class OracleError(RuntimeError):
@@ -233,11 +234,15 @@ def fd_ground_eigenvalue(
     each iterate; `richardson_eigenvalue` guesses from the spectral
     value) until a step fails to halve the one before, at the float noise
     of the pivots: below the eigenvalue a step never overshoots, and from
-    between it and the next one a step lands below it.  Then counts at four
-    last steps to either side of the final iterate, the distance widened
-    fourfold until both bounds lie within it, and one count at min(diag),
-    which is at or above the eigenvalue, close the bracket.  A guess that
-    is NaN, the default, or outside the bracket takes no Newton step.
+    between it and the next one a step lands below it.  Far below it, where
+    the other eigenvalues shorten every step and halving would stop Newton
+    early, a step up need only be shorter than the last.  Then counts at
+    four last steps to either side of the final iterate, the distance
+    widened fourfold until both bounds lie within it, and one count at
+    min(diag), which is at or above the eigenvalue, close the bracket.  A
+    guess below the bracket starts Newton at its floor (at large m the
+    coarsest grid's value lies far above the spectral one); a guess that
+    is NaN, the default, or above the bracket takes no Newton step.
     The midpoints and decisions stay those of the plain bisection, so the
     result is the same float for any guess; a good guess only saves
     sweeps.  A diagonal that is not finite is refused
@@ -262,12 +267,16 @@ def fd_ground_eigenvalue(
             certify(lam, _sturm_count(diag, offsq, lam))
 
     # Newton until its steps stop halving (the float noise of the pivots),
-    # stepping up from below or down from above
-    x, last = guess, math.inf
-    while below < x < above:
+    # stepping up from below or down from above.  Far below, the other
+    # eigenvalues shorten every step, so there a step up need only be
+    # shorter than the last while it spans over _FAR_STEP stopping widths.
+    # A guess below the bracket starts at its floor, certified by Gershgorin
+    x, last = (lo if guess < lo else guess), math.inf
+    while below < x < above or x == lo:
         count, step = _sturm_newton(diag, offsq, x)
         certify(x, count)
-        if not abs(step) <= last / 2.0 or (step > 0.0) != (count == 0):
+        far = count == 0 and _FAR_STEP * _BISECTION_TOL * max(1.0, abs(x)) < step < last
+        if not (abs(step) <= last / 2.0 or far) or (step > 0.0) != (count == 0):
             break
         x, last = x + step, abs(step)
     gap = max(4.0 * last, _BISECTION_TOL * max(1.0, abs(x)))

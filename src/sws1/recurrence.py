@@ -132,11 +132,6 @@ class SeriesState:
         return a, b, tuple(map(float, self.energy))
 
 
-def _largest(table: WnTable) -> int:
-    """The largest integer numerator of an order in size."""
-    return max(map(abs, table.a_num + table.b_num))
-
-
 def _slot_bytes(bound: int) -> int:
     """Bytes per slot of a packed table whose entries all lie within
     +-bound: room for bound and a sign bit, rounded up to whole bytes."""
@@ -189,12 +184,12 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     and the differences above are integer additions and one shift.  The
     packed value of a polynomial is exact whatever the size of its
     entries, so only the final h and g must fit their slots to be
-    unpacked.  With M_k the largest numerator of order k in size and
-    t = (k+1)//2, the length of b_k, the most terms any product of the
-    pair adds into one entry (k <= n-k), every entry of h is at most 3 S
-    in size and every entry of g at most 2 S, S = sum over pairs of
-    scale M_k M_(n-k) t; w gives 3 S a sign bit and is rounded up to
-    whole bytes.  This takes
+    unpacked.  With M_k the largest numerator of order k in size
+    (`WnTable.largest`, measured once per table) and t = (k+1)//2, the
+    length of b_k, the most terms any product of the pair adds into one
+    entry (k <= n-k), every entry of h is at most 3 S in size and every
+    entry of g at most 2 S, S = sum over pairs of scale M_k M_(n-k) t; w
+    gives 3 S a sign bit and is rounded up to whole bytes.  This takes
     the per-entry Python work out of the products, most of the cost up to
     n = 48; around n = 96 the multiplications themselves dominate.
     """
@@ -208,9 +203,7 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     ]
     den = math.lcm(*(wk.den * wl.den for wk, wl, _ in pairs))
     scaled = [(wk, wl, weight * (den // (wk.den * wl.den))) for wk, wl, weight in pairs]
-    bound = sum(
-        scale * _largest(wk) * _largest(wl) * len(wk.b_num) for wk, wl, scale in scaled
-    )
+    bound = sum(scale * wk.largest * wl.largest * len(wk.b_num) for wk, wl, scale in scaled)
     nb = _slot_bytes(3 * bound)
     w = 8 * nb
     aa = bb = cross = 0

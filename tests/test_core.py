@@ -135,6 +135,14 @@ class TestTables:
         assert [f.name for f in dataclasses.fields(WnTable)] == ["n", "a_num", "b_num", "den"]
         assert vars(t).keys() == {"n", "a_num", "b_num", "den"}
 
+    def test_cached_largest_numerator_is_no_field(self):
+        t, u = WnTable(4, (0, -15), (10, 18), 60), WnTable(4, (0, -15), (10, 18), 60)
+        assert t.largest == 18 and "largest" in vars(t) and "largest" not in vars(u)
+        # measured on one table only, it leaves equality, hash and repr alone
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+        assert len({t, u}) == 1 and "largest" not in repr(t)
+        assert WnTable(3, (-7,), (2, 5), 9).largest == 7
+
     def test_bad_table_rejected(self):
         with pytest.raises(ZeroDivisionError, match="denominator zero"):
             WnTable(1, (), (1,), 0)
@@ -219,7 +227,88 @@ class TestTables:
             tables_from_text(json.dumps(doc))
 
 
+def reference_text(m, energy, orders):
+    """The document as json.dumps(indent=2) writes it, built from the
+    Fraction views of the tables."""
+    doc = {
+        "m": m,
+        "N": len(energy) - 1,
+        "energy": [format_rational(c) for c in energy],
+        "orders": [
+            {
+                "n": t.n,
+                "a": {str(k): format_rational(v) for k, v in enumerate(t.a, start=1) if v},
+                "b": {str(k): format_rational(v) for k, v in enumerate(t.b, start=1) if v},
+            }
+            for t in orders
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def order_tables(top):
+    """Dense integer tables W_1 .. W_N, N <= top, each over a random
+    nonzero denominator of either sign."""
+    ints = st.integers(min_value=-(10**30), max_value=10**30)
+    dens = st.integers(min_value=-(10**20), max_value=10**20).filter(bool)
+
+    def part(size):
+        return st.lists(ints, min_size=size, max_size=size).map(tuple)
+
+    def order(n):
+        return st.builds(WnTable, st.just(n), part(n // 2), part((n + 1) // 2), dens)
+
+    return st.integers(min_value=0, max_value=top).flatmap(
+        lambda N: st.tuples(*(order(n) for n in range(1, N + 1)))
+    )
+
+
 class TestTableDocument:
+    @pytest.mark.parametrize("m", [1, 2, 20, 91])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 8, 20])
+    def test_writer_matches_json_dumps(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        text = tables_to_text(m, state.energy, state.orders)
+        assert text == reference_text(m, state.energy, state.orders)
+        # the empty list and the empty object keep json's "[]" and "{}"
+        assert ('"orders": []' in text) == (N == 0)
+        assert ('"a": {}' in text) == (N >= 1)
+
+    @given(order_tables(6), st.data())
+    def test_round_trip_of_random_tables(self, orders, data):
+        size = len(orders) + 1
+        energy = tuple(data.draw(st.lists(rationals, min_size=size, max_size=size)))
+        text = tables_to_text(3, energy, orders)
+        assert text == reference_text(3, energy, orders)
+        params, energy_back, orders_back = tables_from_text(text)
+        assert (params.m, params.N) == (3, len(orders))
+        assert energy_back == energy and tuple(orders_back) == orders
+
+    @given(st.lists(rationals, min_size=4, max_size=4), st.integers(-(10**9), 10**9).filter(bool))
+    def test_unreduced_entries_read_as_their_lowest_terms(self, values, scale):
+        # "2/4", "1/-2" and the like: each entry scaled by its own factor
+        def written(factors):
+            text = [f"{v.numerator * c}/{v.denominator * c}" for v, c in zip(values, factors)]
+            return document(4, {"1": text[0], "2": text[1]}, {"1": text[2], "2": text[3]})
+
+        reduced = tables_from_text(written((1, 1, 1, 1)))
+        assert tables_from_text(written((scale, -scale, 7, -1))) == reduced
+
+    def test_signed_and_unreduced_zeros_and_halves(self):
+        written = document(4, {"1": "-0/3", "2": "2/4"}, {"1": "1/-2", "2": "-6/-9"})
+        reduced = document(4, {"2": "1/2"}, {"1": "-1/2", "2": "2/3"})
+        assert tables_from_text(written) == tables_from_text(reduced)
+        t = tables_from_text(written)[2][-1]
+        assert (t.a_num, t.b_num, t.den) == ((0, 3), (-3, 4), 6)
+
+    @pytest.mark.parametrize("a, b", [({}, {"1": "1/0"}), ({"1": "0/0"}, {})])
+    def test_zero_denominator_entry_refused(self, a, b):
+        # as parse_rational refuses "1/0"; "0.5", "2" and keys outside the
+        # support keep their ValueError (test_entry_must_be_num_den,
+        # test_support_enforced)
+        with pytest.raises(ZeroDivisionError):
+            tables_from_text(document(4, a, b))
+
     def test_round_trip(self):
         state = compute_series(ModeParams(m=2, N=5))
         text = tables_to_text(2, state.energy, state.orders)

@@ -259,7 +259,7 @@ class TestCertifiedBisection:
     # twice, on the three grids 1024/2048/4096 (29/7, 4/13 and 6/15 count/
     # Newton sweeps at m = 1, 40, 80).  The four nested grids take more
     # sweeps (34/12, 4/19 and 46/14) over fewer rows: 57,286, 31,190 and
-    # 43,446 measured
+    # 43,446 measured; 37,326 at m = 80 once Newton climbs from far below
     THREE_GRID_ROWS = {1: 107_520, 40: 60_416, 80: 77_824}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
@@ -279,10 +279,53 @@ class TestCertifiedBisection:
         if m == 80:
             # the 1024-point value once lay 10.3 above the spectral seed, and
             # Newton steps that stopped quartering there left 37 count
-            # sweeps; the 1023-point grid now takes none.  The seed lies
-            # below the 255-point grid's Gershgorin bound, so Newton takes
-            # no step there and 46 count sweeps of 255 rows settle it
+            # sweeps; the 1023-point grid now takes none (the 255-point
+            # grid: test_far_seed_keeps_newton_going_on_the_coarsest_grid)
             assert sweeps["_sturm_count", 1023] <= 12
+
+    @pytest.mark.parametrize("m", [60, 80, 91])
+    def test_far_seed_keeps_newton_going_on_the_coarsest_grid(self, monkeypatch, m):
+        # at beta = 0 the 255-point value lies 52 to 281 above the spectral
+        # seed; at m = 80 and 91 the seed is below the Gershgorin bracket.
+        # Newton once stopped there after 0 or 2 steps, and 40 to 46 count
+        # sweeps followed.  It now climbs from the seed or the bracket's floor
+        params, grid = ModeParams(m=m, N=0), FdGrid(255)
+        sweeps = collections.Counter()
+        for name in ("_sturm_count", "_sturm_newton"):
+
+            def counting(diag, offsq, lam, name=name, sweep=getattr(oracle, name)):
+                sweeps[name] += 1
+                return sweep(diag, offsq, lam)
+
+            monkeypatch.setattr(oracle, name, counting)
+        value = fd_ground_eigenvalue(params, 0.0, grid, guess=spectral_eigenvalue(m, 0.0))
+        assert sweeps["_sturm_count"] <= 12 and sweeps["_sturm_newton"] >= 1
+        assert value == plain_bisection(params, 0.0, grid)
+
+    # rows swept per richardson_eigenvalue, a Newton row counted twice, over
+    # verify-battery's modes, before Newton could climb from far below
+    BATTERY_ROWS = {
+        (1, 0.0): 57_286, (1, 0.1): 52_425, (1, 0.45): 49_866,
+        (2, 0.0): 50_125, (2, 0.1): 40_149, (2, 0.45): 49_612,
+        (5, 0.0): 37_083, (5, 0.1): 36_314, (5, 0.45): 36_568,
+        (10, 0.0): 33_247, (10, 0.1): 37_338, (10, 0.45): 35_803,
+        (20, 0.0): 38_357, (20, 0.1): 41_170, (20, 0.45): 37_334,
+        (40, 0.0): 31_190, (40, 0.1): 34_774, (40, 0.45): 34_264,
+    }
+
+    @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
+    def test_battery_modes_sweep_no_more_rows(self, monkeypatch, m, beta):
+        rows = 0
+        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
+
+            def counting(diag, offsq, lam, weight=weight, sweep=getattr(oracle, name)):
+                nonlocal rows
+                rows += weight * len(diag)
+                return sweep(diag, offsq, lam)
+
+            monkeypatch.setattr(oracle, name, counting)
+        richardson_eigenvalue(ModeParams(m=m, N=0), beta)
+        assert rows <= self.BATTERY_ROWS[m, beta]
 
 
 class TestGroundEigenvector:
