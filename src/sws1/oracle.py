@@ -1,38 +1,50 @@
 """Independent verification of the series output.
 
 The boundary-value problem is discretized on a uniform interior grid with
-Dirichlet endpoints and solved by Sturm-sequence bisection on the
-symmetric tridiagonal operator, entirely independently of the recurrence
-path.  Four nested grids, h = pi/256 ... pi/2048, each coarse node every
-other node of the next grid, feed one Richardson table (Richardson 1911,
-Phil. Trans. R. Soc. A 210, 307) for the eigenvalue and the eigenvector
-alike.  `verify_all` runs that comparison, plus the Riccati-defect slope
-of the series itself.  `quadrature_an`, a Gauss-Legendre re-computation
-of the order-n antiderivative from the nearer endpoint, cross-checks the
-coefficient tables themselves; `verify_all` does not call it, the test
-suite and the benchmark's verify-battery do.
+Dirichlet endpoints as a symmetric tridiagonal operator T, entirely
+independently of the recurrence path.  Four nested grids, h = pi/256 ...
+pi/2048, each coarse node every other node of the next grid, feed one
+Richardson table (Richardson 1911, Phil. Trans. R. Soc. A 210, 307) for
+the eigenvalue and the eigenvector alike.  `verify_all` runs that
+comparison, plus the Riccati-defect slope of the series itself.
+`quadrature_an`, a Gauss-Legendre re-computation of the order-n
+antiderivative from the nearer endpoint, cross-checks the coefficient
+tables themselves; `verify_all` does not call it, the test suite and the
+benchmark's verify-battery do.
 
-Cost: the floating-point Sturm count is monotone in the shift (Demmel,
-Dhillon & Ren 1995), so the bisection sweeps only at midpoints between
-its certified bounds.  Newton steps on det(T - lam) place those bounds
-within the float noise of the eigenvalue from a seed.  Every seed comes
-from `spectral_eigenvalue`, the operator as a 40 x 40 matrix in the
-spin-weighted harmonics 1Y_l^m (Hughes 2000, PRD 61, 084004; Cook &
-Zalutskiy 2014, PRD 90, 124021), and from the h^2 fall of the FD error
-(`richardson_eigenvalue`); no verdict reads the spectral value yet.  The bisection keeps the plain
-bisection's midpoints and decisions, so every eigenvalue is the same
-float.  The eigenvector takes two steps of inverse iteration on one
-factorization of the shifted matrix, the first forward substitution run
-inside it, and the residual slope evaluates its nine betas in one call.
+The 255-point grid is solved by Sturm-sequence bisection
+(`fd_ground_eigenvalue`).  The floating-point Sturm count is monotone in
+the shift (Demmel, Dhillon & Ren 1995), so the bisection sweeps only at
+midpoints between its certified bounds, and Newton steps on det(T - lam)
+place those bounds within the float noise of the eigenvalue from a seed,
+the spectral value `spectral_eigenvalue`: the operator as a 40 x 40
+matrix in the spin-weighted harmonics 1Y_l^m (Hughes 2000, PRD 61,
+084004; Cook & Zalutskiy 2014, PRD 90, 124021); no verdict reads it.
+The bisection keeps the plain bisection's midpoints and decisions, so its
+eigenvalue is the same float for any seed.  Its eigenvector takes two
+steps of inverse iteration at that eigenvalue.
+
+Each finer grid is solved by Rayleigh-quotient iteration (`_refine`)
+from the vector of the grid before it, prolonged: one inverse-iteration
+step at the Richardson seed s + (v - s)/4, s the spectral value and v
+the coarser grid's eigenvalue, and a second step at the Rayleigh quotient
+rho only when rho lies more than delta = 1e-9 max(1, |rho|) from the
+seed.  rho is formed as (sum (dv)^2 / h^2 + sum w v^2) / sum v^2, w the
+potential plus the indicial correction, so it does not carry the
+cancellation of 2/h^2 - lam that sets the Sturm count's noise (about
+4e-10 at 2047 points and m = 1).  A Rayleigh quotient lies at or above
+the ground eigenvalue, and one Sturm count of 0 at rho - delta puts the
+eigenvalue in [rho - delta, rho]; a grid whose count is not 0 raises
+OracleError.  The residual slope evaluates its nine betas in one call.
 
 Most of a diagonal does not depend on beta.  The four Richardson grids
 are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
 values (`FdGrid.trig`), which the potential and the series psi read:
 about 120 KB for the four grids.  The indicial correction is cached per
-(m, grid), about 30 KB per m over the four grids.  A case at a new beta
-then evaluates only the potential for each diagonal, the eigenvectors'
-second assemblies included.  Every cached array is read-only, and every
-float is the one a fresh build gives.
+(m, grid), about 30 KB per m over the four grids, and the spectral
+matrix's beta-independent parts per m, about 40 KB.  A case at a new beta
+then evaluates only the potential on each grid.  Every cached array is
+read-only, and every float is the one a fresh build gives.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -76,6 +88,7 @@ _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati de
 _BISECTION_TOL = 1e-13
 _BISECTION_MAX_ITER = 200
 _FAR_STEP = 2.0**16  # stopping widths; the Sturm noise spans at most about 2^10
+_CERTIFIED_WIDTH = 1e-9  # relative; the Sturm count's noise is about 4e-10 at 2047 points
 
 
 class OracleError(RuntimeError):
@@ -157,17 +170,17 @@ def _indicial_correction(m: int, points: int) -> np.ndarray:
     return corr
 
 
-def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
-    """Diagonal of the operator, 2/h^2 + V + the indicial correction.  Only
-    the potential V depends on beta; the grid's `trig` and the correction
-    are built once and reused.  A diagonal that is not finite is refused
-    with its cause, a beta whose square overflows or an m past the indicial
-    correction's range; numpy's warnings about that overflow are silenced."""
-    h = grid.h
+def _weights(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
+    """The operator's diagonal without its 2/h^2: the potential V plus the
+    indicial correction.  Only V depends on beta; the grid's `trig` and the
+    correction are built once and reused.  A weight that is not finite is
+    refused with its cause, a beta whose square overflows or an m past the
+    indicial correction's range; numpy's warnings about that overflow are
+    silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
         corr = _indicial_correction(params.m, grid.points)
-        diag = 2.0 / h**2 + _potential(params.m, beta, grid.trig) + corr
-    if not np.isfinite(diag).all():
+        weights = _potential(params.m, beta, grid.trig) + corr
+    if not np.isfinite(weights).all():
         if not np.isfinite(corr).all():
             # finite while 2 (points+1)^(m+3/2) is: m <= 91 at 2047 points
             largest = math.log(np.finfo(float).max / 2.0) / math.log(grid.points + 1) - 1.5
@@ -178,7 +191,12 @@ def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndar
         raise ValueError(
             f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
         )
-    return diag
+    return weights
+
+
+def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
+    """Diagonal of the operator, 2/h^2 + `_weights`."""
+    return 2.0 / grid.h**2 + _weights(params, beta, grid)
 
 
 def _sturm_count(diag: list, offsq: float, lam: float) -> int:
@@ -228,8 +246,8 @@ def fd_ground_eigenvalue(
 
     The bounds are placed first, where the eigenvalue is.  Newton steps on
     det(T - lam) run from `guess` (`_sturm_newton`, whose count certifies
-    each iterate; `richardson_eigenvalue` guesses from the spectral
-    value) until a step fails to halve the one before, at the float noise
+    each iterate; `_ground_states` guesses from the spectral value)
+    until a step fails to halve the one before, at the float noise
     of the pivots: below the eigenvalue a step never overshoots, and from
     between it and the next one a step lands below it.  Far below it, where
     the other eigenvalues shorten every step and halving would stop Newton
@@ -241,8 +259,8 @@ def fd_ground_eigenvalue(
     is NaN, the default, or above the bracket takes no Newton step.
     The midpoints and decisions stay those of the plain bisection, so the
     result is the same float for any guess; a good guess only saves
-    sweeps.  A diagonal that is not finite is refused
-    (`_assemble_diagonal`): there is no bracket to bisect."""
+    sweeps.  A diagonal that is not finite is refused (`_weights`): there
+    is no bracket to bisect."""
     diagonal = _assemble_diagonal(params, beta, grid)
     diag = diagonal.tolist()
     off = 1.0 / grid.h**2
@@ -295,49 +313,40 @@ def fd_ground_eigenvalue(
     )
 
 
-def fd_ground_eigenvector(
-    params: ModeParams,
-    beta: float,
-    grid: FdGrid,
-    eigenvalue: float,
-) -> np.ndarray:
-    """Ground eigenvector by two steps of inverse iteration at the
-    converged eigenvalue of the same grid (`fd_ground_eigenvalue`),
-    normalized to unit discrete L2 (h-weighted).  At a shift accurate to
-    working precision two steps reach the converged vector (Ipsen 1997,
-    SIAM Rev. 39, 254).  It comes out positive: the off-diagonals are
-    negative, so the ground vector v is positive, and the two steps scale
-    its part of the all-ones start by <1, v> / (lam - sigma)^2 > 0.  The
-    shifted matrix is factored once, by Thomas pivots with a tiny-pivot
-    guard (the matrix is deliberately near-singular), and the first
-    forward substitution, whose right-hand side is all ones, runs in the
-    same loop; the vector is rescaled between the steps.  The four loops run over preallocated
-    lists, and each substitution carries the entry it last wrote.  The
-    diagonal is the eigenvalue's own (`_assemble_diagonal`), so at a
-    Richardson grid only its potential is formed again.  The ground state
-    is nodeless; a detected node means the eigenvalue belongs to another
-    state and raises OracleError."""
-    off = -1.0 / grid.h**2
-    shifted = _assemble_diagonal(params, beta, grid) - eigenvalue
-    pivots, mults, x = [0.0] * grid.points, [0.0] * grid.points, [0.0] * grid.points
+def _inverse_step(diag: list, off: float, shift: float, rhs: list) -> list:
+    """One step of inverse iteration: solve (T - shift) x = rhs for the
+    symmetric tridiagonal T with diagonal `diag` and off-diagonal `off`.
+    The Thomas pivots carry a tiny-pivot guard (the shifted matrix is
+    deliberately near-singular), the forward substitution runs in the
+    factorization's loop, and the back substitution carries the entry it
+    last wrote."""
+    mults, x = [0.0] * len(diag), [0.0] * len(diag)
     c = y = 0.0  # no coupling into the first row
-    for i, t in enumerate(shifted.tolist()):
-        piv = t - off * c
+    for i, (t, b) in enumerate(zip(diag, rhs)):
+        piv = (t - shift) - off * c
         if -1e-200 < piv < 1e-200:
             piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
         c = mults[i] = off / piv
-        y = x[i] = (1.0 - off * y) / piv  # forward substitution of the all-ones vector
-        pivots[i] = piv
-    back = range(len(x) - 2, -1, -1)
-    for i in back:  # y holds x[-1], as after each forward loop
+        y = x[i] = (b - off * y) / piv
+    for i in range(len(x) - 2, -1, -1):  # y holds x[-1]
         y = x[i] = x[i] - mults[i] * y
-    scale, y = 1.0 / math.hypot(*x), 0.0  # the second step, from the rescaled first
-    for i, piv in enumerate(pivots):
-        y = x[i] = (x[i] * scale - off * y) / piv
-    for i in back:
-        y = x[i] = x[i] - mults[i] * y
+    return x
+
+
+def _ground_vector(x: list, h: float) -> np.ndarray:
+    """x normalized to unit discrete L2 (h-weighted), its largest entry
+    positive.  x is first scaled by the power of two that brings that
+    entry into [0.5, 1): exact, so no bit of the result moves, but a shift
+    that makes a pivot vanish (the guard leaves entries near 1e202 at
+    m = 1, beta = 0.1424 on the 255-point grid) no longer overflows the
+    norm.  A vector that is not finite, or has a node (the ground state is
+    nodeless, so x belongs to another state), raises OracleError."""
     x = np.array(x)
-    x /= math.sqrt(grid.h) * np.linalg.norm(x)
+    peak = float(x[np.argmax(np.abs(x))])  # NaN if any entry is
+    if not math.isfinite(peak):
+        raise OracleError("inverse iteration overflowed")
+    x = np.ldexp(x, -math.frexp(peak)[1])
+    x /= math.copysign(math.sqrt(h) * np.linalg.norm(x), peak)
     significant = np.abs(x) > 1e-12 * float(np.max(np.abs(x)))
     signs = np.sign(x[significant])
     if np.any(signs[:-1] * signs[1:] < 0.0):
@@ -346,6 +355,104 @@ def fd_ground_eigenvector(
             "not belong to the nodeless state"
         )
     return x
+
+
+def fd_ground_eigenvector(
+    params: ModeParams,
+    beta: float,
+    grid: FdGrid,
+    eigenvalue: float,
+) -> np.ndarray:
+    """Ground eigenvector by two steps of inverse iteration (`_inverse_step`)
+    from the all-ones vector at the converged eigenvalue of the same grid
+    (`fd_ground_eigenvalue`), rescaled between the steps and normalized by
+    `_ground_vector`.  At a shift accurate to working precision two steps
+    reach the converged vector (Ipsen 1997, SIAM Rev. 39, 254).  The
+    off-diagonals are negative, so the ground vector v is positive, and the
+    two steps scale its part of the start by <1, v> / (lam - sigma)^2 > 0
+    on either side of lam.  A single step, as each finer grid takes
+    (`_refine`), scales it by <start, v> / (lam - sigma), whose sign is the
+    side the shift lies on, so `_ground_vector` fixes the sign of every
+    vector explicitly.  The diagonal is the eigenvalue's own
+    (`_assemble_diagonal`), so only its potential is formed again."""
+    diag = _assemble_diagonal(params, beta, grid).tolist()
+    off = -1.0 / grid.h**2
+    x = _inverse_step(diag, off, eigenvalue, [1.0] * grid.points)
+    scale = 1.0 / math.hypot(*x)
+    x = _inverse_step(diag, off, eigenvalue, [v * scale for v in x])
+    return _ground_vector(x, grid.h)
+
+
+def _rayleigh_quotient(vector: np.ndarray, weights: np.ndarray, h: float) -> float:
+    """(sum (dv)^2 / h^2 + sum w v^2) / sum v^2, the differences taken with
+    the zero Dirichlet ends: v^T T v / v^T v without forming 2/h^2 - lam,
+    whose cancellation sets the Sturm count's noise.  numpy's pairwise sums,
+    not BLAS, so the float does not depend on BLAS threading."""
+    diff = np.diff(vector, prepend=0.0, append=0.0)
+    square = vector * vector
+    return float((np.sum(diff * diff) / h**2 + np.sum(weights * square)) / np.sum(square))
+
+
+def _prolong(coarse: np.ndarray) -> np.ndarray:
+    """A vector on the next nested grid: fine node 2i+1 takes coarse node
+    i, each even node the mean of its neighbours, the ends zero."""
+    padded = np.concatenate(([0.0], coarse, [0.0]))
+    fine = np.empty(2 * len(coarse) + 1)
+    fine[1::2] = coarse
+    fine[0::2] = 0.5 * (padded[:-1] + padded[1:])
+    return fine
+
+
+def _refine(
+    params: ModeParams, beta: float, grid: FdGrid, start: np.ndarray, shift: float
+) -> tuple[float, np.ndarray]:
+    """Ground eigenvalue rho and vector of a finer grid by Rayleigh-quotient
+    iteration (Parlett 1998, The Symmetric Eigenvalue Problem, ch. 4) from
+    `start`, the coarser grid's vector prolonged, and the Richardson seed
+    `shift`: one `_inverse_step` at the shift, then one at rho only if rho
+    lies more than the certified width from the shift.  The weights are
+    built once and serve the steps, rho (`_rayleigh_quotient`) and the
+    count.
+
+    rho is a Rayleigh quotient, so it lies at or above the ground
+    eigenvalue; one Sturm count of 0 at rho - delta, delta the certified
+    width, puts it in [rho - delta, rho].  A count above 0, or a vector
+    with a node (`_ground_vector`), raises OracleError."""
+    h = grid.h
+    weights = _weights(params, beta, grid)
+    diag = (2.0 / h**2 + weights).tolist()
+    off = -1.0 / h**2
+    vector = _ground_vector(_inverse_step(diag, off, shift, start.tolist()), h)
+    value = _rayleigh_quotient(vector, weights, h)
+    if abs(value - shift) > _CERTIFIED_WIDTH * max(1.0, abs(value)):
+        vector = _ground_vector(_inverse_step(diag, off, value, vector.tolist()), h)
+        value = _rayleigh_quotient(vector, weights, h)
+    delta = _CERTIFIED_WIDTH * max(1.0, abs(value))
+    below = _sturm_count(diag, off * off, value - delta)
+    if below:
+        raise OracleError(
+            f"the Rayleigh quotient {value!r} on the {grid.points}-point grid is not "
+            f"certified: {below} eigenvalue(s) lie below it by more than {delta:.3g}"
+        )
+    return value, vector
+
+
+@cache
+def _spectral_parts(m: int) -> tuple:
+    """diag(l(l+1) - 2), C and C^2 of `spectral_eigenvalue`, truncated to
+    l = m..m+39, C^2 formed from one more row of C.  They do not depend on
+    beta, so they are formed once per m and returned read-only."""
+    m = float(m)
+    l = m + np.arange(_SPECTRAL_SIZE + 1)
+    k = l[:-1] + 1.0
+    with np.errstate(all="ignore"):
+        band = np.sqrt((k * k - m * m) * (k * k - 1.0) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))) / k
+        cos = np.diag(-m / (l * (l + 1.0))) + np.diag(band, 1) + np.diag(band, -1)
+        parts = (np.diag(l * (l + 1.0) - 2.0), cos, cos @ cos)
+    parts = tuple(part[:_SPECTRAL_SIZE, :_SPECTRAL_SIZE] for part in parts)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def spectral_eigenvalue(m: int, beta: float) -> float:
@@ -358,17 +465,12 @@ def spectral_eigenvalue(m: int, beta: float) -> float:
         C_l,l+1 = sqrt(((l+1)^2 - m^2) ((l+1)^2 - 1) / ((2l+1)(2l+3))) / (l+1).
 
     C^2 is formed from one more row of C before it is truncated, so its
-    kept block is that of the untruncated C.  A matrix that is not finite
-    (beta^2 or an entry overflows) gives NaN, and no numpy warning: the FD
-    grids then refuse that input with its cause."""
-    m = float(m)
-    l = m + np.arange(_SPECTRAL_SIZE + 1)
-    k = l[:-1] + 1.0
+    kept block is that of the untruncated C (`_spectral_parts`).  A matrix
+    that is not finite (beta^2 or an entry overflows) gives NaN, and no
+    numpy warning: the FD grids then refuse that input with its cause."""
+    diagonal, cos, square = _spectral_parts(m)
     with np.errstate(all="ignore"):
-        band = np.sqrt((k * k - m * m) * (k * k - 1.0) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))) / k
-        cos = np.diag(-m / (l * (l + 1.0))) + np.diag(band, 1) + np.diag(band, -1)
-        matrix = np.diag(l * (l + 1.0) - 2.0) + 2.0 * beta * cos - beta * beta * (cos @ cos)
-    matrix = matrix[:_SPECTRAL_SIZE, :_SPECTRAL_SIZE]
+        matrix = diagonal + 2.0 * beta * cos - beta * beta * square
     if not np.isfinite(matrix).all():
         return math.nan
     return float(np.linalg.eigvalsh(matrix)[0])
@@ -387,23 +489,35 @@ def _richardson(values: list):
     return estimate
 
 
+def _ground_states(params: ModeParams, beta: float) -> tuple[float, dict, list]:
+    """The Richardson estimate, the eigenvalue per grid size and the four
+    grids' ground vectors, coarsest first.
+
+    The 255-point grid is bisected (`fd_ground_eigenvalue`, seeded from the
+    spectral value s, `spectral_eigenvalue`) and its vector found by
+    `fd_ground_eigenvector`.  Each finer grid is refined (`_refine`) from
+    the vector before it, prolonged, at the seed s + (v - s)/4, v the value
+    of the grid before it, since the FD error falls like h^2."""
+    spectral = spectral_eigenvalue(params.m, beta)
+    value = fd_ground_eigenvalue(params, beta, _COARSEST, guess=spectral)
+    per_grid = {_COARSEST.points: value}
+    vectors = [fd_ground_eigenvector(params, beta, _COARSEST, value)]
+    for points in RICHARDSON_GRIDS[1:]:
+        shift = spectral + (value - spectral) / 4.0
+        value, vector = _refine(params, beta, _GRIDS[points], _prolong(vectors[-1]), shift)
+        per_grid[points] = value
+        vectors.append(vector)
+    return _richardson(list(per_grid.values())), per_grid, vectors
+
+
 def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
     """Eigenvalue on the four RICHARDSON_GRIDS, extrapolated by three
     levels of `_richardson` (h^2, h^4 and h^6 eliminated), and the value
-    per grid size.  The grids are nested, h = pi/256 ... pi/2048, so h
-    halves exactly from grid to grid and every weight 4^k is exact.
-
-    Every grid's bisection is seeded from the spectral value s
-    (`spectral_eigenvalue`): the coarsest grid takes s, and each finer
-    grid s + (v - s)/4, v the value of the grid before it, since the FD
-    error falls like h^2.  The seeds save sweeps and change no value
-    (`fd_ground_eigenvalue`)."""
-    spectral = guess = spectral_eigenvalue(params.m, beta)
-    per_grid = {}
-    for points, grid in _GRIDS.items():
-        per_grid[points] = fd_ground_eigenvalue(params, beta, grid, guess=guess)
-        guess = spectral + (per_grid[points] - spectral) / 4.0
-    return _richardson(list(per_grid.values())), per_grid
+    per grid size, from `_ground_states`.  The grids are nested,
+    h = pi/256 ... pi/2048, so h halves exactly from grid to grid and
+    every weight 4^k is exact."""
+    estimate, per_grid, _ = _ground_states(params, beta)
+    return estimate, per_grid
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
@@ -508,11 +622,7 @@ def verify_all(
         )
         try:
             series_value = eval_energy(state, beta)
-            estimate, per_grid = richardson_eigenvalue(params, beta)
-            vectors = [
-                fd_ground_eigenvector(params, beta, grid, per_grid[points])
-                for points, grid in _GRIDS.items()
-            ]
+            estimate, per_grid, vectors = _ground_states(params, beta)
             # each vector normalized on its own grid, read on the coarsest
             # grid's nodes (grid j's every 2^j-th), then extrapolated like
             # the eigenvalue: the table removes the h^2 terms of the discrete

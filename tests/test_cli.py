@@ -303,13 +303,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "56379152d364fc8ad9b1cc31cbea80238025831ca951f73873f751029be1a4b5",
-            "6f3d2d8e8fa90c8bb5c47c680547f915653c639cd8fd1e88dc5de051f9de9ac8",
+            "b6bebc583a8fda0c4890f5692d2de00bdb4354e252d224b31484f47929c84f37",
+            "28c295c2016fb7b22c03860b9b0242b58b13c736b6c84f2ca9cbb9b9a2c58789",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "7f0d4e7d124aa7d589d5b5e7a5a6b727b928d6d0ba527c1e03404c65b56b1ca8",
-            "1d698863594fc88007efe28b71e34660578bd0be580b8286471031cbb0a426f6",
+            "5211587d45145478b362c3868e3fcc135439efd294cc275c8eba3fc7e6e67f38",
+            "5af36bbcd2d03556fc5d641c5bb87b0eec7f503c274d6269a8623297a9b3c285",
         ),
     }
 
@@ -326,6 +326,21 @@ class TestVerify:
         assert len(kept) < len(out)
         expected = self.PINNED[(m, betas)]
         assert (code, hashlib.sha256(kept.encode()).hexdigest()) == (expected[0], expected[2])
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self):
+        # the oracle's sums must not take their order from the BLAS thread
+        # count: the same report from a one- and a two-thread child
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "sws1.cli", "verify", "--m", "1", "--order", "8"]
+        argv += ["--beta", "0,0.05,0.1"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and b"status = PASS" in outputs[0]
 
     def test_large_beta_reports_nan_gap_without_numpy_warnings(self, capsys):
         # exp overflows in the series eigenfunction at these betas: the gap

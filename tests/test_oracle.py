@@ -81,10 +81,12 @@ class TestFdGrid:
 
     def test_cached_constants_are_read_only(self):
         # every caller shares them: the grids' half-angle values, the
-        # indicial corrections and the normalization rule
+        # indicial corrections, the spectral matrix's parts and the
+        # normalization rule
         grid = FdGrid(1024)
         weights, nodes = evaluate._normalization_rule(1)
-        for values in (*grid.trig, _indicial_correction(1, 1024), weights, *nodes):
+        spectral = oracle._spectral_parts(1)
+        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *nodes):
             assert not values.flags.writeable
 
 
@@ -252,11 +254,11 @@ class TestCertifiedBisection:
         assert rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
 
     # rows swept per richardson_eigenvalue at beta = 0, a Newton row counted
-    # twice, on the three grids 1024/2048/4096 (29/7, 4/13 and 6/15 count/
-    # Newton sweeps at m = 1, 40, 80).  The four nested grids take more
-    # sweeps (34/12, 4/19 and 46/14) over fewer rows: 57,286, 31,190 and
-    # 43,446 measured; 37,326 at m = 80 once Newton climbs from far below
-    THREE_GRID_ROWS = {1: 107_520, 40: 60_416, 80: 77_824}
+    # twice.  The three grids 1024/2048/4096 swept 107,520, 60,416 and
+    # 77,824; the four nested grids, each bisected, 57,286, 31,190 and
+    # 37,326.  Only the 255-point grid is bisected now, and each finer grid
+    # takes the one count that certifies its Rayleigh quotient
+    PINNED_ROWS = {1: 7_151, 40: 7_661, 80: 9_191}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
@@ -271,13 +273,13 @@ class TestCertifiedBisection:
 
             monkeypatch.setattr(oracle, name, counting)
         richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
-        assert rows <= 0.6 * self.THREE_GRID_ROWS[m]
-        if m == 80:
-            # the 1024-point value once lay 10.3 above the spectral seed, and
-            # Newton steps that stopped quartering there left 37 count
-            # sweeps; the 1023-point grid now takes none (the 255-point
-            # grid: test_far_seed_keeps_newton_going_on_the_coarsest_grid)
-            assert sweeps["_sturm_count", 1023] <= 12
+        assert rows <= self.PINNED_ROWS[m]
+        # the 1024-point value once lay 10.3 above the spectral seed at
+        # m = 80, and Newton steps that stopped quartering there left 37
+        # count sweeps (the 255-point grid:
+        # test_far_seed_keeps_newton_going_on_the_coarsest_grid)
+        for points in oracle.RICHARDSON_GRIDS[1:]:
+            assert sweeps["_sturm_count", points] == 1 and not sweeps["_sturm_newton", points]
 
     @pytest.mark.parametrize("m", [60, 80, 91])
     def test_far_seed_keeps_newton_going_on_the_coarsest_grid(self, monkeypatch, m):
@@ -299,14 +301,15 @@ class TestCertifiedBisection:
         assert value == plain_bisection(params, 0.0, grid)
 
     # rows swept per richardson_eigenvalue, a Newton row counted twice, over
-    # verify-battery's modes, before Newton could climb from far below
+    # verify-battery's modes, once only the 255-point grid is bisected (31k
+    # to 57k rows when every grid was)
     BATTERY_ROWS = {
-        (1, 0.0): 57_286, (1, 0.1): 52_425, (1, 0.45): 49_866,
-        (2, 0.0): 50_125, (2, 0.1): 40_149, (2, 0.45): 49_612,
-        (5, 0.0): 37_083, (5, 0.1): 36_314, (5, 0.45): 36_568,
-        (10, 0.0): 33_247, (10, 0.1): 37_338, (10, 0.45): 35_803,
-        (20, 0.0): 38_357, (20, 0.1): 41_170, (20, 0.45): 37_334,
-        (40, 0.0): 31_190, (40, 0.1): 34_774, (40, 0.45): 34_264,
+        (1, 0.0): 7_151, (1, 0.1): 6_896, (1, 0.45): 7_406,
+        (2, 0.0): 6_896, (2, 0.1): 6_641, (2, 0.45): 6_896,
+        (5, 0.0): 5_621, (5, 0.1): 6_131, (5, 0.45): 6_386,
+        (10, 0.0): 6_896, (10, 0.1): 6_131, (10, 0.45): 6_131,
+        (20, 0.0): 7_151, (20, 0.1): 7_406, (20, 0.45): 7_151,
+        (40, 0.0): 7_661, (40, 0.1): 8_171, (40, 0.45): 7_661,
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
@@ -337,16 +340,21 @@ class TestGroundEigenvector:
         params, grid = ModeParams(m=2, N=0), FdGrid(512)
         vec = fd_ground_eigenvector(params, 0.2, grid, fd_ground_eigenvalue(params, 0.2, grid))
         assert np.all(vec > 0.0)
-        # no sign fix is needed: on every Richardson grid, at its own
-        # eigenvalue, no entry is negative and the largest is positive (at
-        # m = 91 the tail entries fall to about 1e-88)
+        # on every Richardson grid, at its own eigenvalue, no entry is
+        # negative and the largest is positive (at m = 91 the tail entries
+        # fall to about 1e-88).  As refined from the coarser grid, whose
+        # single step at a shift above the eigenvalue flips the sign, every
+        # entry above 1e-12 of the largest is positive: the prolonged start
+        # leaves tails of either sign near 1e-120 at m = 91, beta = 2
         for m in (1, 10, 40, 91):
             params = ModeParams(m=m, N=0)
             for beta in (0.0, 0.45, -1.0, 2.0):
-                _, per_grid = richardson_eigenvalue(params, beta)
-                for points, grid in oracle._GRIDS.items():
+                _, per_grid, vectors = oracle._ground_states(params, beta)
+                for (points, grid), refined in zip(oracle._GRIDS.items(), vectors):
                     vec = fd_ground_eigenvector(params, beta, grid, per_grid[points])
                     assert np.all(vec >= 0.0) and vec.max() > 0.0, (m, beta, points)
+                    largest = refined.max()
+                    assert largest > 0.0 and refined.min() >= -1e-12 * largest, (m, beta, points)
 
     def test_unit_discrete_l2(self):
         params, grid = ModeParams(m=1, N=0), FdGrid(512)
@@ -446,6 +454,26 @@ class TestGroundEigenvector:
             reference = self.loop_reference(params, beta, grid, per_grid[points])
             assert vec.tobytes() == reference.tobytes(), points
 
+    def test_vanishing_pivot_leaves_a_unit_vector(self, monkeypatch):
+        # at this beta the 255-point grid's bisected eigenvalue makes a
+        # pivot vanish, and the guarded step returns entries near 1e202:
+        # their norm overflowed, and the vector came back all zeros
+        params, grid, beta = ModeParams(m=1, N=0), oracle._COARSEST, 0.14237699852137253
+        largest, step = [], oracle._inverse_step
+
+        def recording(diag, off, shift, rhs):
+            x = step(diag, off, shift, rhs)
+            largest.append(max(map(abs, x)))
+            return x
+
+        monkeypatch.setattr(oracle, "_inverse_step", recording)
+        eigenvalue = fd_ground_eigenvalue(params, beta, grid, guess=spectral_eigenvalue(1, beta))
+        vec = fd_ground_eigenvector(params, beta, grid, eigenvalue)
+        assert largest[-1] > 1e150
+        assert grid.h * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12) and np.all(vec > 0.0)
+        with pytest.raises(OracleError, match="overflowed"):
+            oracle._ground_vector([1.0, math.inf], grid.h)
+
     def test_excited_state_detected_as_nodal(self):
         # aiming inverse iteration at the second eigenvalue must trip the
         # nodeless check
@@ -454,6 +482,66 @@ class TestGroundEigenvector:
         e1 = dense_spectrum(params, 0.0, grid)[1]
         with pytest.raises(OracleError, match="sign"):
             fd_ground_eigenvector(params, 0.0, grid, eigenvalue=e1)
+
+
+class TestRefinedGrids:
+    def test_prolongation(self):
+        # fine node 2i+1 is coarse node i, an even node the mean of its
+        # neighbours, the Dirichlet ends zero
+        fine = oracle._prolong(np.array([2.0, 4.0, 8.0]))
+        assert fine.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 4.0]
+
+    def test_rayleigh_quotient_is_the_operator_form(self):
+        # v^T T v / v^T v on a small grid, T formed densely
+        params, grid = ModeParams(m=2, N=0), FdGrid(63)
+        weights = oracle._weights(params, 0.3, grid)
+        vector = np.sin(np.arange(1, 64) * math.pi / 64) ** 3
+        off = np.full(62, -1.0 / grid.h**2)
+        dense = np.diag(_assemble_diagonal(params, 0.3, grid)) + np.diag(off, 1) + np.diag(off, -1)
+        expected = vector @ dense @ vector / (vector @ vector)
+        value = oracle._rayleigh_quotient(vector, weights, grid.h)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -0.45, 1.0, -1.0])
+    @pytest.mark.parametrize("m", [1, 10, 40, 91])
+    def test_rayleigh_quotient_certified_within_delta_of_bisection(self, m, beta):
+        # rho sits within delta of the grid's bisected eigenvalue, and no
+        # eigenvalue lies below rho - delta
+        params = ModeParams(m=m, N=0)
+        _, per_grid = richardson_eigenvalue(params, beta)
+        for points in oracle.RICHARDSON_GRIDS[1:]:
+            grid, rho = oracle._GRIDS[points], per_grid[points]
+            delta = 1e-9 * max(1.0, abs(rho))
+            assert abs(rho - fd_ground_eigenvalue(params, beta, grid, guess=rho)) <= delta
+            diag = _assemble_diagonal(params, beta, grid).tolist()
+            assert _sturm_count(diag, (1.0 / grid.h**2) ** 2, rho - delta) == 0, points
+
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
+    @pytest.mark.parametrize("m", [1, 10, 40, 91])
+    def test_refined_vectors_are_the_converged_vectors(self, m, beta):
+        # inverse iteration run to convergence at each finer grid's own
+        # rho; measured at most 2.0e-13 away
+        params = ModeParams(m=m, N=0)
+        _, per_grid, vectors = oracle._ground_states(params, beta)
+        for points, vec in zip(oracle.RICHARDSON_GRIDS[1:], vectors[1:]):
+            grid = oracle._GRIDS[points]
+            reference = TestGroundEigenvector.six_step_reference(
+                params, beta, grid, per_grid[points]
+            )
+            assert np.max(np.abs(vec - reference)) < 5e-13, points
+
+    def test_uncertified_quotient_raises(self, monkeypatch):
+        # a count above 0 at rho - delta refuses the grid
+        monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
+        with pytest.raises(OracleError, match="not certified"):
+            richardson_eigenvalue(ModeParams(m=1, N=0), 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_beta0_estimate_within_5e_12_of_e0(self, m):
+        # bisected to 1e-13 inside the Sturm count's noise, the finer grids
+        # left the estimate up to 5.6e-11 from the exact E0 (m = 2)
+        estimate, _ = richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
+        assert abs(estimate - (m * m + m - 2)) <= 5e-12
 
 
 class TestRichardson:
@@ -482,15 +570,15 @@ class TestRichardson:
             assert abs(estimate - spectral_eigenvalue(m, beta)) <= 1e-7, beta
 
     def test_floats_match_pinned_digest(self):
-        # sha256 of the repr of every (estimate, per-grid) pair; a change of
-        # seeds or of the bisection's probes must leave every float as it is
+        # sha256 of the repr of every (estimate, per-grid) pair: the floats
+        # of the 255-point bisection and of the finer grids' refinement
         text = "\n".join(
             repr(richardson_eigenvalue(ModeParams(m, 0), beta))
             for m in (1, 10, 40, 80)
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "eb3521cf64bc370af72e893b12af52136da1ba553902834065c58a6469af2ae0"
+            "794e822dd86f093bfaf32b84b0e5ef7b1c26195a1df935d6eb54377f8fa0de3c"
         )
 
 
@@ -530,6 +618,18 @@ class TestSpectralEigenvalue:
         # the FD oracle's own error at m = 1 is ~1e-10
         estimate, _ = richardson_eigenvalue(ModeParams(m=1, N=0), beta)
         assert abs(spectral_eigenvalue(1, beta) - estimate) <= 1e-9
+
+    def test_floats_match_pinned_hex(self):
+        # sha256 of float.hex of each value, as when every call rebuilt the
+        # beta-independent parts: caching them moves no bit
+        text = " ".join(
+            spectral_eigenvalue(m, beta).hex()
+            for m in (1, 10, 40, 91)
+            for beta in (0.0, 0.45, -0.45, 1.0, -1.0, 2.0)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ecc6b409e7364c14f9534cd82d8498c10bbc1f336ae1bc816b6aae9e9b84bb11"
+        )
 
     @pytest.mark.parametrize("beta", [1e200, -1e200])
     def test_overflowing_beta_gives_nan_without_warning(self, beta):
