@@ -12,30 +12,26 @@ antiderivative from the nearer endpoint, cross-checks the coefficient
 tables themselves; `verify_all` does not call it, the test suite and the
 benchmark's verify-battery do.
 
-The 255-point grid is solved by Sturm-sequence bisection
-(`fd_ground_eigenvalue`).  The floating-point Sturm count is monotone in
-the shift (Demmel, Dhillon & Ren 1995), so the bisection sweeps only at
-midpoints between its certified bounds, and Newton steps on det(T - lam)
-place those bounds within the float noise of the eigenvalue from a seed,
-the spectral value `spectral_eigenvalue`: the operator as a 40 x 40
-matrix in the spin-weighted harmonics 1Y_l^m (Hughes 2000, PRD 61,
-084004; Cook & Zalutskiy 2014, PRD 90, 124021); no verdict reads it.
-The bisection keeps the plain bisection's midpoints and decisions, so its
-eigenvalue is the same float for any seed.  Its eigenvector takes two
-steps of inverse iteration at that eigenvalue.
+Every grid is solved by Rayleigh-quotient iteration (`fd_ground_state`):
+one inverse-iteration step at a shift from a start vector, and a second
+step at the Rayleigh quotient rho only when rho lies more than
+delta = 1e-9 max(1, |rho|) from the shift.  rho is formed as
+(sum (dv)^2 / h^2 + sum w v^2) / sum v^2, w the potential plus the
+indicial correction, so it does not carry the cancellation of
+2/h^2 - lam that sets the Sturm count's noise (about 4e-10 at 2047
+points and m = 1).  A Rayleigh quotient lies at or above the ground
+eigenvalue, and one Sturm count of 0 at rho - delta puts the eigenvalue
+in [rho - delta, rho]; a grid whose count is not 0 raises OracleError.
 
-Each finer grid is solved by Rayleigh-quotient iteration (`_refine`)
-from the vector of the grid before it, prolonged: one inverse-iteration
-step at the Richardson seed s + (v - s)/4, s the spectral value and v
-the coarser grid's eigenvalue, and a second step at the Rayleigh quotient
-rho only when rho lies more than delta = 1e-9 max(1, |rho|) from the
-seed.  rho is formed as (sum (dv)^2 / h^2 + sum w v^2) / sum v^2, w the
-potential plus the indicial correction, so it does not carry the
-cancellation of 2/h^2 - lam that sets the Sturm count's noise (about
-4e-10 at 2047 points and m = 1).  A Rayleigh quotient lies at or above
-the ground eigenvalue, and one Sturm count of 0 at rho - delta puts the
-eigenvalue in [rho - delta, rho]; a grid whose count is not 0 raises
-OracleError.  The residual slope evaluates its nine betas in one call.
+The shifts come from the spectral value s (`spectral_eigenvalue`): the
+operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
+(Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021); no
+verdict reads it.  On the 255-point grid Newton steps on det(T - lam),
+taken from below the eigenvalue where they never overshoot, move s to it,
+and one inverse step from the all-ones vector there is the start.  Each
+finer grid starts from the vector of the grid before it, prolonged, at
+the Richardson seed s + (v - s)/4, v that grid's eigenvalue.  The
+residual slope evaluates its nine betas in one call.
 
 Most of a diagonal does not depend on beta.  The four Richardson grids
 are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
@@ -85,9 +81,7 @@ RICHARDSON_GRIDS = (255, 511, 1023, 2047)  # h = pi/256 ... pi/2048, nested
 _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80, |beta| <= 2
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
-_BISECTION_TOL = 1e-13
-_BISECTION_MAX_ITER = 200
-_FAR_STEP = 2.0**16  # stopping widths; the Sturm noise spans at most about 2^10
+_FAR_STEP = 2.0**16 * 1e-13  # relative; the Sturm noise spans at most about 2^10 * 1e-13
 _CERTIFIED_WIDTH = 1e-9  # relative; the Sturm count's noise is about 4e-10 at 2047 points
 
 
@@ -194,11 +188,6 @@ def _weights(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
     return weights
 
 
-def _assemble_diagonal(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
-    """Diagonal of the operator, 2/h^2 + `_weights`."""
-    return 2.0 / grid.h**2 + _weights(params, beta, grid)
-
-
 def _sturm_count(diag: list, offsq: float, lam: float) -> int:
     """Number of eigenvalues of the tridiagonal operator below lam, from
     the sign changes of the LDL^T pivots."""
@@ -232,85 +221,31 @@ def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
     return count, (-1.0 / dlog if dlog else math.nan)
 
 
-def fd_ground_eigenvalue(
-    params: ModeParams, beta: float, grid: FdGrid, *, guess: float = math.nan
-) -> float:
-    """Smallest eigenvalue of the discretized boundary-value problem via
-    bisection on the Sturm-sequence count, from the Gershgorin bracket to a
-    width of 1e-13 relative.
-
-    Two certified bounds are kept: the highest probe with count 0 and the
-    lowest with count >= 1.  The count is monotone in lam (Demmel, Dhillon
-    & Ren 1995), so a midpoint at or beyond them is decided without a
-    sweep; only one strictly between them runs `_sturm_count`.
-
-    The bounds are placed first, where the eigenvalue is.  Newton steps on
-    det(T - lam) run from `guess` (`_sturm_newton`, whose count certifies
-    each iterate; `_ground_states` guesses from the spectral value)
-    until a step fails to halve the one before, at the float noise
-    of the pivots: below the eigenvalue a step never overshoots, and from
-    between it and the next one a step lands below it.  Far below it, where
-    the other eigenvalues shorten every step and halving would stop Newton
-    early, a step up need only be shorter than the last.  Then counts at
-    four last steps to either side of the final iterate, the distance
-    widened fourfold until both bounds lie within it, close the bracket.  A
-    guess below the bracket starts Newton at its floor (at large m the
-    coarsest grid's value lies far above the spectral one); a guess that
-    is NaN, the default, or above the bracket takes no Newton step.
-    The midpoints and decisions stay those of the plain bisection, so the
-    result is the same float for any guess; a good guess only saves
-    sweeps.  A diagonal that is not finite is refused (`_weights`): there
-    is no bracket to bisect."""
-    diagonal = _assemble_diagonal(params, beta, grid)
-    diag = diagonal.tolist()
-    off = 1.0 / grid.h**2
-    offsq = off * off
-    lo = float(diagonal.min()) - 2.0 * off
-    hi = float(diagonal.max()) + 2.0 * off
-    below, above = lo, hi  # certified: count 0 at or below, >= 1 at or above
-
-    def certify(lam: float, count: int) -> None:
-        nonlocal below, above
-        if count >= 1:
-            above = lam
-        else:
-            below = lam
-
-    def probe(lam: float) -> None:
-        if below < lam < above:
-            certify(lam, _sturm_count(diag, offsq, lam))
-
-    # Newton until its steps stop halving (the float noise of the pivots),
-    # stepping up from below or down from above.  Far below, the other
-    # eigenvalues shorten every step, so there a step up need only be
-    # shorter than the last while it spans over _FAR_STEP stopping widths.
-    # A guess below the bracket starts at its floor, certified by Gershgorin
-    x, last = (lo if guess < lo else guess), math.inf
-    while below < x < above or x == lo:
+def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
+    """A shift at the ground eigenvalue lambda_1 by Newton steps on
+    det(T - lam) taken from below it (`_sturm_newton`, whose count places
+    each iterate), where a step never overshoots.  The steps start from
+    `seed` when its count is 0.  When its count is 1 and its step points
+    down, they start one step down, if the count there is 0: a step from
+    between lambda_1 and lambda_2 may also point up, towards lambda_2.
+    Otherwise, and for a NaN seed or one below it, they start from the
+    Gershgorin `floor`.  They stop where a step fails to halve the one
+    before, at the float noise of the pivots; far below lambda_1, where the
+    other eigenvalues shorten every step, a step longer than `_FAR_STEP`
+    relative need only be shorter than the last."""
+    x = seed if seed > floor else floor
+    count, step = _sturm_newton(diag, offsq, x)
+    if count == 1 and step < 0.0:
+        x += step
         count, step = _sturm_newton(diag, offsq, x)
-        certify(x, count)
-        far = count == 0 and _FAR_STEP * _BISECTION_TOL * max(1.0, abs(x)) < step < last
-        if not (abs(step) <= last / 2.0 or far) or (step > 0.0) != (count == 0):
-            break
-        x, last = x + step, abs(step)
-    gap = max(4.0 * last, _BISECTION_TOL * max(1.0, abs(x)))
-    while below < x - gap or x + gap < above:
-        probe(x - gap)
-        probe(x + gap)
-        gap *= 4.0
-    for _ in range(_BISECTION_MAX_ITER):
-        if hi - lo <= _BISECTION_TOL * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        probe(mid)
-        if mid >= above:
-            hi = mid
-        else:
-            lo = mid
-    raise OracleError(
-        f"eigenvalue bisection did not reach tolerance {_BISECTION_TOL} "
-        f"within {_BISECTION_MAX_ITER} iterations (bracket [{lo}, {hi}])"
-    )
+    if count:
+        x = floor
+        count, step = _sturm_newton(diag, offsq, x)
+    last = math.inf
+    while not count and (0.0 < step <= last / 2.0 or _FAR_STEP * max(1.0, abs(x)) < step < last):
+        x, last = x + step, step
+        count, step = _sturm_newton(diag, offsq, x)
+    return x
 
 
 def _inverse_step(diag: list, off: float, shift: float, rhs: list) -> list:
@@ -357,32 +292,6 @@ def _ground_vector(x: list, h: float) -> np.ndarray:
     return x
 
 
-def fd_ground_eigenvector(
-    params: ModeParams,
-    beta: float,
-    grid: FdGrid,
-    eigenvalue: float,
-) -> np.ndarray:
-    """Ground eigenvector by two steps of inverse iteration (`_inverse_step`)
-    from the all-ones vector at the converged eigenvalue of the same grid
-    (`fd_ground_eigenvalue`), rescaled between the steps and normalized by
-    `_ground_vector`.  At a shift accurate to working precision two steps
-    reach the converged vector (Ipsen 1997, SIAM Rev. 39, 254).  The
-    off-diagonals are negative, so the ground vector v is positive, and the
-    two steps scale its part of the start by <1, v> / (lam - sigma)^2 > 0
-    on either side of lam.  A single step, as each finer grid takes
-    (`_refine`), scales it by <start, v> / (lam - sigma), whose sign is the
-    side the shift lies on, so `_ground_vector` fixes the sign of every
-    vector explicitly.  The diagonal is the eigenvalue's own
-    (`_assemble_diagonal`), so only its potential is formed again."""
-    diag = _assemble_diagonal(params, beta, grid).tolist()
-    off = -1.0 / grid.h**2
-    x = _inverse_step(diag, off, eigenvalue, [1.0] * grid.points)
-    scale = 1.0 / math.hypot(*x)
-    x = _inverse_step(diag, off, eigenvalue, [v * scale for v in x])
-    return _ground_vector(x, grid.h)
-
-
 def _rayleigh_quotient(vector: np.ndarray, weights: np.ndarray, h: float) -> float:
     """(sum (dv)^2 / h^2 + sum w v^2) / sum v^2, the differences taken with
     the zero Dirichlet ends: v^T T v / v^T v without forming 2/h^2 - lam,
@@ -403,25 +312,31 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _refine(
-    params: ModeParams, beta: float, grid: FdGrid, start: np.ndarray, shift: float
+def fd_ground_state(
+    params: ModeParams, beta: float, grid: FdGrid, shift: float, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Ground eigenvalue rho and vector of a finer grid by Rayleigh-quotient
-    iteration (Parlett 1998, The Symmetric Eigenvalue Problem, ch. 4) from
-    `start`, the coarser grid's vector prolonged, and the Richardson seed
-    `shift`: one `_inverse_step` at the shift, then one at rho only if rho
-    lies more than the certified width from the shift.  The weights are
-    built once and serve the steps, rho (`_rayleigh_quotient`) and the
-    count.
+    """Ground eigenvalue rho and unit vector (`_ground_vector`) of the
+    grid's operator by Rayleigh-quotient iteration (Parlett 1998, The
+    Symmetric Eigenvalue Problem, ch. 4): one `_inverse_step` at `shift`
+    from `start`, then one at rho only if rho lies more than the certified
+    width from the shift.  The weights are built once and serve the steps,
+    rho (`_rayleigh_quotient`) and the count.  Without a start, `shift` is
+    a seed that `_shift_below` moves to the eigenvalue, and the start is
+    one inverse step there from the all-ones vector.
 
     rho is a Rayleigh quotient, so it lies at or above the ground
     eigenvalue; one Sturm count of 0 at rho - delta, delta the certified
     width, puts it in [rho - delta, rho].  A count above 0, or a vector
-    with a node (`_ground_vector`), raises OracleError."""
+    with a node, raises OracleError; a diagonal that is not finite is
+    refused (`_weights`)."""
     h = grid.h
     weights = _weights(params, beta, grid)
     diag = (2.0 / h**2 + weights).tolist()
     off = -1.0 / h**2
+    if start is None:
+        shift = _shift_below(diag, off * off, shift, min(diag) + 2.0 * off)
+        start = np.array(_inverse_step(diag, off, shift, [1.0] * grid.points))
+        start /= np.max(np.abs(start))  # a vanishing pivot leaves entries near 1e202
     vector = _ground_vector(_inverse_step(diag, off, shift, start.tolist()), h)
     value = _rayleigh_quotient(vector, weights, h)
     if abs(value - shift) > _CERTIFIED_WIDTH * max(1.0, abs(value)):
@@ -491,33 +406,21 @@ def _richardson(values: list):
 
 def _ground_states(params: ModeParams, beta: float) -> tuple[float, dict, list]:
     """The Richardson estimate, the eigenvalue per grid size and the four
-    grids' ground vectors, coarsest first.
-
-    The 255-point grid is bisected (`fd_ground_eigenvalue`, seeded from the
-    spectral value s, `spectral_eigenvalue`) and its vector found by
-    `fd_ground_eigenvector`.  Each finer grid is refined (`_refine`) from
-    the vector before it, prolonged, at the seed s + (v - s)/4, v the value
-    of the grid before it, since the FD error falls like h^2."""
+    grids' ground vectors, coarsest first, each from `fd_ground_state`.
+    The coarsest grid is seeded with the spectral value s
+    (`spectral_eigenvalue`); each finer grid starts from the vector before
+    it, prolonged, at s + (v - s)/4, v the value of the grid before it,
+    since the FD error falls like h^2.  The grids are nested, so h halves
+    exactly from grid to grid and every weight 4^k of `_richardson` is
+    exact."""
     spectral = spectral_eigenvalue(params.m, beta)
-    value = fd_ground_eigenvalue(params, beta, _COARSEST, guess=spectral)
-    per_grid = {_COARSEST.points: value}
-    vectors = [fd_ground_eigenvector(params, beta, _COARSEST, value)]
-    for points in RICHARDSON_GRIDS[1:]:
-        shift = spectral + (value - spectral) / 4.0
-        value, vector = _refine(params, beta, _GRIDS[points], _prolong(vectors[-1]), shift)
+    shift, start, per_grid, vectors = spectral, None, {}, []
+    for points, grid in _GRIDS.items():
+        value, vector = fd_ground_state(params, beta, grid, shift, start)
         per_grid[points] = value
         vectors.append(vector)
+        shift, start = spectral + (value - spectral) / 4.0, _prolong(vector)
     return _richardson(list(per_grid.values())), per_grid, vectors
-
-
-def richardson_eigenvalue(params: ModeParams, beta: float) -> tuple[float, dict]:
-    """Eigenvalue on the four RICHARDSON_GRIDS, extrapolated by three
-    levels of `_richardson` (h^2, h^4 and h^6 eliminated), and the value
-    per grid size, from `_ground_states`.  The grids are nested,
-    h = pi/256 ... pi/2048, so h halves exactly from grid to grid and
-    every weight 4^k is exact."""
-    estimate, per_grid, _ = _ground_states(params, beta)
-    return estimate, per_grid
 
 
 def quadrature_an(state: SeriesState, n: int, theta: float) -> float:

@@ -26,11 +26,11 @@ from sws1.core import ModeParams
 from sws1.evaluate import riccati_residual_on_grid, wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
+    _ground_states,
     an_closed_form,
-    fd_ground_eigenvalue,
-    fd_ground_eigenvector,
+    fd_ground_state,
     quadrature_an,
-    richardson_eigenvalue,
+    spectral_eigenvalue,
 )
 from sws1.recurrence import (
     base_order1,
@@ -135,7 +135,7 @@ def test_criterion_4_series_vs_independent_eigensolver(states_n8):
         state = states_n8[m]
         for beta in (0.0, 0.05, 0.1):
             series = sum(float(state.energy[n]) * beta**n for n in range(9))
-            estimate, per_grid = richardson_eigenvalue(state.params, beta)
+            estimate, per_grid, _ = _ground_states(state.params, beta)
             gap = abs(series - estimate)
             worst = max(worst, gap)
             ok &= gap <= 1e-6
@@ -221,8 +221,7 @@ def test_criterion_5_riccati_residual_order(order, riccati_floor):
 def test_criterion_6_wavefunction_agreement(state_m1_n8):
     t0 = time.monotonic()
     grid = FdGrid(4096)
-    eigenvalue = fd_ground_eigenvalue(state_m1_n8.params, 0.1, grid)
-    vec = fd_ground_eigenvector(state_m1_n8.params, 0.1, grid, eigenvalue=eigenvalue)
+    _, vec = fd_ground_state(state_m1_n8.params, 0.1, grid, spectral_eigenvalue(1, 0.1))
     psi, _, _ = wavefunction_on_grid(state_m1_n8, 0.1, grid.thetas)
     psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
     gap = float(np.max(np.abs(psi - vec)))

@@ -303,13 +303,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "b6bebc583a8fda0c4890f5692d2de00bdb4354e252d224b31484f47929c84f37",
-            "28c295c2016fb7b22c03860b9b0242b58b13c736b6c84f2ca9cbb9b9a2c58789",
+            "9d01912c721e3f25b8c99a6dbd0c42fe1d0a1c8a2278146e43071e729d04ef38",
+            "a6f02d35f23ba3c64be7f927499c257338b6638b9b0cd9b442c7baaf707152e7",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "5211587d45145478b362c3868e3fcc135439efd294cc275c8eba3fc7e6e67f38",
-            "5af36bbcd2d03556fc5d641c5bb87b0eec7f503c274d6269a8623297a9b3c285",
+            "4b448e9efab00219c5cd745c47380d9f4014afb9e7d3e3647b14b2d935c3b0ca",
+            "e3bc1ba1c8db73695414b56679cd4f2a51e32b4f7009eaec06bdec88231533b0",
         ),
     }
 

@@ -15,14 +15,12 @@ from sws1.evaluate import wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
     OracleError,
-    _assemble_diagonal,
+    _ground_states,
     _indicial_correction,
     _sturm_count,
     an_closed_form,
-    fd_ground_eigenvalue,
-    fd_ground_eigenvector,
+    fd_ground_state,
     quadrature_an,
-    richardson_eigenvalue,
     residual_slope,
     spectral_eigenvalue,
     verify_all,
@@ -30,30 +28,58 @@ from sws1.oracle import (
 from sws1.recurrence import compute_series
 
 
+def diagonal(params, beta, grid):
+    """The operator's diagonal, 2/h^2 + `_weights`."""
+    return 2.0 / grid.h**2 + oracle._weights(params, beta, grid)
+
+
+def solve(params, beta, grid):
+    """`fd_ground_state` seeded with the spectral value, as the coarsest
+    grid is."""
+    return fd_ground_state(params, beta, grid, spectral_eigenvalue(params.m, beta))
+
+
 def dense_spectrum(params, beta, grid):
     """All eigenvalues of the oracle's tridiagonal operator by a dense
-    LAPACK solve, a reference that shares nothing with the Sturm bisection.
+    LAPACK solve, a reference that shares nothing with the oracle's solver.
     Only for small m: at m = 40 the diagonal reaches 3e17 and the dense
     solve loses the ground eigenvalue to O(1)."""
     off = np.full(grid.points - 1, -1.0 / grid.h**2)
-    matrix = np.diag(_assemble_diagonal(params, beta, grid)) + np.diag(off, 1) + np.diag(off, -1)
+    matrix = np.diag(diagonal(params, beta, grid)) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(matrix)
 
 
-def plain_bisection(params, beta, grid):
-    """The bisection with no certified bounds and no guess: a Sturm sweep
-    at every midpoint of the Gershgorin bracket, to the oracle's stopping
-    rule."""
-    diag = _assemble_diagonal(params, beta, grid).tolist()
+def plain_bisection(params, beta, grid, k=1):
+    """The k-th smallest eigenvalue by bisection with a Sturm sweep at
+    every midpoint of the Gershgorin bracket, to a width of 1e-13
+    relative."""
+    diag = diagonal(params, beta, grid).tolist()
     off = 1.0 / grid.h**2
     lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
     while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        if _sturm_count(diag, off * off, mid) >= 1:
+        if _sturm_count(diag, off * off, mid) >= k:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+class SweepCounter:
+    """Wraps the two Sturm sweeps of `oracle`: `sweeps` counts them per
+    (name, grid size), and `rows` sums the rows swept, a Newton row counted
+    twice (about what it costs)."""
+
+    def __init__(self, monkeypatch):
+        self.sweeps, self.rows = collections.Counter(), 0
+        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
+
+            def counting(diag, offsq, lam, name=name, weight=weight, sweep=getattr(oracle, name)):
+                self.sweeps[name, len(diag)] += 1
+                self.rows += weight * len(diag)
+                return sweep(diag, offsq, lam)
+
+            monkeypatch.setattr(oracle, name, counting)
 
 
 def pivots(diag, offsq, lam):
@@ -93,34 +119,34 @@ class TestFdGrid:
 class TestGroundEigenvalue:
     @pytest.mark.parametrize("m,expected", [(1, 0.0), (2, 4.0), (3, 10.0)])
     def test_spherical_limit(self, m, expected):
-        e = fd_ground_eigenvalue(ModeParams(m=m, N=0), 0.0, FdGrid(4096))
+        e, _ = solve(ModeParams(m=m, N=0), 0.0, FdGrid(4096))
         assert e == pytest.approx(expected, abs=5e-5)
 
     def test_sturm_count_brackets_ground_state(self):
-        # the bisection lands on the lowest eigenvalue of the same matrix
+        # the solver lands on the lowest eigenvalue of the same matrix
         params = ModeParams(m=1, N=0)
         grid = FdGrid(1024)
-        e = fd_ground_eigenvalue(params, 0.1, grid)
+        e, _ = solve(params, 0.1, grid)
         assert e == pytest.approx(dense_spectrum(params, 0.1, grid)[0], rel=1e-9)
 
     @pytest.mark.parametrize("beta", [1e200, -1e200])
     def test_non_finite_potential_refused(self, beta):
         # beta^2 overflows, so the potential is -inf at every node
         with pytest.raises(ValueError, match="potential is not finite"):
-            fd_ground_eigenvalue(ModeParams(m=2, N=0), beta, FdGrid(1024))
+            solve(ModeParams(m=2, N=0), beta, FdGrid(1024))
 
     @pytest.mark.parametrize("points,largest", [(1024, 100), (2048, 91), (4096, 83)])
     def test_indicial_overflow_refused_past_the_stated_m(self, points, largest):
         # (j+1)^(m+3/2) overflows at the far end of the grid; the potential
         # itself is finite
         grid = FdGrid(points)
-        assert np.isfinite(_assemble_diagonal(ModeParams(m=largest, N=0), 0.0, grid)).all()
+        assert np.isfinite(diagonal(ModeParams(m=largest, N=0), 0.0, grid)).all()
         message = (
             f"indicial correction overflows on the {points}-point grid at m={largest + 1}; "
             f"this grid supports m <= {largest}$"
         )
         with pytest.raises(ValueError, match=message):
-            fd_ground_eigenvalue(ModeParams(m=largest + 1, N=0), 0.0, grid)
+            solve(ModeParams(m=largest + 1, N=0), 0.0, grid)
 
     @pytest.mark.parametrize("points", [64, 1024, 2048, 4096])
     def test_one_power_table_gives_the_three_power_bytes(self, points):
@@ -140,7 +166,7 @@ class TestGroundEigenvalue:
         # eigenvalue error against the extrapolated limit scales like h^2
         params = ModeParams(m=2, N=0)
         sizes = [512, 1024, 2048, 4096]
-        values = {p: fd_ground_eigenvalue(params, 0.1, FdGrid(p)) for p in sizes}
+        values = {p: solve(params, 0.1, FdGrid(p))[0] for p in sizes}
         limit = (4 * values[4096] - values[2048]) / 3
         errs = np.array([abs(values[p] - limit) for p in sizes[:-1]])
         hs = np.array([math.pi / (p + 1) for p in sizes[:-1]])
@@ -175,7 +201,7 @@ class TestCertifiedBisection:
         # at every midpoint of the plain bisection, down to the float noise
         # around the eigenvalue, and across the whole Gershgorin bracket
         params, grid = ModeParams(m=m, N=0), FdGrid(1024)
-        diag = _assemble_diagonal(params, 0.33, grid).tolist()
+        diag = diagonal(params, 0.33, grid).tolist()
         off = 1.0 / grid.h**2
         lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
         shifts = list(np.linspace(lo, hi, 64))
@@ -197,16 +223,19 @@ class TestCertifiedBisection:
     @pytest.mark.parametrize("m", [1, 2, 10, 40, 80])
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7, 2.0])
     def test_same_float_as_plain_bisection_for_any_guess(self, m, beta):
+        # any seed gives a value within delta = 1e-9 max(1, |lam|) of the
+        # plain bisection's float
         params = ModeParams(m=m, N=0)
         for points in (256, 1024):
             grid = FdGrid(points)
-            exact = plain_bisection(params, beta, grid)
-            diag = _assemble_diagonal(params, beta, grid)
+            exact, second = plain_bisection(params, beta, grid), plain_bisection(params, beta, grid, 2)
+            diag = diagonal(params, beta, grid)
             width = float(diag.max() - diag.min()) + 4.0 / grid.h**2
-            # the spectral value (richardson_eigenvalue's seed), the true
-            # value, one ulp off either way, 1e-3 off, 10x off, the wrong
-            # side of 0, beyond the Gershgorin bracket either way, no number
-            guesses = (
+            # the spectral value, the true value, one ulp off either way,
+            # 1e-3 off, 10x off, the wrong side of 0, 1e3 below it, between
+            # the two lowest eigenvalues, above the second, beyond the
+            # Gershgorin bracket either way, no number
+            seeds = (
                 spectral_eigenvalue(m, beta),
                 exact,
                 math.nextafter(exact, math.inf),
@@ -214,157 +243,155 @@ class TestCertifiedBisection:
                 exact * (1.0 + 1e-3),
                 10.0 * exact,
                 -exact,
+                exact - 1e3,
+                0.5 * (exact + second),
+                2.0 * second - exact,
                 float(diag.max()) + width,
                 float(diag.min()) - width,
                 math.inf,
                 -math.inf,
                 math.nan,
             )
-            for guess in guesses:
-                assert fd_ground_eigenvalue(params, beta, grid, guess=guess) == exact, guess
+            for seed in seeds:
+                value, _ = fd_ground_state(params, beta, grid, seed)
+                assert abs(value - exact) <= 1e-9 * max(1.0, abs(exact)), (points, seed)
 
-    # rows swept per richardson_eigenvalue when the 1024-point grid was
-    # seeded by a 256-point solve, a Newton sweep counted as two count
-    # sweeps (about what it costs)
+    # rows swept per solve of the four grids when the 1024-point grid was
+    # seeded by a 256-point solve
     PARENT_ROWS = {(1, 0.0): 125_440, (1, 0.33): 129_536, (40, 0.0): 135_168, (40, 0.33): 126_976}
     ROW_SHARE = {1: 0.9, 40: 0.55}
 
     @pytest.mark.parametrize("m", [1, 40])
     @pytest.mark.parametrize("beta", [0.0, 0.33])
     def test_seeded_grids_sweep_at_most_40_times(self, monkeypatch, m, beta):
-        sweeps, rows = collections.Counter(), 0  # sweeps per grid size, weighted rows
-        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
-
-            def counting(diag, offsq, lam, sweep=getattr(oracle, name), weight=weight):
-                nonlocal rows
-                sweeps[len(diag)] += 1
-                rows += weight * len(diag)
-                return sweep(diag, offsq, lam)
-
-            monkeypatch.setattr(oracle, name, counting)
-        richardson_eigenvalue(ModeParams(m=m, N=0), beta)
+        counter = SweepCounter(monkeypatch)
+        _ground_states(ModeParams(m=m, N=0), beta)
+        sweeps = collections.Counter()  # per grid size
+        for (_, points), count in counter.sweeps.items():
+            sweeps[points] += count
         assert sorted(sweeps) == list(oracle.RICHARDSON_GRIDS)  # no grid solved as a seed
         assert max(sweeps.values()) <= 40
         if m == 40:
             # a 256-point seed once sat 9.3 above the 1024-point value, out
             # of Newton's quadratic range: 38 count and 2 Newton sweeps
-            # followed.  The 1023-point grid, seeded from the two before it,
-            # takes 2 and 4 at beta = 0
+            # followed
             assert sweeps[1023] <= 12
-        assert rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
+        assert counter.rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
 
-    # rows swept per richardson_eigenvalue at beta = 0, a Newton row counted
-    # twice.  The three grids 1024/2048/4096 swept 107,520, 60,416 and
-    # 77,824; the four nested grids, each bisected, 57,286, 31,190 and
-    # 37,326.  Only the 255-point grid is bisected now, and each finer grid
-    # takes the one count that certifies its Rayleigh quotient
-    PINNED_ROWS = {1: 7_151, 40: 7_661, 80: 9_191}
+    # rows swept per solve of the four grids at beta = 0: the 255-point
+    # grid's Newton sweeps, and on every grid the one count that certifies
+    # its Rayleigh quotient
+    PINNED_ROWS = {1: 5_366, 40: 7_406, 80: 9_446}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
-        sweeps, rows = collections.Counter(), 0  # (name, grid size) -> sweeps
-        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
-
-            def counting(diag, offsq, lam, name=name, weight=weight, sweep=getattr(oracle, name)):
-                nonlocal rows
-                sweeps[name, len(diag)] += 1
-                rows += weight * len(diag)
-                return sweep(diag, offsq, lam)
-
-            monkeypatch.setattr(oracle, name, counting)
-        richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
-        assert rows <= self.PINNED_ROWS[m]
-        # the 1024-point value once lay 10.3 above the spectral seed at
-        # m = 80, and Newton steps that stopped quartering there left 37
-        # count sweeps (the 255-point grid:
-        # test_far_seed_keeps_newton_going_on_the_coarsest_grid)
+        counter = SweepCounter(monkeypatch)
+        _ground_states(ModeParams(m=m, N=0), 0.0)
+        assert counter.rows <= self.PINNED_ROWS[m]
+        for points in oracle.RICHARDSON_GRIDS:
+            assert counter.sweeps["_sturm_count", points] == 1, points
         for points in oracle.RICHARDSON_GRIDS[1:]:
-            assert sweeps["_sturm_count", points] == 1 and not sweeps["_sturm_newton", points]
+            assert not counter.sweeps["_sturm_newton", points], points
 
     @pytest.mark.parametrize("m", [60, 80, 91])
     def test_far_seed_keeps_newton_going_on_the_coarsest_grid(self, monkeypatch, m):
         # at beta = 0 the 255-point value lies 52 to 281 above the spectral
-        # seed; at m = 80 and 91 the seed is below the Gershgorin bracket.
+        # seed; at m = 80 and 91 the seed is below the Gershgorin floor.
         # Newton once stopped there after 0 or 2 steps, and 40 to 46 count
-        # sweeps followed.  It now climbs from the seed or the bracket's floor
+        # sweeps followed.  It now climbs from the seed or the floor, and
+        # one count certifies the Rayleigh quotient
         params, grid = ModeParams(m=m, N=0), FdGrid(255)
-        sweeps = collections.Counter()
-        for name in ("_sturm_count", "_sturm_newton"):
+        counter = SweepCounter(monkeypatch)
+        value, _ = solve(params, 0.0, grid)
+        assert counter.sweeps["_sturm_count", 255] == 1 and counter.sweeps["_sturm_newton", 255] >= 1
+        assert abs(value - plain_bisection(params, 0.0, grid)) <= 1e-9 * value
 
-            def counting(diag, offsq, lam, name=name, sweep=getattr(oracle, name)):
-                sweeps[name] += 1
-                return sweep(diag, offsq, lam)
+    def test_hard_shifts_give_nodeless_certified_states(self, monkeypatch):
+        # at |beta| >= 10 the spectral seed may lie between the two lowest
+        # eigenvalues with its Newton step pointing up (m = 1, beta = -10),
+        # or below the Gershgorin floor (m = 91); both restart at the floor.
+        # One inverse step from all-ones at the eigenvalue leaves a node at
+        # m = 4, 5, 10 and beta = -30 or -50, so the start takes a second
+        grid, floored = oracle._COARSEST, set()
+        newton = oracle._sturm_newton
 
-            monkeypatch.setattr(oracle, name, counting)
-        value = fd_ground_eigenvalue(params, 0.0, grid, guess=spectral_eigenvalue(m, 0.0))
-        assert sweeps["_sturm_count"] <= 12 and sweeps["_sturm_newton"] >= 1
-        assert value == plain_bisection(params, 0.0, grid)
+        def recording(diag, offsq, lam):
+            if lam == min(diag) - 2.0 / grid.h**2:
+                floored.add(case)
+            return newton(diag, offsq, lam)
 
-    # rows swept per richardson_eigenvalue, a Newton row counted twice, over
-    # verify-battery's modes, once only the 255-point grid is bisected (31k
-    # to 57k rows when every grid was)
+        monkeypatch.setattr(oracle, "_sturm_newton", recording)
+        for m in (1, 2, 3, 4, 5, 10, 40, 91):
+            params = ModeParams(m=m, N=0)
+            for beta in (10.0, -10.0, 30.0, -30.0, 50.0, -50.0):
+                case = m, beta
+                _, per_grid, vectors = _ground_states(params, beta)
+                for vector in vectors:
+                    significant = vector[np.abs(vector) > 1e-12 * vector.max()]
+                    assert np.all(significant > 0.0), case
+                exact = plain_bisection(params, beta, grid)
+                assert abs(per_grid[255] - exact) <= 1e-9 * max(1.0, abs(exact)), case
+        assert {(1, -10.0), (91, 10.0)} <= floored
+        lowest = dense_spectrum(ModeParams(m=1, N=0), -10.0, grid)
+        assert lowest[0] < spectral_eigenvalue(1, -10.0) < lowest[1]
+        for m, beta in ((4, -30.0), (5, -30.0), (5, -50.0), (10, -50.0)):
+            params = ModeParams(m=m, N=0)
+            diag = diagonal(params, beta, grid).tolist()
+            exact = plain_bisection(params, beta, grid)
+            one_step = oracle._inverse_step(diag, -1.0 / grid.h**2, exact, [1.0] * grid.points)
+            with pytest.raises(OracleError, match="sign"):
+                oracle._ground_vector(one_step, grid.h)
+
+    # rows swept per solve of the four grids over verify-battery's modes
     BATTERY_ROWS = {
-        (1, 0.0): 7_151, (1, 0.1): 6_896, (1, 0.45): 7_406,
-        (2, 0.0): 6_896, (2, 0.1): 6_641, (2, 0.45): 6_896,
-        (5, 0.0): 5_621, (5, 0.1): 6_131, (5, 0.45): 6_386,
-        (10, 0.0): 6_896, (10, 0.1): 6_131, (10, 0.45): 6_131,
-        (20, 0.0): 7_151, (20, 0.1): 7_406, (20, 0.45): 7_151,
-        (40, 0.0): 7_661, (40, 0.1): 8_171, (40, 0.45): 7_661,
+        (1, 0.0): 5_366, (1, 0.1): 5_876, (1, 0.45): 5_366,
+        (2, 0.0): 5_366, (2, 0.1): 5_876, (2, 0.45): 5_366,
+        (5, 0.0): 5_876, (5, 0.1): 5_876, (5, 0.45): 5_876,
+        (10, 0.0): 6_386, (10, 0.1): 5_876, (10, 0.45): 6_386,
+        (20, 0.0): 6_896, (20, 0.1): 6_386, (20, 0.45): 6_386,
+        (40, 0.0): 7_406, (40, 0.1): 7_916, (40, 0.45): 7_916,
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
     def test_battery_modes_sweep_no_more_rows(self, monkeypatch, m, beta):
-        rows = 0
-        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
-
-            def counting(diag, offsq, lam, weight=weight, sweep=getattr(oracle, name)):
-                nonlocal rows
-                rows += weight * len(diag)
-                return sweep(diag, offsq, lam)
-
-            monkeypatch.setattr(oracle, name, counting)
-        richardson_eigenvalue(ModeParams(m=m, N=0), beta)
-        assert rows <= self.BATTERY_ROWS[m, beta]
+        counter = SweepCounter(monkeypatch)
+        _ground_states(ModeParams(m=m, N=0), beta)
+        assert counter.rows <= self.BATTERY_ROWS[m, beta]
 
 
 class TestGroundEigenvector:
     def test_spherical_limit_profile_m1(self):
         # the beta = 0 ground state is (1-cos) sqrt(sin) up to normalization
         params, grid = ModeParams(m=1, N=0), FdGrid(4096)
-        vec = fd_ground_eigenvector(params, 0.0, grid, fd_ground_eigenvalue(params, 0.0, grid))
+        _, vec = solve(params, 0.0, grid)
         exact = (1 - np.cos(grid.thetas)) * np.sqrt(np.sin(grid.thetas))
         exact /= math.sqrt(grid.h) * np.linalg.norm(exact)
         assert np.max(np.abs(vec - exact)) < 1e-3
 
     def test_nodeless_and_positive(self):
-        params, grid = ModeParams(m=2, N=0), FdGrid(512)
-        vec = fd_ground_eigenvector(params, 0.2, grid, fd_ground_eigenvalue(params, 0.2, grid))
+        _, vec = solve(ModeParams(m=2, N=0), 0.2, FdGrid(512))
         assert np.all(vec > 0.0)
-        # on every Richardson grid, at its own eigenvalue, no entry is
-        # negative and the largest is positive (at m = 91 the tail entries
-        # fall to about 1e-88).  As refined from the coarser grid, whose
-        # single step at a shift above the eigenvalue flips the sign, every
-        # entry above 1e-12 of the largest is positive: the prolonged start
-        # leaves tails of either sign near 1e-120 at m = 91, beta = 2
+        # on every Richardson grid every entry above 1e-12 of the largest
+        # is positive.  A single step at a shift above the eigenvalue flips
+        # the sign, and the prolonged start leaves tails of either sign
+        # near 1e-120 at m = 91, beta = 2
         for m in (1, 10, 40, 91):
             params = ModeParams(m=m, N=0)
             for beta in (0.0, 0.45, -1.0, 2.0):
-                _, per_grid, vectors = oracle._ground_states(params, beta)
-                for (points, grid), refined in zip(oracle._GRIDS.items(), vectors):
-                    vec = fd_ground_eigenvector(params, beta, grid, per_grid[points])
-                    assert np.all(vec >= 0.0) and vec.max() > 0.0, (m, beta, points)
-                    largest = refined.max()
-                    assert largest > 0.0 and refined.min() >= -1e-12 * largest, (m, beta, points)
+                _, _, vectors = _ground_states(params, beta)
+                for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
+                    largest = vec.max()
+                    assert largest > 0.0 and vec.min() >= -1e-12 * largest, (m, beta, points)
 
     def test_unit_discrete_l2(self):
-        params, grid = ModeParams(m=1, N=0), FdGrid(512)
-        vec = fd_ground_eigenvector(params, 0.1, grid, fd_ground_eigenvalue(params, 0.1, grid))
+        grid = FdGrid(512)
+        _, vec = solve(ModeParams(m=1, N=0), 0.1, grid)
         assert grid.h * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_series_eigenfunction(self, state_m1_n8):
         # cross-implementation agreement at beta = 0.2
         params, grid = ModeParams(m=1, N=8), FdGrid(2048)
-        vec = fd_ground_eigenvector(params, 0.2, grid, fd_ground_eigenvalue(params, 0.2, grid))
+        _, vec = solve(params, 0.2, grid)
         psi, _, _ = wavefunction_on_grid(state_m1_n8, 0.2, grid.thetas)
         psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
         assert np.max(np.abs(psi - vec)) < 5e-3
@@ -374,8 +401,7 @@ class TestGroundEigenvector:
         # state to 1e-3 at beta = 0.1 on a 2000-point grid
         state = compute_series(ModeParams(m=1, N=4))
         grid = FdGrid(2000)
-        eigenvalue = fd_ground_eigenvalue(state.params, 0.1, grid)
-        vec = fd_ground_eigenvector(state.params, 0.1, grid, eigenvalue)
+        _, vec = solve(state.params, 0.1, grid)
         psi, _, _ = wavefunction_on_grid(state, 0.1, grid.thetas)
         psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
         assert np.max(np.abs(psi - vec)) < 1e-3
@@ -387,7 +413,7 @@ class TestGroundEigenvector:
         rescaled after each step."""
         off = -1.0 / grid.h**2
         pivots, mults, c = [], [], 0.0
-        for t in (_assemble_diagonal(params, beta, grid) - eigenvalue).tolist():
+        for t in (diagonal(params, beta, grid) - eigenvalue).tolist():
             piv = t - off * c
             if abs(piv) < 1e-200:
                 piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
@@ -407,22 +433,26 @@ class TestGroundEigenvector:
 
     @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
     @pytest.mark.parametrize("m", [1, 10, 40, 83])
-    def test_two_steps_reach_the_converged_vector(self, m, beta):
-        # one step is 2e-13 to 3e-11 away from the converged vector here
-        params, grid = ModeParams(m=m, N=0), FdGrid(4096)
-        eigenvalue = fd_ground_eigenvalue(params, beta, grid, guess=spectral_eigenvalue(m, beta))
-        vec = fd_ground_eigenvector(params, beta, grid, eigenvalue)
-        reference = self.six_step_reference(params, beta, grid, eigenvalue)
+    def test_two_steps_reach_the_converged_vector(self, monkeypatch, m, beta):
+        # seeded without a start, the solver takes two steps at the shift
+        # Newton leaves, the first from all-ones; six reach convergence
+        params, grid, shifts = ModeParams(m=m, N=0), FdGrid(4096), []
+        step = oracle._inverse_step
+        monkeypatch.setattr(oracle, "_inverse_step", lambda *args: shifts.append(args[2]) or step(*args))
+        _, vec = solve(params, beta, grid)
+        assert len(shifts) == 2 and shifts[0] == shifts[1]
+        reference = self.six_step_reference(params, beta, grid, shifts[0])
         assert np.max(np.abs(vec - reference)) < 1e-13
 
     @staticmethod
     def loop_reference(params, beta, grid, eigenvalue):
-        """The eigenvector's loops as first written: lists grown by append,
-        an abs() pivot guard, and each back substitution reading x[i + 1]."""
+        """Two steps of inverse iteration from all-ones as first written:
+        lists grown by append, an abs() pivot guard, and each back
+        substitution reading x[i + 1]."""
         off = -1.0 / grid.h**2
         pivots, mults, x = [], [], []
         c = y = 0.0
-        for t in (_assemble_diagonal(params, beta, grid) - eigenvalue).tolist():
+        for t in (diagonal(params, beta, grid) - eigenvalue).tolist():
             piv = t - off * c
             if abs(piv) < 1e-200:
                 piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
@@ -446,13 +476,18 @@ class TestGroundEigenvector:
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.4])
     @pytest.mark.parametrize("m", [1, 10, 40, 83])
     def test_same_bytes_as_the_loop_reference(self, m, beta):
+        # `_inverse_step` and `_ground_vector`, two steps at each finer
+        # grid's eigenvalue
         params = ModeParams(m=m, N=0)
-        _, per_grid = richardson_eigenvalue(params, beta)
+        _, per_grid, _ = _ground_states(params, beta)
         for points in (1023, 2047):
-            grid = FdGrid(points)
-            vec = fd_ground_eigenvector(params, beta, grid, per_grid[points])
-            reference = self.loop_reference(params, beta, grid, per_grid[points])
-            assert vec.tobytes() == reference.tobytes(), points
+            grid, shift = FdGrid(points), per_grid[points]
+            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
+            x = oracle._inverse_step(diag, off, shift, [1.0] * points)
+            scale = 1.0 / math.hypot(*x)
+            x = oracle._inverse_step(diag, off, shift, [v * scale for v in x])
+            reference = self.loop_reference(params, beta, grid, shift)
+            assert oracle._ground_vector(x, grid.h).tobytes() == reference.tobytes(), points
 
     def test_vanishing_pivot_leaves_a_unit_vector(self, monkeypatch):
         # at this beta the 255-point grid's bisected eigenvalue makes a
@@ -467,9 +502,9 @@ class TestGroundEigenvector:
             return x
 
         monkeypatch.setattr(oracle, "_inverse_step", recording)
-        eigenvalue = fd_ground_eigenvalue(params, beta, grid, guess=spectral_eigenvalue(1, beta))
-        vec = fd_ground_eigenvector(params, beta, grid, eigenvalue)
-        assert largest[-1] > 1e150
+        shift = plain_bisection(params, beta, grid)
+        _, vec = fd_ground_state(params, beta, grid, shift, np.ones(grid.points))
+        assert largest[0] > 1e150
         assert grid.h * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12) and np.all(vec > 0.0)
         with pytest.raises(OracleError, match="overflowed"):
             oracle._ground_vector([1.0, math.inf], grid.h)
@@ -481,7 +516,7 @@ class TestGroundEigenvector:
         grid = FdGrid(256)
         e1 = dense_spectrum(params, 0.0, grid)[1]
         with pytest.raises(OracleError, match="sign"):
-            fd_ground_eigenvector(params, 0.0, grid, eigenvalue=e1)
+            fd_ground_state(params, 0.0, grid, e1, np.ones(grid.points))
 
 
 class TestRefinedGrids:
@@ -497,7 +532,7 @@ class TestRefinedGrids:
         weights = oracle._weights(params, 0.3, grid)
         vector = np.sin(np.arange(1, 64) * math.pi / 64) ** 3
         off = np.full(62, -1.0 / grid.h**2)
-        dense = np.diag(_assemble_diagonal(params, 0.3, grid)) + np.diag(off, 1) + np.diag(off, -1)
+        dense = np.diag(diagonal(params, 0.3, grid)) + np.diag(off, 1) + np.diag(off, -1)
         expected = vector @ dense @ vector / (vector @ vector)
         value = oracle._rayleigh_quotient(vector, weights, grid.h)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -505,25 +540,25 @@ class TestRefinedGrids:
     @pytest.mark.parametrize("beta", [0.0, 0.45, -0.45, 1.0, -1.0])
     @pytest.mark.parametrize("m", [1, 10, 40, 91])
     def test_rayleigh_quotient_certified_within_delta_of_bisection(self, m, beta):
-        # rho sits within delta of the grid's bisected eigenvalue, and no
-        # eigenvalue lies below rho - delta
+        # on every grid rho sits within delta of the bisected eigenvalue,
+        # and no eigenvalue lies below rho - delta
         params = ModeParams(m=m, N=0)
-        _, per_grid = richardson_eigenvalue(params, beta)
-        for points in oracle.RICHARDSON_GRIDS[1:]:
-            grid, rho = oracle._GRIDS[points], per_grid[points]
+        _, per_grid, _ = _ground_states(params, beta)
+        for points, grid in oracle._GRIDS.items():
+            rho = per_grid[points]
             delta = 1e-9 * max(1.0, abs(rho))
-            assert abs(rho - fd_ground_eigenvalue(params, beta, grid, guess=rho)) <= delta
-            diag = _assemble_diagonal(params, beta, grid).tolist()
+            assert abs(rho - plain_bisection(params, beta, grid)) <= delta, points
+            diag = diagonal(params, beta, grid).tolist()
             assert _sturm_count(diag, (1.0 / grid.h**2) ** 2, rho - delta) == 0, points
 
     @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
     @pytest.mark.parametrize("m", [1, 10, 40, 91])
     def test_refined_vectors_are_the_converged_vectors(self, m, beta):
-        # inverse iteration run to convergence at each finer grid's own
-        # rho; measured at most 2.0e-13 away
+        # inverse iteration run to convergence at each grid's own rho;
+        # measured at most 2.0e-13 away
         params = ModeParams(m=m, N=0)
-        _, per_grid, vectors = oracle._ground_states(params, beta)
-        for points, vec in zip(oracle.RICHARDSON_GRIDS[1:], vectors[1:]):
+        _, per_grid, vectors = _ground_states(params, beta)
+        for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
             grid = oracle._GRIDS[points]
             reference = TestGroundEigenvector.six_step_reference(
                 params, beta, grid, per_grid[points]
@@ -534,20 +569,20 @@ class TestRefinedGrids:
         # a count above 0 at rho - delta refuses the grid
         monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
         with pytest.raises(OracleError, match="not certified"):
-            richardson_eigenvalue(ModeParams(m=1, N=0), 0.0)
+            _ground_states(ModeParams(m=1, N=0), 0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_beta0_estimate_within_5e_12_of_e0(self, m):
         # bisected to 1e-13 inside the Sturm count's noise, the finer grids
         # left the estimate up to 5.6e-11 from the exact E0 (m = 2)
-        estimate, _ = richardson_eigenvalue(ModeParams(m=m, N=0), 0.0)
+        estimate, _, _ = _ground_states(ModeParams(m=m, N=0), 0.0)
         assert abs(estimate - (m * m + m - 2)) <= 5e-12
 
 
 class TestRichardson:
     def test_estimate_consistency(self):
         params = ModeParams(m=3, N=0)
-        estimate, per_grid = richardson_eigenvalue(params, 0.1)
+        estimate, per_grid, _ = _ground_states(params, 0.1)
         finest = per_grid[2047]
         coarsest = per_grid[255]
         assert abs(estimate - finest) < abs(finest - coarsest)
@@ -566,19 +601,18 @@ class TestRichardson:
         # the three-grid, one-level estimate kept up to 3.4e-4 (m = 83) of
         # the FD error; the four-grid table keeps at most 1.3e-8 (m = 91)
         for beta in (0.0, 0.45, -0.45, 1.0, -1.0):
-            estimate, _ = richardson_eigenvalue(ModeParams(m=m, N=0), beta)
+            estimate, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
             assert abs(estimate - spectral_eigenvalue(m, beta)) <= 1e-7, beta
 
     def test_floats_match_pinned_digest(self):
-        # sha256 of the repr of every (estimate, per-grid) pair: the floats
-        # of the 255-point bisection and of the finer grids' refinement
+        # sha256 of the repr of every (estimate, per-grid) pair
         text = "\n".join(
-            repr(richardson_eigenvalue(ModeParams(m, 0), beta))
+            repr(_ground_states(ModeParams(m, 0), beta)[:2])
             for m in (1, 10, 40, 80)
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "794e822dd86f093bfaf32b84b0e5ef7b1c26195a1df935d6eb54377f8fa0de3c"
+            "608160e45bfc686f3ed1d3657050fe3910151c658bd5cd9b4b209d2c5bf459c3"
         )
 
 
@@ -616,7 +650,7 @@ class TestSpectralEigenvalue:
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.4, 1.0, 2.0])
     def test_agrees_with_fd_richardson_at_m1(self, beta):
         # the FD oracle's own error at m = 1 is ~1e-10
-        estimate, _ = richardson_eigenvalue(ModeParams(m=1, N=0), beta)
+        estimate, _, _ = _ground_states(ModeParams(m=1, N=0), beta)
         assert abs(spectral_eigenvalue(1, beta) - estimate) <= 1e-9
 
     def test_floats_match_pinned_hex(self):
@@ -816,7 +850,7 @@ class TestGapScaling:
         from sws1.evaluate import eval_energy
 
         for beta in (0.15, 0.2):
-            estimate, _ = richardson_eigenvalue(state.params, beta)
+            estimate, _, _ = _ground_states(state.params, beta)
             inferred = (estimate - eval_energy(state, beta, 4)) / beta**5
             assert 0.8 <= inferred / exact <= 1.2
 
