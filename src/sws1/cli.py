@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -252,6 +253,11 @@ _DISPATCH = {"coeffs": cmd_coeffs, "eval": cmd_eval, "verify": cmd_verify}
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # every BLAS call here is small; OpenBLAS starts its thread pool when
+        # numpy loads, and one thread starts faster.  A value the user set
+        # stays, and a caller that already loaded numpy is left as it is
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -164,10 +164,21 @@ def _w_derivative(m: int, tables, trig):
     return w0_prime + _horner(da, x) + c * _horner(db, x)
 
 
-def _potential(m: int, beta: float, trig):
+def _beta_free_potential(m: int, trig):
+    """The potential at beta = 0, the part of `_potential` that beta does
+    not move."""
     _, c, one_minus, one_plus = trig
-    inv_sin2 = ((m + c) ** 2 - 0.25) / (one_minus * one_plus)
-    return inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
+    return ((m + c) ** 2 - 0.25) / (one_minus * one_plus) - 1.25
+
+
+def _with_beta(beta_free, beta: float, c):
+    """The potential at beta from its `_beta_free_potential`, in the float
+    operations of the one expression it was split from."""
+    return beta_free - (beta * c) ** 2 + 2.0 * beta * c
+
+
+def _potential(m: int, beta: float, trig):
+    return _with_beta(_beta_free_potential(m, trig), beta, trig[1])
 
 
 def _riccati_terms(state: SeriesState, beta: float | np.ndarray, tables, trig) -> tuple:

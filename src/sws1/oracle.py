@@ -20,26 +20,34 @@ delta = 1e-9 max(1, |rho|) from the shift.  rho is formed as
 indicial correction, so it does not carry the cancellation of
 2/h^2 - lam that sets the Sturm count's noise (about 4e-10 at 2047
 points and m = 1).  A Rayleigh quotient lies at or above the ground
-eigenvalue, and one Sturm count of 0 at rho - delta puts the eigenvalue
-in [rho - delta, rho]; a grid whose count is not 0 raises OracleError.
+eigenvalue.  The last step's Thomas pivots are the LDL^T pivots of
+T - tau, tau its shift, so by Sylvester's law of inertia they count the
+eigenvalues below tau (Kahan 1966, Stanford CS41): when none of them is
+<= 0 and tau lies in [rho - delta, rho], the eigenvalue lies in
+[tau, rho], and the grid needs no sweep of its own.  Otherwise one Sturm
+count of 0 at rho - delta puts the eigenvalue in [rho - delta, rho]; a
+grid whose count is not 0 raises OracleError.  Over the 18 modes
+m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the last step
+certifies 39 of the 72 grids, and 33 Sturm counts remain.
 
 The shifts come from the spectral value s (`spectral_eigenvalue`): the
 operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
 (Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021); no
 verdict reads it.  On the 255-point grid Newton steps on det(T - lam),
-taken from below the eigenvalue where they never overshoot, move s to it,
-and one inverse step from the all-ones vector there is the start.  Each
-finer grid starts from the vector of the grid before it, prolonged, at
-the Richardson seed s + (v - s)/4, v that grid's eigenvalue.  The
-residual slope evaluates its nine betas in one call.
+taken from below the eigenvalue, move s to it, and one inverse step from
+the all-ones vector there is the start.  Each finer grid starts from the
+vector of the grid before it, prolonged, at the Richardson seed
+s + (v - s)/4, v that grid's eigenvalue.  The residual slope evaluates
+its nine betas in one call.
 
 Most of a diagonal does not depend on beta.  The four Richardson grids
 are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
 values (`FdGrid.trig`), which the potential and the series psi read:
-about 120 KB for the four grids.  The indicial correction is cached per
-(m, grid), about 30 KB per m over the four grids, and the spectral
-matrix's beta-independent parts per m, about 40 KB.  A case at a new beta
-then evaluates only the potential on each grid.  Every cached array is
+about 120 KB for the four grids.  The potential's beta-free part and the
+indicial correction are cached per (m, grid), about 30 KB per m each over
+the four grids, and the spectral matrix's beta-independent parts per m,
+about 40 KB: about 100 KB per m in all.  A case at a new beta then adds
+only the potential's two beta terms on each grid.  Every cached array is
 read-only, and every float is the one a fresh build gives.
 
 Endpoint handling: the transformed potential carries inverse-square
@@ -64,12 +72,13 @@ import numpy as np
 
 from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams
 from .evaluate import (
+    _beta_free_potential,
     _beta_tables,
     _half_angle,
     _orders_at,
-    _potential,
     _riccati_terms,
     _wavefunction,
+    _with_beta,
     eval_energy,
     gauss_legendre,
     gauss_panels,
@@ -164,16 +173,26 @@ def _indicial_correction(m: int, points: int) -> np.ndarray:
     return corr
 
 
+@cache
+def _grid_potential(m: int, grid: FdGrid) -> np.ndarray:
+    """`_beta_free_potential` on the grid's nodes.  It does not depend on
+    beta, so it is formed once per (m, grid) and returned read-only."""
+    potential = _beta_free_potential(m, grid.trig)
+    potential.flags.writeable = False
+    return potential
+
+
 def _weights(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
     """The operator's diagonal without its 2/h^2: the potential V plus the
-    indicial correction.  Only V depends on beta; the grid's `trig` and the
-    correction are built once and reused.  A weight that is not finite is
-    refused with its cause, a beta whose square overflows or an m past the
-    indicial correction's range; numpy's warnings about that overflow are
-    silenced."""
+    indicial correction.  The beta-free part of V and the correction are
+    built once per (m, grid) and reused; a new beta adds only the rest of
+    V, in the float operations of a fresh build.  A weight that is not
+    finite is refused with its cause, a beta whose square overflows or an
+    m past the indicial correction's range; numpy's warnings about that
+    overflow are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
         corr = _indicial_correction(params.m, grid.points)
-        weights = _potential(params.m, beta, grid.trig) + corr
+        weights = _with_beta(_grid_potential(params.m, grid), beta, grid.trig[1]) + corr
     if not np.isfinite(weights).all():
         if not np.isfinite(corr).all():
             # finite while 2 (points+1)^(m+3/2) is: m <= 91 at 2047 points
@@ -224,15 +243,23 @@ def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
 def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     """A shift at the ground eigenvalue lambda_1 by Newton steps on
     det(T - lam) taken from below it (`_sturm_newton`, whose count places
-    each iterate), where a step never overshoots.  The steps start from
-    `seed` when its count is 0.  When its count is 1 and its step points
-    down, they start one step down, if the count there is 0: a step from
-    between lambda_1 and lambda_2 may also point up, towards lambda_2.
+    each iterate), where in exact arithmetic a step never overshoots.  The
+    steps start from `seed` when its count is 0.  When its count is 1 and
+    its step points down, they start one step down, if the count there is
+    0: a step from between lambda_1 and lambda_2 may also point up, towards
+    lambda_2.
     Otherwise, and for a NaN seed or one below it, they start from the
     Gershgorin `floor`.  They stop where a step fails to halve the one
     before, at the float noise of the pivots; far below lambda_1, where the
     other eigenvalues shorten every step, a step longer than `_FAR_STEP`
-    relative need only be shorter than the last."""
+    relative need only be shorter than the last.
+
+    Within that noise the last step may land on either side of lambda_1:
+    over m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the shift's
+    Sturm count is 1 in 11 of the 18 modes, and it lies up to
+    7e-13 max(1, |rho|) above the grid's rho.  So the 255-point grid's
+    last step, taken at this shift, seldom certifies rho
+    (`fd_ground_state`)."""
     x = seed if seed > floor else floor
     count, step = _sturm_newton(diag, offsq, x)
     if count == 1 and step < 0.0:
@@ -248,24 +275,40 @@ def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     return x
 
 
-def _inverse_step(diag: list, off: float, shift: float, rhs: list) -> list:
+def _inverse_step(diag: list, off: float, shift: float, rhs: list) -> tuple[list, int]:
     """One step of inverse iteration: solve (T - shift) x = rhs for the
     symmetric tridiagonal T with diagonal `diag` and off-diagonal `off`.
     The Thomas pivots carry a tiny-pivot guard (the shifted matrix is
     deliberately near-singular), the forward substitution runs in the
     factorization's loop, and the back substitution carries the entry it
-    last wrote."""
-    mults, x = [0.0] * len(diag), [0.0] * len(diag)
+    last formed and writes the solution backwards.
+
+    Also returns how many pivots were <= 0 before the guard.  They are the
+    LDL^T pivots of T - shift, so by Sylvester's law of inertia this counts
+    the eigenvalues below the shift, as `_sturm_count` does up to the float
+    noise of the pivots.  After a pivot that vanishes exactly, the guard
+    goes on with a positive one where the Sturm sweep takes a negative one,
+    so the two counts may differ there, but both count that pivot.  A count
+    of 0 means that every pivot was positive."""
+    mults, x = [], []
     c = y = 0.0  # no coupling into the first row
-    for i, (t, b) in enumerate(zip(diag, rhs)):
+    below = 0
+    for t, b in zip(diag, rhs):
         piv = (t - shift) - off * c
-        if -1e-200 < piv < 1e-200:
-            piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
-        c = mults[i] = off / piv
-        y = x[i] = (b - off * y) / piv
-    for i in range(len(x) - 2, -1, -1):  # y holds x[-1]
-        y = x[i] = x[i] - mults[i] * y
-    return x
+        if piv < 1e-200:  # rare: a pivot <= 0 counts, a tiny one is guarded
+            below += piv <= 0.0
+            if piv > -1e-200:
+                piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
+        c = off / piv
+        y = (b - off * y) / piv
+        mults.append(c)
+        x.append(y)
+    solution = [y]  # the last entry; the rest run backwards from it
+    for mult, entry in zip(reversed(mults[:-1]), reversed(x[:-1])):
+        y = entry - mult * y
+        solution.append(y)
+    solution.reverse()
+    return solution, below
 
 
 def _ground_vector(x: list, h: float) -> np.ndarray:
@@ -275,16 +318,15 @@ def _ground_vector(x: list, h: float) -> np.ndarray:
     that makes a pivot vanish (the guard leaves entries near 1e202 at
     m = 1, beta = 0.1424 on the 255-point grid) no longer overflows the
     norm.  A vector that is not finite, or has a node (the ground state is
-    nodeless, so x belongs to another state), raises OracleError."""
-    x = np.array(x)
+    nodeless, so x belongs to another state), raises OracleError: with the
+    peak positive, a node is an entry below -1e-12 times it."""
+    x = np.fromiter(x, float, len(x))
     peak = float(x[np.argmax(np.abs(x))])  # NaN if any entry is
     if not math.isfinite(peak):
         raise OracleError("inverse iteration overflowed")
     x = np.ldexp(x, -math.frexp(peak)[1])
     x /= math.copysign(math.sqrt(h) * np.linalg.norm(x), peak)
-    significant = np.abs(x) > 1e-12 * float(np.max(np.abs(x)))
-    signs = np.sign(x[significant])
-    if np.any(signs[:-1] * signs[1:] < 0.0):
+    if x.min() < -1e-12 * x.max():
         raise OracleError(
             "ground eigenvector changes sign; the smallest eigenvalue does "
             "not belong to the nodeless state"
@@ -325,30 +367,46 @@ def fd_ground_state(
     one inverse step there from the all-ones vector.
 
     rho is a Rayleigh quotient, so it lies at or above the ground
-    eigenvalue; one Sturm count of 0 at rho - delta, delta the certified
-    width, puts it in [rho - delta, rho].  A count above 0, or a vector
-    with a node, raises OracleError; a diagonal that is not finite is
-    refused (`_weights`)."""
+    eigenvalue.  When the last step at tau had no pivot <= 0 and
+    rho - delta <= tau <= rho, delta the certified width, its pivots put
+    the eigenvalue in [tau, rho], inside [rho - delta, rho]; otherwise one
+    Sturm count of 0 at rho - delta does.  A count above 0 there, or a
+    vector with a node, raises OracleError; a diagonal that is not finite
+    is refused (`_weights`).
+
+    The single step taken when rho lies within delta of the shift
+    converges the vector only while lambda_2 - lambda_1 is large.  Over
+    m in {1, 2, 5, 10, 20, 40, 91} and |beta| <= 1 the vectors lie within
+    2.8e-13 of six steps at their own rho.  At |beta| >= 10 the two lowest
+    eigenvalues can draw together (6.2e-3 apart at m = 1, beta = -10 on
+    the 255-point grid), and the vectors lie up to 4.4e-5 from six steps
+    there, 5.5e-5 at m = 20, beta = -30 and 2.1e-5 at m = 40, beta = -50.
+    The wavefunction gap of a report past the judged range carries that
+    error."""
     h = grid.h
     weights = _weights(params, beta, grid)
     diag = (2.0 / h**2 + weights).tolist()
     off = -1.0 / h**2
     if start is None:
         shift = _shift_below(diag, off * off, shift, min(diag) + 2.0 * off)
-        start = np.array(_inverse_step(diag, off, shift, [1.0] * grid.points))
+        start = np.array(_inverse_step(diag, off, shift, [1.0] * grid.points)[0])
         start /= np.max(np.abs(start))  # a vanishing pivot leaves entries near 1e202
-    vector = _ground_vector(_inverse_step(diag, off, shift, start.tolist()), h)
+    x, below = _inverse_step(diag, off, shift, start.tolist())
+    vector = _ground_vector(x, h)
     value = _rayleigh_quotient(vector, weights, h)
     if abs(value - shift) > _CERTIFIED_WIDTH * max(1.0, abs(value)):
-        vector = _ground_vector(_inverse_step(diag, off, value, vector.tolist()), h)
+        shift = value
+        x, below = _inverse_step(diag, off, shift, vector.tolist())
+        vector = _ground_vector(x, h)
         value = _rayleigh_quotient(vector, weights, h)
     delta = _CERTIFIED_WIDTH * max(1.0, abs(value))
-    below = _sturm_count(diag, off * off, value - delta)
-    if below:
-        raise OracleError(
-            f"the Rayleigh quotient {value!r} on the {grid.points}-point grid is not "
-            f"certified: {below} eigenvalue(s) lie below it by more than {delta:.3g}"
-        )
+    if below or not value - delta <= shift <= value:
+        below = _sturm_count(diag, off * off, value - delta)
+        if below:
+            raise OracleError(
+                f"the Rayleigh quotient {value!r} on the {grid.points}-point grid is not "
+                f"certified: {below} eigenvalue(s) lie below it by more than {delta:.3g}"
+            )
     return value, vector
 
 

@@ -405,6 +405,40 @@ class TestParser:
         assert json.loads(proc.stdout)["m"] == 2
 
 
+class TestBlasThreads:
+    def test_in_process_main_adds_no_key(self, capsys, monkeypatch):
+        # numpy is loaded in this process, so a cap would come too late
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert "numpy" in sys.modules
+        before = dict(os.environ)
+        code, _, _ = run(["eval", "--m", "1", "--order", "2", "--beta", "0.1"], capsys)
+        assert code == 0 and dict(os.environ) == before
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_fresh_process_caps_the_pool_unless_the_user_set_it(self, preset, expected):
+        # a child that runs main before numpy loads sees one OpenBLAS thread,
+        # or the count its caller set
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        script = (
+            "import os, sys\n"
+            "from sws1.cli import main\n"
+            "assert 'numpy' not in sys.modules\n"
+            "code = main(['eval', '--m', '1', '--order', '2', '--beta', '0.1'])\n"
+            "assert code == 0 and 'numpy' in sys.modules\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == expected + "\n"
+
+
 def _pinned_reports():
     """Five hand-built reports, one of each verdict and a passing one whose
     oracle check failed, with fixed values."""

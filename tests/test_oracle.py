@@ -66,18 +66,25 @@ def plain_bisection(params, beta, grid, k=1):
 
 
 class SweepCounter:
-    """Wraps the two Sturm sweeps of `oracle`: `sweeps` counts them per
-    (name, grid size), and `rows` sums the rows swept, a Newton row counted
-    twice (about what it costs)."""
+    """Wraps the two Sturm sweeps and the inverse step of `oracle`: `sweeps`
+    counts their calls per (name, grid size), `rows` sums the rows the Sturm
+    sweeps swept, a Newton row counted twice (about what it costs), and
+    `step_rows` the rows of the inverse steps."""
 
     def __init__(self, monkeypatch):
-        self.sweeps, self.rows = collections.Counter(), 0
-        for name, weight in (("_sturm_count", 1), ("_sturm_newton", 2)):
+        self.sweeps, self.rows, self.step_rows = collections.Counter(), 0, 0
+        for name, tally, weight in (
+            ("_sturm_count", "rows", 1),
+            ("_sturm_newton", "rows", 2),
+            ("_inverse_step", "step_rows", 1),
+        ):
 
-            def counting(diag, offsq, lam, name=name, weight=weight, sweep=getattr(oracle, name)):
+            def counting(
+                diag, *args, name=name, tally=tally, weight=weight, run=getattr(oracle, name)
+            ):
                 self.sweeps[name, len(diag)] += 1
-                self.rows += weight * len(diag)
-                return sweep(diag, offsq, lam)
+                setattr(self, tally, getattr(self, tally) + weight * len(diag))
+                return run(diag, *args)
 
             monkeypatch.setattr(oracle, name, counting)
 
@@ -106,14 +113,28 @@ class TestFdGrid:
             assert np.array_equal(oracle._GRIDS[coarse].thetas, oracle._GRIDS[fine].thetas[1::2])
 
     def test_cached_constants_are_read_only(self):
-        # every caller shares them: the grids' half-angle values, the
-        # indicial corrections, the spectral matrix's parts and the
-        # normalization rule
+        # every caller shares them: the grids' half-angle values, their
+        # beta-free potential, the indicial corrections, the spectral
+        # matrix's parts and the normalization rule
         grid = FdGrid(1024)
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
-        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *nodes):
+        cached = (oracle._grid_potential(1, grid), _indicial_correction(1, 1024))
+        for values in (*grid.trig, *cached, *spectral, weights, *nodes):
             assert not values.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 10, 91])
+    def test_cached_potential_gives_the_weights_of_one_expression(self, m):
+        # the potential formed at each beta as the single expression it was
+        # before its beta-free part was cached
+        for grid in oracle._GRIDS.values():
+            _, c, one_minus, one_plus = grid.trig
+            corr = _indicial_correction(m, grid.points)
+            for beta in (0.0, 0.33, -1.0, 50.0):
+                inv_sin2 = ((m + c) ** 2 - 0.25) / (one_minus * one_plus)
+                expected = (inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c) + corr
+                weights = oracle._weights(ModeParams(m=m, N=0), beta, grid)
+                assert weights.tobytes() == expected.tobytes(), (grid.points, beta)
 
 
 class TestGroundEigenvalue:
@@ -220,6 +241,54 @@ class TestCertifiedBisection:
         assert oracle._sturm_newton([3.0], 1.0, 1.0) == (0, 2.0)
         assert oracle._sturm_newton([3.0], 1.0, 5.0) == (1, -2.0)
 
+    def test_step_count_is_the_sturm_count_on_small_systems(self):
+        # small integer systems at integer and half-integer shifts hit exact
+        # zero pivots often, and entries of +-1e-250 give pivots below the
+        # step's 1e-200 guard.  off is a power of two, so both sweeps form
+        # the same pivots.  The counts agree unless a pivot vanishes: the
+        # guard then goes on with a positive pivot where the Sturm sweep
+        # takes a negative one, and only whether the count is 0 agrees
+        rng = random.Random(20261019)
+        entries = (*map(float, range(-3, 4)), 1e-250, -1e-250)
+        vanishing = tiny = 0
+        for _ in range(10_000):
+            diag = [rng.choice(entries) for _ in range(rng.randint(1, 6))]
+            off = rng.choice((0.5, -1.0, 2.0))
+            for lam in (rng.choice((0.0, rng.randint(-8, 8) / 2.0)) for _ in range(6)):
+                _, below = oracle._inverse_step(diag, off, lam, [1.0] * len(diag))
+                count, swept = _sturm_count(diag, off * off, lam), pivots(diag, off * off, lam)
+                if 0.0 in swept:
+                    vanishing += 1
+                    assert (below == 0) == (count == 0), (diag, off, lam)
+                else:
+                    assert below == count, (diag, off, lam)
+                tiny += any(0.0 < abs(d) < 1e-200 for d in swept)
+        assert vanishing > 1000 and tiny > 1000
+
+    @pytest.mark.parametrize("m", [1, 10, 40])
+    @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7])
+    def test_step_count_is_the_sturm_count_on_the_operator(self, m, beta):
+        # one ulp and delta/2 either side of the plain bisection's float, on
+        # every Richardson grid.  The sweeps round off^2 / d each their own
+        # way, so within the pivots' float noise of the eigenvalue the counts
+        # could part; at these shifts they agree
+        params = ModeParams(m=m, N=0)
+        for points, grid in oracle._GRIDS.items():
+            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
+            exact = plain_bisection(params, beta, grid)
+            half = 0.5e-9 * max(1.0, abs(exact))
+            counts = []
+            for lam in (
+                math.nextafter(exact, -math.inf),
+                math.nextafter(exact, math.inf),
+                exact - half,
+                exact + half,
+            ):
+                _, below = oracle._inverse_step(diag, off, lam, [1.0] * points)
+                assert below == _sturm_count(diag, off * off, lam), (points, lam)
+                counts.append(below)
+            assert counts[2:] == [0, 1], points
+
     @pytest.mark.parametrize("m", [1, 2, 10, 40, 80])
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7, 2.0])
     def test_same_float_as_plain_bisection_for_any_guess(self, m, beta):
@@ -269,7 +338,9 @@ class TestCertifiedBisection:
         sweeps = collections.Counter()  # per grid size
         for (_, points), count in counter.sweeps.items():
             sweeps[points] += count
-        assert sorted(sweeps) == list(oracle.RICHARDSON_GRIDS)  # no grid solved as a seed
+        # every grid takes its own inverse steps, and no other grid size is
+        # swept or stepped: no grid solved as a seed
+        assert sorted(sweeps) == list(oracle.RICHARDSON_GRIDS)
         assert max(sweeps.values()) <= 40
         if m == 40:
             # a 256-point seed once sat 9.3 above the 1024-point value, out
@@ -278,18 +349,19 @@ class TestCertifiedBisection:
             assert sweeps[1023] <= 12
         assert counter.rows <= self.ROW_SHARE[m] * self.PARENT_ROWS[m, beta]
 
-    # rows swept per solve of the four grids at beta = 0: the 255-point
-    # grid's Newton sweeps, and on every grid the one count that certifies
-    # its Rayleigh quotient
-    PINNED_ROWS = {1: 5_366, 40: 7_406, 80: 9_446}
+    # rows per solve of the four grids at beta = 0, Sturm rows (the
+    # 255-point grid's Newton sweeps, and on a grid that its last step does
+    # not certify the one count that does) and inverse-step rows
+    PINNED_ROWS = {1: (3_832, 4_091), 40: (6_383, 7_672), 80: (9_191, 7_672)}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
         counter = SweepCounter(monkeypatch)
         _ground_states(ModeParams(m=m, N=0), 0.0)
-        assert counter.rows <= self.PINNED_ROWS[m]
+        sturm_rows, step_rows = self.PINNED_ROWS[m]
+        assert counter.rows <= sturm_rows and counter.step_rows <= step_rows
         for points in oracle.RICHARDSON_GRIDS:
-            assert counter.sweeps["_sturm_count", points] == 1, points
+            assert counter.sweeps["_sturm_count", points] <= 1, points
         for points in oracle.RICHARDSON_GRIDS[1:]:
             assert not counter.sweeps["_sturm_newton", points], points
 
@@ -298,12 +370,14 @@ class TestCertifiedBisection:
         # at beta = 0 the 255-point value lies 52 to 281 above the spectral
         # seed; at m = 80 and 91 the seed is below the Gershgorin floor.
         # Newton once stopped there after 0 or 2 steps, and 40 to 46 count
-        # sweeps followed.  It now climbs from the seed or the floor, and
-        # one count certifies the Rayleigh quotient
+        # sweeps followed.  It now climbs from the seed or the floor, two
+        # inverse steps follow, and at most one count certifies the Rayleigh
+        # quotient (none at m = 80, where the last step's pivots do)
         params, grid = ModeParams(m=m, N=0), FdGrid(255)
         counter = SweepCounter(monkeypatch)
         value, _ = solve(params, 0.0, grid)
-        assert counter.sweeps["_sturm_count", 255] == 1 and counter.sweeps["_sturm_newton", 255] >= 1
+        assert counter.sweeps["_sturm_count", 255] <= 1 and counter.sweeps["_sturm_newton", 255] >= 1
+        assert counter.sweeps["_inverse_step", 255] == 2
         assert abs(value - plain_bisection(params, 0.0, grid)) <= 1e-9 * value
 
     def test_hard_shifts_give_nodeless_certified_states(self, monkeypatch):
@@ -338,25 +412,27 @@ class TestCertifiedBisection:
             params = ModeParams(m=m, N=0)
             diag = diagonal(params, beta, grid).tolist()
             exact = plain_bisection(params, beta, grid)
-            one_step = oracle._inverse_step(diag, -1.0 / grid.h**2, exact, [1.0] * grid.points)
+            one_step, _ = oracle._inverse_step(diag, -1.0 / grid.h**2, exact, [1.0] * grid.points)
             with pytest.raises(OracleError, match="sign"):
                 oracle._ground_vector(one_step, grid.h)
 
-    # rows swept per solve of the four grids over verify-battery's modes
+    # Sturm rows and inverse-step rows per solve of the four grids over
+    # verify-battery's modes
     BATTERY_ROWS = {
-        (1, 0.0): 5_366, (1, 0.1): 5_876, (1, 0.45): 5_366,
-        (2, 0.0): 5_366, (2, 0.1): 5_876, (2, 0.45): 5_366,
-        (5, 0.0): 5_876, (5, 0.1): 5_876, (5, 0.45): 5_876,
-        (10, 0.0): 6_386, (10, 0.1): 5_876, (10, 0.45): 6_386,
-        (20, 0.0): 6_896, (20, 0.1): 6_386, (20, 0.45): 6_386,
-        (40, 0.0): 7_406, (40, 0.1): 7_916, (40, 0.45): 7_916,
+        (1, 0.0): (3_832, 4_091), (1, 0.1): (2_295, 4_091), (1, 0.45): (3_832, 4_091),
+        (2, 0.0): (1_785, 4_091), (2, 0.1): (2_295, 4_091), (2, 0.45): (1_785, 4_091),
+        (5, 0.0): (2_295, 4_091), (5, 0.1): (2_295, 4_091), (5, 0.45): (2_040, 4_091),
+        (10, 0.0): (2_805, 4_602), (10, 0.1): (2_806, 4_602), (10, 0.45): (3_316, 4_602),
+        (20, 0.0): (6_896, 5_625), (20, 0.1): (4_852, 5_625), (20, 0.45): (5_363, 5_625),
+        (40, 0.0): (6_383, 7_672), (40, 0.1): (6_638, 7_672), (40, 0.45): (7_916, 7_672),
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
     def test_battery_modes_sweep_no_more_rows(self, monkeypatch, m, beta):
         counter = SweepCounter(monkeypatch)
         _ground_states(ModeParams(m=m, N=0), beta)
-        assert counter.rows <= self.BATTERY_ROWS[m, beta]
+        sturm_rows, step_rows = self.BATTERY_ROWS[m, beta]
+        assert counter.rows <= sturm_rows and counter.step_rows <= step_rows
 
 
 class TestGroundEigenvector:
@@ -483,9 +559,9 @@ class TestGroundEigenvector:
         for points in (1023, 2047):
             grid, shift = FdGrid(points), per_grid[points]
             diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
-            x = oracle._inverse_step(diag, off, shift, [1.0] * points)
+            x, _ = oracle._inverse_step(diag, off, shift, [1.0] * points)
             scale = 1.0 / math.hypot(*x)
-            x = oracle._inverse_step(diag, off, shift, [v * scale for v in x])
+            x, _ = oracle._inverse_step(diag, off, shift, [v * scale for v in x])
             reference = self.loop_reference(params, beta, grid, shift)
             assert oracle._ground_vector(x, grid.h).tobytes() == reference.tobytes(), points
 
@@ -497,9 +573,9 @@ class TestGroundEigenvector:
         largest, step = [], oracle._inverse_step
 
         def recording(diag, off, shift, rhs):
-            x = step(diag, off, shift, rhs)
+            x, below = step(diag, off, shift, rhs)
             largest.append(max(map(abs, x)))
-            return x
+            return x, below
 
         monkeypatch.setattr(oracle, "_inverse_step", recording)
         shift = plain_bisection(params, beta, grid)
@@ -551,11 +627,11 @@ class TestRefinedGrids:
             diag = diagonal(params, beta, grid).tolist()
             assert _sturm_count(diag, (1.0 / grid.h**2) ** 2, rho - delta) == 0, points
 
-    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
-    @pytest.mark.parametrize("m", [1, 10, 40, 91])
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -0.45, 1.0, -1.0])
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
     def test_refined_vectors_are_the_converged_vectors(self, m, beta):
         # inverse iteration run to convergence at each grid's own rho;
-        # measured at most 2.0e-13 away
+        # measured at most 2.8e-13 away over |beta| <= 1
         params = ModeParams(m=m, N=0)
         _, per_grid, vectors = _ground_states(params, beta)
         for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
@@ -570,6 +646,87 @@ class TestRefinedGrids:
         monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
         with pytest.raises(OracleError, match="not certified"):
             _ground_states(ModeParams(m=1, N=0), 0.0)
+
+    def test_last_step_certifies_only_inside_its_bracket(self, monkeypatch):
+        # a grid skips its Sturm count just when its last step's shift tau
+        # had no pivot <= 0 and lies in [rho - delta, rho].  The shift Newton
+        # leaves on the 255-point grid can have no such pivot and still lie
+        # an ulp-scale noise above rho (m = 1, beta = 0.1)
+        counter, last, step = SweepCounter(monkeypatch), {}, oracle._inverse_step
+
+        def recording(diag, off, shift, rhs):
+            x, below = step(diag, off, shift, rhs)
+            last[len(diag)] = shift, below
+            return x, below
+
+        monkeypatch.setattr(oracle, "_inverse_step", recording)
+        kinds = collections.Counter()
+        for m, beta in ((1, 0.1), (2, 0.0), (40, 0.45)):
+            counter.sweeps.clear()
+            _, per_grid, _ = _ground_states(ModeParams(m=m, N=0), beta)
+            for points, rho in per_grid.items():
+                (shift, below), delta = last[points], 1e-9 * max(1.0, abs(rho))
+                inside = rho - delta <= shift <= rho
+                kinds[below, inside] += 1
+                swept = counter.sweeps["_sturm_count", points]
+                assert swept == (0 if not below and inside else 1), (m, beta, points)
+        assert kinds[0, True] and kinds[0, False] and kinds[1, True]
+
+    def test_step_count_above_zero_takes_one_sturm_count(self, monkeypatch):
+        # at m = 2, beta = 0 the last step certifies the three finer grids.
+        # Made to report a pivot <= 0, each grid takes exactly one Sturm
+        # count, which certifies the same values and vectors
+        params, counter = ModeParams(m=2, N=0), SweepCounter(monkeypatch)
+        estimate, per_grid, vectors = _ground_states(params, 0.0)
+        assert [counter.sweeps["_sturm_count", p] for p in oracle.RICHARDSON_GRIDS] == [1, 0, 0, 0]
+        step = oracle._inverse_step
+        monkeypatch.setattr(oracle, "_inverse_step", lambda *args: (step(*args)[0], 1))
+        counter.sweeps.clear()
+        forced = _ground_states(params, 0.0)
+        assert [counter.sweeps["_sturm_count", p] for p in oracle.RICHARDSON_GRIDS] == [1, 1, 1, 1]
+        assert forced[:2] == (estimate, per_grid)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(forced[2], vectors))
+
+    def test_both_counts_above_zero_raise(self, monkeypatch):
+        # the 1023-point grid at m = 2, beta = 0 is certified by its last
+        # step alone, even with every Sturm count made 1; with the step's
+        # count made 1 too, it is refused
+        params, grid = ModeParams(m=2, N=0), oracle._GRIDS[1023]
+        _, per_grid, vectors = _ground_states(params, 0.0)
+        spectral = spectral_eigenvalue(2, 0.0)
+        shift = spectral + (per_grid[511] - spectral) / 4.0
+        start = oracle._prolong(vectors[1])
+        monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
+        assert fd_ground_state(params, 0.0, grid, shift, start)[0] == per_grid[1023]
+        step = oracle._inverse_step
+        monkeypatch.setattr(oracle, "_inverse_step", lambda *args: (step(*args)[0], 1))
+        with pytest.raises(OracleError, match="not certified: 1 eigenvalue"):
+            fd_ground_state(params, 0.0, grid, shift, start)
+
+    def test_quotient_far_above_the_last_shift_is_not_certified_by_the_step(self, monkeypatch):
+        # at m = 40, beta = 0 the 1023-point grid takes two steps, and the
+        # second, at the first rho, certifies the second rho.  Made to
+        # report that rho 3 delta too high, the shift falls below rho -
+        # delta: the step's pivots no longer bracket it, and the Sturm count
+        # finds the eigenvalue below rho - delta
+        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
+        _, per_grid, vectors = _ground_states(params, 0.0)
+        spectral = spectral_eigenvalue(40, 0.0)
+        shift = spectral + (per_grid[511] - spectral) / 4.0
+        start = oracle._prolong(vectors[1])
+        counter = SweepCounter(monkeypatch)
+        assert fd_ground_state(params, 0.0, grid, shift, start)[0] == per_grid[1023]
+        assert counter.sweeps["_inverse_step", 1023] == 2
+        assert not counter.sweeps["_sturm_count", 1023]
+        quotient, calls = oracle._rayleigh_quotient, []
+
+        def raised(*args):
+            calls.append(quotient(*args))
+            return calls[-1] * (1.0 + 3e-9) if len(calls) == 2 else calls[-1]
+
+        monkeypatch.setattr(oracle, "_rayleigh_quotient", raised)
+        with pytest.raises(OracleError, match="not certified: 1 eigenvalue"):
+            fd_ground_state(params, 0.0, grid, shift, start)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_beta0_estimate_within_5e_12_of_e0(self, m):
@@ -812,12 +969,14 @@ class TestVerifyAll:
         assert reports[0].passed is True
 
     def test_second_case_reuses_the_grid_constants(self, monkeypatch):
-        # a new beta at the same m forms no indicial correction and no
-        # half-angle values of a grid or of the normalization rule
+        # a new beta at the same m forms no indicial correction, no beta-free
+        # potential and no half-angle values of a grid or of the
+        # normalization rule
         params = ModeParams(m=3, N=2)
         state = compute_series(params)
         verify_all(params, [0.1], state=state)
-        misses = oracle._indicial_correction.cache_info().misses
+        cached = (oracle._indicial_correction, oracle._grid_potential)
+        misses = [f.cache_info().misses for f in cached]
         sizes = []
         for module in (oracle, evaluate):
 
@@ -827,7 +986,7 @@ class TestVerifyAll:
 
             monkeypatch.setattr(module, "_half_angle", counting)
         verify_all(params, [0.2], state=state)
-        assert oracle._indicial_correction.cache_info().misses == misses
+        assert [f.cache_info().misses for f in cached] == misses
         assert sizes == [1]  # the residual slope's one angle
 
     def test_large_m_slope_skipped_not_failed(self):
