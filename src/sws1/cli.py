@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams, tables_to_text
@@ -38,7 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call in the process: parsing reads it and leaves it as it was,
+    and each call gets a fresh namespace."""
     parser = _Parser(prog="sws1", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

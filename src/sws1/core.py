@@ -88,6 +88,14 @@ def _numerators(values: tuple, den: int) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
+def _pack(values, w: int) -> int:
+    """The integer sum_i values[i] 2^(w i), by Horner's rule."""
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << w) + v
+    return packed
+
+
 @dataclass(frozen=True)
 class WnTable:
     """Sine-polynomial table of one super-potential order n >= 1:
@@ -134,6 +142,15 @@ class WnTable:
         """The largest numerator in size, measured on first use and kept on
         the table; it is no field, so equality, hash and repr ignore it."""
         return max(map(abs, self.a_num + self.b_num))
+
+    def _packed(self, w: int) -> tuple[int, int]:
+        """a_num and b_num packed at slot width w (`_pack`), for the exact
+        build's products.  Kept on the table like `largest`, for one w at a
+        time: a new w packs both again and replaces the old pair."""
+        held = self.__dict__.get("_packs")
+        if held is None or held[0] != w:
+            held = self.__dict__["_packs"] = (w, _pack(self.a_num, w), _pack(self.b_num, w))
+        return held[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ points and m = 1).  A Rayleigh quotient lies at or above the ground
 eigenvalue.  The last step's Thomas pivots are the LDL^T pivots of
 T - tau, tau its shift, so by Sylvester's law of inertia they count the
 eigenvalues below tau (Kahan 1966, Stanford CS41): when none of them is
-<= 0 and tau lies in [rho - delta, rho], the eigenvalue lies in
-[tau, rho], and the grid needs no sweep of its own.  Otherwise one Sturm
-count of 0 at rho - delta puts the eigenvalue in [rho - delta, rho]; a
-grid whose count is not 0 raises OracleError.  Over the 18 modes
+<= 0 and tau lies in [rho - delta, rho + delta], the eigenvalue lies at
+or above tau >= rho - delta, so in [rho - delta, rho], and the grid
+needs no sweep of its own.  Otherwise one Sturm count of 0 at
+rho - delta puts the eigenvalue in [rho - delta, rho]; a grid whose
+count is not 0 raises OracleError.  Over the 18 modes
 m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the last step
-certifies 39 of the 72 grids, and 33 Sturm counts remain.
+certifies 47 of the 72 grids, and 25 Sturm counts remain.
 
 The shifts come from the spectral value s (`spectral_eigenvalue`): the
 operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
@@ -367,12 +368,13 @@ def fd_ground_state(
     one inverse step there from the all-ones vector.
 
     rho is a Rayleigh quotient, so it lies at or above the ground
-    eigenvalue.  When the last step at tau had no pivot <= 0 and
-    rho - delta <= tau <= rho, delta the certified width, its pivots put
-    the eigenvalue in [tau, rho], inside [rho - delta, rho]; otherwise one
-    Sturm count of 0 at rho - delta does.  A count above 0 there, or a
-    vector with a node, raises OracleError; a diagonal that is not finite
-    is refused (`_weights`).
+    eigenvalue whatever tau is.  When the last step at tau had no pivot
+    <= 0 and rho - delta <= tau <= rho + delta, delta the certified width,
+    its pivots put the eigenvalue at or above tau >= rho - delta, so in
+    [rho - delta, rho]; otherwise one Sturm count of 0 at rho - delta
+    does.  tau lies above rho only by rounding, up to 4.8e-13 relative.
+    A count above 0 there, or a vector with a node, raises OracleError; a
+    diagonal that is not finite is refused (`_weights`).
 
     The single step taken when rho lies within delta of the shift
     converges the vector only while lambda_2 - lambda_1 is large.  Over
@@ -400,7 +402,7 @@ def fd_ground_state(
         vector = _ground_vector(x, h)
         value = _rayleigh_quotient(vector, weights, h)
     delta = _CERTIFIED_WIDTH * max(1.0, abs(value))
-    if below or not value - delta <= shift <= value:
+    if below or not value - delta <= shift <= value + delta:
         below = _sturm_count(diag, off * off, value - delta)
         if below:
             raise OracleError(

@@ -14,11 +14,14 @@ tables are integer numerators over one denominator per table, W_n is
 stored as its X/Y numerators over Z with their one common gcd cancelled
 (WnTable), and only E_n becomes a Fraction.  The sources are formed on
 packed integers, each polynomial held as its value at a power of two
-wide enough for every entry of the result, so that each polynomial
-product is one exact big-integer multiplication.  Every
-cancellation that keeps the eigenfunction finite at the boundaries is
-asserted at runtime as an exact integer zero test; a failure raises
-SeriesInconsistencyError naming the offending order.
+2^w wide enough for every entry of the result, so that each polynomial
+product is one exact big-integer multiplication.  w is rounded up to
+whole 8-byte words, so runs of consecutive orders share one w, and each
+table keeps its packed pair for the last w it was packed at: an order is
+packed again only when w changes.  Every cancellation that keeps
+the eigenfunction finite at the boundaries is asserted at runtime as an
+exact integer zero test; a failure raises SeriesInconsistencyError
+naming the offending order.
 """
 
 from __future__ import annotations
@@ -127,23 +130,19 @@ class SeriesState:
         return a, b, tuple(map(float, self.energy))
 
 
+_WORD_BYTES = 8
+
+
 def _slot_bytes(bound: int) -> int:
     """Bytes per slot of a packed table whose entries all lie within
-    +-bound: room for bound and a sign bit, rounded up to whole bytes."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _pack(values, w: int) -> int:
-    """The integer sum_i values[i] 2^(w i), by Horner's rule."""
-    packed = 0
-    for v in reversed(values):
-        packed = (packed << w) + v
-    return packed
+    +-bound: room for bound and a sign bit, rounded up to whole 8-byte
+    words."""
+    return _WORD_BYTES * (bound.bit_length() // (8 * _WORD_BYTES) + 1)
 
 
 def _unpack(packed: int, slots: int, nb: int) -> tuple:
-    """Inverse of _pack at w = 8 nb over `slots` slots, for entries below
-    2^(w-1) in size.  Adding 2^(w-1) to every slot makes each entry a
+    """Inverse of `core._pack` at w = 8 nb over `slots` slots, for entries
+    below 2^(w-1) in size.  Adding 2^(w-1) to every slot makes each entry a
     w-bit digit in [0, 2^w) with no carry into the next, so the bytes of
     the biased value are the digits.  A packed value that reaches past
     the top slot, or is negative after the bias, makes to_bytes raise
@@ -174,19 +173,27 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
 
     Each polynomial is held packed, as its value at x = 2^w (Kronecker
-    substitution), so each of the three products of a pair is one
-    big-integer multiplication, and the sums over pairs, the shift by x
-    and the differences above are integer additions and one shift.  The
-    packed value of a polynomial is exact whatever the size of its
-    entries, so only the final h and g must fit their slots to be
+    substitution; Harvey 2009, J. Symb. Comput. 44, 1502), so each of the
+    three products of a pair is one big-integer multiplication, and the
+    sums over pairs, the shift by x and the differences above are integer
+    additions and one shift.  The pair's scale multiplies the packed A_k
+    and B_k of its shorter order once, before the three products, rather
+    than each double-length product after them.
+
+    The packed value of a polynomial is exact whatever w and the size of
+    its entries, so only the final h and g must fit their slots to be
     unpacked.  With M_k the largest numerator of order k in size
     (`WnTable.largest`, measured once per table) and t = (k+1)//2, the
     length of b_k, the most terms any product of the pair adds into one
     entry (k <= n-k), every entry of h is at most 3 S in size and every
-    entry of g at most 2 S, S = sum over pairs of scale M_k M_(n-k) t; w
-    gives 3 S a sign bit and is rounded up to whole bytes.  This takes
-    the per-entry Python work out of the products, most of the cost up to
-    n = 48; around n = 96 the multiplications themselves dominate.
+    entry of g at most 2 S, S = sum over pairs of scale M_k M_(n-k) t.  w
+    gives 3 S a sign bit and is rounded up to whole 8-byte words
+    (`_slot_bytes`).  The rounding only widens the slots, so the 3 S bound
+    alone decides whether an entry fits, and `_unpack` raises rather than
+    truncate one that does not.  S grows by about a byte per order, so
+    consecutive orders mostly share one w; each table keeps its packed
+    pair for the last w (`WnTable._packed`) and is packed again only when
+    w changes, which spares re-packing every earlier order at every n.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
@@ -203,10 +210,12 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     w = 8 * nb
     aa = bb = cross = 0
     for wk, wl, scale in scaled:
-        ak, bk, al, bl = (_pack(v, w) for v in (wk.a_num, wk.b_num, wl.a_num, wl.b_num))
-        aa += scale * (ak * al)
-        bb += scale * (bk * bl)
-        cross += scale * ((ak + bk) * (al + bl))
+        ak, bk = wk._packed(w)
+        al, bl = wl._packed(w)
+        ak, bk = scale * ak, scale * bk
+        aa += ak * al
+        bb += bk * bl
+        cross += (ak + bk) * (al + bl)
     # at even n the cross products of two odd orders reach one slot past
     # g's support, where -B_k B_l cancels them; _unpack raises otherwise
     h = _unpack(aa - (aa << w) + bb, n // 2, nb)

@@ -391,6 +391,30 @@ class TestParser:
         code, _, _ = run([], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (["--tol", "eigenvalue=1e-3"], []),
+            (["--format", "csv"], []),
+            (["--out", "{path}"], []),
+            (["--format", "csv", "--out", "{path}"], ["--format", "csv"]),
+        ],
+    )
+    def test_consecutive_calls_share_no_state(self, capsys, tmp_path, before, after):
+        # the parser is built once per process; a call after another one
+        # gives the bytes it gives as the process's first call
+        def verify(extra):
+            argv = ["verify", "--m", "1", "--order", "3", "--beta", "0,0.3", *extra]
+            return run([a.format(path=tmp_path / "report") for a in argv], capsys)
+
+        cli.build_parser.cache_clear()
+        first = verify(after)
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        verify(before)
+        assert verify(after) == first
+        assert cli.build_parser() is parser
+
     def test_console_script_installed(self):
         # the child process imports the same sws1 as this one, installed or not
         src = str(Path(cli.__file__).resolve().parents[1])

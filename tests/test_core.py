@@ -138,10 +138,16 @@ class TestTables:
     def test_cached_largest_numerator_is_no_field(self):
         t, u = WnTable(4, (0, -15), (10, 18), 60), WnTable(4, (0, -15), (10, 18), 60)
         assert t.largest == 18 and "largest" in vars(t) and "largest" not in vars(u)
-        # measured on one table only, it leaves equality, hash and repr alone
+        assert t._packed(64) == (-15 << 64, (18 << 64) + 10) and "_packs" not in vars(u)
+        # measured and packed on one table only, it leaves equality, hash
+        # and repr alone
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
-        assert len({t, u}) == 1 and "largest" not in repr(t)
+        assert len({t, u}) == 1 and "largest" not in repr(t) and "_packs" not in repr(t)
         assert WnTable(3, (-7,), (2, 5), 9).largest == 7
+        # one width at a time: packing at a new width replaces the old pair
+        assert t._packed(128) == (-15 << 128, (18 << 128) + 10)
+        assert vars(t)["_packs"] == (128, -15 << 128, (18 << 128) + 10)
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
 
     def test_bad_table_rejected(self):
         with pytest.raises(ZeroDivisionError, match="denominator zero"):

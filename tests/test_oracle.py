@@ -419,12 +419,12 @@ class TestCertifiedBisection:
     # Sturm rows and inverse-step rows per solve of the four grids over
     # verify-battery's modes
     BATTERY_ROWS = {
-        (1, 0.0): (3_832, 4_091), (1, 0.1): (2_295, 4_091), (1, 0.45): (3_832, 4_091),
-        (2, 0.0): (1_785, 4_091), (2, 0.1): (2_295, 4_091), (2, 0.45): (1_785, 4_091),
+        (1, 0.0): (3_832, 4_091), (1, 0.1): (2_040, 4_091), (1, 0.45): (3_832, 4_091),
+        (2, 0.0): (1_785, 4_091), (2, 0.1): (2_040, 4_091), (2, 0.45): (1_785, 4_091),
         (5, 0.0): (2_295, 4_091), (5, 0.1): (2_295, 4_091), (5, 0.45): (2_040, 4_091),
-        (10, 0.0): (2_805, 4_602), (10, 0.1): (2_806, 4_602), (10, 0.45): (3_316, 4_602),
-        (20, 0.0): (6_896, 5_625), (20, 0.1): (4_852, 5_625), (20, 0.45): (5_363, 5_625),
-        (40, 0.0): (6_383, 7_672), (40, 0.1): (6_638, 7_672), (40, 0.45): (7_916, 7_672),
+        (10, 0.0): (2_550, 4_602), (10, 0.1): (2_806, 4_602), (10, 0.45): (2_805, 4_602),
+        (20, 0.0): (6_641, 5_625), (20, 0.1): (4_852, 5_625), (20, 0.45): (5_363, 5_625),
+        (40, 0.0): (6_383, 7_672), (40, 0.1): (6_638, 7_672), (40, 0.45): (6_127, 7_672),
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
@@ -649,9 +649,9 @@ class TestRefinedGrids:
 
     def test_last_step_certifies_only_inside_its_bracket(self, monkeypatch):
         # a grid skips its Sturm count just when its last step's shift tau
-        # had no pivot <= 0 and lies in [rho - delta, rho].  The shift Newton
-        # leaves on the 255-point grid can have no such pivot and still lie
-        # an ulp-scale noise above rho (m = 1, beta = 0.1)
+        # had no pivot <= 0 and lies in [rho - delta, rho + delta].  The
+        # shift Newton leaves on the 255-point grid can have no such pivot
+        # and still lie an ulp-scale noise above rho (m = 1, beta = 0.1)
         counter, last, step = SweepCounter(monkeypatch), {}, oracle._inverse_step
 
         def recording(diag, off, shift, rhs):
@@ -666,11 +666,35 @@ class TestRefinedGrids:
             _, per_grid, _ = _ground_states(ModeParams(m=m, N=0), beta)
             for points, rho in per_grid.items():
                 (shift, below), delta = last[points], 1e-9 * max(1.0, abs(rho))
-                inside = rho - delta <= shift <= rho
-                kinds[below, inside] += 1
+                inside = rho - delta <= shift <= rho + delta
+                kinds[below, inside, shift > rho] += 1
                 swept = counter.sweeps["_sturm_count", points]
                 assert swept == (0 if not below and inside else 1), (m, beta, points)
-        assert kinds[0, True] and kinds[0, False] and kinds[1, True]
+        assert kinds[0, True, False] and kinds[0, True, True] and kinds[1, True, False]
+
+    def test_step_certificate_implies_a_zero_count(self, monkeypatch):
+        # wherever the last step certifies a grid, tau above rho included,
+        # the Sturm count at rho - delta finds no eigenvalue below it either
+        last, step = {}, oracle._inverse_step
+
+        def recording(diag, off, shift, rhs):
+            x, below = step(diag, off, shift, rhs)
+            last[len(diag)] = diag, off, shift, below
+            return x, below
+
+        monkeypatch.setattr(oracle, "_inverse_step", recording)
+        certified = above = 0
+        for m in (1, 2, 5, 10, 20, 40, 80, 91):
+            for beta in (0.0, 0.1, 0.45, -0.45, 1.0, -1.0):
+                _, per_grid, _ = _ground_states(ModeParams(m=m, N=0), beta)
+                for points, rho in per_grid.items():
+                    (diag, off, shift, below), delta = last[points], 1e-9 * max(1.0, abs(rho))
+                    if below or not rho - delta <= shift <= rho + delta:
+                        continue
+                    certified += 1
+                    above += shift > rho
+                    assert _sturm_count(diag, off * off, rho - delta) == 0, (m, beta, points)
+        assert (certified, above) == (104, 15)
 
     def test_step_count_above_zero_takes_one_sturm_count(self, monkeypatch):
         # at m = 2, beta = 0 the last step certifies the three finer grids.
@@ -727,6 +751,27 @@ class TestRefinedGrids:
         monkeypatch.setattr(oracle, "_rayleigh_quotient", raised)
         with pytest.raises(OracleError, match="not certified: 1 eigenvalue"):
             fd_ground_state(params, 0.0, grid, shift, start)
+
+    def test_quotient_far_below_the_last_shift_takes_the_sturm_count(self, monkeypatch):
+        # the same grid, its second rho made 3 delta too low: the shift then
+        # lies above rho + delta, outside the step's bracket, and the grid
+        # takes one Sturm count
+        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
+        _, per_grid, vectors = _ground_states(params, 0.0)
+        spectral = spectral_eigenvalue(40, 0.0)
+        shift = spectral + (per_grid[511] - spectral) / 4.0
+        start = oracle._prolong(vectors[1])
+        quotient, calls = oracle._rayleigh_quotient, []
+
+        def lowered(*args):
+            calls.append(quotient(*args))
+            return calls[-1] * (1.0 - 3e-9) if len(calls) == 2 else calls[-1]
+
+        monkeypatch.setattr(oracle, "_rayleigh_quotient", lowered)
+        counter = SweepCounter(monkeypatch)
+        assert fd_ground_state(params, 0.0, grid, shift, start)[0] == calls[1] * (1.0 - 3e-9)
+        assert counter.sweeps["_inverse_step", 1023] == 2
+        assert counter.sweeps["_sturm_count", 1023] == 1
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_beta0_estimate_within_5e_12_of_e0(self, m):

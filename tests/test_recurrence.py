@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sws1 import evaluate, recurrence
+from sws1 import core, evaluate, recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
 from sws1.evaluate import _odd_sine_antiderivative, _orders_at
 from sws1.recurrence import (
@@ -89,7 +89,7 @@ def packed_product(x, y):
     nb = recurrence._slot_bytes(top * top * min(len(x), len(y)))
     w = 8 * nb
     slots = max(len(x) + len(y) - 1, 0)
-    return list(recurrence._unpack(recurrence._pack(x, w) * recurrence._pack(y, w), slots, nb))
+    return list(recurrence._unpack(core._pack(x, w) * core._pack(y, w), slots, nb))
 
 
 # integer tables of one magnitude each, 2^0 up to 2^4096, signed, zeros and
@@ -310,18 +310,33 @@ class TestPackedProducts:
     def test_entry_past_the_slots_raises(self, top):
         # an entry one slot past the unpacked range is refused, never dropped
         nb = recurrence._slot_bytes(abs(top))
-        packed = recurrence._pack([5, -6, top], 8 * nb)
+        packed = core._pack([5, -6, top], 8 * nb)
         assert recurrence._unpack(packed, 3, nb) == (5, -6, top)
         with pytest.raises(OverflowError):
             recurrence._unpack(packed, 2, nb)
 
 
 class TestConvolutionReference:
-    @pytest.mark.parametrize("m,N", [(1, 48), (20, 32), (80, 16)])
+    # the slot width crosses from one 8-byte word up to five at (2, 40) and
+    # up to nine at (91, 24)
+    @pytest.mark.parametrize("m,N", [(1, 48), (2, 40), (20, 32), (80, 16), (91, 24)])
     def test_every_order_matches_schoolbook_sources(self, m, N):
         state = compute_series(ModeParams(m=m, N=N))
         for n in range(3, N + 1):
             assert convolve_sources(state, n) == schoolbook_sources(state, n), n
+
+    # polynomials packed per build: each order is packed again only when
+    # the slot width, in whole 8-byte words, changes (2,300 / 1,596 / 1,020
+    # when every pair packed its four polynomials at every order)
+    PACKS = {(1, 48): 448, (2, 40): 258, (20, 32): 268}
+
+    @pytest.mark.parametrize("m,N", sorted(PACKS))
+    def test_packs_per_build_stay_pinned(self, monkeypatch, m, N):
+        calls, pack = [], core._pack
+        monkeypatch.setattr(core, "_pack", lambda values, w: calls.append(w) or pack(values, w))
+        compute_series(ModeParams(m=m, N=N))
+        assert len(calls) == self.PACKS[m, N]
+        assert all(w % 64 == 0 for w in calls)
 
 
 class TestEnergyAndDivergence:
