@@ -164,21 +164,11 @@ def _w_derivative(m: int, tables, trig):
     return w0_prime + _horner(da, x) + c * _horner(db, x)
 
 
-def _beta_free_potential(m: int, trig):
-    """The potential at beta = 0, the part of `_potential` that beta does
-    not move."""
-    _, c, one_minus, one_plus = trig
-    return ((m + c) ** 2 - 0.25) / (one_minus * one_plus) - 1.25
-
-
-def _with_beta(beta_free, beta: float, c):
-    """The potential at beta from its `_beta_free_potential`, in the float
-    operations of the one expression it was split from."""
-    return beta_free - (beta * c) ** 2 + 2.0 * beta * c
-
-
 def _potential(m: int, beta: float, trig):
-    return _with_beta(_beta_free_potential(m, trig), beta, trig[1])
+    """V = ((m + cos)^2 - 1/4) / sin^2 - 5/4 - (beta cos)^2 + 2 beta cos,
+    sin^2 formed as (1 - cos)(1 + cos) from the half-angle values."""
+    _, c, one_minus, one_plus = trig
+    return ((m + c) ** 2 - 0.25) / (one_minus * one_plus) - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
 
 
 def _riccati_terms(state: SeriesState, beta: float | np.ndarray, tables, trig) -> tuple:

@@ -41,15 +41,12 @@ vector of the grid before it, prolonged, at the Richardson seed
 s + (v - s)/4, v that grid's eigenvalue.  The residual slope evaluates
 its nine betas in one call.
 
-Most of a diagonal does not depend on beta.  The four Richardson grids
-are module constants (`_GRIDS`), and each keeps its nodes' `_half_angle`
-values (`FdGrid.trig`), which the potential and the series psi read:
-about 120 KB for the four grids.  The potential's beta-free part and the
-indicial correction are cached per (m, grid), about 30 KB per m each over
-the four grids, and the spectral matrix's beta-independent parts per m,
-about 40 KB: about 100 KB per m in all.  A case at a new beta then adds
-only the potential's two beta terms on each grid.  Every cached array is
-read-only, and every float is the one a fresh build gives.
+The work that does not depend on beta is cached, read-only, and every
+float is the one a fresh build gives: the nodes' `_half_angle` values of
+the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
+and the series psi read, about 120 KB; the indicial correction per
+(m, grid), about 30 KB per m; and the spectral matrix's parts per m,
+about 40 KB.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -73,13 +70,12 @@ import numpy as np
 
 from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams
 from .evaluate import (
-    _beta_free_potential,
     _beta_tables,
     _half_angle,
     _orders_at,
+    _potential,
     _riccati_terms,
     _wavefunction,
-    _with_beta,
     eval_energy,
     gauss_legendre,
     gauss_panels,
@@ -156,52 +152,44 @@ class OracleReport:
 @cache
 def _indicial_correction(m: int, points: int) -> np.ndarray:
     """Diagonal replacement of the inverse-square potential parts by the
-    exact discrete curvature of x^alpha, applied from both endpoints.  The
-    powers j^alpha overflow at large m; a rescaled form would move the last
-    digits of every FD value below that.  Each power is formed once, over
-    j = 0..points+1, and read at j-1, j and j+1.  It does not depend on
-    beta, so it is formed once per (m, grid) and returned read-only."""
+    exact discrete curvature of x^alpha, applied from both endpoints.  Each
+    power j^alpha is formed once, over j = 0..points+1, and read at j-1, j
+    and j+1.  It does not depend on beta, so it is formed once per
+    (m, grid) and returned read-only.  The powers overflow at large m, and
+    a rescaled form would move the last digits of every FD value below
+    that, so an m past the grid's range is refused with that range and no
+    numpy warning."""
     h = math.pi / (points + 1)
     j = np.arange(points + 2, dtype=float)
     corr = np.zeros(points)
-    for from_left, alpha in ((True, m + 1.5), (False, m - 0.5)):
-        kappa = alpha * (alpha - 1.0)
-        power = j**alpha
-        disc = power[2:] - 2.0 * power[1:-1] + power[:-2]
-        adj = (disc / power[1:-1] - kappa / j[1:-1] ** 2) / h**2
-        corr += adj if from_left else adj[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for from_left, alpha in ((True, m + 1.5), (False, m - 0.5)):
+            kappa = alpha * (alpha - 1.0)
+            power = j**alpha
+            disc = power[2:] - 2.0 * power[1:-1] + power[:-2]
+            adj = (disc / power[1:-1] - kappa / j[1:-1] ** 2) / h**2
+            corr += adj if from_left else adj[::-1]
+    if not np.isfinite(corr).all():
+        # finite while 2 (points+1)^(m+3/2) is: m <= 91 at 2047 points
+        largest = math.log(np.finfo(float).max / 2.0) / math.log(points + 1) - 1.5
+        raise ValueError(
+            f"the indicial correction overflows on the {points}-point grid "
+            f"at m={m}; this grid supports m <= {math.floor(largest)}"
+        )
     corr.flags.writeable = False
     return corr
 
 
-@cache
-def _grid_potential(m: int, grid: FdGrid) -> np.ndarray:
-    """`_beta_free_potential` on the grid's nodes.  It does not depend on
-    beta, so it is formed once per (m, grid) and returned read-only."""
-    potential = _beta_free_potential(m, grid.trig)
-    potential.flags.writeable = False
-    return potential
-
-
 def _weights(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
-    """The operator's diagonal without its 2/h^2: the potential V plus the
-    indicial correction.  The beta-free part of V and the correction are
-    built once per (m, grid) and reused; a new beta adds only the rest of
-    V, in the float operations of a fresh build.  A weight that is not
-    finite is refused with its cause, a beta whose square overflows or an
-    m past the indicial correction's range; numpy's warnings about that
-    overflow are silenced."""
+    """The operator's diagonal without its 2/h^2: the potential V on the
+    grid's cached half-angle values plus the cached indicial correction,
+    which refuses an m past the grid's range.  A beta whose square
+    overflows leaves V not finite, and is refused with its cause; numpy's
+    warnings about that overflow are silenced."""
+    corr = _indicial_correction(params.m, grid.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        corr = _indicial_correction(params.m, grid.points)
-        weights = _with_beta(_grid_potential(params.m, grid), beta, grid.trig[1]) + corr
+        weights = _potential(params.m, beta, grid.trig) + corr
     if not np.isfinite(weights).all():
-        if not np.isfinite(corr).all():
-            # finite while 2 (points+1)^(m+3/2) is: m <= 91 at 2047 points
-            largest = math.log(np.finfo(float).max / 2.0) / math.log(grid.points + 1) - 1.5
-            raise ValueError(
-                f"the indicial correction overflows on the {grid.points}-point grid "
-                f"at m={params.m}; this grid supports m <= {math.floor(largest)}"
-            )
         raise ValueError(
             f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
         )
@@ -552,11 +540,12 @@ def verify_all(
     tolerances: dict | None = None,
     state: SeriesState | None = None,
 ) -> list[OracleReport]:
-    """Run the full comparison battery for each beta.
+    """Run the full comparison battery for each beta, from `state` when
+    given, which must have been built for `params`.
 
     Sub-oracle failures are captured per report instead of aborting the
-    batch; a beta the oracle cannot take (a non-finite potential) raises
-    ValueError.  Above |beta| = JUDGED_BETA_LIMIT the gaps are reported
+    batch; an m or beta the oracle cannot take raises ValueError
+    (`_weights`).  Above |beta| = JUDGED_BETA_LIMIT the gaps are reported
     without a pass/fail judgment, since series truncation dominates every
     tolerance there.  A NaN wavefunction gap, where exp of the series
     phase overflows, was not measured and is skipped, not judged.  At
@@ -569,6 +558,8 @@ def verify_all(
         tol.update(tolerances)
     if state is None:
         state = compute_series(params)
+    elif state.params != params:
+        raise ValueError(f"the state was built for {state.params}, not for {params}")
     n_order = state.current_order
 
     skipped = {}

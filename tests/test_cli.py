@@ -277,6 +277,20 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out.count("status = PASS") == 2
 
+    def test_indicial_range_edge_keeps_its_bytes(self, capsys):
+        # m = 92 is refused with one error line and exit status 1; m = 91,
+        # the largest m of the 2047-point grid, keeps its report bytes
+        code, out, err = run(["verify", "--m", "92", "--order", "8", "--beta", "0.1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the indicial correction overflows on the 2047-point grid at m=92; "
+            "this grid supports m <= 91\n"
+        )
+        code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
+        assert (code, err) == (0, "")
+        digest = "d6e705b4c9531dc85791352092a999e97c95dbecbab515d22b1ef3d53e412dc7"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_no_false_fail_at_m40(self, capsys):
         # the one-level extrapolation over un-nested grids kept 2.4e-5 of
         # the FD error at m = 40, and every beta failed eigenvalue_gap

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,13 +115,13 @@ class TestFdGrid:
             assert np.array_equal(oracle._GRIDS[coarse].thetas, oracle._GRIDS[fine].thetas[1::2])
 
     def test_cached_constants_are_read_only(self):
-        # every caller shares them: the grids' half-angle values, their
-        # beta-free potential, the indicial corrections, the spectral
-        # matrix's parts and the normalization rule
+        # every caller shares them: the grids' half-angle values, the
+        # indicial corrections, the spectral matrix's parts and the
+        # normalization rule
         grid = FdGrid(1024)
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
-        cached = (oracle._grid_potential(1, grid), _indicial_correction(1, 1024))
+        cached = (_indicial_correction(1, 1024),)
         for values in (*grid.trig, *cached, *spectral, weights, *nodes):
             assert not values.flags.writeable
 
@@ -168,6 +170,28 @@ class TestGroundEigenvalue:
         )
         with pytest.raises(ValueError, match=message):
             solve(ModeParams(m=largest + 1, N=0), 0.0, grid)
+
+    @pytest.mark.parametrize("points,largest", [(255, 126), (511, 112), (1023, 100), (2047, 91)])
+    def test_each_richardson_grid_takes_m_up_to_its_largest(self, points, largest):
+        grid = oracle._GRIDS[points]
+        assert np.isfinite(oracle._weights(ModeParams(m=largest, N=0), 0.0, grid)).all()
+        message = (
+            f"^the indicial correction overflows on the {points}-point grid at "
+            f"m={largest + 1}; this grid supports m <= {largest}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            oracle._weights(ModeParams(m=largest + 1, N=0), 0.0, grid)
+
+    def test_indicial_correction_refuses_without_numpy_warnings(self):
+        # the correction refuses the m itself, its overflow silenced
+        message = (
+            "^the indicial correction overflows on the 2047-point grid at m=92; "
+            "this grid supports m <= 91$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                _indicial_correction(92, 2047)
 
     @pytest.mark.parametrize("points", [64, 1024, 2048, 4096])
     def test_one_power_table_gives_the_three_power_bytes(self, points):
@@ -1013,14 +1037,25 @@ class TestVerifyAll:
         assert math.isnan(reports[0].residual_slope)
         assert reports[0].passed is True
 
+    def test_state_of_other_params_refused(self, state_m1_n8):
+        # the grids would solve one mode while the series describes another
+        for params in (ModeParams(m=2, N=8), ModeParams(m=1, N=6)):
+            message = f"the state was built for ModeParams(m=1, N=8), not for {params!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_all(params, [0.1], state=state_m1_n8)
+
+    def test_state_of_the_same_params_gives_the_reports_of_none(self, state_m1_n8):
+        params = ModeParams(m=1, N=8)
+        given = verify_all(params, [0.0, 0.1], state=state_m1_n8)
+        assert repr(given) == repr(verify_all(params, [0.0, 0.1]))
+
     def test_second_case_reuses_the_grid_constants(self, monkeypatch):
-        # a new beta at the same m forms no indicial correction, no beta-free
-        # potential and no half-angle values of a grid or of the
-        # normalization rule
+        # a new beta at the same m forms no indicial correction and no
+        # half-angle values of a grid or of the normalization rule
         params = ModeParams(m=3, N=2)
         state = compute_series(params)
         verify_all(params, [0.1], state=state)
-        cached = (oracle._indicial_correction, oracle._grid_potential)
+        cached = (oracle._indicial_correction,)
         misses = [f.cache_info().misses for f in cached]
         sizes = []
         for module in (oracle, evaluate):
