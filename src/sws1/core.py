@@ -70,8 +70,7 @@ class ModeParams:
 # the CLI parser names their keys, so they live here, where reading them
 # loads no numpy.
 DEFAULT_TOLERANCES = {
-    "eigenvalue": 1e-6,  # series partial sum vs Richardson-extrapolated value
-    "eigenvalue_beta0": 5e-5,  # finest grid alone vs the exact E0 at beta = 0: an oracle check
+    "eigenvalue": 1e-6,  # Richardson-extrapolated value vs the series, and vs the spectral value
     "wavefunction": 1e-3,  # max-norm vs the extrapolated eigenvector on the shared nodes
     "residual_slope_below": 0.3,  # slope may undershoot N+1 by this much
     "residual_slope_above": 0.7,  # and overshoot by this much

@@ -308,24 +308,23 @@ def rt_tables(
 def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
     """Convert the antiderivative tables of order n, integer numerators
     over Z, to the sine-polynomial coefficients of W_n (X the plain table
-    b, Y the cos-weighted table a), checking every cancellation that has
-    to hold for W_n to stay finite at the boundaries:
-
-      * the entries at index -1 and 0 of both X and Y must vanish exactly
-        (otherwise W_n would blow up like inverse sine powers), and
-      * the top-of-support entries must vanish according to the parity
-        of n, which is what keeps the general table shape closed.
+    b, Y the cos-weighted table a), checking the cancellation that has to
+    hold for W_n to stay finite at the boundaries: the entries at index -1
+    and 0 of both X and Y must vanish exactly (otherwise W_n would blow up
+    like inverse sine powers).
 
     R and T are read as zero at index -1 and past their supports.  The
-    checks are integer zero tests, and W_n is the X/Y numerators over Z,
-    which WnTable cancels by their one common gcd.
+    parity truncation needs no check: `rt_tables` returns R over
+    p = 0..(n+1)//2 and T over j = 0..n//2, so X past (n+1)//2 and Y past
+    n//2 are formed from that zero padding alone.  The check is an integer
+    zero test, and W_n is the X/Y numerators over Z, which WnTable cancels
+    by their one common gcd.
     """
-    top = n // 2 + 1
     rs = (0, *R, 0, 0)  # R[j] at index j + 1
     ts = (0, *T, 0, 0)
     X = {}
     Y = {}
-    for j in range(-1, top + 1):
+    for j in range(-1, (n + 1) // 2 + 1):
         common = 2 * rs[j + 2] + 2 * ts[j + 2]
         X[j] = common - rs[j + 1] - 2 * ts[j + 1]
         Y[j] = common - ts[j + 1]
@@ -335,18 +334,6 @@ def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
             raise SeriesInconsistencyError(
                 f"order {n}: boundary-divergent term survives "
                 f"(X[{j}]={Fraction(X[j], Z)}, Y[{j}]={Fraction(Y[j], Z)})"
-            )
-
-    if n % 2 == 0:
-        if X[top] != 0 or Y[top] != 0:
-            raise SeriesInconsistencyError(
-                f"order {n}: parity truncation failed at even top index {top}"
-            )
-    else:
-        if Y[top] != 0:
-            raise SeriesInconsistencyError(
-                f"order {n}: parity truncation failed, cos-weighted top "
-                f"index {top} is {Fraction(Y[top], Z)}"
             )
 
     a = tuple(Y[j] for j in range(1, n // 2 + 1))

@@ -135,7 +135,7 @@ def test_criterion_4_series_vs_independent_eigensolver(states_n8):
         state = states_n8[m]
         for beta in (0.0, 0.05, 0.1):
             series = sum(float(state.energy[n]) * beta**n for n in range(9))
-            estimate, per_grid, _ = _ground_states(state.params, beta)
+            estimate, per_grid, _, _ = _ground_states(state.params, beta)
             gap = abs(series - estimate)
             worst = max(worst, gap)
             ok &= gap <= 1e-6

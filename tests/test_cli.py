@@ -288,7 +288,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "d6e705b4c9531dc85791352092a999e97c95dbecbab515d22b1ef3d53e412dc7"
+        digest = "6244c57ae5dc83d7cb45a7ffebc74c0f5df5cdbe75962ee4345ffac9d35ee87b"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -299,15 +299,23 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out.count("status = PASS") == 3
 
-    def test_coarse_single_grid_is_reported_as_an_oracle_check(self, capsys):
+    def test_spectral_oracle_check_is_reported_at_beta0(self, capsys):
         # the 2047-point grid alone misses the exact E0 by 4.9e-4 at m = 10;
-        # that judges the oracle, and the series still passes
+        # the extrapolated value meets the spectral value, E0 exactly here
         code, out, err = run(["verify", "--m", "10", "--order", "8", "--beta", "0"], capsys)
         assert code == 0 and err == ""
-        assert (
-            "  oracle check eigenvalue_gap_beta0_single_grid: FAIL (the 2047-point grid is "
-            "too coarse at m=10: it lies 0.000486 from E0, above 5e-05)\n  status = PASS\n"
-        ) in out
+        assert "  oracle check eigenvalue_gap_fd_spectral: pass\n  status = PASS\n" in out
+        assert "FAIL" not in out
+
+    def test_single_grid_tolerance_key_is_gone(self, capsys):
+        argv = ["verify", "--m", "1", "--order", "3", "--beta", "0"]
+        argv += ["--tol", "eigenvalue_beta0=1e-3"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: bad tolerance override 'eigenvalue_beta0=1e-3'; known keys: eigenvalue, "
+            "residual_slope_above, residual_slope_below, wavefunction\n"
+        )
 
     # sha256 of the verify text and its exit status; every eigenvalue and
     # eigenvector gap prints at 17 digits, so these pin the oracle's floats.
@@ -317,13 +325,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "9d01912c721e3f25b8c99a6dbd0c42fe1d0a1c8a2278146e43071e729d04ef38",
-            "a6f02d35f23ba3c64be7f927499c257338b6638b9b0cd9b442c7baaf707152e7",
+            "2d888995117607ae39918b0d3205c2ec0cdea1d1b8644b494e18201bf3320ff0",
+            "092fe2dee5c581498fe15f287fae27931f89c49c0bacdb1b51c9eec5be7fc6a1",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "4b448e9efab00219c5cd745c47380d9f4014afb9e7d3e3647b14b2d935c3b0ca",
-            "e3bc1ba1c8db73695414b56679cd4f2a51e32b4f7009eaec06bdec88231533b0",
+            "0e92ced1a0db4f0dc449e227abaf56a5101a29e1f2a197dafbfb043f1b20b798",
+            "687e9470ed52b34fb3a3da11d2f808d2dca8b704b3ae7f41a17864b258e3f381",
         ),
     }
 
@@ -482,7 +490,7 @@ def _pinned_reports():
     oracle check failed, with fixed values."""
     nan = float("nan")
     slope_skip = "residual is above its roundoff floor"
-    single = "eigenvalue_gap_beta0_single_grid"
+    spectral = "eigenvalue_gap_fd_spectral"
     common = dict(grid_sizes=(255, 511, 1023, 2047))
     return [
         OracleReport(
@@ -491,7 +499,7 @@ def _pinned_reports():
             grid_eigenvalues=(-1.6e-5, -4e-6, -1e-6, -2.5e-7),
             richardson_estimate=-2.5e-7, wavefunction_gap=1.5e-5, residual_slope=nan,
             checks={"eigenvalue_gap": True, "wavefunction_gap": True},
-            skipped={"residual_slope": slope_skip}, oracle_checks={single: None},
+            skipped={"residual_slope": slope_skip}, oracle_checks={spectral: None},
             passed=True, **common,
         ),
         OracleReport(
@@ -500,7 +508,7 @@ def _pinned_reports():
             richardson_estimate=108.0, wavefunction_gap=1e-13, residual_slope=nan,
             checks={"eigenvalue_gap": True, "wavefunction_gap": True},
             skipped={"residual_slope": slope_skip},
-            oracle_checks={single: "the 2047-point grid is too coarse at m=10"},
+            oracle_checks={spectral: "the FD estimate lies 2e-06 from the spectral value"},
             passed=True, **common,
         ),
         OracleReport(
@@ -541,7 +549,7 @@ report m=1 order=3 beta=0
   check eigenvalue_gap: pass
   check wavefunction_gap: pass
   check residual_slope: skipped (residual is above its roundoff floor)
-  oracle check eigenvalue_gap_beta0_single_grid: pass
+  oracle check eigenvalue_gap_fd_spectral: pass
   status = PASS
 report m=10 order=8 beta=0
   series_value        = 108
@@ -556,7 +564,7 @@ report m=10 order=8 beta=0
   check eigenvalue_gap: pass
   check wavefunction_gap: pass
   check residual_slope: skipped (residual is above its roundoff floor)
-  oracle check eigenvalue_gap_beta0_single_grid: FAIL (the 2047-point grid is too coarse at m=10)
+  oracle check eigenvalue_gap_fd_spectral: FAIL (the FD estimate lies 2e-06 from the spectral value)
   status = PASS
 report m=10 order=8 beta=0.050000000000000003
   series_value        = 110.125

@@ -23,13 +23,10 @@ from sws1.core import (
     tables_to_text,
 )
 from sws1.recurrence import (
-    SeriesInconsistencyError,
     SeriesState,
     compute_series,
     convolve_sources,
-    energy_coeff,
     rt_tables,
-    xy_tables,
 )
 
 rationals = st.builds(
@@ -200,19 +197,6 @@ class TestTables:
         h, g, den = convolve_sources(state_m1_n8, 3)
         with pytest.raises(ValueError, match="support"):
             rt_tables(h, (*g, den), den, state_m1_n8.energy[3], state_m1_n8.params)
-        h, g, den = convolve_sources(state_m1_n8, 4)
-        assert len(g) == 1  # g top is (n+1)//2 = 2
-        g = (*g, den)
-        e4 = energy_coeff(h, g, den, state_m1_n8.params)
-        with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
-            xy_tables(4, *rt_tables(h, g, den, e4, state_m1_n8.params))
-
-    def test_rt_support_enforced(self, state_m1_n8):
-        h, g, den = convolve_sources(state_m1_n8, 4)
-        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[4], state_m1_n8.params)
-        assert len(R) == 3  # R top is (n+1)//2 = 2
-        with pytest.raises(SeriesInconsistencyError, match="order 4: parity truncation"):
-            xy_tables(4, (*R, Z), T, Z)  # an R entry of 1 past the support
 
     def test_entry_must_be_num_den(self):
         with pytest.raises(ValueError, match="num/den"):

@@ -193,6 +193,12 @@ class TestExactRationalAccuracy:
     def test_order_40(self, beta, riccati_terms):
         self.check(compute_series(ModeParams(m=1, N=40)), beta, riccati_terms)
 
+    @pytest.mark.parametrize("m", [10, 91])
+    def test_order_40_at_larger_m(self, m, riccati_terms):
+        state = compute_series(ModeParams(m=m, N=40))
+        for beta in (0.45, -1.0):
+            self.check(state, beta, riccati_terms)
+
     @pytest.mark.parametrize("order", [0, 1])
     def test_orders_without_a_table(self, order, riccati_terms):
         state = compute_series(ModeParams(m=1, N=order))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sws1 import evaluate, oracle
-from sws1.core import ModeParams
+from sws1.core import DEFAULT_TOLERANCES, ModeParams
 from sws1.evaluate import wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
@@ -220,6 +220,9 @@ class TestGroundEigenvalue:
 
 
 class TestCertifiedBisection:
+    """Sturm counts, Newton steps and Thomas pivot counts of the FD solver,
+    which no longer bisects; the class keeps its name, and its test ids."""
+
     def test_zero_pivot_counts_as_negative(self):
         # [[1, 1], [1, 1]] has eigenvalues 0 and 2; at lam = 0 the second
         # pivot is exactly zero and counts.  With a third row (eigenvalues
@@ -423,7 +426,7 @@ class TestCertifiedBisection:
             params = ModeParams(m=m, N=0)
             for beta in (10.0, -10.0, 30.0, -30.0, 50.0, -50.0):
                 case = m, beta
-                _, per_grid, vectors = _ground_states(params, beta)
+                _, per_grid, vectors, _ = _ground_states(params, beta)
                 for vector in vectors:
                     significant = vector[np.abs(vector) > 1e-12 * vector.max()]
                     assert np.all(significant > 0.0), case
@@ -478,7 +481,7 @@ class TestGroundEigenvector:
         for m in (1, 10, 40, 91):
             params = ModeParams(m=m, N=0)
             for beta in (0.0, 0.45, -1.0, 2.0):
-                _, _, vectors = _ground_states(params, beta)
+                _, _, vectors, _ = _ground_states(params, beta)
                 for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
                     largest = vec.max()
                     assert largest > 0.0 and vec.min() >= -1e-12 * largest, (m, beta, points)
@@ -579,7 +582,7 @@ class TestGroundEigenvector:
         # `_inverse_step` and `_ground_vector`, two steps at each finer
         # grid's eigenvalue
         params = ModeParams(m=m, N=0)
-        _, per_grid, _ = _ground_states(params, beta)
+        _, per_grid, _, _ = _ground_states(params, beta)
         for points in (1023, 2047):
             grid, shift = FdGrid(points), per_grid[points]
             diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
@@ -643,7 +646,7 @@ class TestRefinedGrids:
         # on every grid rho sits within delta of the bisected eigenvalue,
         # and no eigenvalue lies below rho - delta
         params = ModeParams(m=m, N=0)
-        _, per_grid, _ = _ground_states(params, beta)
+        _, per_grid, _, _ = _ground_states(params, beta)
         for points, grid in oracle._GRIDS.items():
             rho = per_grid[points]
             delta = 1e-9 * max(1.0, abs(rho))
@@ -657,7 +660,7 @@ class TestRefinedGrids:
         # inverse iteration run to convergence at each grid's own rho;
         # measured at most 2.8e-13 away over |beta| <= 1
         params = ModeParams(m=m, N=0)
-        _, per_grid, vectors = _ground_states(params, beta)
+        _, per_grid, vectors, _ = _ground_states(params, beta)
         for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
             grid = oracle._GRIDS[points]
             reference = TestGroundEigenvector.six_step_reference(
@@ -687,7 +690,7 @@ class TestRefinedGrids:
         kinds = collections.Counter()
         for m, beta in ((1, 0.1), (2, 0.0), (40, 0.45)):
             counter.sweeps.clear()
-            _, per_grid, _ = _ground_states(ModeParams(m=m, N=0), beta)
+            _, per_grid, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
             for points, rho in per_grid.items():
                 (shift, below), delta = last[points], 1e-9 * max(1.0, abs(rho))
                 inside = rho - delta <= shift <= rho + delta
@@ -710,7 +713,7 @@ class TestRefinedGrids:
         certified = above = 0
         for m in (1, 2, 5, 10, 20, 40, 80, 91):
             for beta in (0.0, 0.1, 0.45, -0.45, 1.0, -1.0):
-                _, per_grid, _ = _ground_states(ModeParams(m=m, N=0), beta)
+                _, per_grid, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
                 for points, rho in per_grid.items():
                     (diag, off, shift, below), delta = last[points], 1e-9 * max(1.0, abs(rho))
                     if below or not rho - delta <= shift <= rho + delta:
@@ -725,7 +728,7 @@ class TestRefinedGrids:
         # Made to report a pivot <= 0, each grid takes exactly one Sturm
         # count, which certifies the same values and vectors
         params, counter = ModeParams(m=2, N=0), SweepCounter(monkeypatch)
-        estimate, per_grid, vectors = _ground_states(params, 0.0)
+        estimate, per_grid, vectors, _ = _ground_states(params, 0.0)
         assert [counter.sweeps["_sturm_count", p] for p in oracle.RICHARDSON_GRIDS] == [1, 0, 0, 0]
         step = oracle._inverse_step
         monkeypatch.setattr(oracle, "_inverse_step", lambda *args: (step(*args)[0], 1))
@@ -740,8 +743,7 @@ class TestRefinedGrids:
         # step alone, even with every Sturm count made 1; with the step's
         # count made 1 too, it is refused
         params, grid = ModeParams(m=2, N=0), oracle._GRIDS[1023]
-        _, per_grid, vectors = _ground_states(params, 0.0)
-        spectral = spectral_eigenvalue(2, 0.0)
+        _, per_grid, vectors, spectral = _ground_states(params, 0.0)
         shift = spectral + (per_grid[511] - spectral) / 4.0
         start = oracle._prolong(vectors[1])
         monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
@@ -758,8 +760,7 @@ class TestRefinedGrids:
         # delta: the step's pivots no longer bracket it, and the Sturm count
         # finds the eigenvalue below rho - delta
         params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
-        _, per_grid, vectors = _ground_states(params, 0.0)
-        spectral = spectral_eigenvalue(40, 0.0)
+        _, per_grid, vectors, spectral = _ground_states(params, 0.0)
         shift = spectral + (per_grid[511] - spectral) / 4.0
         start = oracle._prolong(vectors[1])
         counter = SweepCounter(monkeypatch)
@@ -781,8 +782,7 @@ class TestRefinedGrids:
         # lies above rho + delta, outside the step's bracket, and the grid
         # takes one Sturm count
         params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
-        _, per_grid, vectors = _ground_states(params, 0.0)
-        spectral = spectral_eigenvalue(40, 0.0)
+        _, per_grid, vectors, spectral = _ground_states(params, 0.0)
         shift = spectral + (per_grid[511] - spectral) / 4.0
         start = oracle._prolong(vectors[1])
         quotient, calls = oracle._rayleigh_quotient, []
@@ -801,14 +801,14 @@ class TestRefinedGrids:
     def test_beta0_estimate_within_5e_12_of_e0(self, m):
         # bisected to 1e-13 inside the Sturm count's noise, the finer grids
         # left the estimate up to 5.6e-11 from the exact E0 (m = 2)
-        estimate, _, _ = _ground_states(ModeParams(m=m, N=0), 0.0)
+        estimate, _, _, _ = _ground_states(ModeParams(m=m, N=0), 0.0)
         assert abs(estimate - (m * m + m - 2)) <= 5e-12
 
 
 class TestRichardson:
     def test_estimate_consistency(self):
         params = ModeParams(m=3, N=0)
-        estimate, per_grid, _ = _ground_states(params, 0.1)
+        estimate, per_grid, _, _ = _ground_states(params, 0.1)
         finest = per_grid[2047]
         coarsest = per_grid[255]
         assert abs(estimate - finest) < abs(finest - coarsest)
@@ -827,7 +827,7 @@ class TestRichardson:
         # the three-grid, one-level estimate kept up to 3.4e-4 (m = 83) of
         # the FD error; the four-grid table keeps at most 1.3e-8 (m = 91)
         for beta in (0.0, 0.45, -0.45, 1.0, -1.0):
-            estimate, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
+            estimate, _, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
             assert abs(estimate - spectral_eigenvalue(m, beta)) <= 1e-7, beta
 
     def test_floats_match_pinned_digest(self):
@@ -876,7 +876,7 @@ class TestSpectralEigenvalue:
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.4, 1.0, 2.0])
     def test_agrees_with_fd_richardson_at_m1(self, beta):
         # the FD oracle's own error at m = 1 is ~1e-10
-        estimate, _, _ = _ground_states(ModeParams(m=1, N=0), beta)
+        estimate, _, _, _ = _ground_states(ModeParams(m=1, N=0), beta)
         assert abs(spectral_eigenvalue(1, beta) - estimate) <= 1e-9
 
     def test_floats_match_pinned_hex(self):
@@ -975,7 +975,7 @@ class TestVerifyAll:
         (report,) = reports
         assert report.passed is True
         assert report.abs_gap < 5e-5
-        assert report.oracle_checks == {"eigenvalue_gap_beta0_single_grid": None}
+        assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}
 
     def test_gap_grows_with_beta_at_fixed_order(self):
         # truncation error dominates, so the series-vs-numeric gap must
@@ -993,18 +993,70 @@ class TestVerifyAll:
         assert report.abs_gap == abs(report.series_value - report.numeric_value)
         assert report.passed is True
 
-    def test_coarse_single_grid_judges_the_oracle_not_the_series(self):
-        # at m = 10 the 2047-point grid lies 4.9e-4 from the exact E0, past
-        # the 5e-5 bound; the series and the extrapolated value agree
+    def test_beta0_oracle_check_holds_the_estimate_to_e0(self):
+        # at m = 10 the 2047-point grid alone lies 4.9e-4 from the exact E0;
+        # the extrapolated value lies within 1e-6 of the spectral value,
+        # which is E0 exactly at beta = 0
         (report,) = verify_all(ModeParams(m=10, N=8), [0.0])
+        assert abs(report.grid_eigenvalues[-1] - 108.0) > 4e-4
+        assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}
+        assert "eigenvalue_gap_fd_spectral" not in report.checks
+        assert report.checks["eigenvalue_gap"] and report.passed is True
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 40, 91])
+    def test_fd_spectral_check_passes_over_the_judged_range(self, m):
+        # the estimate lies at most 1.3e-8 (m = 91) from the spectral value
+        # at |beta| <= 1, against the 1e-6 bound
+        for report in verify_all(ModeParams(m=m, N=4), [0.0, 0.45, -0.45, 1.0, -1.0]):
+            assert report.error is None
+            assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}, report.beta
+
+    @pytest.mark.parametrize("m", [1, 10, 40])
+    def test_shifted_spectral_value_fails_the_oracle_check_only(self, m, monkeypatch):
+        # a spectral value 2e-6 off fails the oracle check with its measured
+        # gap and bound; the series' verdict does not read it
+        def shifted(m, beta):
+            return spectral_eigenvalue(m, beta) + 2e-6
+
+        monkeypatch.setattr(oracle, "spectral_eigenvalue", shifted)
+        (report,) = verify_all(ModeParams(m=m, N=8), [0.05])
+        gap = abs(report.richardson_estimate - shifted(m, 0.05))
+        assert 1.9e-6 < gap < 2.1e-6
         assert report.oracle_checks == {
-            "eigenvalue_gap_beta0_single_grid": (
-                "the 2047-point grid is too coarse at m=10: it lies 0.000486 from E0, "
-                "above 5e-05"
+            "eigenvalue_gap_fd_spectral": (
+                f"the FD estimate lies {gap:.3g} from the spectral value, above 1e-06"
             )
         }
-        assert "eigenvalue_gap_beta0_single_grid" not in report.checks
-        assert report.checks["eigenvalue_gap"] and report.passed is True
+        assert report.passed is True
+
+    def test_spectral_value_is_formed_once_per_case(self, monkeypatch):
+        calls = []
+
+        def counted(m, beta):
+            calls.append(beta)
+            return spectral_eigenvalue(m, beta)
+
+        monkeypatch.setattr(oracle, "spectral_eigenvalue", counted)
+        verify_all(ModeParams(m=2, N=4), [0.0, 0.1, -0.45])
+        assert calls == [0.0, 0.1, -0.45]
+
+    # one case per key in which the check reading it passes at its default
+    # and fails with that key alone set to 0
+    TOLERANCE_CASES = {
+        "eigenvalue": (1, 8, "eigenvalue_gap"),
+        "wavefunction": (1, 8, "wavefunction_gap"),
+        "residual_slope_below": (1, 3, "residual_slope"),  # slope N + 1 - 0.0017
+        "residual_slope_above": (2, 4, "residual_slope"),  # slope N + 1 + 0.105
+    }
+
+    def test_every_tolerance_key_is_read_by_a_check(self):
+        assert set(self.TOLERANCE_CASES) == set(DEFAULT_TOLERANCES)
+        for key, (m, order, check) in self.TOLERANCE_CASES.items():
+            params = ModeParams(m=m, N=order)
+            (report,) = verify_all(params, [0.05])
+            assert report.checks[check] and report.passed is True, key
+            (report,) = verify_all(params, [0.05], tolerances={key: 0.0})
+            assert not report.checks[check] and report.passed is False, key
 
     @pytest.mark.parametrize("m", [1, 5, 10, 20, 40, 60, 80, 83, 91])
     def test_beta0_wavefunction_gap_sees_the_series(self, m):
@@ -1089,7 +1141,7 @@ class TestGapScaling:
         from sws1.evaluate import eval_energy
 
         for beta in (0.15, 0.2):
-            estimate, _, _ = _ground_states(state.params, beta)
+            estimate, _, _, _ = _ground_states(state.params, beta)
             inferred = (estimate - eval_energy(state, beta, 4)) / beta**5
             assert 0.8 <= inferred / exact <= 1.2
 

@@ -422,16 +422,6 @@ class TestRtXyTables:
         with pytest.raises(SeriesInconsistencyError, match="order 4: boundary-divergent"):
             xy_tables(4, (R[0] + Z, *R[1:]), T, Z)  # R_0 + 1
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_spill_past_the_support_fails_parity_truncation(self, state_m1_n8, n):
-        # an R or T entry one past its support reaches the top X/Y entries
-        h, g, den = convolve_sources(state_m1_n8, n)
-        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[n], state_m1_n8.params)
-        assert xy_tables(n, R, T, Z) == state_m1_n8.orders[n - 1]
-        for broken in ((R + (Z,), T), (R, T + (Z,))):  # an entry of 1
-            with pytest.raises(SeriesInconsistencyError, match=f"order {n}: parity truncation"):
-                xy_tables(n, *broken, Z)
-
     def test_xy_tables_makes_no_fraction(self, state_m1_n8, monkeypatch):
         # W_n leaves the build as the X/Y numerators over Z; no entry is
         # reduced to a Fraction on the way
