@@ -46,9 +46,10 @@ its nine betas in one call.
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
 the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
-and the series psi read, about 120 KB; the indicial correction per
-(m, grid), about 30 KB per m; and the spectral matrix's parts per m,
-about 40 KB.
+and the series psi read, about 120 KB; the residual slope's nine betas
+and its four 9-element `_half_angle` arrays at theta = pi/3, formed once
+per process (`_slope_grid`); the indicial correction per (m, grid),
+about 30 KB per m; and the spectral matrix's parts per m, about 40 KB.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -308,15 +309,17 @@ def _ground_vector(x: list, h: float) -> np.ndarray:
     entry into [0.5, 1): exact, so no bit of the result moves, but a shift
     that makes a pivot vanish (the guard leaves entries near 1e202 at
     m = 1, beta = 0.1424 on the 255-point grid) no longer overflows the
-    norm.  A vector that is not finite, or has a node (the ground state is
+    norm.  The scale is sqrt(x.dot(x)), which is what np.linalg.norm(x)
+    computes for a real 1-D x, so the bytes are that expression's.  A
+    vector that is not finite, or has a node (the ground state is
     nodeless, so x belongs to another state), raises OracleError: with the
     peak positive, a node is an entry below -1e-12 times it."""
     x = np.fromiter(x, float, len(x))
-    peak = float(x[np.argmax(np.abs(x))])  # NaN if any entry is
+    peak = float(x[np.abs(x).argmax()])  # NaN if any entry is
     if not math.isfinite(peak):
         raise OracleError("inverse iteration overflowed")
     x = np.ldexp(x, -math.frexp(peak)[1])
-    x /= math.copysign(math.sqrt(h) * np.linalg.norm(x), peak)
+    x /= math.copysign(math.sqrt(h) * math.sqrt(x.dot(x)), peak)
     if x.min() < -1e-12 * x.max():
         raise OracleError(
             "ground eigenvector changes sign; the smallest eigenvalue does "
@@ -329,10 +332,14 @@ def _rayleigh_quotient(vector: np.ndarray, weights: np.ndarray, h: float) -> flo
     """(sum (dv)^2 / h^2 + sum w v^2) / sum v^2, the differences taken with
     the zero Dirichlet ends: v^T T v / v^T v without forming 2/h^2 - lam,
     whose cancellation sets the Sturm count's noise.  numpy's pairwise sums,
-    not BLAS, so the float does not depend on BLAS threading."""
-    diff = np.diff(vector, prepend=0.0, append=0.0)
+    not BLAS, so the float does not depend on BLAS threading.  The bytes
+    are those of np.diff(v, prepend=0.0, append=0.0) and np.sum, which
+    take the same differences of a zero-padded copy and the same
+    `add.reduce`."""
+    padded = np.concatenate(([0.0], vector, [0.0]))
+    diff = padded[1:] - padded[:-1]
     square = vector * vector
-    return float((np.sum(diff * diff) / h**2 + np.sum(weights * square)) / np.sum(square))
+    return float(((diff * diff).sum() / h**2 + (weights * square).sum()) / square.sum())
 
 
 def _prolong(coarse: np.ndarray) -> np.ndarray:
@@ -382,7 +389,7 @@ def fd_ground_state(
     if start is None:
         shift = _shift_below(diag, off * off, shift, min(diag) + 2.0 * off)
         start = np.array(_inverse_step(diag, off, shift, [1.0] * grid.points)[0])
-        start /= np.max(np.abs(start))  # a vanishing pivot leaves entries near 1e202
+        start /= np.abs(start).max()  # a vanishing pivot leaves entries near 1e202
     x, below = _inverse_step(diag, off, shift, start.tolist())
     vector = _ground_vector(x, h)
     value = _rayleigh_quotient(vector, weights, h)
@@ -513,6 +520,20 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     return r_val + c * t_val
 
 
+@cache
+def _slope_grid() -> tuple[np.ndarray, tuple]:
+    """The residual slope's nine betas over [1e-3, 1e-1] and the
+    `_half_angle` values at theta = pi/3, one per beta, read-only.  The
+    first slope of a process forms them, not the import: formed at import
+    they raised the peak RSS of a process that takes no slope by about
+    0.45 MB, the numpy code that their first use loads."""
+    betas = np.logspace(-3, -1, 9)
+    trig = tuple(np.repeat(t, len(betas)) for t in _half_angle(np.array([math.pi / 3.0])))
+    for values in (betas, *trig):
+        values.flags.writeable = False
+    return betas, trig
+
+
 def residual_slope(state: SeriesState) -> float:
     """Log-log slope of the Riccati defect W^2 - W' - V + E against beta
     over [1e-3, 1e-1], at theta = pi/3.
@@ -521,8 +542,7 @@ def residual_slope(state: SeriesState) -> float:
     roundoff floor of 16 eps (W^2 + |W'| + |V| + |E|) per beta; samples at
     or below it carry no slope information and are excluded from the fit.
     """
-    betas = np.logspace(-3, -1, 9)
-    trig = [np.repeat(t, len(betas)) for t in _half_angle(np.array([math.pi / 3.0]))]
+    betas, trig = _slope_grid()
     w, wp, v, e = _riccati_terms(state, betas, _beta_tables(state, betas), trig)
     values = np.abs(w * w - wp - v + e)
     floors = _ROUNDOFF_FLOOR * (w * w + np.abs(wp) + np.abs(v) + np.abs(e))
@@ -587,7 +607,7 @@ def verify_all(
             vec = _richardson([v[(1 << j) - 1 :: 1 << j] for j, v in enumerate(vectors)])
             with np.errstate(over="ignore", invalid="ignore"):  # NaN at large |beta|
                 psi, _, _ = _wavefunction(params.m, _beta_tables(state, beta), _COARSEST.trig)
-                wavefunction_gap = float(np.max(np.abs(psi - vec)))
+                wavefunction_gap = float(np.abs(psi - vec).max())
             abs_gap = abs(series_value - estimate)
 
             checks = {"eigenvalue_gap": abs_gap <= tol["eigenvalue"]}

@@ -116,12 +116,13 @@ class TestFdGrid:
 
     def test_cached_constants_are_read_only(self):
         # every caller shares them: the grids' half-angle values, the
-        # indicial corrections, the spectral matrix's parts and the
-        # normalization rule
+        # indicial corrections, the residual slope's betas and half-angle
+        # values, the spectral matrix's parts and the normalization rule
         grid = FdGrid(1024)
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
-        cached = (_indicial_correction(1, 1024),)
+        betas, trig = oracle._slope_grid()
+        cached = (_indicial_correction(1, 1024), betas, *trig)
         for values in (*grid.trig, *cached, *spectral, weights, *nodes):
             assert not values.flags.writeable
 
@@ -592,6 +593,21 @@ class TestGroundEigenvector:
             reference = self.loop_reference(params, beta, grid, shift)
             assert oracle._ground_vector(x, grid.h).tobytes() == reference.tobytes(), points
 
+    @pytest.mark.parametrize("m, beta", [(1, 0.1), (40, 0.45), (91, -1.0)])
+    def test_ground_vector_keeps_the_bytes_of_its_norm_form(self, m, beta):
+        # the np.linalg.norm scaling, on one more step at each grid's
+        # eigenvalue from its ground vector
+        params = ModeParams(m=m, N=0)
+        _, per_grid, vectors, _ = _ground_states(params, beta)
+        for grid, vector in zip(oracle._GRIDS.values(), vectors):
+            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
+            x, _ = oracle._inverse_step(diag, off, per_grid[grid.points], vector.tolist())
+            expected = np.array(x)
+            peak = float(expected[np.argmax(np.abs(expected))])
+            expected = np.ldexp(expected, -math.frexp(peak)[1])
+            expected /= math.copysign(math.sqrt(grid.h) * np.linalg.norm(expected), peak)
+            assert oracle._ground_vector(x, grid.h).tobytes() == expected.tobytes(), grid.points
+
     def test_vanishing_pivot_leaves_a_unit_vector(self, monkeypatch):
         # at this beta the 255-point grid's bisected eigenvalue makes a
         # pivot vanish, and the guarded step returns entries near 1e202:
@@ -667,6 +683,20 @@ class TestRefinedGrids:
                 params, beta, grid, per_grid[points]
             )
             assert np.max(np.abs(vec - reference)) < 5e-13, points
+
+    @pytest.mark.parametrize("m, beta", [(1, 0.1), (40, 0.45), (91, -1.0)])
+    def test_rayleigh_quotient_keeps_the_bytes_of_its_numpy_form(self, m, beta):
+        # np.diff with zero ends and np.sum, whose pairwise sums a BLAS dot
+        # does not reproduce, on every grid's ground vector
+        params = ModeParams(m=m, N=0)
+        _, _, vectors, _ = _ground_states(params, beta)
+        for grid, vector in zip(oracle._GRIDS.values(), vectors):
+            weights = oracle._weights(params, beta, grid)
+            diff = np.diff(vector, prepend=0.0, append=0.0)
+            square = vector * vector
+            top = np.sum(diff * diff) / grid.h**2 + np.sum(weights * square)
+            expected = float(top / np.sum(square))
+            assert oracle._rayleigh_quotient(vector, weights, grid.h) == expected, grid.points
 
     def test_uncertified_quotient_raises(self, monkeypatch):
         # a count above 0 at rho - delta refuses the grid
@@ -1103,11 +1133,12 @@ class TestVerifyAll:
 
     def test_second_case_reuses_the_grid_constants(self, monkeypatch):
         # a new beta at the same m forms no indicial correction and no
-        # half-angle values of a grid or of the normalization rule
+        # half-angle values of a grid, of the normalization rule or of the
+        # residual slope's angle
         params = ModeParams(m=3, N=2)
         state = compute_series(params)
         verify_all(params, [0.1], state=state)
-        cached = (oracle._indicial_correction,)
+        cached = (oracle._indicial_correction, oracle._slope_grid)
         misses = [f.cache_info().misses for f in cached]
         sizes = []
         for module in (oracle, evaluate):
@@ -1119,7 +1150,31 @@ class TestVerifyAll:
             monkeypatch.setattr(module, "_half_angle", counting)
         verify_all(params, [0.2], state=state)
         assert [f.cache_info().misses for f in cached] == misses
-        assert sizes == [1]  # the residual slope's one angle
+        assert sizes == []
+
+    def test_battery_floats_match_pinned_digest(self):
+        # sha256 of the repr of every measured field of the reports over
+        # the benchmark's verify-battery modes, so a change of speed that
+        # moves any float or verdict shows
+        fields = (
+            "series_value",
+            "grid_eigenvalues",
+            "richardson_estimate",
+            "wavefunction_gap",
+            "residual_slope",
+            "checks",
+            "skipped",
+            "oracle_checks",
+        )
+        rows = [
+            tuple(getattr(report, name) for name in fields)
+            for m in (1, 2, 5, 10, 20, 40)
+            for beta in (0.0, 0.1, 0.45)
+            for report in verify_all(ModeParams(m, 8), [beta])
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "b6a49feac09b92b9d053a187a166ee0f1782279ea82d1bf0a2ddba32f7d3fed6"
+        )
 
     def test_large_m_slope_skipped_not_failed(self):
         # at m = 40 the cancelling terms W^2 and V are ~2e3; an absolute
