@@ -31,6 +31,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# one `eval` CSV row: five floats as `_fmt` prints them, in one printf
+_EVAL_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors surface as exceptions so the
     exit-status contract stays in our hands."""
@@ -166,8 +170,7 @@ def cmd_eval(args) -> int:
         f"# m={params.m} N={params.N} beta={_fmt(beta)} E0={_fmt(e0)}",
         "theta,psi,theta_big,w,residual",
     ]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [_EVAL_ROW % row for row in zip(*(column.tolist() for column in columns))]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

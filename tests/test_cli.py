@@ -150,6 +150,14 @@ class TestEval:
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_row_format_prints_as_fmt(self):
+        # the one-printf row must give the bytes of five `_fmt` cells
+        values = (-0.0, 5e-324, 1e308, 0.1, 1 / 3)
+        assert cli._EVAL_ROW % values == ",".join(map(cli._fmt, values))
+        assert cli._EVAL_ROW % values == (
+            "-0,4.9406564584124654e-324,1e+308,0.10000000000000001,0.33333333333333331"
+        )
+
     # sha256 of the eval text: every float of W, W', the phase, the
     # normalization and E prints at 17 digits, so these pin the float path
     PINNED = {
