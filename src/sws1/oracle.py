@@ -47,9 +47,9 @@ The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
 the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
 and the series psi read, about 120 KB; the residual slope's nine betas
-and its four 9-element `_half_angle` arrays at theta = pi/3, formed once
-per process (`_slope_grid`); the indicial correction per (m, grid),
-about 30 KB per m; and the spectral matrix's parts per m, about 40 KB.
+and its `_half_angle` values at theta = pi/3, formed once per process
+(`_slope_grid`); the indicial correction per (m, grid), about 30 KB per
+m; and the spectral matrix's parts per m, about 40 KB.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
@@ -77,6 +77,7 @@ from .evaluate import (
     _half_angle,
     _orders_at,
     _potential,
+    _powers,
     _riccati_terms,
     _wavefunction,
     eval_energy,
@@ -500,9 +501,11 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
     m = state.params.m
     lo, hi, sign = (0.0, theta, 1.0) if theta <= math.pi / 2.0 else (theta, math.pi, -1.0)
     t, w = gauss_legendre(lo, hi, gauss_panels(m))
-    s, c, one_minus, _ = _half_angle(t)
+    trig = _half_angle(t)
+    s, _, one_minus, x = trig
     a, b, energy = state.floats
-    orders = [_orders_at(a[k - 1], b[k - 1], s, c) for k in range(1, n)]
+    powers = _powers(x, (a, b))
+    orders = [_orders_at(a[k - 1], b[k - 1], trig, powers) for k in range(1, n)]
     f = energy[n] + sum(orders[k - 1] * orders[n - k - 1] for k in range(1, n))
     return sign * float(w @ (f * one_minus**2 * s ** (2 * m - 1)))
 
@@ -523,12 +526,12 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
 @cache
 def _slope_grid() -> tuple[np.ndarray, tuple]:
     """The residual slope's nine betas over [1e-3, 1e-1] and the
-    `_half_angle` values at theta = pi/3, one per beta, read-only.  The
-    first slope of a process forms them, not the import: formed at import
-    they raised the peak RSS of a process that takes no slope by about
-    0.45 MB, the numpy code that their first use loads."""
+    `_half_angle` values at theta = pi/3, read-only.  The first slope of a
+    process forms them, not the import: formed at import they raised the
+    peak RSS of a process that takes no slope by about 0.45 MB, the numpy
+    code that their first use loads."""
     betas = np.logspace(-3, -1, 9)
-    trig = tuple(np.repeat(t, len(betas)) for t in _half_angle(np.array([math.pi / 3.0])))
+    trig = _half_angle(np.array([math.pi / 3.0]))
     for values in (betas, *trig):
         values.flags.writeable = False
     return betas, trig
@@ -543,7 +546,10 @@ def residual_slope(state: SeriesState) -> float:
     or below it carry no slope information and are excluded from the fit.
     """
     betas, trig = _slope_grid()
-    w, wp, v, e = _riccati_terms(state, betas, _beta_tables(state, betas), trig)
+    tables = _beta_tables(state, betas)
+    # one row per beta, one column for the angle
+    terms = _riccati_terms(state, betas, tables, trig, _powers(trig[3], tables))
+    w, wp, v, e = (t[:, 0] for t in terms)
     values = np.abs(w * w - wp - v + e)
     floors = _ROUNDOFF_FLOOR * (w * w + np.abs(wp) + np.abs(v) + np.abs(e))
     keep = values > floors
@@ -606,7 +612,9 @@ def verify_all(
             # norm too, so the limit is psi normalized over (0, pi)
             vec = _richardson([v[(1 << j) - 1 :: 1 << j] for j, v in enumerate(vectors)])
             with np.errstate(over="ignore", invalid="ignore"):  # NaN at large |beta|
-                psi, _, _ = _wavefunction(params.m, _beta_tables(state, beta), _COARSEST.trig)
+                tables = _beta_tables(state, beta)
+                trig = _COARSEST.trig
+                psi, _, _ = _wavefunction(params.m, tables, trig, _powers(trig[3], tables))
                 wavefunction_gap = float(np.abs(psi - vec).max())
             abs_gap = abs(series_value - estimate)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sws1.core import ModeParams
-from sws1.evaluate import _beta_tables, _half_angle, _riccati_terms
+from sws1.evaluate import _beta_tables, _half_angle, _powers, _riccati_terms
 from sws1.recurrence import compute_series, i_coeff
 
 
@@ -63,7 +63,8 @@ def riccati_terms():
 
     def terms(state, beta, thetas):
         trig = _half_angle(np.asarray(thetas, dtype=float))
-        return _riccati_terms(state, beta, _beta_tables(state, beta), trig)
+        tables = _beta_tables(state, beta)
+        return _riccati_terms(state, beta, tables, trig, _powers(trig[3], tables))
 
     return terms
 

@@ -161,9 +161,9 @@ class TestEval:
     # sha256 of the eval text: every float of W, W', the phase, the
     # normalization and E prints at 17 digits, so these pin the float path
     PINNED = {
-        ("1", "32", "0.1", "4096"): "73c19fd23bcf375c8bbd2e20166991ba77314a348b4243c86912f6b1261628e4",
-        ("20", "16", "0.1", "181"): "d6edbd175040f6b07402011aa0d0251ebec57bd32c2fd65680724270e525dc73",
-        ("2", "40", "-0.7", "777"): "7465bfcc4652c11287f03ceadce676e8874abfa12acc3bdb75fa8b1a8d594d0d",
+        ("1", "32", "0.1", "4096"): "4780a68fd9c07e30b54efb86129b1c235e3f6094113f5a5a1dd473a2e29425e7",
+        ("20", "16", "0.1", "181"): "cc0f3a99f577bda0248c8595a13b04edc484eafe4e230709155394f9218daa41",
+        ("2", "40", "-0.7", "777"): "eaa694923a5b5021a5c791659fe314ca5c3417cade0a3b61b01e0fe46fc006de",
     }
 
     @pytest.mark.parametrize("m,order,beta,points", sorted(PINNED))
@@ -176,9 +176,11 @@ class TestEval:
     def test_one_evaluation_pass(self, capsys, monkeypatch):
         # one beta weighting, and two half-angle passes: the Gauss nodes of
         # the normalization and the grid; a second eval in the process
-        # reuses the nodes' values and makes one
+        # reuses the nodes' values and makes one.  Each call builds one
+        # power table per set of angles, the grid's and the nodes', which
+        # every sine polynomial on those angles reads
         evaluate._normalization_rule.cache_clear()
-        calls = {"_beta_tables": 0, "_half_angle": 0}
+        calls = {"_beta_tables": 0, "_half_angle": 0, "_powers": 0}
         for name in calls:
             original = getattr(evaluate, name)
 
@@ -189,9 +191,24 @@ class TestEval:
             monkeypatch.setattr(evaluate, name, counted)
         argv = ["eval", "--m", "1", "--order", "32", "--beta", "0.1", "--theta-points", "4096"]
         code, _, _ = run(argv, capsys)
-        assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2}
+        assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2, "_powers": 2}
         code, _, _ = run(argv, capsys)
-        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 3}
+        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 3, "_powers": 4}
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self):
+        # the sine polynomials are BLAS matrix products: a one- and a
+        # two-thread child must print the same bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "sws1.cli", "eval", "--m", "1", "--order", "40"]
+        argv += ["--beta", "0.45", "--theta-points", "4096"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 2 + 4096
 
     def test_unwritable_path_exits_2(self, capsys):
         code, _, err = run(
@@ -296,7 +313,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "6244c57ae5dc83d7cb45a7ffebc74c0f5df5cdbe75962ee4345ffac9d35ee87b"
+        digest = "b8881eba7b97c89a2c20714a12840c9b965bc4185d88d2f61ccdcc97bd1d2d31"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -338,7 +355,7 @@ class TestVerify:
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "0e92ced1a0db4f0dc449e227abaf56a5101a29e1f2a197dafbfb043f1b20b798",
+            "f561032e34f50458c1b38d8fe2e0451ed0984925462dab38ff7b415902d7bf10",
             "687e9470ed52b34fb3a3da11d2f808d2dca8b704b3ae7f41a17864b258e3f381",
         ),
     }

@@ -12,6 +12,7 @@ from sws1.evaluate import (
     _beta_tables,
     _half_angle,
     _potential,
+    _powers,
     _riccati_terms,
     eval_energy,
     eval_on_grid,
@@ -197,6 +198,15 @@ class TestExactRationalAccuracy:
     def test_order_40_at_larger_m(self, m, riccati_terms):
         state = compute_series(ModeParams(m=m, N=40))
         for beta in (0.45, -1.0):
+            self.check(state, beta, riccati_terms)
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 40, 91])
+    @pytest.mark.parametrize("order", [16, 40])
+    def test_float_envelope_grid(self, m, order, riccati_terms):
+        # the float-evaluation envelope of the roadmap: m, N and beta over
+        # this grid, at THETAS
+        state = cached_series(m, order)
+        for beta in (0.45, 1.0, -1.0):
             self.check(state, beta, riccati_terms)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -417,18 +427,21 @@ class TestBetaAxis:
         st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
     )
     def test_array_of_betas_gives_the_scalar_bytes(self, m, order, betas, theta):
-        # the slope's one call at nine betas: each element must take the
-        # float operations of its own scalar call, overflow next to an
-        # endpoint included
+        # the slope's one call at nine betas: each row must take the float
+        # operations of its own scalar call, overflow next to an endpoint
+        # included
         state = cached_series(m, order)
         with np.errstate(all="ignore"):
             trig = _half_angle(np.array([theta]))
-            beta_axis, axis_trig = np.array(betas), [np.repeat(t, len(betas)) for t in trig]
-            terms = _riccati_terms(state, beta_axis, _beta_tables(state, beta_axis), axis_trig)
+            beta_axis = np.array(betas)
+            tables = _beta_tables(state, beta_axis)
+            terms = _riccati_terms(state, beta_axis, tables, trig, _powers(trig[3], tables))
             for i, beta in enumerate(betas):
-                scalar_terms = _riccati_terms(state, beta, _beta_tables(state, beta), trig)
+                tables = _beta_tables(state, beta)
+                scalar_terms = _riccati_terms(state, beta, tables, trig, _powers(trig[3], tables))
                 for array, scalar in zip(terms, scalar_terms):
-                    assert np.float64(array[i]).tobytes() == np.ravel(scalar)[0].tobytes()
+                    assert array[i].shape == (1,)
+                    assert np.float64(array[i][0]).tobytes() == np.ravel(scalar)[0].tobytes()
 
 
 class TestGrids:
