@@ -203,8 +203,8 @@ class TestExactRationalAccuracy:
     @pytest.mark.parametrize("m", [1, 2, 10, 40, 91])
     @pytest.mark.parametrize("order", [16, 40])
     def test_float_envelope_grid(self, m, order, riccati_terms):
-        # the float-evaluation envelope of the roadmap: m, N and beta over
-        # this grid, at THETAS
+        # the float-evaluation envelope: m, N and beta over this grid, at
+        # THETAS, near both endpoints and inside
         state = cached_series(m, order)
         for beta in (0.45, 1.0, -1.0):
             self.check(state, beta, riccati_terms)
