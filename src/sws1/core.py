@@ -144,8 +144,10 @@ class WnTable:
 
     def _packed(self, w: int) -> tuple[int, int]:
         """a_num and b_num packed at slot width w (`_pack`), for the exact
-        build's products.  Kept on the table like `largest`, for one w at a
-        time: a new w packs both again and replaces the old pair."""
+        build's products, in which this table is the higher order of a pair
+        and the lower order enters by its integer entries.  Kept on the
+        table like `largest`, for one w at a time: a new w packs both again
+        and replaces the old pair."""
         held = self.__dict__.get("_packs")
         if held is None or held[0] != w:
             held = self.__dict__["_packs"] = (w, _pack(self.a_num, w), _pack(self.b_num, w))

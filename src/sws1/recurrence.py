@@ -13,13 +13,14 @@ Python integers from end to end: the sources, the R/T tables and the X/Y
 tables are integer numerators over one denominator per table, W_n is
 stored as its X/Y numerators over Z with their one common gcd cancelled
 (WnTable), and only E_n becomes a Fraction.  The sources are formed on
-packed integers, each polynomial held as its value at a power of two
-2^w wide enough for every entry of the result, so that each polynomial
-product is one exact big-integer multiplication.  w is rounded up to
-whole 8-byte words, so runs of consecutive orders share one w, and each
-table keeps its packed pair for the last w it was packed at: an order is
-packed again only when w changes.  Every cancellation that keeps
-the eigenfunction finite at the boundaries is asserted at runtime as an
+packed integers: of each pair of orders only the higher is packed, held
+as its value at a power of two 2^w wide enough for every entry of the
+result, and it is multiplied by each integer entry of the lower order,
+so the lower order brings no slot padding into the products.  w is
+rounded up to whole 8-byte words, so runs of consecutive orders share one
+w, and each table keeps its packed pair for the last w it was packed at:
+an order is packed again only when w changes.  Every cancellation that
+keeps the eigenfunction finite at the boundaries is asserted at runtime as an
 exact integer zero test; a failure raises SeriesInconsistencyError
 naming the offending order.
 """
@@ -172,13 +173,19 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     den_k den_l up to L = lcm over the pairs of den_k den_l; the pair
     (n-k, k) repeats (k, n-k), so each is formed once, counted twice.
 
-    Each polynomial is held packed, as its value at x = 2^w (Kronecker
-    substitution; Harvey 2009, J. Symb. Comput. 44, 1502), so each of the
-    three products of a pair is one big-integer multiplication, and the
-    sums over pairs, the shift by x and the differences above are integer
-    additions and one shift.  The pair's scale multiplies the packed A_k
-    and B_k of its shorter order once, before the three products, rather
-    than each double-length product after them.
+    The products are formed on packed integers, each polynomial held as its
+    value at x = 2^w (Kronecker substitution; Harvey 2009, J. Symb.
+    Comput. 44, 1502).  Of a pair (k, l), k <= l, only the higher order l
+    is packed: its A_l and B_l, times the pair's scale once, and their sum.
+    The lower order enters through its integer entries, A_k(2^w) =
+    sum_i a_k[i] 2^(w i), so A_k A_l at x = 2^w is sum_i a_k[i] A_l(2^w)
+    2^(w i).  Slot i sums, over the pairs, entry i of the lower order times
+    the packed A_l, and likewise for B and A + B; Horner's rule in 2^w over
+    the slot sums, from the top slot down, gives the packed sums over pairs
+    of A_k A_l, B_k B_l and (A_k + B_k)(A_l + B_l).  The lower order's
+    entries are only about k/n as wide as w, so packing them as well would
+    multiply mostly zero padding.  The shift by x and the differences above
+    are then integer additions and one shift.
 
     The packed value of a polynomial is exact whatever w and the size of
     its entries, so only the final h and g must fit their slots to be
@@ -193,7 +200,7 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     truncate one that does not.  S grows by about a byte per order, so
     consecutive orders mostly share one w; each table keeps its packed
     pair for the last w (`WnTable._packed`) and is packed again only when
-    w changes, which spares re-packing every earlier order at every n.
+    w changes, which spares re-packing every higher order at every n.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; use the closed forms")
@@ -208,14 +215,28 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     bound = sum(scale * wk.largest * wl.largest * len(wk.b_num) for wk, wl, scale in scaled)
     nb = _slot_bytes(3 * bound)
     w = 8 * nb
-    aa = bb = cross = 0
+    # per pair: the lower order's entries, a_k read as zero one past its
+    # end (b_k is a_k's length or one longer), and the higher order's
+    # packed A_l, B_l and A_l + B_l with the pair's scale folded in
+    terms = []
     for wk, wl, scale in scaled:
-        ak, bk = wk._packed(w)
         al, bl = wl._packed(w)
-        ak, bk = scale * ak, scale * bk
-        aa += ak * al
-        bb += bk * bl
-        cross += (ak + bk) * (al + bl)
+        al, bl = scale * al, scale * bl
+        terms.append((wk.a_num + (0,), wk.b_num, al, bl, al + bl))
+    # slot i sums over the pairs whose lower order has an entry i, those
+    # with k >= 2i + 1, from index 2i on; Horner's rule in 2^w from the
+    # top slot down shifts the slot sums into aa, bb and cross
+    aa = bb = cross = 0
+    for i in range(len(terms[-1][1]) - 1, -1, -1):
+        sa = sb = sc = 0
+        for a, b, al, bl, cl in terms[2 * i :]:
+            x, y = a[i], b[i]
+            sa += x * al
+            sb += y * bl
+            sc += (x + y) * cl
+        aa = (aa << w) + sa
+        bb = (bb << w) + sb
+        cross = (cross << w) + sc
     # at even n the cross products of two odd orders reach one slot past
     # g's support, where -B_k B_l cancels them; _unpack raises otherwise
     h = _unpack(aa - (aa << w) + bb, n // 2, nb)

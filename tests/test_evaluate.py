@@ -38,9 +38,12 @@ def exact_w_and_derivative(state, beta, theta):
     """W, W' and the sizes |W_0|, |W_0'| at the float inputs, summed order
     by order and term by term in exact rationals: W_0 = -(1 + (m+1/2) c)/s,
     W_0' = (m + 1/2 + c)/s^2, and order n adds
-    beta^n (c sum_k a_k s^(2k-1) + sum_k b_k s^(2k-1)) and its derivative."""
+    beta^n (c sum_k a_k s^(2k-1) + sum_k b_k s^(2k-1)) and its derivative.
+    s and c are the floats the float path takes at theta, `_half_angle`'s,
+    so the sum differs from it by evaluation error alone."""
     m = state.params.m
-    s, c = Fraction(math.sin(theta)), Fraction(math.cos(theta))
+    sin, cos = _half_angle(np.array([theta]))[:2]
+    s, c = Fraction(float(sin[0])), Fraction(float(cos[0]))
     pw = [s**j for j in range(state.current_order + 3)]
     half = Fraction(2 * m + 1, 2)
     w, wp = -(1 + half * c) / s, (half + c) / pw[2]

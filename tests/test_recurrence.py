@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sws1 import core, evaluate, recurrence
@@ -326,10 +326,17 @@ class TestConvolutionReference:
         for n in range(3, N + 1):
             assert convolve_sources(state, n) == schoolbook_sources(state, n), n
 
-    # polynomials packed per build: each order is packed again only when
-    # the slot width, in whole 8-byte words, changes (2,300 / 1,596 / 1,020
-    # when every pair packed its four polynomials at every order)
-    PACKS = {(1, 48): 448, (2, 40): 258, (20, 32): 268}
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 500), st.integers(3, 14))
+    def test_every_order_matches_schoolbook_at_any_m(self, m, N):
+        state = compute_series(ModeParams(m=m, N=N))
+        for n in range(3, N + 1):
+            assert convolve_sources(state, n) == schoolbook_sources(state, n), n
+
+    # polynomials packed per build: only the higher order of each pair is
+    # packed, and again only when the slot width, in whole 8-byte words,
+    # changes (448 / 258 / 268 when both orders of each pair were packed)
+    PACKS = {(1, 48): 266, (2, 40): 164, (20, 32): 160}
 
     @pytest.mark.parametrize("m,N", sorted(PACKS))
     def test_packs_per_build_stay_pinned(self, monkeypatch, m, N):
@@ -601,11 +608,12 @@ class TestRayleighSchroedingerEnergy:
 
 class TestBitIdentity:
     REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    # sha256 of the coeffs text of three modes outside the benchmark's
-    # three: a longer series at m = 1, a large m, and m = 80, near the top
-    # of the m that verify accepts (m <= 91)
+    # sha256 of the coeffs text of four modes outside the benchmark's
+    # three: two longer series at m = 1, a large m, and m = 80, near the
+    # top of the m that verify accepts (m <= 91)
     PINNED = {
         (1, 64): "534043de542527c209cd9de4e04bacad9cc9c535b4e2a30bcfd278c55a2166a1",
+        (1, 96): "c7d930b4bd6ade2076b9ca9ed0cb32232da08c2f304bad5a48ece2cc835b572a",
         (40, 24): "efe543fb704e2928576773e7663942d1acfbd95324eca020fb8fb581b1f2242b",
         (80, 32): "6dfc23965054c00f5ddf03531b6548071b883499026d80011b1f164f53b7f200",
     }
