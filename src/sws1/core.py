@@ -22,16 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-Rational = Fraction
 
-
-def format_rational(value: Rational) -> str:
+def format_rational(value: Fraction) -> str:
     """Serialize as "num/den" with a decimal-integer numerator and positive
     decimal-integer denominator (never floating point)."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; exact round trip, in lowest
     terms with a positive denominator (a zero denominator raises
     ZeroDivisionError)."""
@@ -80,11 +78,6 @@ DEFAULT_TOLERANCES = {
 # oracle reports its gaps there without a pass/fail verdict, and the CLI
 # warns that it does.
 JUDGED_BETA_LIMIT = 1.0
-
-
-def _numerators(values: tuple, den: int) -> tuple:
-    """den * v for every entry, as integers (den is a common denominator)."""
-    return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def _pack(values, w: int) -> int:
@@ -155,7 +148,8 @@ class WnTable:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-table file format (consumed and produced by the CLI).
+# Coefficient-table file format: the CLI writes it (`tables_to_text`);
+# library callers read it back (`tables_from_text`).
 #
 # A structured text document with fields m, N, an "energy" array of
 # "num/den" strings, and one object per order {n, a: {k: "num/den"},

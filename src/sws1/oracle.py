@@ -514,7 +514,7 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     """Rebuild the order-n antiderivative from the plain/cos-weighted
     expansion tables, the quantity the quadrature is checked against."""
     h, g, den = convolve_sources(state, n)
-    R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+    R, T, Z, _ = rt_tables(h, g, den, state.params)
     m = state.params.m
     s = math.sin(theta)
     c = math.cos(theta)

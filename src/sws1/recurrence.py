@@ -5,7 +5,7 @@ cosine-squared forcing) that do not fit the quadratic-convolution shape of
 the general machinery, so they are written down in closed form.  From
 order 3 on the pipeline is
 
-    convolve_sources -> energy_coeff -> rt_tables -> xy_tables
+    convolve_sources -> rt_tables -> xy_tables
 
 and at order 3 the closed form is computed as well and compared exactly,
 as a seam test between the two paths.  Each general order stays in
@@ -30,10 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import mul
+from functools import cached_property
 
-from .core import ModeParams, Rational, WnTable, _numerators
+from .core import ModeParams, WnTable
 
 _ZERO = Fraction(0)
 
@@ -42,14 +41,13 @@ class SeriesInconsistencyError(RuntimeError):
     """An exact cancellation required for boundary finiteness failed."""
 
 
-@cache
-def i_coeff(mm: int, k: int) -> Rational:
+def i_coeff(mm: int, k: int) -> Fraction:
     """Ratio of the k+1 descending even factors starting at 2*mm+2 to the
     k+1 descending odd factors starting at 2*mm+1.
 
     This is the coefficient family appearing in the closed-form
     antiderivatives of odd sine powers, read at 0 <= k <= mm.  k < 0
-    returns exact zero.  Memoised across orders.
+    returns exact zero.
     """
     if k < 0:
         return _ZERO
@@ -66,7 +64,7 @@ def i_coeff(mm: int, k: int) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-def base_order0(params: ModeParams) -> Rational:
+def base_order0(params: ModeParams) -> Fraction:
     """Zeroth-order energy m^2 + m - 2.  The zeroth order of the
     super-potential, W_0 = -(1 + (m+1/2)cos)/sin, has no table: the float
     evaluation forms it directly."""
@@ -74,20 +72,20 @@ def base_order0(params: ModeParams) -> Rational:
     return Fraction(m * m + m - 2)
 
 
-def base_order1(params: ModeParams) -> tuple[WnTable, Rational]:
+def base_order1(params: ModeParams) -> tuple[WnTable, Fraction]:
     """First order: W_1 = -sin(theta)/(m+1), energy -2/(m+1)."""
     m = params.m
     return WnTable(1, (), (-1,), m + 1), Fraction(-2, m + 1)
 
 
-def base_order2(params: ModeParams) -> tuple[WnTable, Rational]:
+def base_order2(params: ModeParams) -> tuple[WnTable, Fraction]:
     m = params.m
     den = (m + 1) ** 3 * (2 * m + 3)
     table = WnTable(2, (m * (m + 2) * (m + 1),), (-m * (m + 2),), den)
     return table, Fraction(-(m**3 + 7 * m**2 + 11 * m + 3), den)
 
 
-def base_order3(params: ModeParams) -> tuple[WnTable, Rational]:
+def base_order3(params: ModeParams) -> tuple[WnTable, Fraction]:
     m = params.m
     den = (m + 1) ** 5 * (2 * m + 3)
     table = WnTable(3, (-2 * m * (m + 1),), (2 * m, -m * (m + 1) ** 2), den)
@@ -106,7 +104,7 @@ class SeriesState:
 
     params: ModeParams
     orders: tuple[WnTable, ...]
-    energy: tuple[Rational, ...]
+    energy: tuple[Fraction, ...]
 
     @property
     def current_order(self) -> int:
@@ -244,48 +242,24 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     return h, g, den
 
 
-def energy_coeff(h: tuple, g: tuple, den: int, params: ModeParams) -> Rational:
-    """The unique energy coefficient that removes the boundary-divergent
-    antiderivative from A_n, from the sources h, g over den: one integer
-    dot product with the weights of _energy_weights, reduced once."""
-    wh, wg, wden = _energy_weights(params.m, len(h) + 1)
-    return Fraction(sum(map(mul, h, wh)) + sum(map(mul, g, wg)), den * wden)
-
-
-@cache
-def _energy_weights(m: int, top: int) -> tuple[tuple, tuple, int]:
-    """Integer weights (wh, wg) over one denominator, dense over p = 2..top,
-    with E_n = sum_p (h[p] wh[p] + g[p] wg[p]) / denominator and
-
-        E_n = c sum_p (h[p] - g[p]) I(m+p-2, p-1) / (m+p-1)
-                    + (2 g[p] - h[p]) I(m+p-1, p) / (2m+2p),
-
-    c = -(2m+1)(2m-1) / (2(m+1)), I = i_coeff.  Memoised across orders.
-    """
-    c = Fraction(-(2 * m + 1) * (2 * m - 1), 2 * (m + 1))
-    wh, wg = [], []
-    for p in range(2, top + 1):
-        alpha = c * i_coeff(m + p - 2, p - 1) / (m + p - 1)
-        beta = c * i_coeff(m + p - 1, p) / (2 * m + 2 * p)
-        wh.append(alpha - beta)
-        wg.append(2 * beta - alpha)
-    wden = math.lcm(*(w.denominator for w in wh + wg))
-    return _numerators(wh, wden), _numerators(wg, wden), wden
-
-
 def rt_tables(
-    h: tuple, g: tuple, den: int, e_n: Rational, params: ModeParams
-) -> tuple[tuple, tuple, int]:
+    h: tuple, g: tuple, den: int, params: ModeParams
+) -> tuple[tuple, tuple, int, Fraction]:
     """Assemble the plain (R) and cos-weighted (T) expansion tables of the
-    antiderivative A_n once the divergent term has been removed:
+    antiderivative A_n with the divergent term removed,
 
-        A_n(theta) = sum_p R[p] sin^(2m+2p) + cos(theta) * sum_j T[j] sin^(2m+2j)
+        A_n(theta) = sum_p R[p] sin^(2m+2p) + cos(theta) * sum_j T[j] sin^(2m+2j),
 
-    from the sources h, g over den, and return (R, T, Z): integer
+    from the sources h, g over den, and return (R, T, Z, E_n): integer
     numerators over one denominator Z, R dense over p = 0..(n+1)//2 and T
-    over j = 0..n//2.  Z is lcm(den, denominator of e_n) times the lcm of
-    m and every m+p-1 and 2m+2p, times the product of the 2m+2j+1 of the
-    Horner step below, so that each division on the way is exact.
+    over j = 0..n//2, and the energy coefficient E_n that removes the
+    divergent term.  Z is den times the lcm of every m+p-1 and 2m+2p,
+    times the product of the 2m+2j+1 of the Horner step below, so that
+    each division on the way is exact.  E_n enters A_n only as R[0] =
+    -E_n/m and E_n/(2m+1) in T[0], and the divergent term is 2 R[0] +
+    2 T[0].  So T is run without E_n, and its j = 0 value t fixes E_n Z =
+    m (2m+1) t / (m+1): the last Horner factor is 2m+2 over an exact
+    2m+1, so t is a multiple of m+1.
     """
     if not len(h) - 1 <= len(g) <= len(h):
         raise ValueError(
@@ -295,18 +269,12 @@ def rt_tables(
     m = params.m
     top = len(h) + 1
     odd = math.prod(range(2 * m + 1, 2 * m + 2 * top, 2))  # 2m+2j+1, j = 0..top-1
-    small = math.lcm(m, *range(m + 1, m + top), *range(2 * m + 4, 2 * m + 2 * top + 1, 2))
-    Z = math.lcm(den, e_n.denominator) * small * odd
-    zs = Z // den  # h, g over Z
-    ze = Z // e_n.denominator * e_n.numerator  # e_n over Z
+    zs = odd * math.lcm(*range(m + 1, m + top), *range(2 * m + 4, 2 * m + 2 * top + 1, 2))
+    Z = den * zs  # zs lifts h, g from den to Z
     hs = (0, 0, *h, 0)  # h[p] at index p, zero off 2..n//2+1
     gs = (0, 0, *g, 0, 0)  # g[p] at index p, zero off 2..(n+1)//2
 
-    R = [-ze // m, (gs[2] - hs[2]) * (zs // (m + 1))]
-    for p in range(2, len(g) + 2):
-        R.append((2 * gs[p + 1] - 2 * hs[p + 1] - gs[p]) * (zs // (2 * m + 2 * p)))
-
-    # T[j] = [j == 0] e_n/(2m+1) + sum_p u[p] i_coeff(m+p-2, p-2-j)
+    # T[j] = [j == 0] E_n/(2m+1) + sum_p u[p] i_coeff(m+p-2, p-2-j)
     #                                  + v[p] i_coeff(m+p-1, p-1-j),
     # with the per-p weights u, v below.  Both i_coeff values are products
     # of r(x) = (2x+2)/(2x+1) over x = m+j .. m+p-2 (resp. m+p-1), so the
@@ -322,8 +290,13 @@ def rt_tables(
         t = (2 * m + 2 * j + 2) * (u[j + 2] + v[j + 1] + t) // (2 * m + 2 * j + 1)
         T.append(t)
     T.reverse()
+    ze = m * (2 * m + 1) * (T[0] // (m + 1))  # E_n over Z
     T[0] += ze // (2 * m + 1)
-    return tuple(R), tuple(T), Z
+
+    R = [-ze // m, (gs[2] - hs[2]) * (zs // (m + 1))]
+    for p in range(2, len(g) + 2):
+        R.append((2 * gs[p + 1] - 2 * hs[p + 1] - gs[p]) * (zs // (2 * m + 2 * p)))
+    return tuple(R), tuple(T), Z, Fraction(ze, Z)
 
 
 def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
@@ -333,6 +306,9 @@ def xy_tables(n: int, R: tuple, T: tuple, Z: int) -> WnTable:
     hold for W_n to stay finite at the boundaries: the entries at index -1
     and 0 of both X and Y must vanish exactly (otherwise W_n would blow up
     like inverse sine powers).
+
+    X[-1] = Y[-1] = 2 R[0] + 2 T[0] guards the step of `rt_tables` that
+    solves E_n from it; X[0] and Y[0] are the independent cancellations.
 
     R and T are read as zero at index -1 and past their supports.  The
     parity truncation needs no check: `rt_tables` returns R over
@@ -376,9 +352,9 @@ def advance(state: SeriesState) -> SeriesState:
         table, e_n = base_order2(state.params)
     else:
         h, g, den = convolve_sources(state, n)
-        e_n = energy_coeff(h, g, den, state.params)
+        R, T, Z, e_n = rt_tables(h, g, den, state.params)
         # xy_tables raises on any failed cancellation
-        table = xy_tables(n, *rt_tables(h, g, den, e_n, state.params))
+        table = xy_tables(n, R, T, Z)
         if n == 3 and (table, e_n) != base_order3(state.params):
             raise SeriesInconsistencyError(
                 "order 3: recurrence path disagrees with the closed form "

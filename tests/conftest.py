@@ -51,8 +51,9 @@ def states_n10():
 @pytest.fixture(scope="session")
 def divergent_coefficient():
     """Criterion 3's reference formula.  It equals -2m (R_0 + T_0) / Z of
-    rt_tables, and the build checks X[-1] = 2 (R_0 + T_0) = 0 in xy_tables,
-    so the build itself needs no separate copy of it."""
+    rt_tables, which solves E_n from R_0 + T_0 = 0, and the build checks
+    X[-1] = 2 (R_0 + T_0) = 0 in xy_tables, so the build itself needs no
+    separate copy of it."""
     return _divergent_coefficient
 
 

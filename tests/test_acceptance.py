@@ -87,7 +87,7 @@ def test_criterion_2_induction_as_assertion(states_n10):
         state = states_n10[m]
         for n in range(3, 11):
             h, g, den = convolve_sources(state, n)
-            R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+            R, T, Z, _ = rt_tables(h, g, den, state.params)
             R = tuple(Fraction(v, Z) for v in R)
             T = tuple(Fraction(v, Z) for v in T)
             # the four entries that could make the order blow up at the

@@ -22,7 +22,6 @@ from sws1.recurrence import (
     base_order3,
     compute_series,
     convolve_sources,
-    energy_coeff,
     i_coeff,
     rt_tables,
     xy_tables,
@@ -132,7 +131,6 @@ class TestICoeff:
 
         monkeypatch.setattr(recurrence, "i_coeff", recording)
         monkeypatch.setattr(evaluate, "i_coeff", recording)
-        recurrence._energy_weights.cache_clear()
         evaluate._i_coeff_rows.cache_clear()
         for m in (1, 2, 10, 91):
             compute_series(ModeParams(m=m, N=16))
@@ -350,17 +348,17 @@ class TestConvolutionReference:
 class TestEnergyAndDivergence:
     def test_order3_energy_from_recurrence(self, state_m1_n8):
         h, g, den = convolve_sources(state_m1_n8, 3)
-        assert energy_coeff(h, g, den, state_m1_n8.params) == Fraction(-3, 40)
+        assert rt_tables(h, g, den, state_m1_n8.params)[3] == Fraction(-3, 40)
 
     def test_frozen_order4_energy_m1(self, state_m1_n8):
         # independently derived by running the convolution by hand
         assert state_m1_n8.energy[4] == Fraction(-561, 56000)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_divergent_coefficient_vanishes_for_chosen_energy(
-        self, states_n10, m, divergent_coefficient
-    ):
-        state = states_n10[m]
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 91, 500])
+    def test_divergent_coefficient_vanishes_for_chosen_energy(self, m, divergent_coefficient):
+        # the closed form is a route to E_n independent of the Horner step
+        # in rt_tables that the build solves it from
+        state = compute_series(ModeParams(m=m, N=10))
         for n in range(3, 11):
             h, g, den = convolve_sources(state, n)
             assert divergent_coefficient(h, g, den, state.energy[n], state.params) == 0
@@ -374,7 +372,7 @@ class TestEnergyAndDivergence:
 class TestRtXyTables:
     def test_r0_is_minus_energy_over_m(self, state_m1_n8):
         h, g, den = convolve_sources(state_m1_n8, 3)
-        R, _, Z = rt_tables(h, g, den, state_m1_n8.energy[3], state_m1_n8.params)
+        R, _, Z, _ = rt_tables(h, g, den, state_m1_n8.params)
         assert Fraction(R[0], Z) == Fraction(3, 40)
 
     def test_out_of_support_queries_are_zero(self, states_n10):
@@ -382,7 +380,7 @@ class TestRtXyTables:
         for state in states_n10.values():
             for n in range(3, 11):
                 h, g, den = convolve_sources(state, n)
-                R, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+                R, T, Z, _ = rt_tables(h, g, den, state.params)
                 padded = ((*R, 0, 0), (*T, 0, 0))
                 assert xy_tables(n, *padded, Z) == xy_tables(n, R, T, Z) == state.orders[n - 1]
 
@@ -391,7 +389,7 @@ class TestRtXyTables:
             for n in range(3, 11):
                 h, g, den = convolve_sources(state, n)
                 assert (len(h), len(g)) == (n // 2, (n + 1) // 2 - 1)  # p = 2..
-                R, T, _ = rt_tables(h, g, den, state.energy[n], state.params)
+                R, T, _, _ = rt_tables(h, g, den, state.params)
                 assert (len(R), len(T)) == ((n + 1) // 2 + 1, n // 2 + 1)  # p, j = 0..
                 table = state.orders[n - 1]
                 assert (len(table.a), len(table.b)) == (n // 2, (n + 1) // 2)  # k = 1..
@@ -399,8 +397,8 @@ class TestRtXyTables:
     def test_pipeline_reproduces_order3_closed_form(self, states_n8):
         for state in states_n8.values():
             h, g, den = convolve_sources(state, 3)
-            e3 = energy_coeff(h, g, den, state.params)
-            table = xy_tables(3, *rt_tables(h, g, den, e3, state.params))
+            R, T, Z, e3 = rt_tables(h, g, den, state.params)
+            table = xy_tables(3, R, T, Z)
             ref, ref_e = base_order3(state.params)
             assert e3 == ref_e
             assert table.n == 3
@@ -414,7 +412,7 @@ class TestRtXyTables:
         state = states_n10[m]
         for n in range(3, 11):
             h, g, den = convolve_sources(state, n)
-            _, T, Z = rt_tables(h, g, den, state.energy[n], state.params)
+            _, T, Z, _ = rt_tables(h, g, den, state.params)
             h, g, T = rationals(h, den), rationals(g, den), rationals(T, Z)
             for j in range(n // 2 + 1):
                 t = state.energy[n] / (2 * m + 1) if j == 0 else Fraction(0)
@@ -426,7 +424,7 @@ class TestRtXyTables:
 
     def test_failed_cancellation_raises_naming_order(self, state_m1_n8):
         h, g, den = convolve_sources(state_m1_n8, 4)
-        R, T, Z = rt_tables(h, g, den, state_m1_n8.energy[4], state_m1_n8.params)
+        R, T, Z, _ = rt_tables(h, g, den, state_m1_n8.params)
         with pytest.raises(SeriesInconsistencyError, match="order 4: boundary-divergent"):
             xy_tables(4, (R[0] + Z, *R[1:]), T, Z)  # R_0 + 1
 
@@ -437,7 +435,7 @@ class TestRtXyTables:
         rtz = {}
         for n in range(3, 9):
             h, g, den = convolve_sources(state, n)
-            rtz[n] = rt_tables(h, g, den, state.energy[n], state.params)
+            rtz[n] = rt_tables(h, g, den, state.params)[:3]
         made = []
         new = Fraction.__new__
 
