@@ -29,7 +29,8 @@ needs no sweep of its own.  Otherwise one Sturm count of 0 at
 rho - delta puts the eigenvalue in [rho - delta, rho]; a grid whose
 count is not 0 raises OracleError.  Over the 18 modes
 m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the last step
-certifies 47 of the 72 grids, and 25 Sturm counts remain.
+certifies 56 of the 72 grids, and 16 Sturm counts remain, none of them on
+the 1023- or 2047-point grid.
 
 The shifts come from the spectral value s (`spectral_eigenvalue`): the
 operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
@@ -38,10 +39,12 @@ An oracle check holds the Richardson estimate to s (within 1.3e-8 for
 m <= 91, |beta| <= 1: `test_estimate_agrees_with_spectral_value`); no
 verdict reads it.  On the 255-point grid Newton steps on det(T - lam),
 taken from below the eigenvalue, move s to it, and one inverse step from
-the all-ones vector there is the start.  Each finer grid starts from the
-vector of the grid before it, prolonged, at the Richardson seed
-s + (v - s)/4, v that grid's eigenvalue.  The residual slope evaluates
-its nine betas in one call.
+the all-ones vector there is the start.  Each finer grid starts from
+the grids before it (`_next_start`): the 511-point grid at the Richardson
+seed s + (v - s)/4, the two finest, as full multigrid's nested iteration
+does (Brandt 1977, Math. Comp. 31, 333), from an h^4 model of the value
+and an h^2-corrected vector.  The residual slope evaluates its nine betas
+in one call.
 
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
@@ -353,6 +356,43 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
+def _cubic_prolong(coarse: np.ndarray) -> np.ndarray:
+    """`_prolong` with each even node given the cubic midpoint rule
+    (-a + 9b + 9c - d)/16 over its four nearest coarse nodes, the vector
+    continued past each zero end by odd reflection."""
+    padded = np.concatenate(([-coarse[0], 0.0], coarse, [0.0, -coarse[-1]]))
+    fine = np.empty(2 * len(coarse) + 1)
+    fine[1::2] = coarse
+    fine[0::2] = (9.0 * (padded[1:-2] + padded[2:-1]) - padded[:-3] - padded[3:]) / 16.0
+    return fine
+
+
+def _next_start(spectral: float, values: list, vectors: list) -> tuple[float, np.ndarray]:
+    """The shift and start of the next nested grid from the values and
+    vectors of the grids solved so far, coarsest first, s the spectral
+    value.  After one grid, with value v, the FD error falls like h^2: the
+    shift is s + (v - s)/4 and the start its vector, `_prolong`ed.
+
+    After two, the last two model the next to h^4.  With e0, e1 their
+    values minus s, coarser first, B = (e0 - 4 e1)/12 is e1's h^4 term, and
+    the shift lies max(|B|/64, delta/8) below s + (e1 - B)/4 + B/16, delta
+    the certified width: below the eigenvalue, yet within delta of the
+    Rayleigh quotient, so the step's own pivots certify the grid where the
+    model holds (`fd_ground_state` falls back on its second step and Sturm
+    count where it does not).  Their vectors v0, v1 differ on the shared
+    nodes by -3 c h1^2, c h^2 the vectors' own error, so
+    t = v1 + P(v1[1::2] - v0)/4, P being `_prolong`, holds the next
+    grid's h^2 term; `_cubic_prolong` carries t over."""
+    e1 = values[-1] - spectral
+    if len(values) == 1:
+        return spectral + e1 / 4.0, _prolong(vectors[-1])
+    quartic = (values[-2] - spectral - 4.0 * e1) / 12.0
+    guess = spectral + (e1 - quartic) / 4.0 + quartic / 16.0
+    margin = max(abs(quartic) / 64.0, _CERTIFIED_WIDTH * max(1.0, abs(guess)) / 8.0)
+    coarse, fine = vectors[-2:]
+    return guess - margin, _cubic_prolong(fine + _prolong(fine[1::2] - coarse) / 4.0)
+
+
 def fd_ground_state(
     params: ModeParams, beta: float, grid: FdGrid, shift: float, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
@@ -375,12 +415,14 @@ def fd_ground_state(
     diagonal that is not finite is refused (`_weights`).
 
     The single step taken when rho lies within delta of the shift
-    converges the vector only while lambda_2 - lambda_1 is large.  Over
-    m in {1, 2, 5, 10, 20, 40, 91} and |beta| <= 1 the vectors lie within
-    2.8e-13 of six steps at their own rho.  At |beta| >= 10 the two lowest
-    eigenvalues can draw together (6.2e-3 apart at m = 1, beta = -10 on
-    the 255-point grid), and the vectors lie up to 4.4e-5 from six steps
-    there, 5.5e-5 at m = 20, beta = -30 and 2.1e-5 at m = 40, beta = -50.
+    converges the vector only while lambda_2 - lambda_1 is large, or the
+    start is already close (`_next_start` on the two finest grids).  Over
+    m in {1, 2, 5, 10, 20, 40, 91} and |beta| <= 1 the vectors of
+    `_ground_states` lie within 3.8e-13 of six steps at their own rho.
+    At |beta| >= 10 the two lowest eigenvalues can draw together (6.2e-3
+    apart at m = 1, beta = -10 on the 255-point grid), and the vectors lie
+    up to 2.2e-5 from six steps there, 5.5e-5 at m = 20, beta = -30 and
+    2.1e-5 at m = 40, beta = -50.
     The wavefunction gap of a report past the judged range carries that
     error."""
     h = grid.h
@@ -466,18 +508,18 @@ def _ground_states(params: ModeParams, beta: float) -> tuple[float, dict, list, 
     """The Richardson estimate, the eigenvalue per grid size, the four
     grids' ground vectors, coarsest first, each from `fd_ground_state`,
     and the spectral value s (`spectral_eigenvalue`) that seeds them.
-    The coarsest grid is seeded with s; each finer grid starts from the
-    vector before it, prolonged, at s + (v - s)/4, v the value of the grid
-    before it, since the FD error falls like h^2.  The grids are nested,
-    so h halves exactly from grid to grid and every weight 4^k of
+    The coarsest grid is seeded with s; each finer grid takes its shift
+    and start from the grids before it (`_next_start`).  The grids are
+    nested, so h halves exactly from grid to grid and every weight 4^k of
     `_richardson` is exact."""
     spectral = spectral_eigenvalue(params.m, beta)
     shift, start, per_grid, vectors = spectral, None, {}, []
     for points, grid in _GRIDS.items():
+        if vectors:
+            shift, start = _next_start(spectral, list(per_grid.values()), vectors)
         value, vector = fd_ground_state(params, beta, grid, shift, start)
         per_grid[points] = value
         vectors.append(vector)
-        shift, start = spectral + (value - spectral) / 4.0, _prolong(vector)
     return _richardson(list(per_grid.values())), per_grid, vectors, spectral
 
 

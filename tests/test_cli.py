@@ -313,7 +313,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "b8881eba7b97c89a2c20714a12840c9b965bc4185d88d2f61ccdcc97bd1d2d31"
+        digest = "9d510b0ec8a468451bfae2ded01d52e01ad0f66a60468ae88f21d62cadfd0b09"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -350,13 +350,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "2d888995117607ae39918b0d3205c2ec0cdea1d1b8644b494e18201bf3320ff0",
-            "092fe2dee5c581498fe15f287fae27931f89c49c0bacdb1b51c9eec5be7fc6a1",
+            "a7f0e157690a897dead78871331a28c9067c2ac398b9496de20d1db79536b866",
+            "4aeaa72abdd3fa4ea7d5d954c9ccd5cc0b3fb17fa89c5d6890cef5005ab32dbb",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "f561032e34f50458c1b38d8fe2e0451ed0984925462dab38ff7b415902d7bf10",
-            "687e9470ed52b34fb3a3da11d2f808d2dca8b704b3ae7f41a17864b258e3f381",
+            "6cebf8e4eddc9e4a0515b2de97c81be6949b92e9059b709aae9a09ee0ee8606c",
+            "dd12aef335f4a5e5abd51336cb47fec3dfc288251c899b577382ff32cb49763d",
         ),
     }
 

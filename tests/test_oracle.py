@@ -381,7 +381,7 @@ class TestCertifiedBisection:
     # rows per solve of the four grids at beta = 0, Sturm rows (the
     # 255-point grid's Newton sweeps, and on a grid that its last step does
     # not certify the one count that does) and inverse-step rows
-    PINNED_ROWS = {1: (3_832, 4_091), 40: (6_383, 7_672), 80: (9_191, 7_672)}
+    PINNED_ROWS = {1: (1_785, 4_091), 40: (4_336, 5_625), 80: (9_191, 7_672)}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
@@ -448,12 +448,12 @@ class TestCertifiedBisection:
     # Sturm rows and inverse-step rows per solve of the four grids over
     # verify-battery's modes
     BATTERY_ROWS = {
-        (1, 0.0): (3_832, 4_091), (1, 0.1): (2_040, 4_091), (1, 0.45): (3_832, 4_091),
+        (1, 0.0): (1_785, 4_091), (1, 0.1): (2_040, 4_091), (1, 0.45): (1_785, 4_091),
         (2, 0.0): (1_785, 4_091), (2, 0.1): (2_040, 4_091), (2, 0.45): (1_785, 4_091),
         (5, 0.0): (2_295, 4_091), (5, 0.1): (2_295, 4_091), (5, 0.45): (2_040, 4_091),
         (10, 0.0): (2_550, 4_602), (10, 0.1): (2_806, 4_602), (10, 0.45): (2_805, 4_602),
-        (20, 0.0): (6_641, 5_625), (20, 0.1): (4_852, 5_625), (20, 0.45): (5_363, 5_625),
-        (40, 0.0): (6_383, 7_672), (40, 0.1): (6_638, 7_672), (40, 0.45): (6_127, 7_672),
+        (20, 0.0): (3_571, 4_602), (20, 0.1): (2_805, 4_602), (20, 0.45): (3_316, 4_602),
+        (40, 0.0): (4_336, 5_625), (40, 0.1): (4_591, 5_625), (40, 0.45): (4_080, 5_625),
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
@@ -462,6 +462,20 @@ class TestCertifiedBisection:
         _ground_states(ModeParams(m=m, N=0), beta)
         sturm_rows, step_rows = self.BATTERY_ROWS[m, beta]
         assert counter.rows <= sturm_rows and counter.step_rows <= step_rows
+
+    @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
+    def test_two_finest_grids_are_certified_by_one_step_from_their_h4_seed(
+        self, monkeypatch, m, beta
+    ):
+        # the shift predicted to h^4 lies below the eigenvalue and within
+        # delta of rho, and the h^2-corrected start needs no second step on
+        # the 2047-point grid.  Seeded to h^2 from the grid before alone, up
+        # to m = 20 and m = 40 each took a second step and a Sturm count
+        counter = SweepCounter(monkeypatch)
+        _ground_states(ModeParams(m=m, N=0), beta)
+        assert counter.sweeps["_inverse_step", 2047] == 1
+        for points in (1023, 2047):
+            assert not counter.sweeps["_sturm_count", points], points
 
 
 class TestGroundEigenvector:
@@ -646,6 +660,36 @@ class TestRefinedGrids:
         fine = oracle._prolong(np.array([2.0, 4.0, 8.0]))
         assert fine.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 4.0]
 
+    def test_cubic_prolongation(self):
+        # (-a + 9b + 9c - d)/16 at each even node, the vector continued
+        # past each zero end by odd reflection; exact for a cubic inside
+        fine = oracle._cubic_prolong(np.array([2.0, 4.0, 8.0]))
+        assert fine.tolist() == [1.0, 2.0, 2.875, 4.0, 6.625, 8.0, 4.75]
+        x = np.arange(1, 32) / 32.0
+        cubic = lambda x: 3.0 * x**3 - x**2 + 0.5 * x - 2.0
+        fine = oracle._cubic_prolong(cubic(x))
+        inner = np.arange(3, 60)
+        assert np.max(np.abs(fine[inner] - cubic((inner + 1) / 64.0))) < 1e-14
+
+    def test_next_start_predicts_the_h4_value_and_the_h2_vector(self):
+        # values s + a h^2 + b h^4 at h = 1, 1/2 give B = b/16 and the next
+        # value s + a/16 + b/256, less max(|B|/64, delta/8).  Vectors
+        # f + c h^2, f cubic and c linear, give f + c h^2/16 inside
+        s, a, b = 1.5, -3.0, 2.0
+        f = lambda x: 3.0 * x**3 - x**2 + 0.5 * x - 2.0
+        c = lambda x: 4.0 * x - 1.0
+        grids = [np.arange(1, n + 1) / (n + 1.0) for n in (15, 31, 63)]
+        vectors = [f(x) + c(x) * h**2 for x, h in zip(grids, (1.0, 0.5))]
+        shift, start = oracle._next_start(s, [s + a + b, s + a / 4 + b / 16], vectors)
+        guess = s + a / 16 + b / 256
+        assert shift == pytest.approx(guess - max(b / 16 / 64, 1e-9 * guess / 8), abs=1e-15)
+        inner = slice(5, -5)
+        expected = f(grids[2]) + c(grids[2]) / 16.0
+        assert np.max(np.abs(start[inner] - expected[inner])) < 1e-13
+        # after one grid: the h^2 seed and the linear prolongation
+        shift, start = oracle._next_start(s, [s + a], vectors[:1])
+        assert shift == s + a / 4 and start.tobytes() == oracle._prolong(vectors[0]).tobytes()
+
     def test_rayleigh_quotient_is_the_operator_form(self):
         # v^T T v / v^T v on a small grid, T formed densely
         params, grid = ModeParams(m=2, N=0), FdGrid(63)
@@ -675,7 +719,8 @@ class TestRefinedGrids:
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
     def test_refined_vectors_are_the_converged_vectors(self, m, beta):
         # inverse iteration run to convergence at each grid's own rho;
-        # measured at most 2.8e-13 away over |beta| <= 1
+        # measured at most 3.8e-13 away over |beta| <= 1 (m = 1, beta = 0,
+        # the 2047-point grid)
         params = ModeParams(m=m, N=0)
         _, per_grid, vectors, _ = _ground_states(params, beta)
         for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
@@ -719,7 +764,7 @@ class TestRefinedGrids:
 
         monkeypatch.setattr(oracle, "_inverse_step", recording)
         kinds = collections.Counter()
-        for m, beta in ((1, 0.1), (2, 0.0), (40, 0.45)):
+        for m, beta in ((1, 0.1), (20, 0.0), (40, 0.45)):
             counter.sweeps.clear()
             _, per_grid, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
             for points, rho in per_grid.items():
@@ -752,7 +797,7 @@ class TestRefinedGrids:
                     certified += 1
                     above += shift > rho
                     assert _sturm_count(diag, off * off, rho - delta) == 0, (m, beta, points)
-        assert (certified, above) == (104, 15)
+        assert (certified, above) == (125, 11)
 
     def test_step_count_above_zero_takes_one_sturm_count(self, monkeypatch):
         # at m = 2, beta = 0 the last step certifies the three finer grids.
@@ -775,8 +820,7 @@ class TestRefinedGrids:
         # count made 1 too, it is refused
         params, grid = ModeParams(m=2, N=0), oracle._GRIDS[1023]
         _, per_grid, vectors, spectral = _ground_states(params, 0.0)
-        shift = spectral + (per_grid[511] - spectral) / 4.0
-        start = oracle._prolong(vectors[1])
+        shift, start = oracle._next_start(spectral, [per_grid[255], per_grid[511]], vectors[:2])
         monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
         assert fd_ground_state(params, 0.0, grid, shift, start)[0] == per_grid[1023]
         step = oracle._inverse_step
@@ -792,8 +836,7 @@ class TestRefinedGrids:
         # finds the eigenvalue below rho - delta
         params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
         _, per_grid, vectors, spectral = _ground_states(params, 0.0)
-        shift = spectral + (per_grid[511] - spectral) / 4.0
-        start = oracle._prolong(vectors[1])
+        shift, start = oracle._next_start(spectral, [per_grid[255], per_grid[511]], vectors[:2])
         counter = SweepCounter(monkeypatch)
         assert fd_ground_state(params, 0.0, grid, shift, start)[0] == per_grid[1023]
         assert counter.sweeps["_inverse_step", 1023] == 2
@@ -814,8 +857,7 @@ class TestRefinedGrids:
         # takes one Sturm count
         params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
         _, per_grid, vectors, spectral = _ground_states(params, 0.0)
-        shift = spectral + (per_grid[511] - spectral) / 4.0
-        start = oracle._prolong(vectors[1])
+        shift, start = oracle._next_start(spectral, [per_grid[255], per_grid[511]], vectors[:2])
         quotient, calls = oracle._rayleigh_quotient, []
 
         def lowered(*args):
@@ -869,7 +911,7 @@ class TestRichardson:
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "608160e45bfc686f3ed1d3657050fe3910151c658bd5cd9b4b209d2c5bf459c3"
+            "9c3f1696b29cea5a03df24b1019ce0b3f648aeef335cff8254df041b9f3776dc"
         )
 
 
@@ -1174,7 +1216,7 @@ class TestVerifyAll:
             for report in verify_all(ModeParams(m, 8), [beta])
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "2da20122f73d76dcd8b85e2aa078640ab658a87f7cd7cf2f612fc7d26f569f9a"
+            "f9cef69b003104107711f240ff6a89f11c29578cde728af0d7277e818bcd2c33"
         )
 
     def test_large_m_slope_skipped_not_failed(self):
