@@ -20,12 +20,16 @@ delta = 1e-9 max(1, |rho|) from the shift.  rho is formed as
 indicial correction, so it does not carry the cancellation of
 2/h^2 - lam that sets the Sturm count's noise (about 4e-10 at 2047
 points and m = 1).  A Rayleigh quotient lies at or above the ground
-eigenvalue.  The last step's Thomas pivots are the LDL^T pivots of
-T - tau, tau its shift, so by Sylvester's law of inertia they count the
-eigenvalues below tau (Kahan 1966, Stanford CS41): when none of them is
-<= 0 and tau lies in [rho - delta, rho + delta], the eigenvalue lies at
-or above tau >= rho - delta, so in [rho - delta, rho], and the grid
-needs no sweep of its own.  Otherwise one Sturm count of 0 at
+eigenvalue.  A step solves (T - tau) x = b, tau its shift, by odd-even
+reduction in numpy down to 255 unknowns and a Python Thomas sweep of
+those (`_inverse_step`).  Its pivots are those of a block LDL^T
+factorization of T - tau, so by Sylvester's law of inertia and
+Haynsworth's inertia additivity (1968, Linear Algebra Appl. 1, 73) the
+last step's pivots count the eigenvalues below tau (Kahan 1966, Stanford
+CS41): when none of them is <= 0 and tau lies in
+[rho - delta, rho + delta], the eigenvalue lies at or above
+tau >= rho - delta, so in [rho - delta, rho], and the grid needs no
+sweep of its own.  Otherwise one Sturm count of 0 at
 rho - delta puts the eigenvalue in [rho - delta, rho]; a grid whose
 count is not 0 raises OracleError.  Over the 18 modes
 m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the last step
@@ -68,6 +72,7 @@ all m >= 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -96,6 +101,9 @@ _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _FAR_STEP = 2.0**16 * 1e-13  # relative; the Sturm noise spans at most about 2^10 * 1e-13
 _CERTIFIED_WIDTH = 1e-9  # relative; the Sturm count's noise is about 4e-10 at 2047 points
+# the most rows an inverse step sweeps in Python: reducing the 255-point
+# grid too would move its bytes, and took 119 us a step against 47
+_SWEPT_ROWS = 255
 
 
 class OracleError(RuntimeError):
@@ -271,43 +279,106 @@ def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     return x
 
 
-def _inverse_step(diag: list, off: float, shift: float, rhs: list) -> tuple[list, int]:
-    """One step of inverse iteration: solve (T - shift) x = rhs for the
-    symmetric tridiagonal T with diagonal `diag` and off-diagonal `off`.
-    The Thomas pivots carry a tiny-pivot guard (the shifted matrix is
-    deliberately near-singular), the forward substitution runs in the
-    factorization's loop, and the back substitution carries the entry it
-    last formed and writes the solution backwards.
-
-    Also returns how many pivots were <= 0 before the guard.  They are the
-    LDL^T pivots of T - shift, so by Sylvester's law of inertia this counts
-    the eigenvalues below the shift, as `_sturm_count` does up to the float
-    noise of the pivots.  After a pivot that vanishes exactly, the guard
-    goes on with a positive one where the Sturm sweep takes a negative one,
-    so the two counts may differ there, but both count that pivot.  A count
-    of 0 means that every pivot was positive."""
+def _thomas(diag: list, couplings, rhs: list) -> tuple[list, int]:
+    """Solve the symmetric tridiagonal system with diagonal `diag`, row i
+    coupled to row i - 1 by couplings[i] (couplings[0] enters only as
+    couplings[0] / inf = 0), in one Python sweep of Thomas's algorithm.
+    The pivots carry a tiny-pivot guard (the shifted matrix is deliberately
+    near-singular), the forward substitution runs in the factorization's
+    loop, and the back substitution writes the solution backwards.  Also
+    returns how many pivots were <= 0 before the guard."""
     mults, x = [], []
-    c = y = 0.0  # no coupling into the first row
+    piv, y = math.inf, 0.0  # no coupling into the first row
     below = 0
-    for t, b in zip(diag, rhs):
-        piv = (t - shift) - off * c
+    for t, e, b in zip(diag, couplings, rhs):
+        c = e / piv
+        piv = t - e * c
         if piv < 1e-200:  # rare: a pivot <= 0 counts, a tiny one is guarded
             below += piv <= 0.0
             if piv > -1e-200:
                 piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
-        c = off / piv
-        y = (b - off * y) / piv
+        y = (b - e * y) / piv
         mults.append(c)
         x.append(y)
     solution = [y]  # the last entry; the rest run backwards from it
-    for mult, entry in zip(reversed(mults[:-1]), reversed(x[:-1])):
+    for mult, entry in zip(reversed(mults), reversed(x[:-1])):
         y = entry - mult * y
         solution.append(y)
     solution.reverse()
     return solution, below
 
 
-def _ground_vector(x: list, h: float) -> np.ndarray:
+def _inverse_step(
+    diag: np.ndarray, off: float, shift: float, rhs: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """One step of inverse iteration: solve (T - shift) x = rhs for the
+    symmetric tridiagonal T with diagonal `diag` and off-diagonal `off` by
+    odd-even reduction (Hockney 1965, J. ACM 12, 95; Buzbee, Golub &
+    Nielson 1970, SIAM J. Numer. Anal. 7, 627).  Each level eliminates the
+    unknowns at even indices (the first, third, ...), a system of even
+    length padded with one decoupled node, until at most `_SWEPT_ROWS`
+    remain for `_thomas`; numpy back-substitutes the eliminated ones.  The
+    grids are nested, so each Richardson grid leaves the 255-point grid's
+    rows to the Python sweep, and that grid is not reduced.
+
+    A level carries its couplings as E = -(s/2)(1 - V), s = -2 off halved
+    per level, V = 0 inside and 1 past the ends.  With rho = (p - s)/p at
+    each eliminated pivot p and t = rho + V(2 - V)(1 - rho) on either
+    side, a kept diagonal d - E_l^2/p_l - E_r^2/p_r forms as
+    s/2 + ((d - s) + (s/4)(t_l + t_r)), and the coupling through p as
+    V' = rho + (1 - rho)(V_a + V_b - V_a V_b).  Against the same solve in
+    np.longdouble (a 64-bit mantissa), two steps at each finer grid's
+    eigenvalue then lie within 9.3e-14; with the kept diagonals formed as
+    s - s/4 - s/4 they lay up to 3.9e-13 away, and by a Thomas sweep of
+    every row up to 3.2e-13.
+
+    Also returns how many pivots were <= 0 before the guard.  A level's
+    eliminated unknowns are mutually uncoupled, so it is a block LDL^T
+    step with a diagonal block, and by Haynsworth's inertia additivity
+    (1968, Linear Algebra Appl. 1, 73) the pivots of all levels and of
+    `_thomas` count the eigenvalues below the shift, as `_sturm_count`
+    does up to the float noise of the pivots.  A pivot that vanishes
+    exactly counts; the guard goes on with a positive one where the Sturm
+    sweep takes a negative one, so the counts may differ after it.  A
+    count of 0 means that every pivot was positive."""
+    d, b = np.subtract(diag, shift), np.asarray(rhs, dtype=float)
+    s, below, levels = -2.0 * off, 0, []
+    v = np.zeros(len(d) + 1)
+    v[0] = v[-1] = 1.0
+    while len(d) > _SWEPT_ROWS:
+        size = len(d)
+        if size % 2 == 0:  # a decoupled node, its pivot |s| > 0 and its t exactly 1
+            d, b, v = np.append(d, abs(s) or 1.0), np.append(b, 0.0), np.append(v, 1.0)
+        p, left, right, e = d[0::2], v[0::2], v[1::2], -0.5 * s * (1.0 - v)
+        below += int(np.count_nonzero(p <= 0.0))
+        tiny = np.abs(p) < 1e-200  # rare: guarded as `_thomas` guards its pivots
+        if tiny.any():
+            p = np.where(tiny, np.where(p < 0.0, -1e-200, 1e-200), p)
+        rho = (p - s) / p
+        s_over_p = 1.0 - rho
+        t_next = rho + right * (2.0 - right) * s_over_p  # t_l of the next kept node
+        t_prev = rho + left * (2.0 - left) * s_over_p  # t_r of the one before
+        d_kept = 0.5 * s + ((d[1::2] - s) + 0.25 * s * (t_next[:-1] + t_prev[1:]))
+        v = rho + s_over_p * (left + right - left * right)
+        v[0] = v[-1] = 1.0
+        e_left, e_right, b_out = e[0::2], e[1::2], b[0::2]
+        b = b[1::2] - (e_right / p)[:-1] * b_out[:-1] - (e_left / p)[1:] * b_out[1:]
+        levels.append((size, p, e_left, e_right, b_out))
+        d, s = d_kept, 0.5 * s
+    # an unreduced system keeps the one coupling `off`, and its cost
+    couplings = (-0.5 * s * (1.0 - v)).tolist() if levels else itertools.repeat(off)
+    x, count = _thomas(d.tolist(), couplings, b.tolist())
+    x = np.array(x, dtype=float)
+    for size, p, e_left, e_right, b_out in reversed(levels):
+        outer = np.concatenate(([0.0], x, [0.0]))
+        full = np.empty(len(p) + len(x))
+        full[0::2] = (b_out - e_left * outer[:-1] - e_right * outer[1:]) / p
+        full[1::2] = x
+        x = full[:size]
+    return x, below + count
+
+
+def _ground_vector(x: np.ndarray, h: float) -> np.ndarray:
     """x normalized to unit discrete L2 (h-weighted), its largest entry
     positive.  x is first scaled by the power of two that brings that
     entry into [0.5, 1): exact, so no bit of the result moves, but a shift
@@ -318,7 +389,6 @@ def _ground_vector(x: list, h: float) -> np.ndarray:
     vector that is not finite, or has a node (the ground state is
     nodeless, so x belongs to another state), raises OracleError: with the
     peak positive, a node is an entry below -1e-12 times it."""
-    x = np.fromiter(x, float, len(x))
     peak = float(x[np.abs(x).argmax()])  # NaN if any entry is
     if not math.isfinite(peak):
         raise OracleError("inverse iteration overflowed")
@@ -401,13 +471,16 @@ def fd_ground_state(
     Symmetric Eigenvalue Problem, ch. 4): one `_inverse_step` at `shift`
     from `start`, then one at rho only if rho lies more than the certified
     width from the shift.  The weights are built once and serve the steps,
-    rho (`_rayleigh_quotient`) and the count.  Without a start, `shift` is
-    a seed that `_shift_below` moves to the eigenvalue, and the start is
-    one inverse step there from the all-ones vector.
+    rho (`_rayleigh_quotient`) and the count; the vectors stay arrays, and
+    the diagonal becomes a Python list only for the sweeps that read one,
+    Newton's and the Sturm count.  Without a start, `shift` is a seed that
+    `_shift_below` moves to the eigenvalue, and the start is one inverse
+    step there from the all-ones vector.
 
     rho is a Rayleigh quotient, so it lies at or above the ground
     eigenvalue whatever tau is.  When the last step at tau had no pivot
-    <= 0 and rho - delta <= tau <= rho + delta, delta the certified width,
+    <= 0, over its reduction's levels and its Thomas sweep, and
+    rho - delta <= tau <= rho + delta, delta the certified width,
     its pivots put the eigenvalue at or above tau >= rho - delta, so in
     [rho - delta, rho]; otherwise one Sturm count of 0 at rho - delta
     does.  tau lies above rho only by rounding, up to 4.8e-13 relative.
@@ -418,7 +491,7 @@ def fd_ground_state(
     converges the vector only while lambda_2 - lambda_1 is large, or the
     start is already close (`_next_start` on the two finest grids).  Over
     m in {1, 2, 5, 10, 20, 40, 91} and |beta| <= 1 the vectors of
-    `_ground_states` lie within 3.8e-13 of six steps at their own rho.
+    `_ground_states` lie within 3.5e-13 of six steps at their own rho.
     At |beta| >= 10 the two lowest eigenvalues can draw together (6.2e-3
     apart at m = 1, beta = -10 on the 255-point grid), and the vectors lie
     up to 2.2e-5 from six steps there, 5.5e-5 at m = 20, beta = -30 and
@@ -427,23 +500,24 @@ def fd_ground_state(
     error."""
     h = grid.h
     weights = _weights(params, beta, grid)
-    diag = (2.0 / h**2 + weights).tolist()
+    diag = 2.0 / h**2 + weights
     off = -1.0 / h**2
     if start is None:
-        shift = _shift_below(diag, off * off, shift, min(diag) + 2.0 * off)
-        start = np.array(_inverse_step(diag, off, shift, [1.0] * grid.points)[0])
+        rows = diag.tolist()
+        shift = _shift_below(rows, off * off, shift, min(rows) + 2.0 * off)
+        start = _inverse_step(diag, off, shift, np.ones(grid.points))[0]
         start /= np.abs(start).max()  # a vanishing pivot leaves entries near 1e202
-    x, below = _inverse_step(diag, off, shift, start.tolist())
+    x, below = _inverse_step(diag, off, shift, start)
     vector = _ground_vector(x, h)
     value = _rayleigh_quotient(vector, weights, h)
     if abs(value - shift) > _CERTIFIED_WIDTH * max(1.0, abs(value)):
         shift = value
-        x, below = _inverse_step(diag, off, shift, vector.tolist())
+        x, below = _inverse_step(diag, off, shift, vector)
         vector = _ground_vector(x, h)
         value = _rayleigh_quotient(vector, weights, h)
     delta = _CERTIFIED_WIDTH * max(1.0, abs(value))
     if below or not value - delta <= shift <= value + delta:
-        below = _sturm_count(diag, off * off, value - delta)
+        below = _sturm_count(diag.tolist(), off * off, value - delta)
         if below:
             raise OracleError(
                 f"the Rayleigh quotient {value!r} on the {grid.points}-point grid is not "

@@ -313,7 +313,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "9d510b0ec8a468451bfae2ded01d52e01ad0f66a60468ae88f21d62cadfd0b09"
+        digest = "3d4a146ed41c3703ef6bf4c5ec7e467f49a5bd1a6428cb7707fcae3bd009dee7"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -350,13 +350,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "a7f0e157690a897dead78871331a28c9067c2ac398b9496de20d1db79536b866",
-            "4aeaa72abdd3fa4ea7d5d954c9ccd5cc0b3fb17fa89c5d6890cef5005ab32dbb",
+            "e60fedcbf1733a327229cc5b114908f0be5d4f017d3807785883c80f26a43ae7",
+            "40dc48c33d26adaa75d1e38be273aafd46ccd77829137a4c96e75de87f1ce570",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "6cebf8e4eddc9e4a0515b2de97c81be6949b92e9059b709aae9a09ee0ee8606c",
-            "dd12aef335f4a5e5abd51336cb47fec3dfc288251c899b577382ff32cb49763d",
+            "086f2ee0ea83627402a465a73c0b069227d3e0e564c925665b3d5502eac1c8dc",
+            "64115a66ec8718db105137c30f94a1d60a30028ada5bda316f00a9819e6f103c",
         ),
     }
 

@@ -67,14 +67,57 @@ def plain_bisection(params, beta, grid, k=1):
     return 0.5 * (lo + hi)
 
 
+def extended_solver(diag, off, shift):
+    """A solver of (T - shift) x = rhs for the float64 system with diagonal
+    `diag` and off-diagonal `off`: one Thomas factorization, and each
+    substitution, carried out in np.longdouble, a reference 11 bits finer
+    than float64 that shares nothing with odd-even reduction."""
+    assert np.finfo(np.longdouble).eps < 1e-18  # not float64 under another name
+    off, c = np.longdouble(off), np.longdouble(0.0)
+    pivots, mults = [], []
+    for t in np.asarray(diag, dtype=np.longdouble) - np.longdouble(shift):
+        piv = t - off * c
+        c = off / piv
+        pivots.append(piv)
+        mults.append(c)
+
+    def solve(rhs):
+        x, y = list(np.asarray(rhs, dtype=np.longdouble)), np.longdouble(0.0)
+        for i, piv in enumerate(pivots):
+            y = x[i] = (x[i] - off * y) / piv
+        for i in range(len(x) - 2, -1, -1):
+            x[i] -= mults[i] * x[i + 1]
+        return np.array(x, dtype=np.longdouble)
+
+    return solve
+
+
+def extended_steps(diag, off, shift, steps, h):
+    """`steps` steps of inverse iteration at `shift` from all-ones by
+    `extended_solver`, each vector scaled to unit norm, the last returned
+    in float64 at unit discrete L2 (h-weighted), its largest entry
+    positive."""
+    solve, x = extended_solver(diag, off, shift), np.ones(len(diag), dtype=np.longdouble)
+    for _ in range(steps):
+        x = solve(x)
+        x /= np.sqrt(np.sum(x * x))
+    x = (x / np.sqrt(np.longdouble(h) * np.sum(x * x))).astype(float)
+    return x if x[np.argmax(np.abs(x))] > 0.0 else -x
+
+
 class SweepCounter:
     """Wraps the two Sturm sweeps and the inverse step of `oracle`: `sweeps`
     counts their calls per (name, grid size), `rows` sums the rows the Sturm
     sweeps swept, a Newton row counted twice (about what it costs), and
-    `step_rows` the rows of the inverse steps."""
+    `step_rows` the rows of the inverse steps.  `loop_rows` lists, step by
+    step, the rows the step swept in Python: those it handed to
+    `oracle._thomas`, or, where `oracle` has no such sweep, every row of
+    the step, which then sweeps its whole grid itself."""
 
     def __init__(self, monkeypatch):
         self.sweeps, self.rows, self.step_rows = collections.Counter(), 0, 0
+        self.loop_rows = []
+        thomas = getattr(oracle, "_thomas", None)
         for name, tally, weight in (
             ("_sturm_count", "rows", 1),
             ("_sturm_newton", "rows", 2),
@@ -86,9 +129,18 @@ class SweepCounter:
             ):
                 self.sweeps[name, len(diag)] += 1
                 setattr(self, tally, getattr(self, tally) + weight * len(diag))
+                if name == "_inverse_step":
+                    self.loop_rows.append(0 if thomas else len(diag))
                 return run(diag, *args)
 
             monkeypatch.setattr(oracle, name, counting)
+        if thomas:
+
+            def sweeping(diag, *args):
+                self.loop_rows[-1] += len(diag)
+                return thomas(diag, *args)
+
+            monkeypatch.setattr(oracle, "_thomas", sweeping)
 
 
 def pivots(diag, offsq, lam):
@@ -477,6 +529,68 @@ class TestCertifiedBisection:
         for points in (1023, 2047):
             assert not counter.sweeps["_sturm_count", points], points
 
+    def test_no_step_sweeps_more_than_255_rows_in_python(self, monkeypatch):
+        # odd-even reduction hands the Python sweep at most 255 unknowns;
+        # the steps once swept every row of their grid, 2047 at most
+        counter = SweepCounter(monkeypatch)
+        for m, beta in self.BATTERY_ROWS:
+            _ground_states(ModeParams(m=m, N=0), beta)
+        steps = sum(n for (name, _), n in counter.sweeps.items() if name == "_inverse_step")
+        assert len(counter.loop_rows) == steps
+        assert 0 < min(counter.loop_rows) and max(counter.loop_rows) <= 255
+
+
+class TestOddEvenReduction:
+    """`_inverse_step`, which reduces a system to at most 255 unknowns in
+    numpy, against solves that share nothing with it."""
+
+    @staticmethod
+    def systems(size):
+        """Three float64 systems (diag, off) on `size` unknowns: the discrete
+        Laplacian plus a random potential of 0.2 to 1 times 2/h^2 (positive
+        definite, condition below 15), a strictly diagonally dominant one
+        with random signs and a positive coupling (indefinite, condition
+        below 6), and a diagonal one with random signs."""
+        rng, h = np.random.default_rng(size), math.pi / (size + 1)
+        return (
+            (2.0 / h**2 * (1.0 + rng.uniform(0.2, 1.0, size)), -1.0 / h**2),
+            (rng.choice((-1.0, 1.0), size) * rng.uniform(3.0, 4.0, size), 1.0),
+            (rng.choice((-1.0, 1.0), size) * rng.uniform(1.0, 2.0, size), 0.0),
+        )
+
+    @pytest.mark.parametrize("size", [1, 2, 254, 255, 256, 257, 1024, 2047, 4096])
+    def test_solution_and_count_of_a_reduced_system(self, size):
+        # odd and even sizes, nested (2047 reduces to 1023, 511 and 255
+        # unknowns without padding) and not.  The dense matrix of 4096
+        # unknowns takes 128 MiB, so that size is held to the
+        # extended-precision Thomas solve instead
+        for diag, off in self.systems(size):
+            rhs = np.random.default_rng(size + 1).standard_normal(size)
+            x, below = oracle._inverse_step(diag, off, 0.0, rhs)
+            if size < 4096:
+                band = np.full(size - 1, off)
+                expected = np.linalg.solve(np.diag(diag) + np.diag(band, 1) + np.diag(band, -1), rhs)
+            else:
+                expected = extended_solver(diag, off, 0.0)(rhs).astype(float)
+            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected)), off
+            assert below == _sturm_count(diag.tolist(), off * off, 0.0), off
+
+    @pytest.mark.parametrize("m", [1, 40, 91])
+    def test_pivot_count_is_the_sturm_count_between_eigenvalues(self, m):
+        # the pivots of every level and of the Python sweep count the
+        # eigenvalues below the shift (Haynsworth's inertia additivity):
+        # at the midpoint of each gap between the six lowest eigenvalues and
+        # 1e-3 of the gap from either end, on the three reduced grids
+        params = ModeParams(m=m, N=0)
+        for points in (511, 1023, 2047):
+            grid = oracle._GRIDS[points]
+            diag, off = diagonal(params, 0.3, grid), -1.0 / grid.h**2
+            lams = [plain_bisection(params, 0.3, grid, k) for k in range(1, 7)]
+            for k, (lo, hi) in enumerate(zip(lams, lams[1:]), start=1):
+                for lam in (lo + 1e-3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-3 * (hi - lo)):
+                    _, below = oracle._inverse_step(diag, off, lam, np.ones(points))
+                    assert below == _sturm_count(diag.tolist(), off * off, lam) == k, (points, lam)
+
 
 class TestGroundEigenvector:
     def test_spherical_limit_profile_m1(self):
@@ -550,63 +664,53 @@ class TestGroundEigenvector:
         x /= math.sqrt(grid.h) * np.linalg.norm(x)
         return x if x[int(np.argmax(np.abs(x)))] > 0.0 else -x
 
-    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
-    @pytest.mark.parametrize("m", [1, 10, 40, 83])
-    def test_two_steps_reach_the_converged_vector(self, monkeypatch, m, beta):
-        # seeded without a start, the solver takes two steps at the shift
-        # Newton leaves, the first from all-ones; six reach convergence
+    @staticmethod
+    def two_steps_at_4096_points(monkeypatch, m, beta):
+        """The solver's vector on 4096 points seeded without a start, the
+        shift of its two steps (the first from all-ones), and the system."""
         params, grid, shifts = ModeParams(m=m, N=0), FdGrid(4096), []
         step = oracle._inverse_step
         monkeypatch.setattr(oracle, "_inverse_step", lambda *args: shifts.append(args[2]) or step(*args))
         _, vec = solve(params, beta, grid)
         assert len(shifts) == 2 and shifts[0] == shifts[1]
-        reference = self.six_step_reference(params, beta, grid, shifts[0])
-        assert np.max(np.abs(vec - reference)) < 1e-13
+        return vec, shifts[0], diagonal(params, beta, grid), -1.0 / grid.h**2, grid.h
 
-    @staticmethod
-    def loop_reference(params, beta, grid, eigenvalue):
-        """Two steps of inverse iteration from all-ones as first written:
-        lists grown by append, an abs() pivot guard, and each back
-        substitution reading x[i + 1]."""
-        off = -1.0 / grid.h**2
-        pivots, mults, x = [], [], []
-        c = y = 0.0
-        for t in (diagonal(params, beta, grid) - eigenvalue).tolist():
-            piv = t - off * c
-            if abs(piv) < 1e-200:
-                piv = math.copysign(1e-200, piv if piv != 0.0 else 1.0)
-            c = off / piv
-            y = (1.0 - off * y) / piv
-            pivots.append(piv)
-            mults.append(c)
-            x.append(y)
-        back = range(len(x) - 2, -1, -1)
-        for i in back:
-            x[i] -= mults[i] * x[i + 1]
-        scale, y = 1.0 / math.hypot(*x), 0.0
-        for i, piv in enumerate(pivots):
-            y = x[i] = (x[i] * scale - off * y) / piv
-        for i in back:
-            x[i] -= mults[i] * x[i + 1]
-        x = np.array(x)
-        x /= math.sqrt(grid.h) * np.linalg.norm(x)
-        return -x if x[int(np.argmax(np.abs(x)))] < 0.0 else x
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
+    @pytest.mark.parametrize("m", [1, 10, 40, 83])
+    def test_two_steps_reach_the_converged_vector(self, monkeypatch, m, beta):
+        # seeded without a start, the solver takes two steps at the shift
+        # Newton leaves; six of the same steps reach convergence
+        vec, shift, diag, off, h = self.two_steps_at_4096_points(monkeypatch, m, beta)
+        x = np.ones(len(diag))
+        for _ in range(6):
+            x, _ = oracle._inverse_step(diag, off, shift, x)
+            x = np.divide(x, np.linalg.norm(x))
+        assert np.max(np.abs(vec - oracle._ground_vector(x, h))) < 1e-13
+
+    @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
+    @pytest.mark.parametrize("m", [1, 10, 40, 83])
+    def test_two_steps_reach_the_extended_precision_vector(self, monkeypatch, m, beta):
+        # the same two steps against six in np.longdouble: a Thomas sweep
+        # of every row, in float64, lay up to 9.2e-13 away (m = 1)
+        vec, shift, diag, off, h = self.two_steps_at_4096_points(monkeypatch, m, beta)
+        assert np.max(np.abs(vec - extended_steps(diag, off, shift, 6, h))) < 5e-13
 
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.4])
     @pytest.mark.parametrize("m", [1, 10, 40, 83])
-    def test_same_bytes_as_the_loop_reference(self, m, beta):
-        # `_inverse_step` and `_ground_vector`, two steps at each finer
-        # grid's eigenvalue
+    def test_two_steps_agree_with_the_extended_precision_loop(self, m, beta):
+        # `_inverse_step` and `_ground_vector`, two steps from all-ones at
+        # each finer grid's eigenvalue, against the same two steps in
+        # np.longdouble: a Thomas sweep of every row, in float64, lay up
+        # to 3.2e-13 away
         params = ModeParams(m=m, N=0)
         _, per_grid, _, _ = _ground_states(params, beta)
         for points in (1023, 2047):
             grid, shift = FdGrid(points), per_grid[points]
-            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
-            x, _ = oracle._inverse_step(diag, off, shift, [1.0] * points)
-            scale = 1.0 / math.hypot(*x)
-            x, _ = oracle._inverse_step(diag, off, shift, [v * scale for v in x])
-            reference = self.loop_reference(params, beta, grid, shift)
-            assert oracle._ground_vector(x, grid.h).tobytes() == reference.tobytes(), points
+            diag, off = diagonal(params, beta, grid), -1.0 / grid.h**2
+            x, _ = oracle._inverse_step(diag, off, shift, np.ones(points))
+            x, _ = oracle._inverse_step(diag, off, shift, np.divide(x, np.linalg.norm(x)))
+            reference = extended_steps(diag, off, shift, 2, grid.h)
+            assert np.max(np.abs(oracle._ground_vector(x, grid.h) - reference)) < 1.5e-13, points
 
     @pytest.mark.parametrize("m, beta", [(1, 0.1), (40, 0.45), (91, -1.0)])
     def test_ground_vector_keeps_the_bytes_of_its_norm_form(self, m, beta):
@@ -719,8 +823,8 @@ class TestRefinedGrids:
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
     def test_refined_vectors_are_the_converged_vectors(self, m, beta):
         # inverse iteration run to convergence at each grid's own rho;
-        # measured at most 3.8e-13 away over |beta| <= 1 (m = 1, beta = 0,
-        # the 2047-point grid)
+        # measured at most 3.5e-13 away over |beta| <= 1 (m = 1,
+        # beta = 0.45, the 2047-point grid)
         params = ModeParams(m=m, N=0)
         _, per_grid, vectors, _ = _ground_states(params, beta)
         for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
@@ -764,7 +868,7 @@ class TestRefinedGrids:
 
         monkeypatch.setattr(oracle, "_inverse_step", recording)
         kinds = collections.Counter()
-        for m, beta in ((1, 0.1), (20, 0.0), (40, 0.45)):
+        for m, beta in ((1, 0.1), (10, 0.1), (20, 0.0), (40, 0.45)):
             counter.sweeps.clear()
             _, per_grid, _, _ = _ground_states(ModeParams(m=m, N=0), beta)
             for points, rho in per_grid.items():
@@ -797,7 +901,7 @@ class TestRefinedGrids:
                     certified += 1
                     above += shift > rho
                     assert _sturm_count(diag, off * off, rho - delta) == 0, (m, beta, points)
-        assert (certified, above) == (125, 11)
+        assert (certified, above) == (126, 23)
 
     def test_step_count_above_zero_takes_one_sturm_count(self, monkeypatch):
         # at m = 2, beta = 0 the last step certifies the three finer grids.
@@ -911,7 +1015,7 @@ class TestRichardson:
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9c3f1696b29cea5a03df24b1019ce0b3f648aeef335cff8254df041b9f3776dc"
+            "905bb9f7f1019fbe32e0e4c7b18365822048a3006e05e53e9e59e82494fd90d0"
         )
 
 
@@ -1216,7 +1320,7 @@ class TestVerifyAll:
             for report in verify_all(ModeParams(m, 8), [beta])
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "f9cef69b003104107711f240ff6a89f11c29578cde728af0d7277e818bcd2c33"
+            "60b18e96979b780049d062c4908486074fe285cd57f04fb4dcbf04fedb865f32"
         )
 
     def test_large_m_slope_skipped_not_failed(self):
