@@ -55,7 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="azimuthal index, integer >= 1")
         p.add_argument("--order", type=int, required=True, help="series truncation order N >= 0")
         if with_beta:
-            p.add_argument("--beta", type=str, required=True, help="spheroidicity parameter")
+            p.add_argument(
+                "--beta",
+                type=str,
+                required=True,
+                help="spheroidicity parameter (verify: a comma-separated list); write "
+                "--beta=-1e-3 or --beta=-0.1,0.1, since argparse reads a separate "
+                "-1e-3 or -0.1,0.1 as an option",
+            )
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
 
     p_coeffs = sub.add_parser("coeffs", help="export the exact coefficient tables")

@@ -56,8 +56,8 @@ from .recurrence import SeriesState, i_coeff
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1], by
     Newton's method on the three-term recurrence of P_64 (no linear algebra,
-    so no LAPACK is loaded).  From these starting values four steps reach
-    roundoff; six are taken."""
+    so no LAPACK is loaded).  Six steps are taken from these starting
+    values, past the step where the nodes stop moving."""
     n = 64
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(6):
@@ -81,7 +81,8 @@ def gauss_legendre(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndar
 def gauss_panels(m: int) -> int:
     """Panel count of the composite Gauss-Legendre rules over integrands
     weighted by sin^(2m-1), whose width around pi/2 shrinks like 1/sqrt(m):
-    one 64-node panel over [0, pi] is at roundoff up to m = 40."""
+    one 64-node panel over [0, pi] serves up to m = 40 (README's Accuracy
+    envelope holds the norm it gives)."""
     return math.ceil(math.sqrt(m / 40))
 
 

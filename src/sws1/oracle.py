@@ -18,56 +18,53 @@ step at the Rayleigh quotient rho only when rho lies more than
 delta = 1e-9 max(1, |rho|) from the shift.  rho is formed as
 (sum (dv)^2 / h^2 + sum w v^2) / sum v^2, w the potential plus the
 indicial correction, so it does not carry the cancellation of
-2/h^2 - lam that sets the Sturm count's noise (about 4e-10 at 2047
-points and m = 1).  A Rayleigh quotient lies at or above the ground
-eigenvalue.  A step solves (T - tau) x = b, tau its shift, by odd-even
-reduction in numpy down to 255 unknowns and a Python Thomas sweep of
-those (`_inverse_step`).  Its pivots are those of a block LDL^T
-factorization of T - tau, so by Sylvester's law of inertia and
-Haynsworth's inertia additivity (1968, Linear Algebra Appl. 1, 73) the
-last step's pivots count the eigenvalues below tau (Kahan 1966, Stanford
-CS41): when none of them is <= 0 and tau lies in
+2/h^2 - lam that sets the Sturm count's noise.  A Rayleigh quotient lies
+at or above the ground eigenvalue.  A step solves (T - tau) x = b, tau
+its shift, by odd-even reduction in numpy down to 255 unknowns and a
+Python Thomas sweep of those (`_inverse_step`).  Its pivots are those of
+a block LDL^T factorization of T - tau, so by Sylvester's law of inertia
+and Haynsworth's inertia additivity (1968, Linear Algebra Appl. 1, 73)
+the last step's pivots count the eigenvalues below tau (Kahan 1966,
+Stanford CS41): when none of them is <= 0 and tau lies in
 [rho - delta, rho + delta], the eigenvalue lies at or above
 tau >= rho - delta, so in [rho - delta, rho], and the grid needs no
-sweep of its own.  Otherwise one Sturm count of 0 at
-rho - delta puts the eigenvalue in [rho - delta, rho]; a grid whose
-count is not 0 raises OracleError.  Over the 18 modes
-m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the last step
-certifies 56 of the 72 grids, and 16 Sturm counts remain, none of them on
-the 1023- or 2047-point grid.
+sweep of its own.  Otherwise one Sturm count of 0 at rho - delta puts
+the eigenvalue in [rho - delta, rho]; a grid whose count is not 0 raises
+OracleError.
 
 The shifts come from the spectral value s (`spectral_eigenvalue`): the
 operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
 (Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021).
-An oracle check holds the Richardson estimate to s (within 1.3e-8 for
-m <= 91, |beta| <= 1: `test_estimate_agrees_with_spectral_value`); no
-verdict reads it.  On the 255-point grid Newton steps on det(T - lam),
-taken from below the eigenvalue, move s to it, and one inverse step from
-the all-ones vector there is the start.  Each finer grid starts from
-the grids before it (`_next_start`): the 511-point grid at the Richardson
-seed s + (v - s)/4, the two finest, as full multigrid's nested iteration
-does (Brandt 1977, Math. Comp. 31, 333), from an h^4 model of the value
-and an h^2-corrected vector.  The residual slope evaluates its nine betas
-in one call.
+An oracle check holds the Richardson estimate to s; no verdict reads it.
+On the 255-point grid Newton steps on det(T - lam), taken from below the
+eigenvalue, move s to it, and one inverse step from the all-ones vector
+there is the start.  Each finer grid starts from the grids before it
+(`_next_start`): the 511-point grid at the Richardson seed
+s + (v - s)/4, the two finest, as full multigrid's nested iteration does
+(Brandt 1977, Math. Comp. 31, 333), from an h^4 model of the value and
+an h^2-corrected vector.  The residual slope evaluates its nine betas in
+one call.
 
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
 the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
-and the series psi read, about 120 KB; the residual slope's nine betas
-and its `_half_angle` values at theta = pi/3, formed once per process
-(`_slope_grid`); the indicial correction per (m, grid), about 30 KB per
-m; and the spectral matrix's parts per m, about 40 KB.
+and the series psi read; the residual slope's nine betas and its
+`_half_angle` values at theta = pi/3, formed once per process
+(`_slope_grid`); the indicial correction per (m, grid); and the spectral
+matrix's parts per m.
+
+README's Accuracy envelope states how close each of these parts lands,
+over which (m, N, beta), and the test that holds it.
 
 Endpoint handling: the transformed potential carries inverse-square
 singularities at both ends, and at m = 1 the far endpoint sits exactly at
 the critical coupling -1/4 where a naive nodal discretization loses its
-second-order convergence entirely (measured order ~0.2).  The diagonal
-therefore replaces the inverse-square part of the potential at every node
-by the discrete curvature of the local power solution x^alpha (alpha from
-the indicial roots m+3/2 and m-1/2).  The replacement decays like the
-fourth power of the node index away from each endpoint, leaves the
-operator symmetric tridiagonal, and restores clean h^2 convergence for
-all m >= 1.
+second-order convergence entirely.  The diagonal therefore replaces the
+inverse-square part of the potential at every node by the discrete
+curvature of the local power solution x^alpha (alpha from the indicial
+roots m+3/2 and m-1/2).  The replacement decays like the fourth power of
+the node index away from each endpoint, leaves the operator symmetric
+tridiagonal, and restores clean h^2 convergence for all m >= 1.
 """
 
 from __future__ import annotations
@@ -100,9 +97,9 @@ _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80
 
 _ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _FAR_STEP = 2.0**16 * 1e-13  # relative; the Sturm noise spans at most about 2^10 * 1e-13
-_CERTIFIED_WIDTH = 1e-9  # relative; the Sturm count's noise is about 4e-10 at 2047 points
+_CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks at 2047 points
 # the most rows an inverse step sweeps in Python: reducing the 255-point
-# grid too would move its bytes, and took 119 us a step against 47
+# grid too would move its bytes and slow its step
 _SWEPT_ROWS = 255
 
 
@@ -258,11 +255,9 @@ def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     other eigenvalues shorten every step, a step longer than `_FAR_STEP`
     relative need only be shorter than the last.
 
-    Within that noise the last step may land on either side of lambda_1:
-    over m in {1, 2, 5, 10, 20, 40}, beta in {0, 0.1, 0.45} the shift's
-    Sturm count is 1 in 11 of the 18 modes, and it lies up to
-    7e-13 max(1, |rho|) above the grid's rho.  So the 255-point grid's
-    last step, taken at this shift, seldom certifies rho
+    Within that noise the last step may land on either side of lambda_1,
+    so the 255-point grid's last step, taken at this shift, need not
+    certify rho, and the grid then takes a Sturm count
     (`fd_ground_state`)."""
     x = seed if seed > floor else floor
     count, step = _sturm_newton(diag, offsq, x)
@@ -325,12 +320,9 @@ def _inverse_step(
     per level, V = 0 inside and 1 past the ends.  With rho = (p - s)/p at
     each eliminated pivot p and t = rho + V(2 - V)(1 - rho) on either
     side, a kept diagonal d - E_l^2/p_l - E_r^2/p_r forms as
-    s/2 + ((d - s) + (s/4)(t_l + t_r)), and the coupling through p as
-    V' = rho + (1 - rho)(V_a + V_b - V_a V_b).  Against the same solve in
-    np.longdouble (a 64-bit mantissa), two steps at each finer grid's
-    eigenvalue then lie within 9.3e-14; with the kept diagonals formed as
-    s - s/4 - s/4 they lay up to 3.9e-13 away, and by a Thomas sweep of
-    every row up to 3.2e-13.
+    s/2 + ((d - s) + (s/4)(t_l + t_r)), its excess over the Laplacian's,
+    so that no kept diagonal is a difference of the large terms s and s/4,
+    and the coupling through p as V' = rho + (1 - rho)(V_a + V_b - V_a V_b).
 
     Also returns how many pivots were <= 0 before the guard.  A level's
     eliminated unknowns are mutually uncoupled, so it is a block LDL^T
@@ -382,13 +374,13 @@ def _ground_vector(x: np.ndarray, h: float) -> np.ndarray:
     """x normalized to unit discrete L2 (h-weighted), its largest entry
     positive.  x is first scaled by the power of two that brings that
     entry into [0.5, 1): exact, so no bit of the result moves, but a shift
-    that makes a pivot vanish (the guard leaves entries near 1e202 at
-    m = 1, beta = 0.1424 on the 255-point grid) no longer overflows the
-    norm.  The scale is sqrt(x.dot(x)), which is what np.linalg.norm(x)
-    computes for a real 1-D x, so the bytes are that expression's.  A
-    vector that is not finite, or has a node (the ground state is
-    nodeless, so x belongs to another state), raises OracleError: with the
-    peak positive, a node is an entry below -1e-12 times it."""
+    that makes a pivot vanish, whose guarded pivot leaves entries near
+    1/1e-200, no longer overflows the norm.  The scale is sqrt(x.dot(x)),
+    which is what np.linalg.norm(x) computes for a real 1-D x, so the
+    bytes are that expression's.  A vector that is not finite, or has a
+    node (the ground state is nodeless, so x belongs to another state),
+    raises OracleError: with the peak positive, a node is an entry below
+    -1e-12 times it."""
     peak = float(x[np.abs(x).argmax()])  # NaN if any entry is
     if not math.isfinite(peak):
         raise OracleError("inverse iteration overflowed")
@@ -483,21 +475,16 @@ def fd_ground_state(
     rho - delta <= tau <= rho + delta, delta the certified width,
     its pivots put the eigenvalue at or above tau >= rho - delta, so in
     [rho - delta, rho]; otherwise one Sturm count of 0 at rho - delta
-    does.  tau lies above rho only by rounding, up to 4.8e-13 relative.
-    A count above 0 there, or a vector with a node, raises OracleError; a
-    diagonal that is not finite is refused (`_weights`).
+    does.  tau lies above rho only by rounding.  A count above 0 there,
+    or a vector with a node, raises OracleError; a diagonal that is not
+    finite is refused (`_weights`).
 
     The single step taken when rho lies within delta of the shift
     converges the vector only while lambda_2 - lambda_1 is large, or the
-    start is already close (`_next_start` on the two finest grids).  Over
-    m in {1, 2, 5, 10, 20, 40, 91} and |beta| <= 1 the vectors of
-    `_ground_states` lie within 3.5e-13 of six steps at their own rho.
-    At |beta| >= 10 the two lowest eigenvalues can draw together (6.2e-3
-    apart at m = 1, beta = -10 on the 255-point grid), and the vectors lie
-    up to 2.2e-5 from six steps there, 5.5e-5 at m = 20, beta = -30 and
-    2.1e-5 at m = 40, beta = -50.
-    The wavefunction gap of a report past the judged range carries that
-    error."""
+    start is already close (`_next_start` on the two finest grids).  At
+    |beta| >= 10 the two lowest eigenvalues can draw together, and the
+    wavefunction gap of a report there carries the vector's error; README's
+    Accuracy envelope bounds it inside and past the judged range."""
     h = grid.h
     weights = _weights(params, beta, grid)
     diag = 2.0 / h**2 + weights
@@ -605,8 +592,8 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
 
     E_n is fixed by int_0^pi f = 0, so A_n vanishes at both ends, and past
     pi/2 the rule runs over [theta, pi] and returns minus that integral: from
-    0, A_n there is left by a cancellation down to ~1e-14 against an
-    integrand mass of ~1e-3, which no float64 rule resolves.
+    0, A_n there is the small remainder of a cancellation that no float64
+    rule resolves.
     """
     if n < 3:
         raise ValueError("orders below 3 carry bespoke sources; quadrature starts at n = 3")
@@ -643,9 +630,8 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
 def _slope_grid() -> tuple[np.ndarray, tuple]:
     """The residual slope's nine betas over [1e-3, 1e-1] and the
     `_half_angle` values at theta = pi/3, read-only.  The first slope of a
-    process forms them, not the import: formed at import they raised the
-    peak RSS of a process that takes no slope by about 0.45 MB, the numpy
-    code that their first use loads."""
+    process forms them, not the import, so a process that takes no slope
+    does not load the numpy code their first use loads."""
     betas = np.logspace(-3, -1, 9)
     trig = _half_angle(np.array([math.pi / 3.0]))
     for values in (betas, *trig):
@@ -746,7 +732,7 @@ def verify_all(
                 else f"the FD estimate lies {fd_gap:.3g} from the spectral value, "
                 f"above {tol['eigenvalue']:g}"
             }
-            if n_order >= 1 and "residual_slope" not in skipped:
+            if "residual_slope" not in skipped:
                 target = n_order + 1
                 checks["residual_slope"] = (
                     target - tol["residual_slope_below"]

@@ -195,7 +195,7 @@ def convolve_sources(state: SeriesState, n: int) -> tuple[tuple, tuple, int]:
     gives 3 S a sign bit and is rounded up to whole 8-byte words
     (`_slot_bytes`).  The rounding only widens the slots, so the 3 S bound
     alone decides whether an entry fits, and `_unpack` raises rather than
-    truncate one that does not.  S grows by about a byte per order, so
+    truncate one that does not.  S grows slowly with the order, so
     consecutive orders mostly share one w; each table keeps its packed
     pair for the last w (`WnTable._packed`) and is packed again only when
     w changes, which spares re-packing every higher order at every n.

@@ -462,6 +462,19 @@ class TestParser:
         assert verify(after) == first
         assert cli.build_parser() is parser
 
+    def test_negative_beta_parses_in_the_equals_form(self, capsys):
+        # argparse reads a separate "-0.1,0.1" or "-1e-3" as an option, so
+        # such a beta is written --beta=-0.1,0.1
+        for beta in ("-0.1,0.1", "-1e-3"):
+            code, _, err = run(["verify", "--m", "1", "--order", "4", "--beta", beta], capsys)
+            assert code == 1 and "argument --beta: expected one argument" in err
+        code, out, _ = run(["verify", "--m", "1", "--order", "4", "--beta=-0.1,0.1"], capsys)
+        assert code == 0
+        assert "report m=1 order=4 beta=-0.10000000000000001\n" in out
+        assert "report m=1 order=4 beta=0.10000000000000001\n" in out
+        code, out, _ = run(["eval", "--m", "1", "--order", "4", "--beta=-1e-3"], capsys)
+        assert code == 0 and out.startswith("# m=1 N=4 beta=-0.001 ")
+
     def test_console_script_installed(self):
         # the child process imports the same sws1 as this one, installed or not
         src = str(Path(cli.__file__).resolve().parents[1])

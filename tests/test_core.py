@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -437,6 +439,30 @@ class TestPackageExports:
         prose = readme.split("The package root exports the exact core only (", 1)[1]
         listed = prose.split(")", 1)[0].replace("\n", " ").split(", ")
         assert sorted(name.strip("`") for name in listed) == sorted(sws1.__all__)
+
+    def test_readme_envelope_rows_name_existing_tests(self):
+        # every row of the accuracy envelope has its four cells, and its
+        # last names the tests that hold it, each `path::Class::test`
+        # defined in that file
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("\n## Accuracy envelope\n", 1)[1]
+        rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("|")]
+        assert len(rows) > 2
+        for row in rows[2:]:  # past the header and its rule
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", row.strip()[1:-1])]
+            assert len(cells) == 4 and all(cells), row
+            held_by = re.findall(r"`(tests/\w+\.py)::(\w+)::(\w+)`", cells[3])
+            assert held_by, row
+            for path, name, test in held_by:
+                tree = ast.parse((root / path).read_text())
+                tests = {
+                    node.name
+                    for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and cls.name == name
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                }
+                assert test in tests, f"{path}::{name}::{test}"
 
     def test_no_corrupt_energy_option(self, capsys):
         argv = ["verify", "--m", "1", "--order", "1", "--beta", "0", "--corrupt-energy", "0"]

@@ -261,16 +261,27 @@ class TestGroundEigenvalue:
                 corr += adj if from_left else adj[::-1]
             assert _indicial_correction(m, points).tobytes() == corr.tobytes(), m
 
-    def test_convergence_is_second_order(self):
-        # eigenvalue error against the extrapolated limit scales like h^2
-        params = ModeParams(m=2, N=0)
+    @staticmethod
+    def convergence_order(m, beta):
+        """The log-log slope in h of the eigenvalue error on 512 ... 2048
+        points against the h^2-extrapolated limit of 2048 and 4096."""
+        params = ModeParams(m=m, N=0)
         sizes = [512, 1024, 2048, 4096]
-        values = {p: solve(params, 0.1, FdGrid(p))[0] for p in sizes}
+        values = {p: solve(params, beta, FdGrid(p))[0] for p in sizes}
         limit = (4 * values[4096] - values[2048]) / 3
         errs = np.array([abs(values[p] - limit) for p in sizes[:-1]])
         hs = np.array([math.pi / (p + 1) for p in sizes[:-1]])
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.2)
+        return np.polyfit(np.log(hs), np.log(errs), 1)[0]
+
+    def test_convergence_is_second_order(self):
+        # eigenvalue error against the extrapolated limit scales like h^2
+        assert self.convergence_order(2, 0.1) == pytest.approx(2.0, abs=0.2)
+
+    def test_convergence_is_second_order_at_the_critical_coupling(self):
+        # at m = 1 the far endpoint sits at the critical coupling -1/4, where
+        # the nodal discretization keeps its h^2 order only through the
+        # indicial correction
+        assert self.convergence_order(1, 0.1) == pytest.approx(2.0, abs=0.2)
 
 
 class TestCertifiedBisection:
@@ -834,6 +845,22 @@ class TestRefinedGrids:
             )
             assert np.max(np.abs(vec - reference)) < 5e-13, points
 
+    @pytest.mark.parametrize("beta", [10.0, -10.0, 30.0, -30.0, 50.0, -50.0])
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
+    def test_vectors_and_estimate_past_the_judged_range(self, m, beta):
+        # the two lowest eigenvalues can draw together at |beta| >= 10, so
+        # one step at a shift within delta of rho leaves the vector short
+        # of convergence, and the grid errors stop falling like h^2
+        params = ModeParams(m=m, N=0)
+        estimate, per_grid, vectors, spectral = _ground_states(params, beta)
+        assert abs(estimate - spectral) <= 1e-4
+        for points, vec in zip(oracle.RICHARDSON_GRIDS, vectors):
+            grid = oracle._GRIDS[points]
+            reference = TestGroundEigenvector.six_step_reference(
+                params, beta, grid, per_grid[points]
+            )
+            assert np.max(np.abs(vec - reference)) < 1e-4, points
+
     @pytest.mark.parametrize("m, beta", [(1, 0.1), (40, 0.45), (91, -1.0)])
     def test_rayleigh_quotient_keeps_the_bytes_of_its_numpy_form(self, m, beta):
         # np.diff with zero ends and np.sum, whose pairwise sums a BLAS dot
@@ -1322,6 +1349,37 @@ class TestVerifyAll:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "60b18e96979b780049d062c4908486074fe285cd57f04fb4dcbf04fedb865f32"
         )
+
+    @pytest.mark.parametrize("m", [1, 10, 91])
+    @pytest.mark.parametrize("order", [0, 1, 2, 8])
+    def test_every_check_is_judged_or_skipped(self, m, order):
+        # each check of the series lands in `checks` or, with its reason,
+        # in `skipped`, at N = 0 too, where the slope is measured as well
+        for report in verify_all(ModeParams(m, order), [0.0, 0.05, -0.45, 1.5, 10.0]):
+            assert report.error is None, report.beta
+            for name in ("eigenvalue_gap", "wavefunction_gap", "residual_slope"):
+                assert (name in report.checks) != (name in report.skipped), (name, report.beta)
+
+    # the verdict grid's FAILs, (m, N, beta): series truncation, each on
+    # the eigenvalue gap alone
+    VERDICT_FAILS = {(1, 4, 0.45), (1, 4, 1.0), (1, 8, 1.0), (5, 4, 0.45), (5, 4, 1.0), (10, 4, 1.0)}
+
+    def test_verdict_grid_keeps_66_passes_and_6_truncation_fails(self):
+        reports = [
+            report
+            for m in (1, 5, 10, 20, 40, 80)
+            for order in (4, 8, 16)
+            for report in verify_all(ModeParams(m, order), [0.0, 0.05, 0.45, 1.0])
+        ]
+        assert len(reports) == 72 and all(report.error is None for report in reports)
+        fails = {(r.m, r.order, r.beta) for r in reports if r.passed is False}
+        assert fails == self.VERDICT_FAILS
+        assert sum(report.passed is True for report in reports) == 66
+        for r in reports:
+            failed = {name for name, ok in r.checks.items() if not ok}
+            assert failed == ({"eigenvalue_gap"} if (r.m, r.order, r.beta) in fails else set())
+            assert r.oracle_checks == {"eigenvalue_gap_fd_spectral": None}, (r.m, r.order, r.beta)
+        assert sum("residual_slope" in report.skipped for report in reports) == 64
 
     def test_large_m_slope_skipped_not_failed(self):
         # at m = 40 the cancelling terms W^2 and V are ~2e3; an absolute
