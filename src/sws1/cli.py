@@ -120,7 +120,7 @@ def _parse_tolerances(items) -> dict:
             )
         value = float(val)
         # a NaN fails every check, an infinity passes every one, and a
-        # negative slope margin empties the slope window: none is a tolerance
+        # negative bound fails every one: none is a tolerance
         if not 0.0 <= value < math.inf:
             raise ValueError(f"tolerance {key} must be finite and >= 0, got {val}")
         out[key] = value
@@ -191,12 +191,10 @@ _REPORT_FIELDS = (
     ("rel_gap", True),
     ("grid_sizes", False),
     ("grid_eigenvalues", False),
-    ("richardson_estimate", True),
     ("wavefunction_gap", True),
-    ("residual_slope", True),
 )
 _CSV_FIELDS = tuple(name for name, in_csv in _REPORT_FIELDS if in_csv)
-_NAME_WIDTH = max(len(name) for name, _ in _REPORT_FIELDS)
+_NAME_WIDTH = 19  # the text report's name column, fixed so that no field moves another's bytes
 
 
 def _cell(value) -> str:

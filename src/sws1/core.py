@@ -70,8 +70,6 @@ class ModeParams:
 DEFAULT_TOLERANCES = {
     "eigenvalue": 1e-6,  # Richardson-extrapolated value vs the series, and vs the spectral value
     "wavefunction": 1e-3,  # max-norm vs the extrapolated eigenvector on the shared nodes
-    "residual_slope_below": 0.3,  # slope may undershoot N+1 by this much
-    "residual_slope_above": 0.7,  # and overshoot by this much
 }
 
 # Above this |beta| series truncation dominates every tolerance: the

@@ -8,9 +8,7 @@ weights the rows of those tables by beta^n once,
     alpha_k = sum_n beta^n a_{n,k},    gamma_k = sum_n beta^n b_{n,k},
 
 by a sequential cumulative sum over the orders from a zero row, which keeps
-the floats of adding one order at a time; a single order is one row.  beta
-may be an array, whose axes then lead the angle axis: each element goes
-through the float operations of its own scalar call.  With
+the floats of adding one order at a time; a single order is one row.  With
 s = sin(theta), c = cos(theta) and x = s^2 the weighted orders are
 
     sum_n beta^n W_n(theta) = s (c PA(x) + PB(x)),
@@ -23,8 +21,6 @@ angles gets one table of the powers x^0 .. x^(N//2) per call, each row
 the one before times x (`_powers`), which W, W' and psi share.  Every sine
 polynomial is read off it by a matrix product (`_sine_pair`): the two
 polynomials of W, of W' and of the phase are the two rows of one product.
-An array of betas takes one product of the scalar call's shape per beta,
-so its floats are those of the scalar call.
 
 The eigenfunction is normalized by Gauss-Legendre quadrature on [0, pi];
 its square is analytic there, so the rule converges geometrically.  The
@@ -110,7 +106,7 @@ def _powers(x: np.ndarray, tables) -> np.ndarray:
     """Rows x^0 .. x^K of an array of sin^2 values, each row the one before
     times x, K = len(alpha): every sine polynomial of these tables reads its
     powers here."""
-    rows = np.empty((tables[0].shape[-1] + 1, *x.shape))
+    rows = np.empty((len(tables[0]) + 1, *x.shape))
     rows[0] = 1.0
     for k in range(1, len(rows)):
         np.multiply(rows[k - 1], x, out=rows[k])
@@ -120,13 +116,13 @@ def _powers(x: np.ndarray, tables) -> np.ndarray:
 def _sine_pair(first: np.ndarray, second: np.ndarray, powers: np.ndarray):
     """(sum_i first_i x^i, sum_i second_i x^i) on the angles of `powers`, the
     two coefficient rows zero-padded to one length and contracted in one
-    matrix product; leading beta axes give one product per beta."""
-    size = max(first.shape[-1], second.shape[-1])
-    pair = np.zeros((*first.shape[:-1], 2, size))
-    pair[..., 0, : first.shape[-1]] = first
-    pair[..., 1, : second.shape[-1]] = second
+    matrix product."""
+    size = max(len(first), len(second))
+    pair = np.zeros((2, size))
+    pair[0, : len(first)] = first
+    pair[1, : len(second)] = second
     values = pair @ powers[:size]
-    return values[..., 0, :], values[..., 1, :]
+    return values[0], values[1]
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -135,15 +131,12 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((np.zeros((1, *rows.shape[1:])), rows)), axis=0)[-1]
 
 
-def _beta_tables(state: SeriesState, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _beta_tables(state: SeriesState, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """alpha_k = sum_n beta^n a_{n,k} over k = 1..N//2 and gamma_k, the same
-    sum of the b tables, over k = 1..(N+1)//2: the truncated series at beta.
-    An array of betas puts its axes before k."""
+    sum of the b tables, over k = 1..(N+1)//2: the truncated series at beta."""
     a, b, _ = state.floats
-    beta = np.asarray(beta, dtype=float)
-    w = np.cumprod(np.full((state.current_order, *beta.shape, 1), beta[..., None]), axis=0)
-    axes = (1,) * beta.ndim
-    return tuple(_ordered_sum(w * t.reshape(len(t), *axes, t.shape[1])) for t in (a, b))
+    w = np.cumprod(np.full((state.current_order, 1), float(beta)), axis=0)
+    return tuple(_ordered_sum(w * t) for t in (a, b))
 
 
 @cache
@@ -178,11 +171,11 @@ def _w_derivative(m: int, tables, trig, powers):
     d/dtheta[sin^(2k-1)] = (2k-1) cos x^(k-1)."""
     _, c, _, x = trig
     alpha, gamma = tables
-    k = np.arange(1, gamma.shape[-1] + 1)
-    ka = k[: alpha.shape[-1]]
-    da = np.zeros((*alpha.shape[:-1], alpha.shape[-1] + 1))
-    da[..., :-1] += (2 * ka - 1) * alpha
-    da[..., 1:] -= 2 * ka * alpha
+    k = np.arange(1, len(gamma) + 1)
+    ka = k[: len(alpha)]
+    da = np.zeros(len(alpha) + 1)
+    da[:-1] += (2 * ka - 1) * alpha
+    da[1:] -= 2 * ka * alpha
     pa, pb = _sine_pair(da, (2 * k - 1) * gamma, powers)
     return (m + 0.5 + c) / x + pa + c * pb
 
@@ -194,15 +187,12 @@ def _potential(m: int, beta: float, trig):
     return ((m + c) ** 2 - 0.25) / x - 1.25 - (beta * c) ** 2 + 2.0 * beta * c
 
 
-def _riccati_terms(state: SeriesState, beta: float | np.ndarray, tables, trig, powers) -> tuple:
+def _riccati_terms(state: SeriesState, beta: float, tables, trig, powers) -> tuple:
     """W, W', V and E at beta from its `_beta_tables` on the `_half_angle`
-    values and their `_powers`.  For an array of betas V and E get a unit
-    angle axis after the beta axes, as W and W' have the angle axis there."""
-    m, e = state.params.m, eval_energy(state, beta)
-    if np.ndim(beta):
-        beta, e = beta[..., None], e[..., None]
+    values and their `_powers`."""
+    m = state.params.m
     w, wp = _w(m, tables, trig, powers), _w_derivative(m, tables, trig, powers)
-    return w, wp, _potential(m, beta, trig), e
+    return w, wp, _potential(m, beta, trig), eval_energy(state, beta)
 
 
 def _wavefunction(m: int, tables, trig, powers):

@@ -6,7 +6,9 @@ independently of the recurrence path.  Four nested grids, h = pi/256 ...
 pi/2048, each coarse node every other node of the next grid, feed one
 Richardson table (Richardson 1911, Phil. Trans. R. Soc. A 210, 307) for
 the eigenvalue and the eigenvector alike.  `verify_all` runs that
-comparison, plus the Riccati-defect slope of the series itself.
+comparison, plus an exact check of the series itself: `riccati_defect`
+tests, in integer arithmetic, that every order n <= N of the Riccati
+defect W^2 - W' - V + E vanishes at theta = pi/3.
 `quadrature_an`, a Gauss-Legendre re-computation of the order-n
 antiderivative from the nearer endpoint, cross-checks the coefficient
 tables themselves; `verify_all` does not call it, the test suite and the
@@ -42,16 +44,13 @@ there is the start.  Each finer grid starts from the grids before it
 (`_next_start`): the 511-point grid at the Richardson seed
 s + (v - s)/4, the two finest, as full multigrid's nested iteration does
 (Brandt 1977, Math. Comp. 31, 333), from an h^4 model of the value and
-an h^2-corrected vector.  The residual slope evaluates its nine betas in
-one call.
+an h^2-corrected vector.
 
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
 the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
-and the series psi read; the residual slope's nine betas and its
-`_half_angle` values at theta = pi/3, formed once per process
-(`_slope_grid`); the indicial correction per (m, grid); and the spectral
-matrix's parts per m.
+and the series psi read; the indicial correction per (m, grid); and the
+spectral matrix's parts per m.
 
 README's Accuracy envelope states how close each of these parts lands,
 over which (m, N, beta), and the test that holds it.
@@ -69,7 +68,6 @@ tridiagonal, and restores clean h^2 convergence for all m >= 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -83,7 +81,6 @@ from .evaluate import (
     _orders_at,
     _potential,
     _powers,
-    _riccati_terms,
     _wavefunction,
     eval_energy,
     gauss_legendre,
@@ -95,7 +92,6 @@ from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 RICHARDSON_GRIDS = (255, 511, 1023, 2047)  # h = pi/256 ... pi/2048, nested
 _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80, |beta| <= 2
 
-_ROUNDOFF_FLOOR = 16.0 * np.finfo(float).eps  # roundoff floor of the Riccati defect, per unit size
 _FAR_STEP = 2.0**16 * 1e-13  # relative; the Sturm noise spans at most about 2^10 * 1e-13
 _CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks at 2047 points
 # the most rows an inverse step sweeps in Python: reducing the 255-point
@@ -149,9 +145,7 @@ class OracleReport:
     rel_gap: float = math.nan
     grid_sizes: tuple = RICHARDSON_GRIDS
     grid_eigenvalues: tuple = ()
-    richardson_estimate: float = math.nan
     wavefunction_gap: float = math.nan
-    residual_slope: float = math.nan
     checks: dict = field(default_factory=dict)
     skipped: dict = field(default_factory=dict)  # check name -> why it was not run
     # checks of the oracle against an exact value: name -> None if it held,
@@ -357,9 +351,7 @@ def _inverse_step(
         b = b[1::2] - (e_right / p)[:-1] * b_out[:-1] - (e_left / p)[1:] * b_out[1:]
         levels.append((size, p, e_left, e_right, b_out))
         d, s = d_kept, 0.5 * s
-    # an unreduced system keeps the one coupling `off`, and its cost
-    couplings = (-0.5 * s * (1.0 - v)).tolist() if levels else itertools.repeat(off)
-    x, count = _thomas(d.tolist(), couplings, b.tolist())
+    x, count = _thomas(d.tolist(), (-0.5 * s * (1.0 - v)).tolist(), b.tolist())
     x = np.array(x, dtype=float)
     for size, p, e_left, e_right, b_out in reversed(levels):
         outer = np.concatenate(([0.0], x, [0.0]))
@@ -626,42 +618,46 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     return r_val + c * t_val
 
 
-@cache
-def _slope_grid() -> tuple[np.ndarray, tuple]:
-    """The residual slope's nine betas over [1e-3, 1e-1] and the
-    `_half_angle` values at theta = pi/3, read-only.  The first slope of a
-    process forms them, not the import, so a process that takes no slope
-    does not load the numpy code their first use loads."""
-    betas = np.logspace(-3, -1, 9)
-    trig = _half_angle(np.array([math.pi / 3.0]))
-    for values in (betas, *trig):
-        values.flags.writeable = False
-    return betas, trig
+def riccati_defect(state: SeriesState) -> int | None:
+    """The lowest order n <= N at which the Riccati defect W^2 - W' - V + E
+    of the series is not exactly zero at theta = pi/3, or None when
+    D_0 .. D_N all vanish, as the construction makes them.
 
+    At pi/3, c = cos = 1/2 and x = sin^2 = 3/4, so W_0 sin = -(2m+5)/4, and
+    for k >= 1 q_k = W_k / sin = c PA_k(x) + PB_k(x) and W_k' are rational.
+    Order n >= 1 of the defect is
 
-def residual_slope(state: SeriesState) -> float:
-    """Log-log slope of the Riccati defect W^2 - W' - V + E against beta
-    over [1e-3, 1e-1], at theta = pi/3.
+        D_n = 2 (W_0 sin) q_n + x sum_(0<k<n) q_k q_(n-k) - W_n' - V_n + E_n,
 
-    The four terms cancel far below their own size, so float64 leaves a
-    roundoff floor of 16 eps (W^2 + |W'| + |V| + |E|) per beta; samples at
-    or below it carry no slope information and are excluded from the fit.
-    """
-    betas, trig = _slope_grid()
-    tables = _beta_tables(state, betas)
-    # one row per beta, one column for the angle
-    terms = _riccati_terms(state, betas, tables, trig, _powers(trig[3], tables))
-    w, wp, v, e = (t[:, 0] for t in terms)
-    values = np.abs(w * w - wp - v + e)
-    floors = _ROUNDOFF_FLOOR * (w * w + np.abs(wp) + np.abs(v) + np.abs(e))
-    keep = values > floors
-    if keep.sum() < 3:
-        raise OracleError(
-            f"residual is above its roundoff floor 16 eps (W^2 + |W'| + |V| + |E|) "
-            f"at {keep.sum()} of {len(betas)} betas; the fit needs 3"
-        )
-    slope, _ = np.polyfit(np.log(betas[keep]), np.log(values[keep]), 1)
-    return float(slope)
+    V_1 = 2c and V_2 = -c^2 being the beta terms of V.  Every q_k, W_k' and
+    E_k is an integer over one denominator L = 2 4^J D, J = (N+1)//2 the
+    longest table and D the lcm of every table's and energy's denominator,
+    formed from the numerators with 4^J x^i = 3^i 4^(J-i), no Fraction per
+    entry; 12 L^2 D_n is then an integer."""
+    m, top = state.params.m, (state.current_order + 1) // 2
+    lcm = math.lcm(*(t.den for t in state.orders), *(e.denominator for e in state.energy))
+    scale = 2 * 4**top * lcm  # L
+    u = [3**i * 4 ** (top - i) for i in range(top + 1)]  # 4^J x^i
+    energy = [e.numerator * (scale // e.denominator) for e in state.energy]  # L E_n
+    # 12 W_0^2 = (2m+5)^2, 12 W_0' = 16 (m+1) and 12 V_0 = 16 m (m+1) - 15
+    if scale * ((2 * m + 5) ** 2 - 16 * (m + 1) - 16 * m * (m + 1) + 15) + 12 * energy[0]:
+        return 0
+    q, dw = [], []  # L q_k and L W_k'
+    for t in state.orders:
+        lift = lcm // t.den
+        a = sum(v * u[i] for i, v in enumerate(t.a_num))
+        b = sum(v * u[i] for i, v in enumerate(t.b_num))
+        da = sum(v * ((2 * i + 1) * u[i] - (2 * i + 2) * u[i + 1]) for i, v in enumerate(t.a_num))
+        db = sum(v * (2 * i + 1) * u[i] for i, v in enumerate(t.b_num))
+        q.append(lift * (a + 2 * b))
+        dw.append(lift * (2 * da + db))
+    potential = {1: 12 * scale, 2: -3 * scale}  # 12 L V_n
+    for n in range(1, state.current_order + 1):
+        pairs = sum(q[k - 1] * q[n - k - 1] for k in range(1, n))
+        rest = -6 * (2 * m + 5) * q[n - 1] - 12 * dw[n - 1] - potential.get(n, 0) + 12 * energy[n]
+        if 9 * pairs + scale * rest:  # 12 L^2 D_n
+            return n
+    return None
 
 
 def verify_all(
@@ -682,7 +678,9 @@ def verify_all(
     every beta the Richardson estimate is also held to the spectral value
     that seeded its grids, under the `eigenvalue` tolerance: a check of
     the oracle, not of the series, reported in `oracle_checks` and left
-    out of `passed`.  At beta = 0 the spectral value is exactly E0.
+    out of `passed`.  At beta = 0 the spectral value is exactly E0.  The
+    series' Riccati defect does not depend on beta: `riccati_defect` is
+    taken once per call and judged in every report.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -692,19 +690,11 @@ def verify_all(
     elif state.params != params:
         raise ValueError(f"the state was built for {state.params}, not for {params}")
     n_order = state.current_order
-
-    skipped = {}
-    try:
-        slope = residual_slope(state)
-    except Exception as exc:  # no signal above the noise floor at high order
-        slope = math.nan
-        skipped["residual_slope"] = str(exc)
+    exact = riccati_defect(state) is None
 
     reports = []
     for beta in beta_list:
-        common = dict(
-            m=params.m, beta=float(beta), order=n_order, residual_slope=slope, skipped=dict(skipped)
-        )
+        common = dict(m=params.m, beta=float(beta), order=n_order)
         try:
             series_value = eval_energy(state, beta)
             estimate, per_grid, vectors, spectral = _ground_states(params, beta)
@@ -720,11 +710,12 @@ def verify_all(
                 wavefunction_gap = float(np.abs(psi - vec).max())
             abs_gap = abs(series_value - estimate)
 
-            checks = {"eigenvalue_gap": abs_gap <= tol["eigenvalue"]}
+            checks, skipped = {"eigenvalue_gap": abs_gap <= tol["eigenvalue"]}, {}
             if math.isnan(wavefunction_gap):
-                common["skipped"]["wavefunction_gap"] = "exp of the series phase overflows"
+                skipped["wavefunction_gap"] = "exp of the series phase overflows"
             else:
                 checks["wavefunction_gap"] = wavefunction_gap <= tol["wavefunction"]
+            checks["riccati_defect"] = exact
             fd_gap = abs(estimate - spectral)
             oracle_checks = {
                 "eigenvalue_gap_fd_spectral": None
@@ -732,13 +723,6 @@ def verify_all(
                 else f"the FD estimate lies {fd_gap:.3g} from the spectral value, "
                 f"above {tol['eigenvalue']:g}"
             }
-            if "residual_slope" not in skipped:
-                target = n_order + 1
-                checks["residual_slope"] = (
-                    target - tol["residual_slope_below"]
-                    <= slope
-                    <= target + tol["residual_slope_above"]
-                )
             report = OracleReport(
                 **common,
                 series_value=series_value,
@@ -746,9 +730,9 @@ def verify_all(
                 abs_gap=abs_gap,
                 rel_gap=abs_gap / abs(series_value) if series_value != 0.0 else math.inf,
                 grid_eigenvalues=tuple(per_grid[p] for p in RICHARDSON_GRIDS),
-                richardson_estimate=estimate,
                 wavefunction_gap=wavefunction_gap,
                 checks=checks,
+                skipped=skipped,
                 oracle_checks=oracle_checks,
                 passed=None if abs(beta) > JUDGED_BETA_LIMIT else all(checks.values()),
             )

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 
-from sws1.core import ModeParams
+from sws1.core import ModeParams, WnTable
 from sws1.evaluate import _beta_tables, _half_angle, _powers, _riccati_terms
 from sws1.recurrence import compute_series, i_coeff
 
@@ -84,3 +85,24 @@ def riccati_floor(riccati_terms):
         return 16.0 * np.finfo(float).eps * (w * w + np.abs(wp) + np.abs(v) + abs(e))
 
     return floor
+
+
+@pytest.fixture(scope="session")
+def nudged_entry():
+    """The series with one exact entry moved by one part in 10^12: entry i
+    of W_n's a or b table, or E_n for table None (by 10^-12 where E_n is
+    0, as E_0 is at m = 1)."""
+
+    def nudged(state, n, table, i):
+        if table is None:
+            energy = list(state.energy)
+            energy[n] += (abs(energy[n]) or 1) * Fraction(1, 10**12)
+            return replace(state, energy=tuple(energy))
+        t = state.orders[n - 1]
+        nums = {"a": [v * 10**12 for v in t.a_num], "b": [v * 10**12 for v in t.b_num]}
+        nums[table][i] += nums[table][i] // 10**12
+        orders = list(state.orders)
+        orders[n - 1] = WnTable(n, tuple(nums["a"]), tuple(nums["b"]), t.den * 10**12)
+        return replace(state, orders=tuple(orders))
+
+    return nudged

@@ -247,6 +247,23 @@ class TestVerify:
         assert "status = FAIL" in out
         assert "verification failed at m=1" in err
 
+    def test_nudged_table_entry_fails_the_riccati_check(self, capsys, monkeypatch, nudged_entry):
+        # one part in 10^12 of b_1 of W_5 leaves every gap within its
+        # tolerance; the exact check finds D_5 != 0
+        def nudged_series(params):
+            return nudged_entry(compute_series(params), 5, "b", 0)
+
+        monkeypatch.setattr(cli, "compute_series", nudged_series)
+        code, out, err = run(["verify", "--m", "40", "--order", "8", "--beta", "0.05"], capsys)
+        assert code == 3
+        checks = [line for line in out.splitlines() if line.startswith("  check ")]
+        assert checks == [
+            "  check eigenvalue_gap: pass",
+            "  check riccati_defect: FAIL",
+            "  check wavefunction_gap: pass",
+        ]
+        assert err == "verification failed at m=40 beta=0.050000000000000003: riccati_defect\n"
+
     def test_tolerance_override_can_force_failure(self, capsys):
         code, _, err = run(
             ["verify", "--m", "1", "--order", "3", "--beta", "0.1", "--tol", "eigenvalue=1e-12"],
@@ -260,12 +277,10 @@ class TestVerify:
         )
         assert code == 1 and "nope" in err
 
-    @pytest.mark.parametrize(
-        "tol", ["eigenvalue=nan", "eigenvalue=inf", "residual_slope_below=-0.5"]
-    )
+    @pytest.mark.parametrize("tol", ["eigenvalue=nan", "eigenvalue=inf", "wavefunction=-0.001"])
     def test_tolerance_that_fakes_a_verdict_exits_1(self, capsys, tol):
         # NaN forced a FAIL, inf a PASS with no evidence behind it, and a
-        # negative slope margin a FAIL on an empty window
+        # negative bound a FAIL that no gap could pass
         argv = ["verify", "--m", "1", "--order", "4", "--beta", "0.1", "--tol", tol]
         code, out, err = run(argv, capsys)
         key, _, val = tol.partition("=")
@@ -313,7 +328,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "3d4a146ed41c3703ef6bf4c5ec7e467f49a5bd1a6428cb7707fcae3bd009dee7"
+        digest = "a792e4d40fb9e8e8f885c946b6e28f29005bf82a94c2714de7b66452803ee8ca"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -339,8 +354,17 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == (
             "error: bad tolerance override 'eigenvalue_beta0=1e-3'; known keys: eigenvalue, "
-            "residual_slope_above, residual_slope_below, wavefunction\n"
+            "wavefunction\n"
         )
+
+    @pytest.mark.parametrize("tol", ["residual_slope_below=0.3", "residual_slope_above=0.7"])
+    def test_slope_tolerance_keys_are_gone(self, capsys, tol):
+        # the exact Riccati check reads no tolerance
+        argv = ["verify", "--m", "1", "--order", "3", "--beta", "0", "--tol", tol]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        known = "known keys: eigenvalue, wavefunction"
+        assert err == f"error: bad tolerance override {tol!r}; {known}\n"
 
     # sha256 of the verify text and its exit status; every eigenvalue and
     # eigenvector gap prints at 17 digits, so these pin the oracle's floats.
@@ -350,13 +374,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "e60fedcbf1733a327229cc5b114908f0be5d4f017d3807785883c80f26a43ae7",
-            "40dc48c33d26adaa75d1e38be273aafd46ccd77829137a4c96e75de87f1ce570",
+            "2bf1544f0ac5d2e76154730481163f22e93a2a8a671c6b6d7147cda2cbdd41f8",
+            "29791105733c2d3a521a825aad11505909c16995cf21130c7fe100795fff17ca",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "086f2ee0ea83627402a465a73c0b069227d3e0e564c925665b3d5502eac1c8dc",
-            "64115a66ec8718db105137c30f94a1d60a30028ada5bda316f00a9819e6f103c",
+            "81085c873a261b03d75ad56532cd6e6772890c452ceaa33373248d17bada6a68",
+            "5cb7b8c9ebe0fb348487ca94e77eed34e6700871609856af19503f64c3b4f724",
         ),
     }
 
@@ -415,18 +439,20 @@ class TestVerify:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == "" and "invalid choice: 'json'" in err
 
-    def test_skipped_slope_check_says_why(self, capsys):
-        # At N = 2 and theta = pi/3 the truncated defect is exactly zero
-        # (W_2 vanishes there for m = 1), so the slope fit has no signal.
-        code, out, err = run(["verify", "--m", "1", "--order", "2", "--beta", "0.05"], capsys)
-        assert "  residual_slope      = nan" in out
-        assert (
-            "  check residual_slope: skipped (residual is above its roundoff floor "
-            "16 eps (W^2 + |W'| + |V| + |E|) at 0 of 9 betas; the fit needs 3)" in out
-        )
-        # The verdict is the eigenvalue gap's: |E_3| beta^3 ~ 9e-6 exceeds
-        # the 1e-6 tolerance, and a skipped check neither passes nor fails.
-        assert code == 3 and "eigenvalue_gap" in err and "residual_slope" not in err
+    def test_skipped_check_says_why(self, capsys):
+        # At beta = 10 exp of the series phase overflows, so the
+        # wavefunction gap is NaN: its check is skipped with that reason,
+        # while the eigenvalue gap and the exact Riccati check are judged.
+        code, out, err = run(["verify", "--m", "1", "--order", "8", "--beta", "10"], capsys)
+        assert "  wavefunction_gap    = nan\n" in out
+        checks = [line for line in out.splitlines() if line.startswith("  check ")]
+        assert checks == [
+            "  check eigenvalue_gap: FAIL",
+            "  check riccati_defect: pass",
+            "  check wavefunction_gap: skipped (exp of the series phase overflows)",
+        ]
+        # |beta| > 1 is reported, not judged: the failed gap sets no exit code
+        assert code == 0 and err == CAUTION and "status = NOT-JUDGED" in out
 
 
 class TestParser:
@@ -527,48 +553,42 @@ def _pinned_reports():
     """Five hand-built reports, one of each verdict and a passing one whose
     oracle check failed, with fixed values."""
     nan = float("nan")
-    slope_skip = "residual is above its roundoff floor"
+    overflow = "exp of the series phase overflows"
     spectral = "eigenvalue_gap_fd_spectral"
     common = dict(grid_sizes=(255, 511, 1023, 2047))
     return [
         OracleReport(
             m=1, beta=0.0, order=3, series_value=0.0, numeric_value=-2.5e-7,
             abs_gap=2.5e-7, rel_gap=math.inf,
-            grid_eigenvalues=(-1.6e-5, -4e-6, -1e-6, -2.5e-7),
-            richardson_estimate=-2.5e-7, wavefunction_gap=1.5e-5, residual_slope=nan,
-            checks={"eigenvalue_gap": True, "wavefunction_gap": True},
-            skipped={"residual_slope": slope_skip}, oracle_checks={spectral: None},
-            passed=True, **common,
+            grid_eigenvalues=(-1.6e-5, -4e-6, -1e-6, -2.5e-7), wavefunction_gap=1.5e-5,
+            checks={"eigenvalue_gap": True, "wavefunction_gap": True, "riccati_defect": True},
+            oracle_checks={spectral: None}, passed=True, **common,
         ),
         OracleReport(
             m=10, beta=0.0, order=8, series_value=108.0, numeric_value=108.0, abs_gap=0.0,
             rel_gap=0.0, grid_eigenvalues=(108.25, 108.0625, 108.015625, 108.00390625),
-            richardson_estimate=108.0, wavefunction_gap=1e-13, residual_slope=nan,
-            checks={"eigenvalue_gap": True, "wavefunction_gap": True},
-            skipped={"residual_slope": slope_skip},
+            wavefunction_gap=1e-13,
+            checks={"eigenvalue_gap": True, "wavefunction_gap": True, "riccati_defect": True},
             oracle_checks={spectral: "the FD estimate lies 2e-06 from the spectral value"},
             passed=True, **common,
         ),
         OracleReport(
             m=10, beta=0.05, order=8, series_value=110.125, numeric_value=110.0,
             abs_gap=0.125, rel_gap=0.125 / 110.125,
-            grid_eigenvalues=(108.0, 109.5, 109.875, 110.0),
-            richardson_estimate=110.0, wavefunction_gap=2e-4, residual_slope=9.25,
-            checks={"eigenvalue_gap": False, "wavefunction_gap": True, "residual_slope": True},
+            grid_eigenvalues=(108.0, 109.5, 109.875, 110.0), wavefunction_gap=2e-4,
+            checks={"eigenvalue_gap": False, "wavefunction_gap": True, "riccati_defect": False},
             passed=False, **common,
         ),
         OracleReport(
             m=2, beta=1e200, order=8, series_value=nan, numeric_value=nan, abs_gap=nan,
-            rel_gap=nan, grid_eigenvalues=(), richardson_estimate=nan, wavefunction_gap=nan,
-            residual_slope=nan, skipped={"residual_slope": slope_skip},
+            rel_gap=nan, grid_eigenvalues=(), wavefunction_gap=nan,
             passed=False, error="bisection did not converge", **common,
         ),
         OracleReport(
             m=40, beta=-1.5, order=4, series_value=1638.0, numeric_value=1639.0, abs_gap=1.0,
             rel_gap=1.0 / 1638.0, grid_eigenvalues=(1626.0, 1636.0, 1638.5, 1639.0),
-            richardson_estimate=1639.0, wavefunction_gap=0.5, residual_slope=4.75,
-            checks={"wavefunction_gap": False, "eigenvalue_gap": False, "residual_slope": True},
-            passed=None, **common,
+            wavefunction_gap=nan, checks={"eigenvalue_gap": False, "riccati_defect": True},
+            skipped={"wavefunction_gap": overflow}, passed=None, **common,
         ),
     ]
 
@@ -581,12 +601,10 @@ report m=1 order=3 beta=0
   rel_gap             = inf
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = -1.5999999999999999e-05,-3.9999999999999998e-06,-9.9999999999999995e-07,-2.4999999999999999e-07
-  richardson_estimate = -2.4999999999999999e-07
   wavefunction_gap    = 1.5e-05
-  residual_slope      = nan
   check eigenvalue_gap: pass
+  check riccati_defect: pass
   check wavefunction_gap: pass
-  check residual_slope: skipped (residual is above its roundoff floor)
   oracle check eigenvalue_gap_fd_spectral: pass
   status = PASS
 report m=10 order=8 beta=0
@@ -596,12 +614,10 @@ report m=10 order=8 beta=0
   rel_gap             = 0
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 108.25,108.0625,108.015625,108.00390625
-  richardson_estimate = 108
   wavefunction_gap    = 1e-13
-  residual_slope      = nan
   check eigenvalue_gap: pass
+  check riccati_defect: pass
   check wavefunction_gap: pass
-  check residual_slope: skipped (residual is above its roundoff floor)
   oracle check eigenvalue_gap_fd_spectral: FAIL (the FD estimate lies 2e-06 from the spectral value)
   status = PASS
 report m=10 order=8 beta=0.050000000000000003
@@ -611,11 +627,9 @@ report m=10 order=8 beta=0.050000000000000003
   rel_gap             = 0.0011350737797956867
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 108,109.5,109.875,110
-  richardson_estimate = 110
   wavefunction_gap    = 0.00020000000000000001
-  residual_slope      = 9.25
   check eigenvalue_gap: FAIL
-  check residual_slope: pass
+  check riccati_defect: FAIL
   check wavefunction_gap: pass
   status = FAIL
 report m=2 order=8 beta=9.9999999999999997e+199
@@ -625,10 +639,7 @@ report m=2 order=8 beta=9.9999999999999997e+199
   rel_gap             = nan
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 
-  richardson_estimate = nan
   wavefunction_gap    = nan
-  residual_slope      = nan
-  check residual_slope: skipped (residual is above its roundoff floor)
   error = bisection did not converge
   status = FAIL
 report m=40 order=4 beta=-1.5
@@ -638,22 +649,20 @@ report m=40 order=4 beta=-1.5
   rel_gap             = 0.0006105006105006105
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 1626,1636,1638.5,1639
-  richardson_estimate = 1639
-  wavefunction_gap    = 0.5
-  residual_slope      = 4.75
+  wavefunction_gap    = nan
   check eigenvalue_gap: FAIL
-  check residual_slope: pass
-  check wavefunction_gap: FAIL
+  check riccati_defect: pass
+  check wavefunction_gap: skipped (exp of the series phase overflows)
   status = NOT-JUDGED
 """
 
 PINNED_CSV = """\
-m,beta,order,series_value,numeric_value,abs_gap,rel_gap,richardson_estimate,wavefunction_gap,residual_slope,status
-1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,-2.4999999999999999e-07,1.5e-05,nan,pass
-10,0,8,108,108,0,0,108,1e-13,nan,pass
-10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,110,0.00020000000000000001,9.25,fail
-2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,nan,nan,fail
-40,-1.5,4,1638,1639,1,0.0006105006105006105,1639,0.5,4.75,not-judged
+m,beta,order,series_value,numeric_value,abs_gap,rel_gap,wavefunction_gap,status
+1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,1.5e-05,pass
+10,0,8,108,108,0,0,1e-13,pass
+10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,0.00020000000000000001,fail
+2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,fail
+40,-1.5,4,1638,1639,1,0.0006105006105006105,nan,not-judged
 """
 
 

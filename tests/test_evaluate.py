@@ -4,16 +4,11 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sws1.core import ModeParams
 from sws1.evaluate import (
-    _beta_tables,
     _half_angle,
     _potential,
-    _powers,
-    _riccati_terms,
     eval_energy,
     eval_on_grid,
     gauss_legendre,
@@ -419,32 +414,6 @@ class TestOnePass:
         assert np.array_equal(w, w_on_grid(state, beta, thetas))
         assert np.array_equal(residual, riccati_residual_on_grid(state, beta, thetas))
         assert e == eval_energy(state, beta)
-
-
-class TestBetaAxis:
-    @settings(deadline=None)
-    @given(
-        st.integers(1, 40),
-        st.integers(0, 12),
-        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
-        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
-    )
-    def test_array_of_betas_gives_the_scalar_bytes(self, m, order, betas, theta):
-        # the slope's one call at nine betas: each row must take the float
-        # operations of its own scalar call, overflow next to an endpoint
-        # included
-        state = cached_series(m, order)
-        with np.errstate(all="ignore"):
-            trig = _half_angle(np.array([theta]))
-            beta_axis = np.array(betas)
-            tables = _beta_tables(state, beta_axis)
-            terms = _riccati_terms(state, beta_axis, tables, trig, _powers(trig[3], tables))
-            for i, beta in enumerate(betas):
-                tables = _beta_tables(state, beta)
-                scalar_terms = _riccati_terms(state, beta, tables, trig, _powers(trig[3], tables))
-                for array, scalar in zip(terms, scalar_terms):
-                    assert array[i].shape == (1,)
-                    assert np.float64(array[i][0]).tobytes() == np.ravel(scalar)[0].tobytes()
 
 
 class TestGrids:

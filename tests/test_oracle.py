@@ -23,7 +23,7 @@ from sws1.oracle import (
     an_closed_form,
     fd_ground_state,
     quadrature_an,
-    residual_slope,
+    riccati_defect,
     spectral_eigenvalue,
     verify_all,
 )
@@ -168,14 +168,12 @@ class TestFdGrid:
 
     def test_cached_constants_are_read_only(self):
         # every caller shares them: the grids' half-angle values, the
-        # indicial corrections, the residual slope's betas and half-angle
-        # values, the spectral matrix's parts and the normalization rule
+        # indicial corrections, the spectral matrix's parts and the
+        # normalization rule
         grid = FdGrid(1024)
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
-        betas, trig = oracle._slope_grid()
-        cached = (_indicial_correction(1, 1024), betas, *trig)
-        for values in (*grid.trig, *cached, *spectral, weights, *nodes):
+        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *nodes):
             assert not values.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 10, 91])
@@ -1071,8 +1069,13 @@ class TestSpectralEigenvalue:
         # at beta = 0 the matrix is diagonal: l(l+1) - 2 at l = m
         assert spectral_eigenvalue(m, 0.0) == m * m + m - 2
 
-    @pytest.mark.parametrize("m", [1, 10, 40, 80])
-    @pytest.mark.parametrize("beta", [0.0, 0.33, 1.0, 2.0])
+    # |beta| = 50 as well, past the judged range, where the spectral value
+    # still seeds the grids: there 35 harmonics already miss the bound
+    @pytest.mark.parametrize(
+        "beta,m",
+        [(beta, m) for beta in (0.0, 0.33, 1.0, 2.0) for m in (1, 10, 40, 80)]
+        + [(beta, m) for beta in (50.0, -50.0) for m in (1, 2)],
+    )
     def test_forty_harmonics_agree_with_eighty(self, m, beta):
         reference = spectral_reference(m, beta, 80)
         assert abs(spectral_eigenvalue(m, beta) - reference) <= 1e-12 * max(1.0, abs(reference))
@@ -1193,7 +1196,7 @@ class TestVerifyAll:
         assert report.grid_sizes == (255, 511, 1023, 2047)
         finest = report.grid_eigenvalues[-1]
         coarsest = report.grid_eigenvalues[0]
-        assert abs(report.richardson_estimate - finest) < abs(finest - coarsest)
+        assert abs(report.numeric_value - finest) < abs(finest - coarsest)
         assert report.abs_gap == abs(report.series_value - report.numeric_value)
         assert report.passed is True
 
@@ -1224,7 +1227,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(oracle, "spectral_eigenvalue", shifted)
         (report,) = verify_all(ModeParams(m=m, N=8), [0.05])
-        gap = abs(report.richardson_estimate - shifted(m, 0.05))
+        gap = abs(report.numeric_value - shifted(m, 0.05))
         assert 1.9e-6 < gap < 2.1e-6
         assert report.oracle_checks == {
             "eigenvalue_gap_fd_spectral": (
@@ -1249,8 +1252,6 @@ class TestVerifyAll:
     TOLERANCE_CASES = {
         "eigenvalue": (1, 8, "eigenvalue_gap"),
         "wavefunction": (1, 8, "wavefunction_gap"),
-        "residual_slope_below": (1, 3, "residual_slope"),  # slope N + 1 - 0.0017
-        "residual_slope_above": (2, 4, "residual_slope"),  # slope N + 1 + 0.105
     }
 
     def test_every_tolerance_key_is_read_by_a_check(self):
@@ -1279,20 +1280,6 @@ class TestVerifyAll:
         reports = verify_all(ModeParams(m=1, N=3), [0.1], tolerances={"eigenvalue": 1e-12})
         assert reports[0].passed is False
 
-    def test_unmeasurable_slope_skipped_at_high_order(self, state_m1_n8):
-        # at N = 8 the defect sits below the float noise floor over the
-        # slope window, so the check must be skipped, not failed
-        reports = verify_all(ModeParams(m=1, N=8), [0.0], state=state_m1_n8)
-        assert "residual_slope" not in reports[0].checks
-        assert reports[0].skipped == {
-            "residual_slope": (
-                "residual is above its roundoff floor 16 eps (W^2 + |W'| + |V| + |E|) "
-                "at 0 of 9 betas; the fit needs 3"
-            )
-        }
-        assert math.isnan(reports[0].residual_slope)
-        assert reports[0].passed is True
-
     def test_state_of_other_params_refused(self, state_m1_n8):
         # the grids would solve one mode while the series describes another
         for params in (ModeParams(m=2, N=8), ModeParams(m=1, N=6)):
@@ -1307,12 +1294,11 @@ class TestVerifyAll:
 
     def test_second_case_reuses_the_grid_constants(self, monkeypatch):
         # a new beta at the same m forms no indicial correction and no
-        # half-angle values of a grid, of the normalization rule or of the
-        # residual slope's angle
+        # half-angle values of a grid or of the normalization rule
         params = ModeParams(m=3, N=2)
         state = compute_series(params)
         verify_all(params, [0.1], state=state)
-        cached = (oracle._indicial_correction, oracle._slope_grid)
+        cached = (oracle._indicial_correction,)
         misses = [f.cache_info().misses for f in cached]
         sizes = []
         for module in (oracle, evaluate):
@@ -1333,9 +1319,7 @@ class TestVerifyAll:
         fields = (
             "series_value",
             "grid_eigenvalues",
-            "richardson_estimate",
             "wavefunction_gap",
-            "residual_slope",
             "checks",
             "skipped",
             "oracle_checks",
@@ -1347,18 +1331,19 @@ class TestVerifyAll:
             for report in verify_all(ModeParams(m, 8), [beta])
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "60b18e96979b780049d062c4908486074fe285cd57f04fb4dcbf04fedb865f32"
+            "c81d306132284ace54093c19181b1390f20dc5c3325902320dcfb55f8570175c"
         )
 
     @pytest.mark.parametrize("m", [1, 10, 91])
     @pytest.mark.parametrize("order", [0, 1, 2, 8])
     def test_every_check_is_judged_or_skipped(self, m, order):
         # each check of the series lands in `checks` or, with its reason,
-        # in `skipped`, at N = 0 too, where the slope is measured as well
+        # in `skipped`; the exact Riccati check is judged at every N
         for report in verify_all(ModeParams(m, order), [0.0, 0.05, -0.45, 1.5, 10.0]):
             assert report.error is None, report.beta
-            for name in ("eigenvalue_gap", "wavefunction_gap", "residual_slope"):
+            for name in ("eigenvalue_gap", "wavefunction_gap", "riccati_defect"):
                 assert (name in report.checks) != (name in report.skipped), (name, report.beta)
+            assert report.checks["riccati_defect"] is True, report.beta
 
     # the verdict grid's FAILs, (m, N, beta): series truncation, each on
     # the eigenvalue gap alone
@@ -1379,15 +1364,7 @@ class TestVerifyAll:
             failed = {name for name, ok in r.checks.items() if not ok}
             assert failed == ({"eigenvalue_gap"} if (r.m, r.order, r.beta) in fails else set())
             assert r.oracle_checks == {"eigenvalue_gap_fd_spectral": None}, (r.m, r.order, r.beta)
-        assert sum("residual_slope" in report.skipped for report in reports) == 64
-
-    def test_large_m_slope_skipped_not_failed(self):
-        # at m = 40 the cancelling terms W^2 and V are ~2e3; an absolute
-        # 1e-13 floor let roundoff through and fitted a false slope of 0.05
-        (report,) = verify_all(ModeParams(m=40, N=8), [0.0])
-        assert "residual_slope" not in report.checks
-        assert "roundoff floor" in report.skipped["residual_slope"]
-        assert math.isnan(report.residual_slope)
+        assert all(report.checks["riccati_defect"] for report in reports)
 
 
 class TestGapScaling:
@@ -1406,29 +1383,20 @@ class TestGapScaling:
             assert 0.8 <= inferred / exact <= 1.2
 
 
-class TestResidualSlope:
-    def test_matches_truncation_order(self, state_m3_n8):
-        state = compute_series(ModeParams(m=3, N=2))
-        slope = residual_slope(state)
-        assert slope == pytest.approx(3.0, abs=0.3)
+class TestRiccatiDefect:
+    @pytest.mark.parametrize("m", [1, 2, 10, 40, 91])
+    @pytest.mark.parametrize("order", [0, 1, 2, 8, 16])
+    def test_every_order_vanishes(self, m, order):
+        assert riccati_defect(compute_series(ModeParams(m, order))) is None
 
-    def test_unmeasurable_raises(self, state_m1_n8):
-        with pytest.raises(OracleError, match="at 0 of 9 betas"):
-            residual_slope(state_m1_n8)
-
-    @pytest.mark.parametrize("m", [1, 20, 40])
-    def test_slope_at_order_3_for_large_m(self, m):
-        # the scaled floor keeps the roundoff of the large terms out of the fit
-        slope = residual_slope(compute_series(ModeParams(m=m, N=3)))
-        assert slope == pytest.approx(4.0, abs=0.05)
-
-    def test_floats_match_pinned_digest(self):
-        # sha256 of the repr of the slopes at every (m, N) measured here
-        # whose fit has 3 betas above the roundoff floor
-        slopes = [
-            residual_slope(compute_series(ModeParams(m=m, N=n)))
-            for m, n in ((1, 1), (1, 3), (1, 4), (40, 3))
-        ]
-        assert hashlib.sha256(repr(slopes).encode()).hexdigest() == (
-            "bcb635b65caeb6b68945b9ab9751fe66814c5666215e53a7b1f1b70a1393e3f7"
-        )
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_nudged_entry_gives_its_order(self, m, nudged_entry):
+        # every a/b entry of W_1 .. W_8 and every E_0 .. E_8, one at a time
+        state = compute_series(ModeParams(m, 8))
+        nudges = [(n, None, 0) for n in range(9)]
+        for n, t in enumerate(state.orders, start=1):
+            nudges += [(n, "a", i) for i in range(len(t.a_num))]
+            nudges += [(n, "b", i) for i in range(len(t.b_num))]
+        assert len(nudges) == 45
+        for n, table, i in nudges:
+            assert riccati_defect(nudged_entry(state, n, table, i)) == n, (n, table, i)
