@@ -39,12 +39,13 @@ operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
 (Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021).
 An oracle check holds the Richardson estimate to s; no verdict reads it.
 On the 255-point grid Newton steps on det(T - lam), taken from below the
-eigenvalue, move s to it, and one inverse step from the all-ones vector
-there is the start.  Each finer grid starts from the grids before it
-(`_next_start`): the 511-point grid at the Richardson seed
-s + (v - s)/4, the two finest, as full multigrid's nested iteration does
-(Brandt 1977, Math. Comp. 31, 333), from an h^4 model of the value and
-an h^2-corrected vector.
+eigenvalue, move s to within delta/2 of it, and one inverse step from
+the all-ones vector delta/4 below there is the start.  Each finer grid
+starts from the grids before it (`_next_start`): the 511-point grid at
+the Richardson seed s + (v - s)/4, the two finest, as full multigrid's
+nested iteration does (Brandt 1977, Math. Comp. 31, 333), delta/2 below
+an h^4 model of the value and from an h^2-corrected vector.  Each such
+shift lets the grid's own last step certify it.
 
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
@@ -92,7 +93,6 @@ from .recurrence import SeriesState, compute_series, convolve_sources, rt_tables
 RICHARDSON_GRIDS = (255, 511, 1023, 2047)  # h = pi/256 ... pi/2048, nested
 _SPECTRAL_SIZE = 40  # harmonics l = m..m+39; 80 move E by a few ulps at m <= 80, |beta| <= 2
 
-_FAR_STEP = 2.0**16 * 1e-13  # relative; the Sturm noise spans at most about 2^10 * 1e-13
 _CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks at 2047 points
 # the most rows an inverse step sweeps in Python: reducing the 255-point
 # grid too would move its bytes and slow its step
@@ -236,7 +236,7 @@ def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
 
 
 def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
-    """A shift at the ground eigenvalue lambda_1 by Newton steps on
+    """A shift just below the ground eigenvalue lambda_1 by Newton steps on
     det(T - lam) taken from below it (`_sturm_newton`, whose count places
     each iterate), where in exact arithmetic a step never overshoots.  The
     steps start from `seed` when its count is 0.  When its count is 1 and
@@ -244,15 +244,13 @@ def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     0: a step from between lambda_1 and lambda_2 may also point up, towards
     lambda_2.
     Otherwise, and for a NaN seed or one below it, they start from the
-    Gershgorin `floor`.  They stop where a step fails to halve the one
-    before, at the float noise of the pivots; far below lambda_1, where the
-    other eigenvalues shorten every step, a step longer than `_FAR_STEP`
-    relative need only be shorter than the last.
-
-    Within that noise the last step may land on either side of lambda_1,
-    so the 255-point grid's last step, taken at this shift, need not
-    certify rho, and the grid then takes a Sturm count
-    (`fd_ground_state`)."""
+    Gershgorin `floor`.  They go on while the count is 0 and the step
+    exceeds delta/2, delta the certified width at the iterate x, short of
+    the pivots' noise (about 2^10 * 1e-13 relative).  A step from below
+    is at most the distance to lambda_1 and, this close, nearly all of
+    it, so x - delta/4, the shift returned, lies below lambda_1 by more
+    than that noise and within delta of it, where the pivots of the
+    grid's last inverse step certify rho (`fd_ground_state`)."""
     x = seed if seed > floor else floor
     count, step = _sturm_newton(diag, offsq, x)
     if count == 1 and step < 0.0:
@@ -261,11 +259,10 @@ def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
     if count:
         x = floor
         count, step = _sturm_newton(diag, offsq, x)
-    last = math.inf
-    while not count and (0.0 < step <= last / 2.0 or _FAR_STEP * max(1.0, abs(x)) < step < last):
-        x, last = x + step, step
+    while not count and step > _CERTIFIED_WIDTH * max(1.0, abs(x)) / 2.0:
+        x += step
         count, step = _sturm_newton(diag, offsq, x)
-    return x
+    return x - _CERTIFIED_WIDTH * max(1.0, abs(x)) / 4.0
 
 
 def _thomas(diag: list, couplings, rhs: list) -> tuple[list, int]:
@@ -429,12 +426,12 @@ def _next_start(spectral: float, values: list, vectors: list) -> tuple[float, np
 
     After two, the last two model the next to h^4.  With e0, e1 their
     values minus s, coarser first, B = (e0 - 4 e1)/12 is e1's h^4 term, and
-    the shift lies max(|B|/64, delta/8) below s + (e1 - B)/4 + B/16, delta
-    the certified width: below the eigenvalue, yet within delta of the
-    Rayleigh quotient, so the step's own pivots certify the grid where the
-    model holds (`fd_ground_state` falls back on its second step and Sturm
-    count where it does not).  Their vectors v0, v1 differ on the shared
-    nodes by -3 c h1^2, c h^2 the vectors' own error, so
+    the shift lies delta/2 below s + (e1 - B)/4 + B/16, delta the certified
+    width: below the eigenvalue, yet within delta of the Rayleigh quotient,
+    so the step's own pivots certify the grid where the model holds
+    (`fd_ground_state` falls back on its second step and Sturm count where
+    it does not).  Their vectors v0, v1 differ on the shared nodes by
+    -3 c h1^2, c h^2 the vectors' own error, so
     t = v1 + P(v1[1::2] - v0)/4, P being `_prolong`, holds the next
     grid's h^2 term; `_cubic_prolong` carries t over."""
     e1 = values[-1] - spectral
@@ -442,9 +439,9 @@ def _next_start(spectral: float, values: list, vectors: list) -> tuple[float, np
         return spectral + e1 / 4.0, _prolong(vectors[-1])
     quartic = (values[-2] - spectral - 4.0 * e1) / 12.0
     guess = spectral + (e1 - quartic) / 4.0 + quartic / 16.0
-    margin = max(abs(quartic) / 64.0, _CERTIFIED_WIDTH * max(1.0, abs(guess)) / 8.0)
+    shift = guess - _CERTIFIED_WIDTH * max(1.0, abs(guess)) / 2.0
     coarse, fine = vectors[-2:]
-    return guess - margin, _cubic_prolong(fine + _prolong(fine[1::2] - coarse) / 4.0)
+    return shift, _cubic_prolong(fine + _prolong(fine[1::2] - coarse) / 4.0)
 
 
 def fd_ground_state(
@@ -458,8 +455,8 @@ def fd_ground_state(
     rho (`_rayleigh_quotient`) and the count; the vectors stay arrays, and
     the diagonal becomes a Python list only for the sweeps that read one,
     Newton's and the Sturm count.  Without a start, `shift` is a seed that
-    `_shift_below` moves to the eigenvalue, and the start is one inverse
-    step there from the all-ones vector.
+    `_shift_below` moves to just below the eigenvalue, and the start is one
+    inverse step there from the all-ones vector.
 
     rho is a Rayleigh quotient, so it lies at or above the ground
     eigenvalue whatever tau is.  When the last step at tau had no pivot

@@ -328,7 +328,7 @@ class TestVerify:
         )
         code, out, err = run(["verify", "--m", "91", "--order", "8", "--beta", "0.1"], capsys)
         assert (code, err) == (0, "")
-        digest = "a792e4d40fb9e8e8f885c946b6e28f29005bf82a94c2714de7b66452803ee8ca"
+        digest = "e2ec1623e74e60169880ba96030f121d0ecfc10190237435e97c07973871ee14"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_no_false_fail_at_m40(self, capsys):
@@ -374,13 +374,13 @@ class TestVerify:
     PINNED = {
         ("1", "0,0.05,0.1"): (
             0,
-            "2bf1544f0ac5d2e76154730481163f22e93a2a8a671c6b6d7147cda2cbdd41f8",
-            "29791105733c2d3a521a825aad11505909c16995cf21130c7fe100795fff17ca",
+            "976649a16c78b2c8348e4a0ca457d7a20cec72c3c2fba46e6b091a5b8e3dc05d",
+            "2dd76d255b39c2c13418055667ae4842063ea92a313ab3bc5e3f8002a6521282",
         ),
         ("40", "0,0.05,0.45"): (
             0,
-            "81085c873a261b03d75ad56532cd6e6772890c452ceaa33373248d17bada6a68",
-            "5cb7b8c9ebe0fb348487ca94e77eed34e6700871609856af19503f64c3b4f724",
+            "37a50d88933936483b66b48cdf0230424087dcc22f46ab9293a228c4069de7fe",
+            "79ded4da70d0737f77b4c05e2b8f74c56b6f5f47377caf67eb81ae63abbf9d20",
         ),
     }
 

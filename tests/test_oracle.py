@@ -442,7 +442,7 @@ class TestCertifiedBisection:
     # rows per solve of the four grids at beta = 0, Sturm rows (the
     # 255-point grid's Newton sweeps, and on a grid that its last step does
     # not certify the one count that does) and inverse-step rows
-    PINNED_ROWS = {1: (1_785, 4_091), 40: (4_336, 5_625), 80: (9_191, 7_672)}
+    PINNED_ROWS = {1: (1_020, 4_091), 40: (3_571, 4_602), 80: (6_124, 5_625)}
 
     @pytest.mark.parametrize("m", [1, 40, 80])
     def test_sweeps_per_solve_stay_pinned(self, monkeypatch, m):
@@ -461,8 +461,8 @@ class TestCertifiedBisection:
         # seed; at m = 80 and 91 the seed is below the Gershgorin floor.
         # Newton once stopped there after 0 or 2 steps, and 40 to 46 count
         # sweeps followed.  It now climbs from the seed or the floor, two
-        # inverse steps follow, and at most one count certifies the Rayleigh
-        # quotient (none at m = 80, where the last step's pivots do)
+        # inverse steps follow, and the last step's pivots certify the
+        # Rayleigh quotient (a count once followed at m = 60 and 91)
         params, grid = ModeParams(m=m, N=0), FdGrid(255)
         counter = SweepCounter(monkeypatch)
         value, _ = solve(params, 0.0, grid)
@@ -509,12 +509,12 @@ class TestCertifiedBisection:
     # Sturm rows and inverse-step rows per solve of the four grids over
     # verify-battery's modes
     BATTERY_ROWS = {
-        (1, 0.0): (1_785, 4_091), (1, 0.1): (2_040, 4_091), (1, 0.45): (1_785, 4_091),
-        (2, 0.0): (1_785, 4_091), (2, 0.1): (2_040, 4_091), (2, 0.45): (1_785, 4_091),
-        (5, 0.0): (2_295, 4_091), (5, 0.1): (2_295, 4_091), (5, 0.45): (2_040, 4_091),
-        (10, 0.0): (2_550, 4_602), (10, 0.1): (2_806, 4_602), (10, 0.45): (2_805, 4_602),
-        (20, 0.0): (3_571, 4_602), (20, 0.1): (2_805, 4_602), (20, 0.45): (3_316, 4_602),
-        (40, 0.0): (4_336, 5_625), (40, 0.1): (4_591, 5_625), (40, 0.45): (4_080, 5_625),
+        (1, 0.0): (1_020, 4_091), (1, 0.1): (1_020, 4_091), (1, 0.45): (1_020, 4_091),
+        (2, 0.0): (1_530, 4_091), (2, 0.1): (1_530, 4_091), (2, 0.45): (1_530, 4_091),
+        (5, 0.0): (1_530, 4_091), (5, 0.1): (1_530, 4_091), (5, 0.45): (1_530, 4_091),
+        (10, 0.0): (1_530, 4_602), (10, 0.1): (2_041, 4_602), (10, 0.45): (1_530, 4_602),
+        (20, 0.0): (2_551, 4_602), (20, 0.1): (2_040, 4_602), (20, 0.45): (2_551, 4_602),
+        (40, 0.0): (3_571, 4_602), (40, 0.1): (3_571, 4_602), (40, 0.45): (3_060, 4_602),
     }
 
     @pytest.mark.parametrize("m, beta", sorted(BATTERY_ROWS))
@@ -528,15 +528,29 @@ class TestCertifiedBisection:
     def test_two_finest_grids_are_certified_by_one_step_from_their_h4_seed(
         self, monkeypatch, m, beta
     ):
-        # the shift predicted to h^4 lies below the eigenvalue and within
-        # delta of rho, and the h^2-corrected start needs no second step on
-        # the 2047-point grid.  Seeded to h^2 from the grid before alone, up
-        # to m = 20 and m = 40 each took a second step and a Sturm count
+        # the shift, delta/2 below the value predicted to h^4, lies below the
+        # eigenvalue and within delta of rho, and the h^2-corrected start
+        # needs no second step.  Seeded to h^2 from the grid before alone, up
+        # to m = 20 and m = 40 each took a second step and a Sturm count; a
+        # margin of max(|B|/64, delta/8) left a second 1023-point step at
+        # m = 40
         counter = SweepCounter(monkeypatch)
         _ground_states(ModeParams(m=m, N=0), beta)
-        assert counter.sweeps["_inverse_step", 2047] == 1
         for points in (1023, 2047):
+            assert counter.sweeps["_inverse_step", points] == 1, points
             assert not counter.sweeps["_sturm_count", points], points
+
+    def test_coarsest_grid_is_certified_by_its_last_step(self, monkeypatch):
+        # Newton stops once its step is within delta/2, and the shift it
+        # leaves delta/4 below that iterate lies below the eigenvalue by
+        # more than the pivots' noise, so the last step certifies the
+        # 255-point grid.  Newton once chased that noise: 85 sweeps over
+        # these modes, after which 11 of their grids took a Sturm count
+        counter = SweepCounter(monkeypatch)
+        for m, beta in self.BATTERY_ROWS:
+            _ground_states(ModeParams(m=m, N=0), beta)
+            assert not counter.sweeps["_sturm_count", 255], (m, beta)
+        assert counter.sweeps["_sturm_newton", 255] <= 63
 
     def test_no_step_sweeps_more_than_255_rows_in_python(self, monkeypatch):
         # odd-even reduction hands the Python sweep at most 255 unknowns;
@@ -786,7 +800,7 @@ class TestRefinedGrids:
 
     def test_next_start_predicts_the_h4_value_and_the_h2_vector(self):
         # values s + a h^2 + b h^4 at h = 1, 1/2 give B = b/16 and the next
-        # value s + a/16 + b/256, less max(|B|/64, delta/8).  Vectors
+        # value s + a/16 + b/256, less delta/2.  Vectors
         # f + c h^2, f cubic and c linear, give f + c h^2/16 inside
         s, a, b = 1.5, -3.0, 2.0
         f = lambda x: 3.0 * x**3 - x**2 + 0.5 * x - 2.0
@@ -795,7 +809,7 @@ class TestRefinedGrids:
         vectors = [f(x) + c(x) * h**2 for x, h in zip(grids, (1.0, 0.5))]
         shift, start = oracle._next_start(s, [s + a + b, s + a / 4 + b / 16], vectors)
         guess = s + a / 16 + b / 256
-        assert shift == pytest.approx(guess - max(b / 16 / 64, 1e-9 * guess / 8), abs=1e-15)
+        assert shift == pytest.approx(guess - 1e-9 * guess / 2, abs=1e-15)
         inner = slice(5, -5)
         expected = f(grids[2]) + c(grids[2]) / 16.0
         assert np.max(np.abs(start[inner] - expected[inner])) < 1e-13
@@ -832,7 +846,7 @@ class TestRefinedGrids:
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
     def test_refined_vectors_are_the_converged_vectors(self, m, beta):
         # inverse iteration run to convergence at each grid's own rho;
-        # measured at most 3.5e-13 away over |beta| <= 1 (m = 1,
+        # measured at most 3.35e-13 away over |beta| <= 1 (m = 1,
         # beta = 0.45, the 2047-point grid)
         params = ModeParams(m=m, N=0)
         _, per_grid, vectors, _ = _ground_states(params, beta)
@@ -874,16 +888,18 @@ class TestRefinedGrids:
             assert oracle._rayleigh_quotient(vector, weights, grid.h) == expected, grid.points
 
     def test_uncertified_quotient_raises(self, monkeypatch):
-        # a count above 0 at rho - delta refuses the grid
+        # a count above 0 at rho - delta refuses the grid; at m = 20,
+        # beta = 0 the 511-point grid's second step does not certify it,
+        # and the grid takes a count
         monkeypatch.setattr(oracle, "_sturm_count", lambda diag, offsq, lam: 1)
         with pytest.raises(OracleError, match="not certified"):
-            _ground_states(ModeParams(m=1, N=0), 0.0)
+            _ground_states(ModeParams(m=20, N=0), 0.0)
 
     def test_last_step_certifies_only_inside_its_bracket(self, monkeypatch):
         # a grid skips its Sturm count just when its last step's shift tau
         # had no pivot <= 0 and lies in [rho - delta, rho + delta].  The
-        # shift Newton leaves on the 255-point grid can have no such pivot
-        # and still lie an ulp-scale noise above rho (m = 1, beta = 0.1)
+        # 511-point grid's second step, at its first rho, can have no such
+        # pivot and still lie above the second rho (m = 40, beta = 0.45)
         counter, last, step = SweepCounter(monkeypatch), {}, oracle._inverse_step
 
         def recording(diag, off, shift, rhs):
@@ -926,15 +942,15 @@ class TestRefinedGrids:
                     certified += 1
                     above += shift > rho
                     assert _sturm_count(diag, off * off, rho - delta) == 0, (m, beta, points)
-        assert (certified, above) == (126, 23)
+        assert (certified, above) == (159, 8)
 
     def test_step_count_above_zero_takes_one_sturm_count(self, monkeypatch):
-        # at m = 2, beta = 0 the last step certifies the three finer grids.
+        # at m = 2, beta = 0 the last step certifies every grid.
         # Made to report a pivot <= 0, each grid takes exactly one Sturm
         # count, which certifies the same values and vectors
         params, counter = ModeParams(m=2, N=0), SweepCounter(monkeypatch)
         estimate, per_grid, vectors, _ = _ground_states(params, 0.0)
-        assert [counter.sweeps["_sturm_count", p] for p in oracle.RICHARDSON_GRIDS] == [1, 0, 0, 0]
+        assert [counter.sweeps["_sturm_count", p] for p in oracle.RICHARDSON_GRIDS] == [0, 0, 0, 0]
         step = oracle._inverse_step
         monkeypatch.setattr(oracle, "_inverse_step", lambda *args: (step(*args)[0], 1))
         counter.sweeps.clear()
@@ -958,18 +974,18 @@ class TestRefinedGrids:
             fd_ground_state(params, 0.0, grid, shift, start)
 
     def test_quotient_far_above_the_last_shift_is_not_certified_by_the_step(self, monkeypatch):
-        # at m = 40, beta = 0 the 1023-point grid takes two steps, and the
+        # at m = 40, beta = 0.45 the 511-point grid takes two steps, and the
         # second, at the first rho, certifies the second rho.  Made to
         # report that rho 3 delta too high, the shift falls below rho -
         # delta: the step's pivots no longer bracket it, and the Sturm count
         # finds the eigenvalue below rho - delta
-        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
-        _, per_grid, vectors, spectral = _ground_states(params, 0.0)
-        shift, start = oracle._next_start(spectral, [per_grid[255], per_grid[511]], vectors[:2])
+        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[511]
+        _, per_grid, vectors, spectral = _ground_states(params, 0.45)
+        shift, start = oracle._next_start(spectral, [per_grid[255]], vectors[:1])
         counter = SweepCounter(monkeypatch)
-        assert fd_ground_state(params, 0.0, grid, shift, start)[0] == per_grid[1023]
-        assert counter.sweeps["_inverse_step", 1023] == 2
-        assert not counter.sweeps["_sturm_count", 1023]
+        assert fd_ground_state(params, 0.45, grid, shift, start)[0] == per_grid[511]
+        assert counter.sweeps["_inverse_step", 511] == 2
+        assert not counter.sweeps["_sturm_count", 511]
         quotient, calls = oracle._rayleigh_quotient, []
 
         def raised(*args):
@@ -978,15 +994,15 @@ class TestRefinedGrids:
 
         monkeypatch.setattr(oracle, "_rayleigh_quotient", raised)
         with pytest.raises(OracleError, match="not certified: 1 eigenvalue"):
-            fd_ground_state(params, 0.0, grid, shift, start)
+            fd_ground_state(params, 0.45, grid, shift, start)
 
     def test_quotient_far_below_the_last_shift_takes_the_sturm_count(self, monkeypatch):
         # the same grid, its second rho made 3 delta too low: the shift then
         # lies above rho + delta, outside the step's bracket, and the grid
         # takes one Sturm count
-        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[1023]
-        _, per_grid, vectors, spectral = _ground_states(params, 0.0)
-        shift, start = oracle._next_start(spectral, [per_grid[255], per_grid[511]], vectors[:2])
+        params, grid = ModeParams(m=40, N=0), oracle._GRIDS[511]
+        _, per_grid, vectors, spectral = _ground_states(params, 0.45)
+        shift, start = oracle._next_start(spectral, [per_grid[255]], vectors[:1])
         quotient, calls = oracle._rayleigh_quotient, []
 
         def lowered(*args):
@@ -995,9 +1011,9 @@ class TestRefinedGrids:
 
         monkeypatch.setattr(oracle, "_rayleigh_quotient", lowered)
         counter = SweepCounter(monkeypatch)
-        assert fd_ground_state(params, 0.0, grid, shift, start)[0] == calls[1] * (1.0 - 3e-9)
-        assert counter.sweeps["_inverse_step", 1023] == 2
-        assert counter.sweeps["_sturm_count", 1023] == 1
+        assert fd_ground_state(params, 0.45, grid, shift, start)[0] == calls[1] * (1.0 - 3e-9)
+        assert counter.sweeps["_inverse_step", 511] == 2
+        assert counter.sweeps["_sturm_count", 511] == 1
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_beta0_estimate_within_5e_12_of_e0(self, m):
@@ -1040,7 +1056,7 @@ class TestRichardson:
             for beta in (0.0, 0.33, -0.4, 2.0)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "905bb9f7f1019fbe32e0e4c7b18365822048a3006e05e53e9e59e82494fd90d0"
+            "11bd708acfbffd98668cfadece81232620073f43d89169e12b669e628f958092"
         )
 
 
@@ -1331,7 +1347,7 @@ class TestVerifyAll:
             for report in verify_all(ModeParams(m, 8), [beta])
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "c81d306132284ace54093c19181b1390f20dc5c3325902320dcfb55f8570175c"
+            "41e679b03bb4fc72380d9fcc162703084be62da3c168d10685186e48d06ff033"
         )
 
     @pytest.mark.parametrize("m", [1, 10, 91])
