@@ -211,13 +211,11 @@ def _render_reports_text(reports: list[OracleReport]) -> str:
         lines.append(f"report m={r.m} order={r.order} beta={_fmt(r.beta)}")
         for name, _ in _REPORT_FIELDS:
             lines.append(f"  {name:<{_NAME_WIDTH}} = {_cell(getattr(r, name))}")
-        for name in sorted(r.checks):
-            lines.append(f"  check {name}: {'pass' if r.checks[name] else 'FAIL'}")
-        for name in sorted(r.skipped):
-            lines.append(f"  check {name}: skipped ({r.skipped[name]})")
-        for name in sorted(r.oracle_checks):
-            why = r.oracle_checks[name]
-            lines.append(f"  oracle check {name}: {'pass' if why is None else f'FAIL ({why})'}")
+        # series checks that ran, then skipped ones, then the oracle's, each by name
+        for c in sorted(r.records, key=lambda c: (c.oracle, c.status == "skipped", c.name)):
+            status = "FAIL" if c.status == "fail" else c.status
+            why = "" if c.reason is None else f" ({c.reason})"
+            lines.append(f"  {'oracle check' if c.oracle else 'check'} {c.name}: {status}{why}")
         if r.error is not None:
             lines.append(f"  error = {r.error}")
         lines.append(f"  status = {_status(r)}")
@@ -242,22 +240,14 @@ def cmd_verify(args) -> int:
     params = ModeParams(m=args.m, N=args.order)
     state = compute_series(params)
     reports = verify_all(params, betas, tolerances=tolerances, state=state)
-    text = (
-        _render_reports_csv(reports)
-        if args.output_format == "csv"
-        else _render_reports_text(reports)
-    )
-    _write_output(text, args.out)
+    render = _render_reports_csv if args.output_format == "csv" else _render_reports_text
+    _write_output(render(reports), args.out)
 
-    failing = [r for r in reports if r.passed is False]
-    if failing:
-        first = failing[0]
-        bad = [name for name, ok in first.checks.items() if not ok]
-        detail = first.error if first.error else ", ".join(bad)
-        print(
-            f"verification failed at m={first.m} beta={_fmt(first.beta)}: {detail}",
-            file=sys.stderr,
-        )
+    r = next((report for report in reports if report.passed is False), None)
+    if r is not None:
+        bad = (c.name for c in r.records if c.status == "fail" and not c.oracle)
+        detail = r.error if r.error else ", ".join(bad)
+        print(f"verification failed at m={r.m} beta={_fmt(r.beta)}: {detail}", file=sys.stderr)
         return 3
     return 0
 

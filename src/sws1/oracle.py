@@ -70,8 +70,9 @@ tridiagonal, and restores clean h^2 convergence for all m >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,7 @@ _CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks 
 # the most rows an inverse step sweeps in Python: reducing the 255-point
 # grid too would move its bytes and slow its step
 _SWEPT_ROWS = 255
+_OVERFLOW = "exp of the series phase overflows"  # why a NaN wavefunction gap is skipped
 
 
 class OracleError(RuntimeError):
@@ -131,10 +133,22 @@ _GRIDS = {points: FdGrid(points) for points in RICHARDSON_GRIDS}  # their trig i
 _COARSEST = _GRIDS[RICHARDSON_GRIDS[0]]  # its nodes lie on every grid
 
 
+class Check(NamedTuple):
+    """One check of a report: its measured value, the bound it held it to, its
+    status ("pass", "fail" or "skipped"), why, and whether it judges the
+    oracle, not the series.  README's check list names each check."""
+
+    name: str
+    value: float | int | None
+    bound: float
+    status: str
+    reason: str | None = None
+    oracle: bool = False
+
+
 @dataclass
 class OracleReport:
-    """Comparison record for one (m, beta) pair.  A value the run did not
-    measure stays NaN, or empty."""
+    """Comparison record for one (m, beta) pair; a value not measured stays NaN, or empty."""
 
     m: int
     beta: float
@@ -146,13 +160,21 @@ class OracleReport:
     grid_sizes: tuple = RICHARDSON_GRIDS
     grid_eigenvalues: tuple = ()
     wavefunction_gap: float = math.nan
-    checks: dict = field(default_factory=dict)
-    skipped: dict = field(default_factory=dict)  # check name -> why it was not run
-    # checks of the oracle against an exact value: name -> None if it held,
-    # else why not.  They judge the oracle, not the series; `passed` omits them
-    oracle_checks: dict = field(default_factory=dict)
-    passed: bool | None = None
+    records: tuple = ()  # every Check, in the order `verify_all` forms them
     error: str | None = None
+
+    @property
+    def checks(self) -> dict:
+        """Each series check that ran: its name -> whether it passed."""
+        ran = (c for c in self.records if not c.oracle and c.status != "skipped")
+        return {c.name: c.status == "pass" for c in ran}
+
+    @property
+    def passed(self) -> bool | None:
+        """False on an oracle error, None past |beta| = JUDGED_BETA_LIMIT, else all of `checks`."""
+        if self.error is not None:
+            return False
+        return None if abs(self.beta) > JUDGED_BETA_LIMIT else all(self.checks.values())
 
 
 @cache
@@ -608,8 +630,7 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     h, g, den = convolve_sources(state, n)
     R, T, Z, _ = rt_tables(h, g, den, state.params)
     m = state.params.m
-    s = math.sin(theta)
-    c = math.cos(theta)
+    s, c = math.sin(theta), math.cos(theta)
     r_val = sum(v / Z * s ** (2 * m + 2 * p) for p, v in enumerate(R))
     t_val = sum(v / Z * s ** (2 * m + 2 * j) for j, v in enumerate(T))
     return r_val + c * t_val
@@ -657,6 +678,12 @@ def riccati_defect(state: SeriesState) -> int | None:
     return None
 
 
+def _held(name: str, value: float, bound: float, far=None, oracle=False) -> Check:
+    """The check that `value` lies within `bound`, `far` a FAIL's reason."""
+    ok = value <= bound
+    return Check(name, value, bound, "pass" if ok else "fail", None if ok else far, oracle)
+
+
 def verify_all(
     params: ModeParams,
     beta_list,
@@ -664,34 +691,25 @@ def verify_all(
     state: SeriesState | None = None,
 ) -> list[OracleReport]:
     """Run the full comparison battery for each beta, from `state` when
-    given, which must have been built for `params`.
+    given, which must have been built for `params`: one report per beta.
 
     Sub-oracle failures are captured per report instead of aborting the
     batch; an m or beta the oracle cannot take raises ValueError
-    (`_weights`).  Above |beta| = JUDGED_BETA_LIMIT the gaps are reported
-    without a pass/fail judgment, since series truncation dominates every
-    tolerance there.  A NaN wavefunction gap, where exp of the series
-    phase overflows, was not measured and is skipped, not judged.  At
-    every beta the Richardson estimate is also held to the spectral value
-    that seeded its grids, under the `eigenvalue` tolerance: a check of
-    the oracle, not of the series, reported in `oracle_checks` and left
-    out of `passed`.  At beta = 0 the spectral value is exactly E0.  The
-    series' Riccati defect does not depend on beta: `riccati_defect` is
-    taken once per call and judged in every report.
+    (`_weights`).  The series' Riccati defect does not depend on beta:
+    `riccati_defect` is taken once per call and judged in every report.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    bound, psi_bound = tol["eigenvalue"], tol["wavefunction"]
     if state is None:
         state = compute_series(params)
     elif state.params != params:
         raise ValueError(f"the state was built for {state.params}, not for {params}")
-    n_order = state.current_order
-    exact = riccati_defect(state) is None
+    defect = riccati_defect(state)
+    riccati = Check("riccati_defect", defect, 0, "pass" if defect is None else "fail")
 
     reports = []
     for beta in beta_list:
-        common = dict(m=params.m, beta=float(beta), order=n_order)
+        common = dict(m=params.m, beta=float(beta), order=state.current_order)
         try:
             series_value = eval_energy(state, beta)
             estimate, per_grid, vectors, spectral = _ground_states(params, beta)
@@ -705,21 +723,16 @@ def verify_all(
                 trig = _COARSEST.trig
                 psi, _, _ = _wavefunction(params.m, tables, trig, _powers(trig[3], tables))
                 wavefunction_gap = float(np.abs(psi - vec).max())
-            abs_gap = abs(series_value - estimate)
-
-            checks, skipped = {"eigenvalue_gap": abs_gap <= tol["eigenvalue"]}, {}
-            if math.isnan(wavefunction_gap):
-                skipped["wavefunction_gap"] = "exp of the series phase overflows"
-            else:
-                checks["wavefunction_gap"] = wavefunction_gap <= tol["wavefunction"]
-            checks["riccati_defect"] = exact
-            fd_gap = abs(estimate - spectral)
-            oracle_checks = {
-                "eigenvalue_gap_fd_spectral": None
-                if fd_gap <= tol["eigenvalue"]
-                else f"the FD estimate lies {fd_gap:.3g} from the spectral value, "
-                f"above {tol['eigenvalue']:g}"
-            }
+            abs_gap, fd_gap = abs(series_value - estimate), abs(estimate - spectral)
+            far = f"the FD estimate lies {fd_gap:.3g} from the spectral value, above {bound:g}"
+            records = (
+                _held("eigenvalue_gap", abs_gap, bound),
+                Check("wavefunction_gap", wavefunction_gap, psi_bound, "skipped", _OVERFLOW)
+                if math.isnan(wavefunction_gap)
+                else _held("wavefunction_gap", wavefunction_gap, psi_bound),
+                riccati,
+                _held("eigenvalue_gap_fd_spectral", fd_gap, bound, far, oracle=True),
+            )
             report = OracleReport(
                 **common,
                 series_value=series_value,
@@ -728,14 +741,11 @@ def verify_all(
                 rel_gap=abs_gap / abs(series_value) if series_value != 0.0 else math.inf,
                 grid_eigenvalues=tuple(per_grid[p] for p in RICHARDSON_GRIDS),
                 wavefunction_gap=wavefunction_gap,
-                checks=checks,
-                skipped=skipped,
-                oracle_checks=oracle_checks,
-                passed=None if abs(beta) > JUDGED_BETA_LIMIT else all(checks.values()),
+                records=records,
             )
         except ValueError:
             raise  # an input out of range is refused, not judged
         except Exception as exc:
-            report = OracleReport(**common, passed=False, error=str(exc))
+            report = OracleReport(**common, error=str(exc))
         reports.append(report)
     return reports

@@ -13,7 +13,7 @@ import pytest
 from sws1 import cli, evaluate
 from sws1.cli import main
 from sws1.core import tables_from_text
-from sws1.oracle import OracleReport
+from sws1.oracle import Check, OracleReport
 from sws1.recurrence import compute_series
 
 
@@ -555,40 +555,62 @@ def _pinned_reports():
     nan = float("nan")
     overflow = "exp of the series phase overflows"
     spectral = "eigenvalue_gap_fd_spectral"
+    exact = Check("riccati_defect", None, 0, "pass")
     common = dict(grid_sizes=(255, 511, 1023, 2047))
     return [
         OracleReport(
             m=1, beta=0.0, order=3, series_value=0.0, numeric_value=-2.5e-7,
             abs_gap=2.5e-7, rel_gap=math.inf,
             grid_eigenvalues=(-1.6e-5, -4e-6, -1e-6, -2.5e-7), wavefunction_gap=1.5e-5,
-            checks={"eigenvalue_gap": True, "wavefunction_gap": True, "riccati_defect": True},
-            oracle_checks={spectral: None}, passed=True, **common,
+            records=(
+                Check("eigenvalue_gap", 2.5e-7, 1e-6, "pass"),
+                Check("wavefunction_gap", 1.5e-5, 1e-3, "pass"),
+                exact,
+                Check(spectral, 2.5e-7, 1e-6, "pass", oracle=True),
+            ),
+            **common,
         ),
         OracleReport(
             m=10, beta=0.0, order=8, series_value=108.0, numeric_value=108.0, abs_gap=0.0,
             rel_gap=0.0, grid_eigenvalues=(108.25, 108.0625, 108.015625, 108.00390625),
             wavefunction_gap=1e-13,
-            checks={"eigenvalue_gap": True, "wavefunction_gap": True, "riccati_defect": True},
-            oracle_checks={spectral: "the FD estimate lies 2e-06 from the spectral value"},
-            passed=True, **common,
+            records=(
+                Check("eigenvalue_gap", 0.0, 1e-6, "pass"),
+                Check("wavefunction_gap", 1e-13, 1e-3, "pass"),
+                exact,
+                Check(
+                    spectral, 2e-6, 1e-6, "fail",
+                    "the FD estimate lies 2e-06 from the spectral value", oracle=True,
+                ),
+            ),
+            **common,
         ),
         OracleReport(
             m=10, beta=0.05, order=8, series_value=110.125, numeric_value=110.0,
             abs_gap=0.125, rel_gap=0.125 / 110.125,
             grid_eigenvalues=(108.0, 109.5, 109.875, 110.0), wavefunction_gap=2e-4,
-            checks={"eigenvalue_gap": False, "wavefunction_gap": True, "riccati_defect": False},
-            passed=False, **common,
+            records=(
+                Check("eigenvalue_gap", 0.125, 1e-6, "fail"),
+                Check("wavefunction_gap", 2e-4, 1e-3, "pass"),
+                Check("riccati_defect", 5, 0, "fail"),
+            ),
+            **common,
         ),
         OracleReport(
             m=2, beta=1e200, order=8, series_value=nan, numeric_value=nan, abs_gap=nan,
             rel_gap=nan, grid_eigenvalues=(), wavefunction_gap=nan,
-            passed=False, error="bisection did not converge", **common,
+            error="bisection did not converge", **common,
         ),
         OracleReport(
             m=40, beta=-1.5, order=4, series_value=1638.0, numeric_value=1639.0, abs_gap=1.0,
             rel_gap=1.0 / 1638.0, grid_eigenvalues=(1626.0, 1636.0, 1638.5, 1639.0),
-            wavefunction_gap=nan, checks={"eigenvalue_gap": False, "riccati_defect": True},
-            skipped={"wavefunction_gap": overflow}, passed=None, **common,
+            wavefunction_gap=nan,
+            records=(
+                Check("eigenvalue_gap", 1.0, 1e-6, "fail"),
+                Check("wavefunction_gap", nan, 1e-3, "skipped", overflow),
+                exact,
+            ),
+            **common,
         ),
     ]
 

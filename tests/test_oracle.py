@@ -7,6 +7,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ from sws1.oracle import (
     verify_all,
 )
 from sws1.recurrence import compute_series
+
+
+def oracle_reasons(report):
+    """Each oracle check's name -> None if it held, else its reason."""
+    return {c.name: c.reason for c in report.records if c.oracle}
+
+
+def skip_reasons(report):
+    """Each skipped check's name -> why it was not run."""
+    return {c.name: c.reason for c in report.records if c.status == "skipped"}
 
 
 def diagonal(params, beta, grid):
@@ -1198,7 +1209,7 @@ class TestVerifyAll:
         (report,) = reports
         assert report.passed is True
         assert report.abs_gap < 5e-5
-        assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}
+        assert oracle_reasons(report) == {"eigenvalue_gap_fd_spectral": None}
 
     def test_gap_grows_with_beta_at_fixed_order(self):
         # truncation error dominates, so the series-vs-numeric gap must
@@ -1222,7 +1233,7 @@ class TestVerifyAll:
         # which is E0 exactly at beta = 0
         (report,) = verify_all(ModeParams(m=10, N=8), [0.0])
         assert abs(report.grid_eigenvalues[-1] - 108.0) > 4e-4
-        assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}
+        assert oracle_reasons(report) == {"eigenvalue_gap_fd_spectral": None}
         assert "eigenvalue_gap_fd_spectral" not in report.checks
         assert report.checks["eigenvalue_gap"] and report.passed is True
 
@@ -1232,7 +1243,7 @@ class TestVerifyAll:
         # at |beta| <= 1, against the 1e-6 bound
         for report in verify_all(ModeParams(m=m, N=4), [0.0, 0.45, -0.45, 1.0, -1.0]):
             assert report.error is None
-            assert report.oracle_checks == {"eigenvalue_gap_fd_spectral": None}, report.beta
+            assert oracle_reasons(report) == {"eigenvalue_gap_fd_spectral": None}, report.beta
 
     @pytest.mark.parametrize("m", [1, 10, 40])
     def test_shifted_spectral_value_fails_the_oracle_check_only(self, m, monkeypatch):
@@ -1245,7 +1256,7 @@ class TestVerifyAll:
         (report,) = verify_all(ModeParams(m=m, N=8), [0.05])
         gap = abs(report.numeric_value - shifted(m, 0.05))
         assert 1.9e-6 < gap < 2.1e-6
-        assert report.oracle_checks == {
+        assert oracle_reasons(report) == {
             "eigenvalue_gap_fd_spectral": (
                 f"the FD estimate lies {gap:.3g} from the spectral value, above 1e-06"
             )
@@ -1332,16 +1343,16 @@ class TestVerifyAll:
         # sha256 of the repr of every measured field of the reports over
         # the benchmark's verify-battery modes, so a change of speed that
         # moves any float or verdict shows
-        fields = (
-            "series_value",
-            "grid_eigenvalues",
-            "wavefunction_gap",
-            "checks",
-            "skipped",
-            "oracle_checks",
+        views = (
+            lambda r: r.series_value,
+            lambda r: r.grid_eigenvalues,
+            lambda r: r.wavefunction_gap,
+            lambda r: r.checks,
+            skip_reasons,
+            oracle_reasons,
         )
         rows = [
-            tuple(getattr(report, name) for name in fields)
+            tuple(view(report) for view in views)
             for m in (1, 2, 5, 10, 20, 40)
             for beta in (0.0, 0.1, 0.45)
             for report in verify_all(ModeParams(m, 8), [beta])
@@ -1353,13 +1364,22 @@ class TestVerifyAll:
     @pytest.mark.parametrize("m", [1, 10, 91])
     @pytest.mark.parametrize("order", [0, 1, 2, 8])
     def test_every_check_is_judged_or_skipped(self, m, order):
-        # each check of the series lands in `checks` or, with its reason,
-        # in `skipped`; the exact Riccati check is judged at every N
+        # each check of the series lands in `checks` or is skipped with its
+        # reason; the exact Riccati check is judged at every N
         for report in verify_all(ModeParams(m, order), [0.0, 0.05, -0.45, 1.5, 10.0]):
             assert report.error is None, report.beta
             for name in ("eigenvalue_gap", "wavefunction_gap", "riccati_defect"):
-                assert (name in report.checks) != (name in report.skipped), (name, report.beta)
+                assert (name in report.checks) != (name in skip_reasons(report)), (name, report.beta)
             assert report.checks["riccati_defect"] is True, report.beta
+
+    def test_readme_check_list_names_the_checks_verify_all_forms(self):
+        # README's check list, one `name` (series|oracle) per bullet, read
+        # against the records of a report, so that the list cannot drift
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Checks\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `(\w+)` \((series|oracle)\)", section, re.M)
+        (report,) = verify_all(ModeParams(1, 4), [0.1])
+        assert listed == [(c.name, "oracle" if c.oracle else "series") for c in report.records]
 
     # the verdict grid's FAILs, (m, N, beta): series truncation, each on
     # the eigenvalue gap alone
@@ -1379,8 +1399,36 @@ class TestVerifyAll:
         for r in reports:
             failed = {name for name, ok in r.checks.items() if not ok}
             assert failed == ({"eigenvalue_gap"} if (r.m, r.order, r.beta) in fails else set())
-            assert r.oracle_checks == {"eigenvalue_gap_fd_spectral": None}, (r.m, r.order, r.beta)
+            assert oracle_reasons(r) == {"eigenvalue_gap_fd_spectral": None}, (r.m, r.order, r.beta)
         assert all(report.checks["riccati_defect"] for report in reports)
+
+    def test_verdict_grid_verdicts_derive_from_the_records(self):
+        # over the verdict grid's 72 reports: each check name occurs once,
+        # `passed` is whether every series record that ran passed (None
+        # past |beta| = 1), no oracle record moves it, and `checks`, which
+        # perfbench's tracer reads, is the map the reports kept before
+        # they held records, key for key and in order
+        reports = [
+            report
+            for m in (1, 5, 10, 20, 40, 80)
+            for order in (4, 8, 16)
+            for report in verify_all(ModeParams(m, order), [0.0, 0.05, 0.45, 1.0])
+        ]
+        for r in reports:
+            names = [c.name for c in r.records]
+            assert len(names) == len(set(names)) == 4, names
+            ran = [c.status for c in r.records if not c.oracle and c.status != "skipped"]
+            assert r.passed is all(status == "pass" for status in ran)
+            assert dataclasses.replace(r, beta=-1.5).passed is None
+            flipped = tuple(
+                c._replace(status="pass" if c.status == "fail" else "fail") if c.oracle else c
+                for c in r.records
+            )
+            assert dataclasses.replace(r, records=flipped).passed is r.passed
+        rows = [list(r.checks.items()) for r in reports]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "ad1c671f0582216e0c3bf3a0f179bc77c451bff103c8e217c3d3c2a6e4d08fa0"
+        )
 
 
 class TestGapScaling:
