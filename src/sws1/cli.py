@@ -216,8 +216,6 @@ def _render_reports_text(reports: list[OracleReport]) -> str:
             status = "FAIL" if c.status == "fail" else c.status
             why = "" if c.reason is None else f" ({c.reason})"
             lines.append(f"  {'oracle check' if c.oracle else 'check'} {c.name}: {status}{why}")
-        if r.error is not None:
-            lines.append(f"  error = {r.error}")
         lines.append(f"  status = {_status(r)}")
     return "\n".join(lines) + "\n"
 
@@ -245,9 +243,8 @@ def cmd_verify(args) -> int:
 
     r = next((report for report in reports if report.passed is False), None)
     if r is not None:
-        bad = (c.name for c in r.records if c.status == "fail" and not c.oracle)
-        detail = r.error if r.error else ", ".join(bad)
-        print(f"verification failed at m={r.m} beta={_fmt(r.beta)}: {detail}", file=sys.stderr)
+        bad = ", ".join(c.name for c in r.records if c.status == "fail" and not c.oracle)
+        print(f"verification failed at m={r.m} beta={_fmt(r.beta)}: {bad}", file=sys.stderr)
         return 3
     return 0
 

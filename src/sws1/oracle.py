@@ -98,7 +98,8 @@ _CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks 
 # the most rows an inverse step sweeps in Python: reducing the 255-point
 # grid too would move its bytes and slow its step
 _SWEPT_ROWS = 255
-_OVERFLOW = "exp of the series phase overflows"  # why a NaN wavefunction gap is skipped
+# why a check is skipped: a NaN wavefunction gap, and every gap of a failed oracle
+_OVERFLOW, _UNSOLVED = "exp of the series phase overflows", "the FD oracle failed"
 
 
 class OracleError(RuntimeError):
@@ -171,10 +172,10 @@ class OracleReport:
 
     @property
     def passed(self) -> bool | None:
-        """False on an oracle error, None past |beta| = JUDGED_BETA_LIMIT, else all of `checks`."""
-        if self.error is not None:
-            return False
-        return None if abs(self.beta) > JUDGED_BETA_LIMIT else all(self.checks.values())
+        """None past |beta| = JUDGED_BETA_LIMIT, else whether every series
+        check that ran passed; None too when they did but the oracle failed."""
+        ok = all(self.checks.values())
+        return None if abs(self.beta) > JUDGED_BETA_LIMIT or (ok and self.error) else ok
 
 
 @cache
@@ -745,7 +746,13 @@ def verify_all(
             )
         except ValueError:
             raise  # an input out of range is refused, not judged
-        except Exception as exc:
-            report = OracleReport(**common, error=str(exc))
+        except Exception as exc:  # the oracle failed: it judges the oracle, not the series
+            records = (
+                Check("eigenvalue_gap", math.nan, bound, "skipped", _UNSOLVED),
+                Check("wavefunction_gap", math.nan, psi_bound, "skipped", _UNSOLVED),
+                riccati,
+                Check("eigenvalue_gap_fd_spectral", math.nan, bound, "error", str(exc), True),
+            )
+            report = OracleReport(**common, records=records, error=str(exc))
         reports.append(report)
     return reports

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from sws1 import cli, evaluate
+from sws1 import cli, evaluate, oracle
 from sws1.cli import main
 from sws1.core import tables_from_text
-from sws1.oracle import Check, OracleReport
+from sws1.oracle import Check, OracleError, OracleReport
 from sws1.recurrence import compute_series
 
 
@@ -454,6 +454,48 @@ class TestVerify:
         # |beta| > 1 is reported, not judged: the failed gap sets no exit code
         assert code == 0 and err == CAUTION and "status = NOT-JUDGED" in out
 
+    @pytest.mark.parametrize(
+        "m, beta, why",
+        [
+            ("2", "-100", "ground eigenvector changes sign; the smallest eigenvalue does not "),
+            ("40", "142", "the Rayleigh quotient -8974.941861230554 on the 511-point grid "),
+        ],
+    )
+    def test_oracle_error_is_not_a_series_fail(self, capsys, m, beta, why):
+        # the FD oracle fails at these betas: its check says why, the series
+        # checks it measures are skipped, the exact check is still judged,
+        # and the report is not judged, so no exit code is set
+        code, out, err = run(["verify", "--m", m, "--order", "8", f"--beta={beta}"], capsys)
+        assert code == 0 and err == CAUTION
+        checks = [line for line in out.splitlines() if "check " in line]
+        assert checks[:3] == [
+            "  check riccati_defect: pass",
+            "  check eigenvalue_gap: skipped (the FD oracle failed)",
+            "  check wavefunction_gap: skipped (the FD oracle failed)",
+        ]
+        assert checks[3].startswith(f"  oracle check eigenvalue_gap_fd_spectral: error ({why}")
+        assert out.endswith("  status = NOT-JUDGED\n")
+
+    def test_series_defect_fails_a_report_whose_oracle_failed(self, capsys, monkeypatch):
+        # inside the judged range an oracle error leaves the report without a
+        # verdict, unless the exact check finds a defect: that still exits 3
+        def failing(params, beta):
+            raise OracleError("the grids did not converge")
+
+        monkeypatch.setattr(oracle, "_ground_states", failing)
+        argv = ["verify", "--m", "1", "--order", "3", "--beta", "0.1"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == "" and "status = NOT-JUDGED" in out
+        assert "error (the grids did not converge)" in out
+        def corrupted_series(params):
+            state = compute_series(params)
+            return replace(state, energy=(state.energy[0] + Fraction(1, 1000),) + state.energy[1:])
+
+        monkeypatch.setattr(cli, "compute_series", corrupted_series)
+        code, out, err = run(argv, capsys)
+        assert code == 3 and "  check riccati_defect: FAIL\n" in out and "status = FAIL" in out
+        assert err == "verification failed at m=1 beta=0.10000000000000001: riccati_defect\n"
+
 
 class TestParser:
     def test_unknown_flag_exits_1(self, capsys):
@@ -550,8 +592,8 @@ class TestBlasThreads:
 
 
 def _pinned_reports():
-    """Five hand-built reports, one of each verdict and a passing one whose
-    oracle check failed, with fixed values."""
+    """Five hand-built reports, one of each verdict, a passing one whose
+    oracle check failed and one whose oracle failed, with fixed values."""
     nan = float("nan")
     overflow = "exp of the series phase overflows"
     spectral = "eigenvalue_gap_fd_spectral"
@@ -599,6 +641,12 @@ def _pinned_reports():
         OracleReport(
             m=2, beta=1e200, order=8, series_value=nan, numeric_value=nan, abs_gap=nan,
             rel_gap=nan, grid_eigenvalues=(), wavefunction_gap=nan,
+            records=(
+                Check("eigenvalue_gap", nan, 1e-6, "skipped", "the FD oracle failed"),
+                Check("wavefunction_gap", nan, 1e-3, "skipped", "the FD oracle failed"),
+                exact,
+                Check(spectral, nan, 1e-6, "error", "bisection did not converge", oracle=True),
+            ),
             error="bisection did not converge", **common,
         ),
         OracleReport(
@@ -662,8 +710,11 @@ report m=2 order=8 beta=9.9999999999999997e+199
   grid_sizes          = 255,511,1023,2047
   grid_eigenvalues    = 
   wavefunction_gap    = nan
-  error = bisection did not converge
-  status = FAIL
+  check riccati_defect: pass
+  check eigenvalue_gap: skipped (the FD oracle failed)
+  check wavefunction_gap: skipped (the FD oracle failed)
+  oracle check eigenvalue_gap_fd_spectral: error (bisection did not converge)
+  status = NOT-JUDGED
 report m=40 order=4 beta=-1.5
   series_value        = 1638
   numeric_value       = 1639
@@ -683,7 +734,7 @@ m,beta,order,series_value,numeric_value,abs_gap,rel_gap,wavefunction_gap,status
 1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,1.5e-05,pass
 10,0,8,108,108,0,0,1e-13,pass
 10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,0.00020000000000000001,fail
-2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,fail
+2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,not-judged
 40,-1.5,4,1638,1639,1,0.0006105006105006105,nan,not-judged
 """
 

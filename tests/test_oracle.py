@@ -1369,8 +1369,26 @@ class TestVerifyAll:
         for report in verify_all(ModeParams(m, order), [0.0, 0.05, -0.45, 1.5, 10.0]):
             assert report.error is None, report.beta
             for name in ("eigenvalue_gap", "wavefunction_gap", "riccati_defect"):
-                assert (name in report.checks) != (name in skip_reasons(report)), (name, report.beta)
+                skipped = name in skip_reasons(report)
+                assert (name in report.checks) != skipped, (name, report.beta)
             assert report.checks["riccati_defect"] is True, report.beta
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 40, 91])
+    def test_oracle_error_fails_no_report(self, m):
+        # far past the judged range the FD oracle fails at some betas at
+        # every m; such a report keeps its series checks, names the error in
+        # its oracle check, and is FAIL only if a series check failed
+        sizes = (10, 30, 100, 150, 300, 1e3, 1e6, 1e150)
+        betas = [sign * size for size in sizes for sign in (1, -1)]
+        reports = verify_all(ModeParams(m, 8), betas)
+        assert any(r.error is not None for r in reports)
+        for r in reports:
+            assert r.passed is not False or not all(r.checks.values()), r.beta
+            assert r.checks["riccati_defect"] is True, r.beta
+            if r.error is not None:
+                (spectral,) = (c for c in r.records if c.oracle)
+                assert (spectral.status, spectral.reason) == ("error", r.error), r.beta
+                assert set(skip_reasons(r)) == {"eigenvalue_gap", "wavefunction_gap"}, r.beta
 
     def test_readme_check_list_names_the_checks_verify_all_forms(self):
         # README's check list, one `name` (series|oracle) per bullet, read
@@ -1378,8 +1396,10 @@ class TestVerifyAll:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("\n### Checks\n", 1)[1].split("\n## ", 1)[0]
         listed = re.findall(r"^- `(\w+)` \((series|oracle)\)", section, re.M)
-        (report,) = verify_all(ModeParams(1, 4), [0.1])
-        assert listed == [(c.name, "oracle" if c.oracle else "series") for c in report.records]
+        judged, failed = verify_all(ModeParams(2, 4), [0.1, -100.0])
+        assert judged.error is None and failed.error is not None
+        for report in (judged, failed):
+            assert listed == [(c.name, "oracle" if c.oracle else "series") for c in report.records]
 
     # the verdict grid's FAILs, (m, N, beta): series truncation, each on
     # the eigenvalue gap alone
