@@ -293,9 +293,10 @@ class TestGroundEigenvalue:
         assert self.convergence_order(1, 0.1) == pytest.approx(2.0, abs=0.2)
 
 
-class TestCertifiedBisection:
-    """Sturm counts, Newton steps and Thomas pivot counts of the FD solver,
-    which no longer bisects; the class keeps its name, and its test ids."""
+class TestEigenvalueCountsAndSweeps:
+    """The FD solver's eigenvalue counts (the Sturm count, the Newton sweep
+    and an inverse step's pivots agree), the value any seed reaches, and
+    how many sweeps and rows a solve takes."""
 
     def test_zero_pivot_counts_as_negative(self):
         # [[1, 1], [1, 1]] has eigenvalues 0 and 2; at lam = 0 the second
@@ -392,7 +393,7 @@ class TestCertifiedBisection:
 
     @pytest.mark.parametrize("m", [1, 2, 10, 40, 80])
     @pytest.mark.parametrize("beta", [0.0, 0.33, -0.7, 2.0])
-    def test_same_float_as_plain_bisection_for_any_guess(self, m, beta):
+    def test_any_seed_lands_within_delta_of_plain_bisection(self, m, beta):
         # any seed gives a value within delta = 1e-9 max(1, |lam|) of the
         # plain bisection's float
         params = ModeParams(m=m, N=0)
