@@ -1,51 +1,16 @@
 """Independent verification of the series output.
 
-The boundary-value problem is discretized on a uniform interior grid with
-Dirichlet endpoints as a symmetric tridiagonal operator T, entirely
-independently of the recurrence path.  Four nested grids, h = pi/256 ...
-pi/2048, each coarse node every other node of the next grid, feed one
-Richardson table (Richardson 1911, Phil. Trans. R. Soc. A 210, 307) for
-the eigenvalue and the eigenvector alike.  `verify_all` runs that
-comparison, plus an exact check of the series itself: `riccati_defect`
-tests, in integer arithmetic, that every order n <= N of the Riccati
-defect W^2 - W' - V + E vanishes at theta = pi/3.
-`quadrature_an`, a Gauss-Legendre re-computation of the order-n
-antiderivative from the nearer endpoint, cross-checks the coefficient
-tables themselves; `verify_all` does not call it, the test suite and the
-benchmark's verify-battery do.
-
-Every grid is solved by Rayleigh-quotient iteration (`fd_ground_state`):
-one inverse-iteration step at a shift from a start vector, and a second
-step at the Rayleigh quotient rho only when rho lies more than
-delta = 1e-9 max(1, |rho|) from the shift.  rho is formed as
-(sum (dv)^2 / h^2 + sum w v^2) / sum v^2, w the potential plus the
-indicial correction, so it does not carry the cancellation of
-2/h^2 - lam that sets the Sturm count's noise.  A Rayleigh quotient lies
-at or above the ground eigenvalue.  A step solves (T - tau) x = b, tau
-its shift, by odd-even reduction in numpy down to 255 unknowns and a
-Python Thomas sweep of those (`_inverse_step`).  Its pivots are those of
-a block LDL^T factorization of T - tau, so by Sylvester's law of inertia
-and Haynsworth's inertia additivity (1968, Linear Algebra Appl. 1, 73)
-the last step's pivots count the eigenvalues below tau (Kahan 1966,
-Stanford CS41): when none of them is <= 0 and tau lies in
-[rho - delta, rho + delta], the eigenvalue lies at or above
-tau >= rho - delta, so in [rho - delta, rho], and the grid needs no
-sweep of its own.  Otherwise one Sturm count of 0 at rho - delta puts
-the eigenvalue in [rho - delta, rho]; a grid whose count is not 0 raises
-OracleError.
-
-The shifts come from the spectral value s (`spectral_eigenvalue`): the
-operator as a 40 x 40 matrix in the spin-weighted harmonics 1Y_l^m
-(Hughes 2000, PRD 61, 084004; Cook & Zalutskiy 2014, PRD 90, 124021).
-An oracle check holds the Richardson estimate to s; no verdict reads it.
-On the 255-point grid Newton steps on det(T - lam), taken from below the
-eigenvalue, move s to within delta/2 of it, and one inverse step from
-the all-ones vector delta/4 below there is the start.  Each finer grid
-starts from the grids before it (`_next_start`): the 511-point grid at
-the Richardson seed s + (v - s)/4, the two finest, as full multigrid's
-nested iteration does (Brandt 1977, Math. Comp. 31, 333), delta/2 below
-an h^4 model of the value and from an h^2-corrected vector.  Each such
-shift lets the grid's own last step certify it.
+The finite-difference oracle solves the boundary-value problem on its own:
+four nested grids (`_GRIDS`), each solved by `fd_ground_state` from the
+shift and start that `_shift_below` or `_next_start` gives, feed one
+Richardson table (`_richardson`) for the eigenvalue and the eigenvector
+alike.  README's "The finite-difference oracle" states the method once,
+with its references.  `verify_all` holds the series to that oracle, and
+checks the series itself exactly (`riccati_defect`), one `Check` record
+per check.  `quadrature_an`, a Gauss-Legendre re-computation of the
+order-n antiderivative from the nearer endpoint, cross-checks the
+coefficient tables themselves; `verify_all` does not call it, the test
+suite and the benchmark's verify-battery do.
 
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
@@ -259,21 +224,17 @@ def _sturm_newton(diag: list, offsq: float, lam: float) -> tuple[int, float]:
 
 
 def _shift_below(diag: list, offsq: float, seed: float, floor: float) -> float:
-    """A shift just below the ground eigenvalue lambda_1 by Newton steps on
-    det(T - lam) taken from below it (`_sturm_newton`, whose count places
-    each iterate), where in exact arithmetic a step never overshoots.  The
-    steps start from `seed` when its count is 0.  When its count is 1 and
-    its step points down, they start one step down, if the count there is
-    0: a step from between lambda_1 and lambda_2 may also point up, towards
-    lambda_2.
-    Otherwise, and for a NaN seed or one below it, they start from the
-    Gershgorin `floor`.  They go on while the count is 0 and the step
-    exceeds delta/2, delta the certified width at the iterate x, short of
-    the pivots' noise (about 2^10 * 1e-13 relative).  A step from below
-    is at most the distance to lambda_1 and, this close, nearly all of
-    it, so x - delta/4, the shift returned, lies below lambda_1 by more
-    than that noise and within delta of it, where the pivots of the
-    grid's last inverse step certify rho (`fd_ground_state`)."""
+    """A shift just below the ground eigenvalue lambda_1, from Newton steps
+    on det(T - lam) (`_sturm_newton`, whose count places each iterate)
+    taken up from below it.  They start from `seed` when its count is 0;
+    from one step down when its count is 1, its step points down and the
+    count there is 0 (a step from between lambda_1 and lambda_2 may also
+    point up, towards lambda_2); and otherwise, also for a NaN seed or one
+    below it, from the Gershgorin `floor`.  They go on while the count is 0
+    and the step exceeds delta/2, delta the certified width at the iterate
+    x, and the shift returned is x - delta/4.  README's "The
+    finite-difference oracle" says why the grid's last step certifies
+    rho from there."""
     x = seed if seed > floor else floor
     count, step = _sturm_newton(diag, offsq, x)
     if count == 1 and step < 0.0:
@@ -444,19 +405,14 @@ def _cubic_prolong(coarse: np.ndarray) -> np.ndarray:
 def _next_start(spectral: float, values: list, vectors: list) -> tuple[float, np.ndarray]:
     """The shift and start of the next nested grid from the values and
     vectors of the grids solved so far, coarsest first, s the spectral
-    value.  After one grid, with value v, the FD error falls like h^2: the
-    shift is s + (v - s)/4 and the start its vector, `_prolong`ed.
-
-    After two, the last two model the next to h^4.  With e0, e1 their
-    values minus s, coarser first, B = (e0 - 4 e1)/12 is e1's h^4 term, and
-    the shift lies delta/2 below s + (e1 - B)/4 + B/16, delta the certified
-    width: below the eigenvalue, yet within delta of the Rayleigh quotient,
-    so the step's own pivots certify the grid where the model holds
-    (`fd_ground_state` falls back on its second step and Sturm count where
-    it does not).  Their vectors v0, v1 differ on the shared nodes by
-    -3 c h1^2, c h^2 the vectors' own error, so
-    t = v1 + P(v1[1::2] - v0)/4, P being `_prolong`, holds the next
-    grid's h^2 term; `_cubic_prolong` carries t over."""
+    value.  After one grid, with value v, the shift is s + (v - s)/4 and
+    the start its vector, `_prolong`ed.  After two, with e0, e1 their
+    values minus s, coarser first, and B = (e0 - 4 e1)/12, the shift is
+    s + (e1 - B)/4 + B/16 less delta/2, delta the certified width, and the
+    start `_cubic_prolong` of v1 + P(v1[1::2] - v0)/4, P being `_prolong`.
+    README's "The finite-difference oracle" derives both; where the h^4
+    model misses, `fd_ground_state` falls back on its second step and
+    Sturm count."""
     e1 = values[-1] - spectral
     if len(values) == 1:
         return spectral + e1 / 4.0, _prolong(vectors[-1])
@@ -471,32 +427,20 @@ def fd_ground_state(
     params: ModeParams, beta: float, grid: FdGrid, shift: float, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Ground eigenvalue rho and unit vector (`_ground_vector`) of the
-    grid's operator by Rayleigh-quotient iteration (Parlett 1998, The
-    Symmetric Eigenvalue Problem, ch. 4): one `_inverse_step` at `shift`
-    from `start`, then one at rho only if rho lies more than the certified
-    width from the shift.  The weights are built once and serve the steps,
-    rho (`_rayleigh_quotient`) and the count; the vectors stay arrays, and
-    the diagonal becomes a Python list only for the sweeps that read one,
-    Newton's and the Sturm count.  Without a start, `shift` is a seed that
-    `_shift_below` moves to just below the eigenvalue, and the start is one
-    inverse step there from the all-ones vector.
-
-    rho is a Rayleigh quotient, so it lies at or above the ground
-    eigenvalue whatever tau is.  When the last step at tau had no pivot
-    <= 0, over its reduction's levels and its Thomas sweep, and
-    rho - delta <= tau <= rho + delta, delta the certified width,
-    its pivots put the eigenvalue at or above tau >= rho - delta, so in
-    [rho - delta, rho]; otherwise one Sturm count of 0 at rho - delta
-    does.  tau lies above rho only by rounding.  A count above 0 there,
-    or a vector with a node, raises OracleError; a diagonal that is not
-    finite is refused (`_weights`).
-
-    The single step taken when rho lies within delta of the shift
-    converges the vector only while lambda_2 - lambda_1 is large, or the
-    start is already close (`_next_start` on the two finest grids).  At
-    |beta| >= 10 the two lowest eigenvalues can draw together, and the
-    wavefunction gap of a report there carries the vector's error; README's
-    Accuracy envelope bounds it inside and past the judged range."""
+    grid's operator, rho certified: the eigenvalue lies in
+    [rho - delta, rho], delta the certified width.  One `_inverse_step` at
+    `shift` from `start`, then one at rho only if rho lies more than delta
+    from the shift; one Sturm count at rho - delta only if the last step's
+    pivots do not certify rho (README's "The finite-difference oracle").
+    Without a start, `shift` is a seed that `_shift_below` moves to just
+    below the eigenvalue, and the start is one inverse step there from the
+    all-ones vector.  The weights are built once and serve the steps, rho
+    (`_rayleigh_quotient`) and the count; the diagonal becomes a Python
+    list only for the sweeps that read one.  A count above 0, or a vector
+    with a node, raises OracleError; a diagonal that is not finite is
+    refused (`_weights`).  At |beta| >= 10 the two lowest eigenvalues can
+    draw together, and the vector converges less; README's Accuracy
+    envelope bounds it inside and past the judged range."""
     h = grid.h
     weights = _weights(params, beta, grid)
     diag = 2.0 / h**2 + weights
