@@ -100,9 +100,10 @@ _COARSEST = _GRIDS[RICHARDSON_GRIDS[0]]  # its nodes lie on every grid
 
 
 class Check(NamedTuple):
-    """One check of a report: its measured value, the bound it held it to, its
-    status ("pass", "fail" or "skipped"), why, and whether it judges the
-    oracle, not the series.  README's check list names each check."""
+    """One check of a report: its measured value, the bound that value was
+    held to, its status ("pass", "fail", "skipped", or "error" for a failed
+    oracle), why, and whether it judges the oracle rather than the series.
+    README's check list names each check."""
 
     name: str
     value: float | int | None
@@ -575,7 +576,8 @@ def an_closed_form(state: SeriesState, n: int, theta: float) -> float:
     h, g, den = convolve_sources(state, n)
     R, T, Z, _ = rt_tables(h, g, den, state.params)
     m = state.params.m
-    s, c = math.sin(theta), math.cos(theta)
+    s = math.sin(theta)
+    c = math.cos(theta)
     r_val = sum(v / Z * s ** (2 * m + 2 * p) for p, v in enumerate(R))
     t_val = sum(v / Z * s ** (2 * m + 2 * j) for j, v in enumerate(T))
     return r_val + c * t_val
@@ -623,10 +625,10 @@ def riccati_defect(state: SeriesState) -> int | None:
     return None
 
 
-def _held(name: str, value: float, bound: float, far=None, oracle=False) -> Check:
-    """The check that `value` lies within `bound`, `far` a FAIL's reason."""
+def _held(name: str, value: float, bound: float, why=None, oracle=False) -> Check:
+    """The check that `value` lies within `bound`; `why` is a FAIL's reason."""
     ok = value <= bound
-    return Check(name, value, bound, "pass" if ok else "fail", None if ok else far, oracle)
+    return Check(name, value, bound, "pass" if ok else "fail", None if ok else why, oracle)
 
 
 def verify_all(
