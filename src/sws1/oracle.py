@@ -15,8 +15,10 @@ suite and the benchmark's verify-battery do.
 The work that does not depend on beta is cached, read-only, and every
 float is the one a fresh build gives: the nodes' `_half_angle` values of
 the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
-and the series psi read; the indicial correction per (m, grid); and the
-spectral matrix's parts per m.
+and the series psi read; the indicial correction per (m, grid); the
+spectral matrix's parts per m; and, for a `verify_all` call given no
+state, the series of its `ModeParams` with its floats and its
+`riccati_defect` (`_series`, the last `_SERIES_CACHED` modes).
 
 README's Accuracy envelope states how close each of these parts lands,
 over which (m, N, beta), and the test that holds it.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +67,9 @@ _CERTIFIED_WIDTH = 1e-9  # relative; above the Sturm count's noise, which peaks 
 _SWEPT_ROWS = 255
 # why a check is skipped: a NaN wavefunction gap, and every gap of a failed oracle
 _OVERFLOW, _UNSOLVED = "exp of the series phase overflows", "the FD oracle failed"
+# modes whose series `verify_all` keeps built: one with its floats holds about
+# 8 KiB at N = 8 and at most 0.5 MiB at N = 48 (m <= 500), so 8 MiB in all
+_SERIES_CACHED = 16
 
 
 class OracleError(RuntimeError):
@@ -625,6 +630,18 @@ def riccati_defect(state: SeriesState) -> int | None:
     return None
 
 
+@lru_cache(maxsize=_SERIES_CACHED)
+def _series(params: ModeParams) -> tuple[SeriesState, int | None]:
+    """The series of `params` (`compute_series`), its floats formed, and
+    its `riccati_defect`: what `verify_all` reads when given no state.
+    Neither depends on beta, so both are formed once per mode while it
+    stays among the last `_SERIES_CACHED` modes used; a build that raises
+    is not kept."""
+    state = compute_series(params)
+    state.floats  # formed here, once, for every call that reads this state
+    return state, riccati_defect(state)
+
+
 def _held(name: str, value: float, bound: float, why=None, oracle=False) -> Check:
     """The check that `value` lies within `bound`; `why` is a FAIL's reason."""
     ok = value <= bound
@@ -641,24 +658,30 @@ def verify_all(
     given, which must have been built for `params`: one report per beta.
 
     Sub-oracle failures are captured per report instead of aborting the
-    batch; an m or beta the oracle cannot take raises ValueError
-    (`_weights`).  The series' Riccati defect does not depend on beta:
-    `riccati_defect` is taken once per call and judged in every report.
+    batch, and such a report keeps its series value; an m or beta the
+    oracle cannot take raises ValueError (`_weights`).  Neither the series
+    nor its Riccati defect depends on beta, and the defect is judged in
+    every report.  Without `state`, both come from `_series`, built once
+    per mode and kept for later calls; a given `state` is never kept, and
+    `riccati_defect` is taken on it once per call.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     bound, psi_bound = tol["eigenvalue"], tol["wavefunction"]
     if state is None:
-        state = compute_series(params)
+        state, defect = _series(params)
     elif state.params != params:
         raise ValueError(f"the state was built for {state.params}, not for {params}")
-    defect = riccati_defect(state)
+    else:
+        defect = riccati_defect(state)
     riccati = Check("riccati_defect", defect, 0, "pass" if defect is None else "fail")
 
     reports = []
     for beta in beta_list:
-        common = dict(m=params.m, beta=float(beta), order=state.current_order)
+        series_value = eval_energy(state, beta)
+        common = dict(
+            m=params.m, beta=float(beta), order=state.current_order, series_value=series_value
+        )
         try:
-            series_value = eval_energy(state, beta)
             estimate, per_grid, vectors, spectral = _ground_states(params, beta)
             # each vector normalized on its own grid, read on the coarsest
             # grid's nodes (grid j's every 2^j-th), then extrapolated like
@@ -682,7 +705,6 @@ def verify_all(
             )
             report = OracleReport(
                 **common,
-                series_value=series_value,
                 numeric_value=estimate,
                 abs_gap=abs_gap,
                 rel_gap=abs_gap / abs(series_value) if series_value != 0.0 else math.inf,

@@ -476,6 +476,12 @@ class TestVerify:
         assert checks[3].startswith(f"  oracle check eigenvalue_gap_fd_spectral: error ({why}")
         assert out.endswith("  status = NOT-JUDGED\n")
 
+    def test_oracle_error_report_prints_the_series_value(self, capsys):
+        code, out, _ = run(["verify", "--m", "2", "--order", "8", "--beta=-100"], capsys)
+        assert code == 0 and "error (ground eigenvector changes sign" in out
+        assert "  series_value        = 73115617111.845413\n" in out
+        assert "  numeric_value       = nan\n" in out and "  rel_gap             = nan\n" in out
+
     def test_series_defect_fails_a_report_whose_oracle_failed(self, capsys, monkeypatch):
         # inside the judged range an oracle error leaves the report without a
         # verdict, unless the exact check finds a defect: that still exits 3
@@ -593,7 +599,8 @@ class TestBlasThreads:
 
 def _pinned_reports():
     """Five hand-built reports, one of each verdict, a passing one whose
-    oracle check failed and one whose oracle failed, with fixed values."""
+    oracle check failed and one whose oracle failed but which keeps its
+    series value, with fixed values."""
     nan = float("nan")
     overflow = "exp of the series phase overflows"
     spectral = "eigenvalue_gap_fd_spectral"
@@ -639,7 +646,7 @@ def _pinned_reports():
             **common,
         ),
         OracleReport(
-            m=2, beta=1e200, order=8, series_value=nan, numeric_value=nan, abs_gap=nan,
+            m=2, beta=1e200, order=8, series_value=math.inf, numeric_value=nan, abs_gap=nan,
             rel_gap=nan, grid_eigenvalues=(), wavefunction_gap=nan,
             records=(
                 Check("eigenvalue_gap", nan, 1e-6, "skipped", "the FD oracle failed"),
@@ -703,7 +710,7 @@ report m=10 order=8 beta=0.050000000000000003
   check wavefunction_gap: pass
   status = FAIL
 report m=2 order=8 beta=9.9999999999999997e+199
-  series_value        = nan
+  series_value        = inf
   numeric_value       = nan
   abs_gap             = nan
   rel_gap             = nan
@@ -734,7 +741,7 @@ m,beta,order,series_value,numeric_value,abs_gap,rel_gap,wavefunction_gap,status
 1,0,3,0,-2.4999999999999999e-07,2.4999999999999999e-07,inf,1.5e-05,pass
 10,0,8,108,108,0,0,1e-13,pass
 10,0.050000000000000003,8,110.125,110,0.125,0.0011350737797956867,0.00020000000000000001,fail
-2,9.9999999999999997e+199,8,nan,nan,nan,nan,nan,not-judged
+2,9.9999999999999997e+199,8,inf,nan,nan,nan,nan,not-judged
 40,-1.5,4,1638,1639,1,0.0006105006105006105,nan,not-judged
 """
 

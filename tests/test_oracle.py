@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import struct
 import time
 import warnings
 from fractions import Fraction
@@ -12,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sws1 import evaluate, oracle
+from sws1 import SeriesInconsistencyError, cli, evaluate, oracle, recurrence
 from sws1.core import DEFAULT_TOLERANCES, ModeParams
-from sws1.evaluate import wavefunction_on_grid
+from sws1.evaluate import eval_energy, wavefunction_on_grid
 from sws1.oracle import (
     FdGrid,
     OracleError,
@@ -1203,6 +1204,20 @@ class TestQuadrature:
             closed = an_closed_form(state, n, theta)
             assert abs(quad - closed) <= 1e-8 * abs(closed), (m, n, theta)
 
+    def test_agreement_at_random_late_samples(self):
+        # past pi/2, where the integral from 0 would leave A_n as the small
+        # remainder of a cancellation; the distance from pi is drawn
+        # log-uniformly down to 0.01, since A_n shrinks like a power of it
+        states = {m: compute_series(ModeParams(m=m, N=8)) for m in range(1, 9)}
+        rng = random.Random(20261021)
+        for _ in range(20):
+            m = rng.randint(1, 8)
+            n = rng.randint(3, 8)
+            theta = math.pi - math.exp(rng.uniform(math.log(0.01), math.log(math.pi / 2)))
+            quad = quadrature_an(states[m], n, theta)
+            closed = an_closed_form(states[m], n, theta)
+            assert abs(quad - closed) <= 1e-8 * abs(closed), (m, n, theta)
+
 
 class TestVerifyAll:
     def test_spherical_case_all_pass(self):
@@ -1391,6 +1406,16 @@ class TestVerifyAll:
                 assert (spectral.status, spectral.reason) == ("error", r.error), r.beta
                 assert set(skip_reasons(r)) == {"eigenvalue_gap", "wavefunction_gap"}, r.beta
 
+    def test_oracle_error_keeps_the_series_value(self):
+        # the FD oracle fails at m = 2, beta = -100; the report keeps the
+        # series' E(beta), and what the oracle would have measured stays NaN
+        params = ModeParams(2, 8)
+        (report,) = verify_all(params, [-100.0])
+        assert report.error is not None
+        assert report.series_value == eval_energy(compute_series(params), -100.0)
+        assert 7.3e10 < report.series_value < 7.32e10
+        assert all(math.isnan(v) for v in (report.numeric_value, report.abs_gap, report.rel_gap))
+
     def test_readme_check_list_names_the_checks_verify_all_forms(self):
         # README's check list, one `name` (series|oracle) per bullet, read
         # against the records of a report, so that the list cannot drift
@@ -1450,6 +1475,92 @@ class TestVerifyAll:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "ad1c671f0582216e0c3bf3a0f179bc77c451bff103c8e217c3d3c2a6e4d08fa0"
         )
+
+
+def report_fields(report):
+    """Each field of a report, floats (also those in tuples and records) as
+    their bytes, so that equal fields mean equal bits, NaN included."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return struct.pack("<d", value)
+        if isinstance(value, tuple):
+            return tuple(bits(item) for item in value)
+        return value
+
+    return {f.name: bits(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+class TestSeriesCache:
+    """`verify_all` given no state keeps the series it builds, with its
+    floats and Riccati verdict (`oracle._series`); nothing else is kept."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """The orders `recurrence.advance` builds from now on."""
+        built, advance = [], recurrence.advance
+        monkeypatch.setattr(recurrence, "advance", lambda s: built.append(s) or advance(s))
+        return built
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40])
+    def test_cold_warm_and_given_state_give_the_same_reports(self, m, monkeypatch):
+        params, betas = ModeParams(m, 8), [0.0, 0.1, 0.45]
+        built = self.count_builds(monkeypatch)
+        oracle._series.cache_clear()
+        cold = verify_all(params, betas)
+        assert len(built) == 8
+        warm = verify_all(params, betas)
+        assert len(built) == 8  # the kept series, not a second build
+        given = verify_all(params, betas, state=compute_series(params))
+        for reports in (warm, given):
+            assert [report_fields(r) for r in reports] == [report_fields(r) for r in cold]
+            assert [r.records for r in reports] == [r.records for r in cold]
+        assert all(r.passed is True for r in cold)
+
+    def test_given_state_is_judged_when_its_mode_is_kept(self, nudged_entry):
+        # the kept series of (40, 8) passes; a state for the same params with
+        # one part in 10^12 of W_5's b_1 moved still fails on riccati_defect
+        params = ModeParams(40, 8)
+        (kept,) = verify_all(params, [0.05])
+        assert kept.passed is True and kept.checks["riccati_defect"] is True
+        bad = nudged_entry(compute_series(params), 5, "b", 0)
+        (report,) = verify_all(params, [0.05], state=bad)
+        (riccati,) = (c for c in report.records if c.name == "riccati_defect")
+        assert (riccati.value, riccati.status, report.passed) == (5, "fail", False)
+        (again,) = verify_all(params, [0.05])
+        assert report_fields(again) == report_fields(kept)
+
+    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
+        params = ModeParams(3, 5)
+        oracle._series.cache_clear()
+
+        def broken(state):
+            raise SeriesInconsistencyError("order 1: a failed build")
+
+        monkeypatch.setattr(recurrence, "advance", broken)
+        with pytest.raises(SeriesInconsistencyError, match="a failed build"):
+            verify_all(params, [0.1])
+        monkeypatch.undo()
+        (report,) = verify_all(params, [0.1])
+        assert report.passed is True
+
+    def test_compute_series_and_coeffs_build_every_time(self, monkeypatch, capsys):
+        params = ModeParams(2, 8)
+        built = self.count_builds(monkeypatch)
+        assert compute_series(params) == compute_series(params)
+        assert len(built) == 16
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["coeffs", "--m", "2", "--order", "8"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(built) == 32 and outputs[0] == outputs[1]
+
+    def test_the_cache_is_bounded(self):
+        oracle._series.cache_clear()
+        for m in range(1, 2 * oracle._SERIES_CACHED + 1):
+            oracle._series(ModeParams(m, 0))
+        info = oracle._series.cache_info()
+        assert info.maxsize == info.currsize == oracle._SERIES_CACHED < math.inf
 
 
 class TestGapScaling:
