@@ -68,7 +68,7 @@ _SWEPT_ROWS = 255
 # why a check is skipped: a NaN wavefunction gap, and every gap of a failed oracle
 _OVERFLOW, _UNSOLVED = "exp of the series phase overflows", "the FD oracle failed"
 # modes whose series `verify_all` keeps built: one with its floats holds about
-# 8 KiB at N = 8 and at most 0.5 MiB at N = 48 (m <= 500), so 8 MiB in all
+# 8 KiB at N = 8 and at most 0.5 MiB at N = 48 (m <= 500), so 16 hold 8 MiB
 _SERIES_CACHED = 16
 
 
