@@ -16,11 +16,17 @@ s = sin(theta), c = cos(theta) and x = s^2 the weighted orders are
 PA and PB having the coefficients alpha and gamma.  Their theta-derivative
 and the phase of the ground eigenfunction, sum_k alpha_k x^k / (2k) + c Q(x)
 with Q the image of gamma under the closed-form antiderivative rows of the
-odd sine powers (`i_coeff`), are polynomials in x as well.  Each set of
-angles gets one table of the powers x^0 .. x^(N//2) per call, each row
-the one before times x (`_powers`), which W, W' and psi share.  Every sine
-polynomial is read off it by a matrix product (`_sine_pair`): the two
-polynomials of W, of W' and of the phase are the two rows of one product.
+odd sine powers (`i_coeff`), are polynomials in x as well.  The powers
+x^0 .. x^(N//2) of a set of angles form one table, each row the one before
+times x (`_powers`), which W, W' and psi share.  Every sine polynomial is
+read off it by a matrix product (`_sine_pair`): the two polynomials of W,
+of W' and of the phase are the two rows of one product.
+
+Neither the `_half_angle` values of a set of angles nor its power table
+depends on beta, so a `_Grid` keeps both, and a beta sweep on one grid
+pays for them once.  The views keep the `_Grid` of the last grid they
+evaluated (`_held_grid`) and reuse it while the angles passed equal its
+private copy; each m's normalization rule keeps the `_Grid` of its nodes.
 
 The eigenfunction is normalized by Gauss-Legendre quadrature on [0, pi];
 its square is analytic there, so the rule converges geometrically.  The
@@ -41,6 +47,7 @@ W' and V overflow.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
 import numpy as np
@@ -91,17 +98,6 @@ def _half_angle(theta):
     return np.sqrt(x), 1.0 - one_minus, one_minus, x
 
 
-@cache
-def _normalization_rule(m: int) -> tuple[np.ndarray, tuple]:
-    """Weights of the composite rule over [0, pi] for this m and the
-    `_half_angle` values of its nodes, read-only: they depend on m alone."""
-    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
-    trig = _half_angle(nodes)
-    for values in (weights, *trig):
-        values.flags.writeable = False
-    return weights, trig
-
-
 def _powers(x: np.ndarray, tables) -> np.ndarray:
     """Rows x^0 .. x^K of an array of sin^2 values, each row the one before
     times x, K = len(alpha): every sine polynomial of these tables reads its
@@ -111,6 +107,59 @@ def _powers(x: np.ndarray, tables) -> np.ndarray:
     for k in range(1, len(rows)):
         np.multiply(rows[k - 1], x, out=rows[k])
     return rows
+
+
+class _Grid:
+    """The beta-free tables of one set of angles: a private copy of the
+    angles and their `_half_angle` values, read-only, and their `_powers`
+    rows.  Row k is x^k whatever the length of the table, so a shorter
+    table is a prefix of a longer one and the rows are rebuilt only when a
+    call needs more than are held."""
+
+    def __init__(self, thetas: np.ndarray) -> None:
+        self.thetas = thetas.copy()
+        self.trig = _half_angle(self.thetas)
+        for values in (self.thetas, *self.trig):
+            values.flags.writeable = False
+        self._rows = np.empty((0, *self.thetas.shape))
+
+    def powers(self, tables) -> np.ndarray:
+        """`_powers` rows of these angles for these tables, with every row
+        past x^K that an earlier call asked for."""
+        rows = self._rows  # read once: another thread may replace it
+        if len(rows) <= len(tables[0]):
+            rows = _powers(self.trig[3], tables)
+            rows.flags.writeable = False
+            self._rows = rows
+        return rows
+
+
+@cache
+def _normalization_rule(m: int) -> tuple[np.ndarray, _Grid]:
+    """Weights of the composite rule over [0, pi] for this m, read-only, and
+    the `_Grid` of its nodes: they depend on m alone."""
+    nodes, weights = gauss_legendre(0.0, math.pi, gauss_panels(m))
+    weights.flags.writeable = False
+    return weights, _Grid(nodes)
+
+
+_held_grid: _Grid | None = None  # the grid the views evaluated last
+
+
+def _on_grid(state: SeriesState, beta: float, thetas) -> tuple:
+    """(tables, trig, powers): the `_beta_tables` at beta, and the
+    `_half_angle` values and `_powers` rows of the angles.  The held grid
+    serves when its copy equals the angles element for element, in the same
+    shape; any other angles, or the same array changed in place, replace it
+    with a new `_Grid`.  It is read once and replaced by one assignment, so
+    calls from several threads each read a whole grid."""
+    global _held_grid
+    thetas = np.asarray(thetas, dtype=float)
+    grid = _held_grid
+    if grid is None or not np.array_equal(grid.thetas, thetas):
+        grid = _held_grid = _Grid(thetas)
+    tables = _beta_tables(state, beta)
+    return tables, grid.trig, grid.powers(tables)
 
 
 def _sine_pair(first: np.ndarray, second: np.ndarray, powers: np.ndarray):
@@ -212,19 +261,17 @@ def _wavefunction(m: int, tables, trig, powers):
         return one_minus * s ** (m - 0.5) * np.exp(-(phase + c * odd))
 
     weights, nodes = _normalization_rule(m)
-    norm = 1.0 / math.sqrt(float(weights @ unnormalized(nodes, _powers(nodes[3], tables)) ** 2))
+    norm = 1.0 / math.sqrt(float(weights @ unnormalized(nodes.trig, nodes.powers(tables)) ** 2))
     psi = norm * unnormalized(trig, powers)
     return psi, psi / np.sqrt(trig[0]), norm
 
 
 def eval_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> tuple:
     """(psi, theta_big, W, Riccati defect, E), all `sws1 eval` prints, from one
-    `_half_angle` of the grid, one `_beta_tables` and one `_powers` table of
-    the grid; each holds the floats of its view: the matching `*_on_grid`
-    function or `eval_energy`."""
-    trig = _half_angle(np.asarray(thetas, dtype=float))
-    tables = _beta_tables(state, beta)
-    powers = _powers(trig[3], tables)
+    `_beta_tables` and the grid's `_half_angle` values and `_powers` table,
+    held across calls (`_on_grid`); each holds the floats of its view: the
+    matching `*_on_grid` function or `eval_energy`."""
+    tables, trig, powers = _on_grid(state, beta, thetas)
     psi, theta_big, _ = _wavefunction(state.params.m, tables, trig, powers)
     w, wp, v, e = _riccati_terms(state, beta, tables, trig, powers)
     return psi, theta_big, w, w * w - wp - v + e, e
@@ -233,9 +280,7 @@ def eval_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> tuple:
 def w_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Truncated super-potential W(theta; beta) on an array of angles,
     from W_0 = -(1 + (m+1/2) cos)/sin up."""
-    trig = _half_angle(np.asarray(thetas, dtype=float))
-    tables = _beta_tables(state, beta)
-    return _w(state.params.m, tables, trig, _powers(trig[3], tables))
+    return _w(state.params.m, *_on_grid(state, beta, thetas))
 
 
 def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> float:
@@ -254,22 +299,22 @@ def eval_energy(state: SeriesState, beta: float, upto: int | None = None) -> flo
 def riccati_residual_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> np.ndarray:
     """Defect W^2 - W' - V + E of the truncated series; decays one power of
     beta faster than the last retained order."""
-    trig = _half_angle(np.asarray(thetas, dtype=float))
-    tables = _beta_tables(state, beta)
-    w, wp, v, e = _riccati_terms(state, beta, tables, trig, _powers(trig[3], tables))
+    w, wp, v, e = _riccati_terms(state, beta, *_on_grid(state, beta, thetas))
     return w * w - wp - v + e
 
 
 def wavefunction_on_grid(state: SeriesState, beta: float, thetas: np.ndarray):
     """Normalized ground eigenfunction on interior angles; see `_wavefunction`."""
-    trig = _half_angle(np.asarray(thetas, dtype=float))
-    tables = _beta_tables(state, beta)
-    return _wavefunction(state.params.m, tables, trig, _powers(trig[3], tables))
+    return _wavefunction(state.params.m, *_on_grid(state, beta, thetas))
 
 
 def uniform_interior_grid(points: int) -> np.ndarray:
     """Uniform grid of `points` interior angles, endpoints excluded; a
     single point lands on pi/2."""
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"the number of grid points must be an integer, not {points!r}") from None
     if points < 1:
         raise ValueError("need at least one grid point")
     h = math.pi / (points + 1)

@@ -174,12 +174,12 @@ class TestEval:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[(m, order, beta, points)]
 
     def test_one_evaluation_pass(self, capsys, monkeypatch):
-        # one beta weighting, and two half-angle passes: the Gauss nodes of
-        # the normalization and the grid; a second eval in the process
-        # reuses the nodes' values and makes one.  Each call builds one
-        # power table per set of angles, the grid's and the nodes', which
-        # every sine polynomial on those angles reads
+        # one beta weighting per call.  The first call makes two half-angle
+        # passes and two power tables, which every sine polynomial on those
+        # angles reads: the Gauss nodes' of the normalization and the
+        # grid's.  A second eval in the process reuses both and makes none
         evaluate._normalization_rule.cache_clear()
+        monkeypatch.setattr(evaluate, "_held_grid", None)
         calls = {"_beta_tables": 0, "_half_angle": 0, "_powers": 0}
         for name in calls:
             original = getattr(evaluate, name)
@@ -193,7 +193,7 @@ class TestEval:
         code, _, _ = run(argv, capsys)
         assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2, "_powers": 2}
         code, _, _ = run(argv, capsys)
-        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 3, "_powers": 4}
+        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 2, "_powers": 2}
 
     def test_output_bytes_do_not_depend_on_blas_threads(self):
         # the sine polynomials are BLAS matrix products: a one- and a

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
 
+from sws1 import evaluate
 from sws1.core import ModeParams
 from sws1.evaluate import (
     _half_angle,
@@ -399,21 +402,76 @@ def cached_series(m, order):
     return compute_series(ModeParams(m=m, N=order))
 
 
+def output_bytes(state, beta, thetas):
+    """The bytes of (psi, theta_big, W, residual, E) from `eval_on_grid`, and
+    the same from the views."""
+    psi, theta_big, _ = wavefunction_on_grid(state, beta, thetas)
+    w, residual = w_on_grid(state, beta, thetas), riccati_residual_on_grid(state, beta, thetas)
+    views = (psi, theta_big, w, residual, eval_energy(state, beta))
+    outputs = (eval_on_grid(state, beta, thetas), views)
+    return [tuple(np.asarray(v).tobytes() for v in out) for out in outputs]
+
+
 class TestOnePass:
     @pytest.mark.parametrize(
         "m,order,beta,points", [(1, 32, 0.1, 4096), (20, 16, 0.1, 181), (2, 40, -0.7, 777)]
     )
-    def test_views_give_the_same_bytes(self, m, order, beta, points):
+    def test_views_give_the_same_bytes(self, m, order, beta, points, monkeypatch):
         # the CLI's one pass and the views the benchmark calls must not
-        # drift apart, at the modes whose eval output is pinned
+        # drift apart, at the modes whose eval output is pinned; nor may the
+        # tables held across calls: a cold call, a warm one, one reading a
+        # prefix of a longer power table and one back on the grid after
+        # another grid give the same bytes
         state = cached_series(m, order)
         thetas = uniform_interior_grid(points)
-        psi, theta_big, w, residual, e = eval_on_grid(state, beta, thetas)
-        view_psi, view_theta_big, _ = wavefunction_on_grid(state, beta, thetas)
-        assert np.array_equal(psi, view_psi) and np.array_equal(theta_big, view_theta_big)
-        assert np.array_equal(w, w_on_grid(state, beta, thetas))
-        assert np.array_equal(residual, riccati_residual_on_grid(state, beta, thetas))
-        assert e == eval_energy(state, beta)
+        evaluate._normalization_rule.cache_clear()
+        monkeypatch.setattr(evaluate, "_held_grid", None)
+        one_pass, views = cold = output_bytes(state, beta, thetas)
+        assert one_pass == views
+        assert output_bytes(state, beta, thetas) == cold
+        output_bytes(cached_series(1, 48), beta, thetas)
+        assert output_bytes(state, beta, thetas) == cold
+        output_bytes(state, beta, uniform_interior_grid(points + 1))
+        assert output_bytes(state, beta, thetas) == cold
+
+    def test_angles_changed_in_place_are_a_new_grid(self, monkeypatch):
+        state = cached_series(1, 32)
+        thetas = uniform_interior_grid(181)
+        before = w_on_grid(state, 0.1, thetas)
+        thetas *= 0.5
+        after = w_on_grid(state, 0.1, thetas)
+        monkeypatch.setattr(evaluate, "_held_grid", None)
+        assert after.tobytes() == w_on_grid(state, 0.1, thetas.copy()).tobytes()
+        assert not np.array_equal(before, after)
+
+    def test_threads_alternating_two_grids_get_their_cold_bytes(self, monkeypatch):
+        # each call reads the held grid once and replaces it whole, so
+        # threads that keep swapping it still each read their own grid
+        state = cached_series(1, 32)
+        grids = (uniform_interior_grid(181), uniform_interior_grid(777))
+        cold = []
+        for thetas in grids:
+            monkeypatch.setattr(evaluate, "_held_grid", None)
+            cold.append(output_bytes(state, 0.1, thetas))
+        rounds, matches = 40, []
+
+        def alternate(first):
+            for i in range(rounds):
+                k = (first + i) % 2
+                matches.append(output_bytes(state, 0.1, grids[k]) == cold[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=alternate, args=(k % 2,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matches == [True] * (rounds * len(threads))
 
 
 class TestGrids:
@@ -428,3 +486,12 @@ class TestGrids:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             uniform_interior_grid(0)
+
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3", None])
+    def test_non_integer_rejected(self, points):
+        # 2.5 once gave three angles with h = pi/3.5, the last at 2.69
+        with pytest.raises(ValueError, match="must be an integer"):
+            uniform_interior_grid(points)
+
+    def test_numpy_integer_accepted(self):
+        assert uniform_interior_grid(np.int64(7)).tobytes() == uniform_interior_grid(7).tobytes()

@@ -180,12 +180,21 @@ class TestFdGrid:
 
     def test_cached_constants_are_read_only(self):
         # every caller shares them: the grids' half-angle values, the
-        # indicial corrections, the spectral matrix's parts and the
-        # normalization rule
+        # indicial corrections, the spectral matrix's parts, the
+        # normalization rule, and the angles, half-angle values and power
+        # rows held for the rule's nodes and for the grid evaluated last
         grid = FdGrid(1024)
+        state = compute_series(ModeParams(1, 8))
+        wavefunction_on_grid(state, 0.1, grid.thetas)
+        tables = evaluate._beta_tables(state, 0.1)
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
-        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *nodes):
+        held = [
+            values
+            for g in (nodes, evaluate._held_grid)
+            for values in (g.thetas, *g.trig, g.powers(tables))
+        ]
+        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *held):
             assert not values.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 10, 91])
