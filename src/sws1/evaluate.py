@@ -18,15 +18,16 @@ and the phase of the ground eigenfunction, sum_k alpha_k x^k / (2k) + c Q(x)
 with Q the image of gamma under the closed-form antiderivative rows of the
 odd sine powers (`i_coeff`), are polynomials in x as well.  The powers
 x^0 .. x^(N//2) of a set of angles form one table, each row the one before
-times x (`_powers`), which W, W' and psi share.  Every sine polynomial is
-read off it by a matrix product (`_sine_pair`): the two polynomials of W,
-of W' and of the phase are the two rows of one product.
+times x, which W, W' and psi share.  Every sine polynomial is read off it
+by a matrix product (`_sine_pair`): the two polynomials of W, of W' and of
+the phase are the two rows of one product.
 
 Neither the `_half_angle` values of a set of angles nor its power table
 depends on beta, so a `_Grid` keeps both, and a beta sweep on one grid
-pays for them once.  The views keep the `_Grid` of the last grid they
-evaluated (`_held_grid`) and reuse it while the angles passed equal its
-private copy; each m's normalization rule keeps the `_Grid` of its nodes.
+pays for them once; no other code builds power rows.  The views keep the
+`_Grid` of the last grid they evaluated (`_held_grid`) while the angles
+passed equal its private copy; each m's normalization rule keeps the
+`_Grid` of its nodes, as the oracle does for its grids.
 
 The eigenfunction is normalized by Gauss-Legendre quadrature on [0, pi];
 its square is analytic there, so the rule converges geometrically.  The
@@ -98,23 +99,12 @@ def _half_angle(theta):
     return np.sqrt(x), 1.0 - one_minus, one_minus, x
 
 
-def _powers(x: np.ndarray, tables) -> np.ndarray:
-    """Rows x^0 .. x^K of an array of sin^2 values, each row the one before
-    times x, K = len(alpha): every sine polynomial of these tables reads its
-    powers here."""
-    rows = np.empty((len(tables[0]) + 1, *x.shape))
-    rows[0] = 1.0
-    for k in range(1, len(rows)):
-        np.multiply(rows[k - 1], x, out=rows[k])
-    return rows
-
-
 class _Grid:
     """The beta-free tables of one set of angles: a private copy of the
-    angles and their `_half_angle` values, read-only, and their `_powers`
-    rows.  Row k is x^k whatever the length of the table, so a shorter
-    table is a prefix of a longer one and the rows are rebuilt only when a
-    call needs more than are held."""
+    angles and their `_half_angle` values, read-only, and the rows of the
+    powers of x = sin^2, read-only.  Row k is x^k whatever the length of
+    the table, so a shorter table is a prefix of a longer one and the rows
+    are rebuilt only when a call needs more than are held."""
 
     def __init__(self, thetas: np.ndarray) -> None:
         self.thetas = thetas.copy()
@@ -123,12 +113,17 @@ class _Grid:
             values.flags.writeable = False
         self._rows = np.empty((0, *self.thetas.shape))
 
-    def powers(self, tables) -> np.ndarray:
-        """`_powers` rows of these angles for these tables, with every row
-        past x^K that an earlier call asked for."""
+    def powers(self, degree: int) -> np.ndarray:
+        """Rows x^0 .. x^degree of these angles, each row the one before
+        times x, with every higher row that an earlier call asked for:
+        every sine polynomial on these angles reads its powers here."""
         rows = self._rows  # read once: another thread may replace it
-        if len(rows) <= len(tables[0]):
-            rows = _powers(self.trig[3], tables)
+        if len(rows) <= degree:
+            x = self.trig[3]
+            rows = np.empty((degree + 1, *x.shape))
+            rows[0] = 1.0
+            for k in range(1, len(rows)):
+                np.multiply(rows[k - 1], x, out=rows[k])
             rows.flags.writeable = False
             self._rows = rows
         return rows
@@ -148,18 +143,20 @@ _held_grid: _Grid | None = None  # the grid the views evaluated last
 
 def _on_grid(state: SeriesState, beta: float, thetas) -> tuple:
     """(tables, trig, powers): the `_beta_tables` at beta, and the
-    `_half_angle` values and `_powers` rows of the angles.  The held grid
-    serves when its copy equals the angles element for element, in the same
-    shape; any other angles, or the same array changed in place, replace it
-    with a new `_Grid`.  It is read once and replaced by one assignment, so
-    calls from several threads each read a whole grid."""
+    `_half_angle` values and power rows of a one-dimensional array of
+    angles.  The held grid serves when its copy equals the angles element
+    for element; any other angles, or the same array changed in place,
+    replace it with a new `_Grid`.  It is read once and replaced by one
+    assignment, so calls from several threads each read a whole grid."""
     global _held_grid
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"the angles must form a one-dimensional array, not shape {thetas.shape}")
     grid = _held_grid
     if grid is None or not np.array_equal(grid.thetas, thetas):
         grid = _held_grid = _Grid(thetas)
     tables = _beta_tables(state, beta)
-    return tables, grid.trig, grid.powers(tables)
+    return tables, grid.trig, grid.powers(len(tables[0]))
 
 
 def _sine_pair(first: np.ndarray, second: np.ndarray, powers: np.ndarray):
@@ -238,7 +235,7 @@ def _potential(m: int, beta: float, trig):
 
 def _riccati_terms(state: SeriesState, beta: float, tables, trig, powers) -> tuple:
     """W, W', V and E at beta from its `_beta_tables` on the `_half_angle`
-    values and their `_powers`."""
+    values and their power rows."""
     m = state.params.m
     w, wp = _w(m, tables, trig, powers), _w_derivative(m, tables, trig, powers)
     return w, wp, _potential(m, beta, trig), eval_energy(state, beta)
@@ -261,14 +258,15 @@ def _wavefunction(m: int, tables, trig, powers):
         return one_minus * s ** (m - 0.5) * np.exp(-(phase + c * odd))
 
     weights, nodes = _normalization_rule(m)
-    norm = 1.0 / math.sqrt(float(weights @ unnormalized(nodes.trig, nodes.powers(tables)) ** 2))
+    at_nodes = unnormalized(nodes.trig, nodes.powers(len(alpha)))
+    norm = 1.0 / math.sqrt(float(weights @ at_nodes**2))
     psi = norm * unnormalized(trig, powers)
     return psi, psi / np.sqrt(trig[0]), norm
 
 
 def eval_on_grid(state: SeriesState, beta: float, thetas: np.ndarray) -> tuple:
     """(psi, theta_big, W, Riccati defect, E), all `sws1 eval` prints, from one
-    `_beta_tables` and the grid's `_half_angle` values and `_powers` table,
+    `_beta_tables` and the grid's `_half_angle` values and power rows,
     held across calls (`_on_grid`); each holds the floats of its view: the
     matching `*_on_grid` function or `eval_energy`."""
     tables, trig, powers = _on_grid(state, beta, thetas)

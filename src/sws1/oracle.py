@@ -13,12 +13,12 @@ coefficient tables themselves; `verify_all` does not call it, the test
 suite and the benchmark's verify-battery do.
 
 The work that does not depend on beta is cached, read-only, and every
-float is the one a fresh build gives: the nodes' `_half_angle` values of
-the four Richardson grids (`_GRIDS`, `FdGrid.trig`), which the potential
-and the series psi read; the indicial correction per (m, grid); the
-spectral matrix's parts per m; and, for a `verify_all` call given no
-state, the series of its `ModeParams` with its floats and its
-`riccati_defect` (`_series`, the last `_SERIES_CACHED` modes).
+float is the one a fresh build gives: each Richardson grid's `_Grid`
+(`_GRIDS`), with the half-angle values the potential reads and, on the
+coarsest, the power rows of the series psi; the indicial correction per
+(m, grid); the spectral matrix's parts per m; and, for a `verify_all`
+call given no state, the series of its `ModeParams` with its floats and
+its `riccati_defect` (`_series`, the last `_SERIES_CACHED` modes).
 
 README's Accuracy envelope states how close each of these parts lands,
 over which (m, N, beta), and the test that holds it.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +46,9 @@ import numpy as np
 from .core import DEFAULT_TOLERANCES, JUDGED_BETA_LIMIT, ModeParams
 from .evaluate import (
     _beta_tables,
-    _half_angle,
+    _Grid,
     _orders_at,
     _potential,
-    _powers,
     _wavefunction,
     eval_energy,
     gauss_legendre,
@@ -76,31 +75,8 @@ class OracleError(RuntimeError):
     """A verification sub-solver failed (non-convergence, nodal ground state...)."""
 
 
-@dataclass(frozen=True)
-class FdGrid:
-    """Uniform interior grid for the Dirichlet problem on (0, pi)."""
-
-    points: int
-
-    @property
-    def h(self) -> float:
-        return math.pi / (self.points + 1)
-
-    @cached_property
-    def thetas(self) -> np.ndarray:
-        return uniform_interior_grid(self.points)
-
-    @cached_property
-    def trig(self) -> tuple:
-        """`_half_angle` of the nodes, read-only: the potential's and psi's
-        trigonometric values at every beta."""
-        trig = _half_angle(self.thetas)
-        for values in trig:
-            values.flags.writeable = False
-        return trig
-
-
-_GRIDS = {points: FdGrid(points) for points in RICHARDSON_GRIDS}  # their trig is built once
+# the Dirichlet problem's uniform interior grids of (0, pi), h = pi/(points + 1)
+_GRIDS = {points: _Grid(uniform_interior_grid(points)) for points in RICHARDSON_GRIDS}
 _COARSEST = _GRIDS[RICHARDSON_GRIDS[0]]  # its nodes lie on every grid
 
 
@@ -180,19 +156,18 @@ def _indicial_correction(m: int, points: int) -> np.ndarray:
     return corr
 
 
-def _weights(params: ModeParams, beta: float, grid: FdGrid) -> np.ndarray:
+def _weights(params: ModeParams, beta: float, grid: _Grid) -> np.ndarray:
     """The operator's diagonal without its 2/h^2: the potential V on the
     grid's cached half-angle values plus the cached indicial correction,
     which refuses an m past the grid's range.  A beta whose square
     overflows leaves V not finite, and is refused with its cause; numpy's
     warnings about that overflow are silenced."""
-    corr = _indicial_correction(params.m, grid.points)
+    points = len(grid.thetas)
+    corr = _indicial_correction(params.m, points)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _potential(params.m, beta, grid.trig) + corr
     if not np.isfinite(weights).all():
-        raise ValueError(
-            f"the potential is not finite on the {grid.points}-point grid at beta={beta}"
-        )
+        raise ValueError(f"the potential is not finite on the {points}-point grid at beta={beta}")
     return weights
 
 
@@ -430,7 +405,7 @@ def _next_start(spectral: float, values: list, vectors: list) -> tuple[float, np
 
 
 def fd_ground_state(
-    params: ModeParams, beta: float, grid: FdGrid, shift: float, start: np.ndarray | None = None
+    params: ModeParams, beta: float, grid: _Grid, shift: float, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Ground eigenvalue rho and unit vector (`_ground_vector`) of the
     grid's operator, rho certified: the eigenvalue lies in
@@ -447,14 +422,15 @@ def fd_ground_state(
     refused (`_weights`).  At |beta| >= 10 the two lowest eigenvalues can
     draw together, and the vector converges less; README's Accuracy
     envelope bounds it inside and past the judged range."""
-    h = grid.h
+    points = len(grid.thetas)
+    h = math.pi / (points + 1)
     weights = _weights(params, beta, grid)
     diag = 2.0 / h**2 + weights
     off = -1.0 / h**2
     if start is None:
         rows = diag.tolist()
         shift = _shift_below(rows, off * off, shift, min(rows) + 2.0 * off)
-        start = _inverse_step(diag, off, shift, np.ones(grid.points))[0]
+        start = _inverse_step(diag, off, shift, np.ones(points))[0]
         start /= np.abs(start).max()  # a vanishing pivot leaves entries near 1e202
     x, below = _inverse_step(diag, off, shift, start)
     vector = _ground_vector(x, h)
@@ -469,7 +445,7 @@ def fd_ground_state(
         below = _sturm_count(diag.tolist(), off * off, value - delta)
         if below:
             raise OracleError(
-                f"the Rayleigh quotient {value!r} on the {grid.points}-point grid is not "
+                f"the Rayleigh quotient {value!r} on the {points}-point grid is not "
                 f"certified: {below} eigenvalue(s) lie below it by more than {delta:.3g}"
             )
     return value, vector
@@ -566,11 +542,11 @@ def quadrature_an(state: SeriesState, n: int, theta: float) -> float:
     m = state.params.m
     lo, hi, sign = (0.0, theta, 1.0) if theta <= math.pi / 2.0 else (theta, math.pi, -1.0)
     t, w = gauss_legendre(lo, hi, gauss_panels(m))
-    trig = _half_angle(t)
-    s, _, one_minus, x = trig
+    nodes = _Grid(t)
+    s, _, one_minus, _ = nodes.trig
     a, b, energy = state.floats
-    powers = _powers(x, (a, b))
-    orders = [_orders_at(a[k - 1], b[k - 1], trig, powers) for k in range(1, n)]
+    powers = nodes.powers(b.shape[1] - 1)  # the rows `_orders_at` reads
+    orders = [_orders_at(a[k - 1], b[k - 1], nodes.trig, powers) for k in range(1, n)]
     f = energy[n] + sum(orders[k - 1] * orders[n - k - 1] for k in range(1, n))
     return sign * float(w @ (f * one_minus**2 * s ** (2 * m - 1)))
 
@@ -690,8 +666,8 @@ def verify_all(
             vec = _richardson([v[(1 << j) - 1 :: 1 << j] for j, v in enumerate(vectors)])
             with np.errstate(over="ignore", invalid="ignore"):  # NaN at large |beta|
                 tables = _beta_tables(state, beta)
-                trig = _COARSEST.trig
-                psi, _, _ = _wavefunction(params.m, tables, trig, _powers(trig[3], tables))
+                powers = _COARSEST.powers(len(tables[0]))  # kept across beta
+                psi, _, _ = _wavefunction(params.m, tables, _COARSEST.trig, powers)
                 wavefunction_gap = float(np.abs(psi - vec).max())
             abs_gap, fd_gap = abs(series_value - estimate), abs(estimate - spectral)
             far = f"the FD estimate lies {fd_gap:.3g} from the spectral value, above {bound:g}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sws1.core import ModeParams, WnTable
-from sws1.evaluate import _beta_tables, _half_angle, _powers, _riccati_terms
+from sws1.evaluate import _beta_tables, _Grid, _riccati_terms
 from sws1.recurrence import compute_series, i_coeff
 
 
@@ -64,9 +64,9 @@ def riccati_terms():
     float path's own Riccati terms."""
 
     def terms(state, beta, thetas):
-        trig = _half_angle(np.asarray(thetas, dtype=float))
+        grid = _Grid(np.asarray(thetas, dtype=float))
         tables = _beta_tables(state, beta)
-        return _riccati_terms(state, beta, tables, trig, _powers(trig[3], tables))
+        return _riccati_terms(state, beta, tables, grid.trig, grid.powers(len(tables[0])))
 
     return terms
 

@@ -23,9 +23,13 @@ import numpy as np
 import pytest
 
 from sws1.core import ModeParams
-from sws1.evaluate import riccati_residual_on_grid, wavefunction_on_grid
+from sws1.evaluate import (
+    _Grid,
+    riccati_residual_on_grid,
+    uniform_interior_grid,
+    wavefunction_on_grid,
+)
 from sws1.oracle import (
-    FdGrid,
     _ground_states,
     an_closed_form,
     fd_ground_state,
@@ -220,10 +224,10 @@ def test_criterion_5_riccati_residual_order(order, riccati_floor):
 
 def test_criterion_6_wavefunction_agreement(state_m1_n8):
     t0 = time.monotonic()
-    grid = FdGrid(4096)
-    _, vec = fd_ground_state(state_m1_n8.params, 0.1, grid, spectral_eigenvalue(1, 0.1))
-    psi, _, _ = wavefunction_on_grid(state_m1_n8, 0.1, grid.thetas)
-    psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
+    thetas, h = uniform_interior_grid(4096), math.pi / 4097
+    _, vec = fd_ground_state(state_m1_n8.params, 0.1, _Grid(thetas), spectral_eigenvalue(1, 0.1))
+    psi, _, _ = wavefunction_on_grid(state_m1_n8, 0.1, thetas)
+    psi = psi / (math.sqrt(h) * np.linalg.norm(psi))
     gap = float(np.max(np.abs(psi - vec)))
     elapsed = time.monotonic() - t0
     ok = gap <= 1e-3 and elapsed < 30.0

@@ -180,8 +180,8 @@ class TestEval:
         # grid's.  A second eval in the process reuses both and makes none
         evaluate._normalization_rule.cache_clear()
         monkeypatch.setattr(evaluate, "_held_grid", None)
-        calls = {"_beta_tables": 0, "_half_angle": 0, "_powers": 0}
-        for name in calls:
+        calls = {"_beta_tables": 0, "_half_angle": 0, "rows built": 0}
+        for name in ("_beta_tables", "_half_angle"):
             original = getattr(evaluate, name)
 
             def counted(*args, name=name, original=original):
@@ -189,11 +189,20 @@ class TestEval:
                 return original(*args)
 
             monkeypatch.setattr(evaluate, name, counted)
+        powers = evaluate._Grid.powers
+
+        def counted_rows(grid, degree):
+            held = grid._rows
+            rows = powers(grid, degree)
+            calls["rows built"] += rows is not held
+            return rows
+
+        monkeypatch.setattr(evaluate._Grid, "powers", counted_rows)
         argv = ["eval", "--m", "1", "--order", "32", "--beta", "0.1", "--theta-points", "4096"]
         code, _, _ = run(argv, capsys)
-        assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2, "_powers": 2}
+        assert code == 0 and calls == {"_beta_tables": 1, "_half_angle": 2, "rows built": 2}
         code, _, _ = run(argv, capsys)
-        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 2, "_powers": 2}
+        assert code == 0 and calls == {"_beta_tables": 2, "_half_angle": 2, "rows built": 2}
 
     def test_output_bytes_do_not_depend_on_blas_threads(self):
         # the sine polynomials are BLAS matrix products: a one- and a

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -472,6 +473,25 @@ class TestOnePass:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert matches == [True] * (rounds * len(threads))
+
+    @pytest.mark.parametrize(
+        "view",
+        [eval_on_grid, wavefunction_on_grid, w_on_grid, riccati_residual_on_grid],
+        ids=lambda view: view.__name__,
+    )
+    @pytest.mark.parametrize(
+        "thetas", [np.array(1.0), uniform_interior_grid(50).reshape(5, 10)], ids=["0-d", "2-d"]
+    )
+    def test_angles_not_one_dimensional_are_refused(self, view, thetas):
+        # refused with the shape, before the held grid is read or replaced
+        state = cached_series(1, 32)
+        w_on_grid(state, 0.1, uniform_interior_grid(181))
+        held = evaluate._held_grid
+        rows = held._rows
+        message = re.escape(f"one-dimensional array, not shape {thetas.shape}")
+        with pytest.raises(ValueError, match=message):
+            view(state, 0.1, thetas)
+        assert evaluate._held_grid is held and held._rows is rows
 
 
 class TestGrids:

@@ -15,9 +15,8 @@ import pytest
 
 from sws1 import SeriesInconsistencyError, cli, evaluate, oracle, recurrence
 from sws1.core import DEFAULT_TOLERANCES, ModeParams
-from sws1.evaluate import eval_energy, wavefunction_on_grid
+from sws1.evaluate import _Grid, eval_energy, uniform_interior_grid, wavefunction_on_grid
 from sws1.oracle import (
-    FdGrid,
     OracleError,
     _ground_states,
     _indicial_correction,
@@ -42,9 +41,19 @@ def skip_reasons(report):
     return {c.name: c.reason for c in report.records if c.status == "skipped"}
 
 
+def fd_grid(points):
+    """A uniform interior grid of (0, pi), held as the oracle holds its grids."""
+    return _Grid(uniform_interior_grid(points))
+
+
+def spacing(grid):
+    """h = pi/(points + 1) of a uniform interior grid, the float the solver takes."""
+    return math.pi / (len(grid.thetas) + 1)
+
+
 def diagonal(params, beta, grid):
     """The operator's diagonal, 2/h^2 + `_weights`."""
-    return 2.0 / grid.h**2 + oracle._weights(params, beta, grid)
+    return 2.0 / spacing(grid) ** 2 + oracle._weights(params, beta, grid)
 
 
 def solve(params, beta, grid):
@@ -58,7 +67,7 @@ def dense_spectrum(params, beta, grid):
     LAPACK solve, a reference that shares nothing with the oracle's solver.
     Only for small m: at m = 40 the diagonal reaches 3e17 and the dense
     solve loses the ground eigenvalue to O(1)."""
-    off = np.full(grid.points - 1, -1.0 / grid.h**2)
+    off = np.full(len(grid.thetas) - 1, -1.0 / spacing(grid) ** 2)
     matrix = np.diag(diagonal(params, beta, grid)) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(matrix)
 
@@ -68,7 +77,7 @@ def plain_bisection(params, beta, grid, k=1):
     every midpoint of the Gershgorin bracket, to a width of 1e-13
     relative."""
     diag = diagonal(params, beta, grid).tolist()
-    off = 1.0 / grid.h**2
+    off = 1.0 / spacing(grid) ** 2
     lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
     while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
@@ -167,10 +176,14 @@ def pivots(diag, offsq, lam):
 
 class TestFdGrid:
     def test_spacing_and_nodes(self):
-        g = FdGrid(127)
-        assert g.h == pytest.approx(math.pi / 128)
-        assert g.thetas[0] == pytest.approx(g.h)
-        assert g.thetas[-1] == pytest.approx(math.pi - g.h)
+        # the solver takes h = pi/(points + 1), the first node bit for bit,
+        # on every grid size these tests solve on
+        sizes = (63, 127, 256, 512, 1024, 2000, 2048, 4096, *oracle.RICHARDSON_GRIDS)
+        for points in sizes:
+            thetas = uniform_interior_grid(points)
+            assert len(thetas) == points
+            assert thetas[0] == math.pi / (points + 1), points
+            assert thetas[-1] == pytest.approx(math.pi - thetas[0]), points
 
     def test_richardson_grids_are_nested(self):
         # every node of a grid is every other node of the next, bit for bit
@@ -179,49 +192,48 @@ class TestFdGrid:
             assert np.array_equal(oracle._GRIDS[coarse].thetas, oracle._GRIDS[fine].thetas[1::2])
 
     def test_cached_constants_are_read_only(self):
-        # every caller shares them: the grids' half-angle values, the
-        # indicial corrections, the spectral matrix's parts, the
-        # normalization rule, and the angles, half-angle values and power
-        # rows held for the rule's nodes and for the grid evaluated last
-        grid = FdGrid(1024)
+        # every caller shares them: the indicial corrections, the spectral
+        # matrix's parts, the normalization rule, and the angles, half-angle
+        # values and power rows held for the Richardson grids, for the
+        # rule's nodes and for the grid evaluated last
         state = compute_series(ModeParams(1, 8))
-        wavefunction_on_grid(state, 0.1, grid.thetas)
-        tables = evaluate._beta_tables(state, 0.1)
+        wavefunction_on_grid(state, 0.1, uniform_interior_grid(1024))
+        degree = len(evaluate._beta_tables(state, 0.1)[0])
         weights, nodes = evaluate._normalization_rule(1)
         spectral = oracle._spectral_parts(1)
         held = [
             values
-            for g in (nodes, evaluate._held_grid)
-            for values in (g.thetas, *g.trig, g.powers(tables))
+            for g in (*oracle._GRIDS.values(), nodes, evaluate._held_grid)
+            for values in (g.thetas, *g.trig, g.powers(degree))
         ]
-        for values in (*grid.trig, _indicial_correction(1, 1024), *spectral, weights, *held):
+        for values in (_indicial_correction(1, 1024), *spectral, weights, *held):
             assert not values.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 10, 91])
     def test_cached_potential_gives_the_weights_of_one_expression(self, m):
         # the potential formed at each beta as the single expression it was
         # before its beta-free part was cached
-        for grid in oracle._GRIDS.values():
+        for points, grid in oracle._GRIDS.items():
             _, c, one_minus, _ = grid.trig
             one_plus = 2.0 * np.cos(grid.thetas / 2.0) ** 2
-            corr = _indicial_correction(m, grid.points)
+            corr = _indicial_correction(m, points)
             for beta in (0.0, 0.33, -1.0, 50.0):
                 inv_sin2 = ((m + c) ** 2 - 0.25) / (one_minus * one_plus)
                 expected = (inv_sin2 - 1.25 - (beta * c) ** 2 + 2.0 * beta * c) + corr
                 weights = oracle._weights(ModeParams(m=m, N=0), beta, grid)
-                assert weights.tobytes() == expected.tobytes(), (grid.points, beta)
+                assert weights.tobytes() == expected.tobytes(), (points, beta)
 
 
 class TestGroundEigenvalue:
     @pytest.mark.parametrize("m,expected", [(1, 0.0), (2, 4.0), (3, 10.0)])
     def test_spherical_limit(self, m, expected):
-        e, _ = solve(ModeParams(m=m, N=0), 0.0, FdGrid(4096))
+        e, _ = solve(ModeParams(m=m, N=0), 0.0, fd_grid(4096))
         assert e == pytest.approx(expected, abs=5e-5)
 
     def test_sturm_count_brackets_ground_state(self):
         # the solver lands on the lowest eigenvalue of the same matrix
         params = ModeParams(m=1, N=0)
-        grid = FdGrid(1024)
+        grid = fd_grid(1024)
         e, _ = solve(params, 0.1, grid)
         assert e == pytest.approx(dense_spectrum(params, 0.1, grid)[0], rel=1e-9)
 
@@ -229,13 +241,13 @@ class TestGroundEigenvalue:
     def test_non_finite_potential_refused(self, beta):
         # beta^2 overflows, so the potential is -inf at every node
         with pytest.raises(ValueError, match="potential is not finite"):
-            solve(ModeParams(m=2, N=0), beta, FdGrid(1024))
+            solve(ModeParams(m=2, N=0), beta, fd_grid(1024))
 
     @pytest.mark.parametrize("points,largest", [(1024, 100), (2048, 91), (4096, 83)])
     def test_indicial_overflow_refused_past_the_stated_m(self, points, largest):
         # (j+1)^(m+3/2) overflows at the far end of the grid; the potential
         # itself is finite
-        grid = FdGrid(points)
+        grid = fd_grid(points)
         assert np.isfinite(diagonal(ModeParams(m=largest, N=0), 0.0, grid)).all()
         message = (
             f"indicial correction overflows on the {points}-point grid at m={largest + 1}; "
@@ -286,7 +298,7 @@ class TestGroundEigenvalue:
         points against the h^2-extrapolated limit of 2048 and 4096."""
         params = ModeParams(m=m, N=0)
         sizes = [512, 1024, 2048, 4096]
-        values = {p: solve(params, beta, FdGrid(p))[0] for p in sizes}
+        values = {p: solve(params, beta, fd_grid(p))[0] for p in sizes}
         limit = (4 * values[4096] - values[2048]) / 3
         errs = np.array([abs(values[p] - limit) for p in sizes[:-1]])
         hs = np.array([math.pi / (p + 1) for p in sizes[:-1]])
@@ -333,9 +345,9 @@ class TestEigenvalueCountsAndSweeps:
     def test_newton_sweep_counts_as_sturm_count_on_the_operator(self, m):
         # at every midpoint of the plain bisection, down to the float noise
         # around the eigenvalue, and across the whole Gershgorin bracket
-        params, grid = ModeParams(m=m, N=0), FdGrid(1024)
+        params, grid = ModeParams(m=m, N=0), fd_grid(1024)
         diag = diagonal(params, 0.33, grid).tolist()
-        off = 1.0 / grid.h**2
+        off = 1.0 / spacing(grid) ** 2
         lo, hi = min(diag) - 2.0 * off, max(diag) + 2.0 * off
         shifts = list(np.linspace(lo, hi, 64))
         while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
@@ -386,7 +398,7 @@ class TestEigenvalueCountsAndSweeps:
         # could part; at these shifts they agree
         params = ModeParams(m=m, N=0)
         for points, grid in oracle._GRIDS.items():
-            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
+            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / spacing(grid) ** 2
             exact = plain_bisection(params, beta, grid)
             half = 0.5e-9 * max(1.0, abs(exact))
             counts = []
@@ -408,10 +420,10 @@ class TestEigenvalueCountsAndSweeps:
         # plain bisection's float
         params = ModeParams(m=m, N=0)
         for points in (256, 1024):
-            grid = FdGrid(points)
+            grid = fd_grid(points)
             exact, second = plain_bisection(params, beta, grid), plain_bisection(params, beta, grid, 2)
             diag = diagonal(params, beta, grid)
-            width = float(diag.max() - diag.min()) + 4.0 / grid.h**2
+            width = float(diag.max() - diag.min()) + 4.0 / spacing(grid) ** 2
             # the spectral value, the true value, one ulp off either way,
             # 1e-3 off, 10x off, the wrong side of 0, 1e3 below it, between
             # the two lowest eigenvalues, above the second, beyond the
@@ -485,7 +497,7 @@ class TestEigenvalueCountsAndSweeps:
         # sweeps followed.  It now climbs from the seed or the floor, two
         # inverse steps follow, and the last step's pivots certify the
         # Rayleigh quotient (a count once followed at m = 60 and 91)
-        params, grid = ModeParams(m=m, N=0), FdGrid(255)
+        params, grid = ModeParams(m=m, N=0), fd_grid(255)
         counter = SweepCounter(monkeypatch)
         value, _ = solve(params, 0.0, grid)
         assert counter.sweeps["_sturm_count", 255] <= 1 and counter.sweeps["_sturm_newton", 255] >= 1
@@ -502,7 +514,7 @@ class TestEigenvalueCountsAndSweeps:
         newton = oracle._sturm_newton
 
         def recording(diag, offsq, lam):
-            if lam == min(diag) - 2.0 / grid.h**2:
+            if lam == min(diag) - 2.0 / spacing(grid) ** 2:
                 floored.add(case)
             return newton(diag, offsq, lam)
 
@@ -524,9 +536,10 @@ class TestEigenvalueCountsAndSweeps:
             params = ModeParams(m=m, N=0)
             diag = diagonal(params, beta, grid).tolist()
             exact = plain_bisection(params, beta, grid)
-            one_step, _ = oracle._inverse_step(diag, -1.0 / grid.h**2, exact, [1.0] * grid.points)
+            h = spacing(grid)
+            one_step, _ = oracle._inverse_step(diag, -1.0 / h**2, exact, [1.0] * len(grid.thetas))
             with pytest.raises(OracleError, match="sign"):
-                oracle._ground_vector(one_step, grid.h)
+                oracle._ground_vector(one_step, h)
 
     # Sturm rows and inverse-step rows per solve of the four grids over
     # verify-battery's modes
@@ -629,7 +642,7 @@ class TestOddEvenReduction:
         params = ModeParams(m=m, N=0)
         for points in (511, 1023, 2047):
             grid = oracle._GRIDS[points]
-            diag, off = diagonal(params, 0.3, grid), -1.0 / grid.h**2
+            diag, off = diagonal(params, 0.3, grid), -1.0 / spacing(grid) ** 2
             lams = [plain_bisection(params, 0.3, grid, k) for k in range(1, 7)]
             for k, (lo, hi) in enumerate(zip(lams, lams[1:]), start=1):
                 for lam in (lo + 1e-3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-3 * (hi - lo)):
@@ -640,14 +653,14 @@ class TestOddEvenReduction:
 class TestGroundEigenvector:
     def test_spherical_limit_profile_m1(self):
         # the beta = 0 ground state is (1-cos) sqrt(sin) up to normalization
-        params, grid = ModeParams(m=1, N=0), FdGrid(4096)
+        params, grid = ModeParams(m=1, N=0), fd_grid(4096)
         _, vec = solve(params, 0.0, grid)
         exact = (1 - np.cos(grid.thetas)) * np.sqrt(np.sin(grid.thetas))
-        exact /= math.sqrt(grid.h) * np.linalg.norm(exact)
+        exact /= math.sqrt(spacing(grid)) * np.linalg.norm(exact)
         assert np.max(np.abs(vec - exact)) < 1e-3
 
     def test_nodeless_and_positive(self):
-        _, vec = solve(ModeParams(m=2, N=0), 0.2, FdGrid(512))
+        _, vec = solve(ModeParams(m=2, N=0), 0.2, fd_grid(512))
         assert np.all(vec > 0.0)
         # on every Richardson grid every entry above 1e-12 of the largest
         # is positive.  A single step at a shift above the eigenvalue flips
@@ -662,26 +675,26 @@ class TestGroundEigenvector:
                     assert largest > 0.0 and vec.min() >= -1e-12 * largest, (m, beta, points)
 
     def test_unit_discrete_l2(self):
-        grid = FdGrid(512)
+        grid = fd_grid(512)
         _, vec = solve(ModeParams(m=1, N=0), 0.1, grid)
-        assert grid.h * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12)
+        assert spacing(grid) * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_series_eigenfunction(self, state_m1_n8):
         # cross-implementation agreement at beta = 0.2
-        params, grid = ModeParams(m=1, N=8), FdGrid(2048)
+        params, grid = ModeParams(m=1, N=8), fd_grid(2048)
         _, vec = solve(params, 0.2, grid)
         psi, _, _ = wavefunction_on_grid(state_m1_n8, 0.2, grid.thetas)
-        psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
+        psi = psi / (math.sqrt(spacing(grid)) * np.linalg.norm(psi))
         assert np.max(np.abs(psi - vec)) < 5e-3
 
     def test_matches_series_eigenfunction_low_order(self):
         # the order-4 truncation already reproduces the discrete ground
         # state to 1e-3 at beta = 0.1 on a 2000-point grid
         state = compute_series(ModeParams(m=1, N=4))
-        grid = FdGrid(2000)
+        grid = fd_grid(2000)
         _, vec = solve(state.params, 0.1, grid)
         psi, _, _ = wavefunction_on_grid(state, 0.1, grid.thetas)
-        psi = psi / (math.sqrt(grid.h) * np.linalg.norm(psi))
+        psi = psi / (math.sqrt(spacing(grid)) * np.linalg.norm(psi))
         assert np.max(np.abs(psi - vec)) < 1e-3
 
     @staticmethod
@@ -689,7 +702,7 @@ class TestGroundEigenvector:
         """Inverse iteration run to convergence, six steps: the Thomas
         factorization and each substitution in separate passes, the vector
         rescaled after each step."""
-        off = -1.0 / grid.h**2
+        off = -1.0 / spacing(grid) ** 2
         pivots, mults, c = [], [], 0.0
         for t in (diagonal(params, beta, grid) - eigenvalue).tolist():
             piv = t - off * c
@@ -698,7 +711,7 @@ class TestGroundEigenvector:
             c = off / piv
             pivots.append(piv)
             mults.append(c)
-        x = np.ones(grid.points)
+        x = np.ones(len(grid.thetas))
         for _ in range(6):
             x, y = x.tolist(), 0.0
             for i, piv in enumerate(pivots):
@@ -706,19 +719,20 @@ class TestGroundEigenvector:
             for i in range(len(x) - 2, -1, -1):
                 x[i] -= mults[i] * x[i + 1]
             x = np.array(x) / np.linalg.norm(x)
-        x /= math.sqrt(grid.h) * np.linalg.norm(x)
+        x /= math.sqrt(spacing(grid)) * np.linalg.norm(x)
         return x if x[int(np.argmax(np.abs(x)))] > 0.0 else -x
 
     @staticmethod
     def two_steps_at_4096_points(monkeypatch, m, beta):
         """The solver's vector on 4096 points seeded without a start, the
         shift of its two steps (the first from all-ones), and the system."""
-        params, grid, shifts = ModeParams(m=m, N=0), FdGrid(4096), []
+        params, grid, shifts = ModeParams(m=m, N=0), fd_grid(4096), []
         step = oracle._inverse_step
         monkeypatch.setattr(oracle, "_inverse_step", lambda *args: shifts.append(args[2]) or step(*args))
         _, vec = solve(params, beta, grid)
         assert len(shifts) == 2 and shifts[0] == shifts[1]
-        return vec, shifts[0], diagonal(params, beta, grid), -1.0 / grid.h**2, grid.h
+        h = spacing(grid)
+        return vec, shifts[0], diagonal(params, beta, grid), -1.0 / h**2, h
 
     @pytest.mark.parametrize("beta", [0.0, 0.45, -1.0])
     @pytest.mark.parametrize("m", [1, 10, 40, 83])
@@ -750,12 +764,12 @@ class TestGroundEigenvector:
         params = ModeParams(m=m, N=0)
         _, per_grid, _, _ = _ground_states(params, beta)
         for points in (1023, 2047):
-            grid, shift = FdGrid(points), per_grid[points]
-            diag, off = diagonal(params, beta, grid), -1.0 / grid.h**2
+            grid, shift, h = fd_grid(points), per_grid[points], math.pi / (points + 1)
+            diag, off = diagonal(params, beta, grid), -1.0 / h**2
             x, _ = oracle._inverse_step(diag, off, shift, np.ones(points))
             x, _ = oracle._inverse_step(diag, off, shift, np.divide(x, np.linalg.norm(x)))
-            reference = extended_steps(diag, off, shift, 2, grid.h)
-            assert np.max(np.abs(oracle._ground_vector(x, grid.h) - reference)) < 1.5e-13, points
+            reference = extended_steps(diag, off, shift, 2, h)
+            assert np.max(np.abs(oracle._ground_vector(x, h) - reference)) < 1.5e-13, points
 
     @pytest.mark.parametrize("m, beta", [(1, 0.1), (40, 0.45), (91, -1.0)])
     def test_ground_vector_keeps_the_bytes_of_its_norm_form(self, m, beta):
@@ -763,14 +777,15 @@ class TestGroundEigenvector:
         # eigenvalue from its ground vector
         params = ModeParams(m=m, N=0)
         _, per_grid, vectors, _ = _ground_states(params, beta)
-        for grid, vector in zip(oracle._GRIDS.values(), vectors):
-            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / grid.h**2
-            x, _ = oracle._inverse_step(diag, off, per_grid[grid.points], vector.tolist())
+        for (points, grid), vector in zip(oracle._GRIDS.items(), vectors):
+            h = math.pi / (points + 1)
+            diag, off = diagonal(params, beta, grid).tolist(), -1.0 / h**2
+            x, _ = oracle._inverse_step(diag, off, per_grid[points], vector.tolist())
             expected = np.array(x)
             peak = float(expected[np.argmax(np.abs(expected))])
             expected = np.ldexp(expected, -math.frexp(peak)[1])
-            expected /= math.copysign(math.sqrt(grid.h) * np.linalg.norm(expected), peak)
-            assert oracle._ground_vector(x, grid.h).tobytes() == expected.tobytes(), grid.points
+            expected /= math.copysign(math.sqrt(h) * np.linalg.norm(expected), peak)
+            assert oracle._ground_vector(x, h).tobytes() == expected.tobytes(), points
 
     def test_vanishing_pivot_leaves_a_unit_vector(self, monkeypatch):
         # at this beta the 255-point grid's bisected eigenvalue makes a
@@ -786,20 +801,20 @@ class TestGroundEigenvector:
 
         monkeypatch.setattr(oracle, "_inverse_step", recording)
         shift = plain_bisection(params, beta, grid)
-        _, vec = fd_ground_state(params, beta, grid, shift, np.ones(grid.points))
+        _, vec = fd_ground_state(params, beta, grid, shift, np.ones(len(grid.thetas)))
         assert largest[0] > 1e150
-        assert grid.h * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12) and np.all(vec > 0.0)
+        assert spacing(grid) * np.sum(vec**2) == pytest.approx(1.0, rel=1e-12) and np.all(vec > 0.0)
         with pytest.raises(OracleError, match="overflowed"):
-            oracle._ground_vector([1.0, math.inf], grid.h)
+            oracle._ground_vector([1.0, math.inf], spacing(grid))
 
     def test_excited_state_detected_as_nodal(self):
         # aiming inverse iteration at the second eigenvalue must trip the
         # nodeless check
         params = ModeParams(m=1, N=0)
-        grid = FdGrid(256)
+        grid = fd_grid(256)
         e1 = dense_spectrum(params, 0.0, grid)[1]
         with pytest.raises(OracleError, match="sign"):
-            fd_ground_state(params, 0.0, grid, e1, np.ones(grid.points))
+            fd_ground_state(params, 0.0, grid, e1, np.ones(len(grid.thetas)))
 
 
 class TestRefinedGrids:
@@ -841,13 +856,13 @@ class TestRefinedGrids:
 
     def test_rayleigh_quotient_is_the_operator_form(self):
         # v^T T v / v^T v on a small grid, T formed densely
-        params, grid = ModeParams(m=2, N=0), FdGrid(63)
+        params, grid = ModeParams(m=2, N=0), fd_grid(63)
         weights = oracle._weights(params, 0.3, grid)
         vector = np.sin(np.arange(1, 64) * math.pi / 64) ** 3
-        off = np.full(62, -1.0 / grid.h**2)
+        off = np.full(62, -1.0 / spacing(grid) ** 2)
         dense = np.diag(diagonal(params, 0.3, grid)) + np.diag(off, 1) + np.diag(off, -1)
         expected = vector @ dense @ vector / (vector @ vector)
-        value = oracle._rayleigh_quotient(vector, weights, grid.h)
+        value = oracle._rayleigh_quotient(vector, weights, spacing(grid))
         assert value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, 0.45, -0.45, 1.0, -1.0])
@@ -862,7 +877,7 @@ class TestRefinedGrids:
             delta = 1e-9 * max(1.0, abs(rho))
             assert abs(rho - plain_bisection(params, beta, grid)) <= delta, points
             diag = diagonal(params, beta, grid).tolist()
-            assert _sturm_count(diag, (1.0 / grid.h**2) ** 2, rho - delta) == 0, points
+            assert _sturm_count(diag, (1.0 / spacing(grid) ** 2) ** 2, rho - delta) == 0, points
 
     @pytest.mark.parametrize("beta", [0.0, 0.45, -0.45, 1.0, -1.0])
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 91])
@@ -901,13 +916,14 @@ class TestRefinedGrids:
         # does not reproduce, on every grid's ground vector
         params = ModeParams(m=m, N=0)
         _, _, vectors, _ = _ground_states(params, beta)
-        for grid, vector in zip(oracle._GRIDS.values(), vectors):
+        for (points, grid), vector in zip(oracle._GRIDS.items(), vectors):
+            h = math.pi / (points + 1)
             weights = oracle._weights(params, beta, grid)
             diff = np.diff(vector, prepend=0.0, append=0.0)
             square = vector * vector
-            top = np.sum(diff * diff) / grid.h**2 + np.sum(weights * square)
+            top = np.sum(diff * diff) / h**2 + np.sum(weights * square)
             expected = float(top / np.sum(square))
-            assert oracle._rayleigh_quotient(vector, weights, grid.h) == expected, grid.points
+            assert oracle._rayleigh_quotient(vector, weights, h) == expected, points
 
     def test_uncertified_quotient_raises(self, monkeypatch):
         # a count above 0 at rho - delta refuses the grid; at m = 20,
@@ -1345,24 +1361,36 @@ class TestVerifyAll:
         assert repr(given) == repr(verify_all(params, [0.0, 0.1]))
 
     def test_second_case_reuses_the_grid_constants(self, monkeypatch):
-        # a new beta at the same m forms no indicial correction and no
-        # half-angle values of a grid or of the normalization rule
+        # a new beta at the same m forms no indicial correction, no
+        # half-angle values of a grid or of the normalization rule, and no
+        # power rows: the coarsest grid keeps those of the series psi
         params = ModeParams(m=3, N=2)
         state = compute_series(params)
+        monkeypatch.setattr(oracle._COARSEST, "_rows", np.empty((0, 255)))
+        built, powers = [], evaluate._Grid.powers
+
+        def counting_rows(grid, degree):
+            held = grid._rows
+            rows = powers(grid, degree)
+            if rows is not held:
+                built.append(grid)
+            return rows
+
+        monkeypatch.setattr(evaluate._Grid, "powers", counting_rows)
         verify_all(params, [0.1], state=state)
+        assert oracle._COARSEST in built
         cached = (oracle._indicial_correction,)
         misses = [f.cache_info().misses for f in cached]
-        sizes = []
-        for module in (oracle, evaluate):
+        sizes, built[:] = [], []
 
-            def counting(theta, half_angle=module._half_angle):
-                sizes.append(np.size(theta))
-                return half_angle(theta)
+        def counting(theta, half_angle=evaluate._half_angle):
+            sizes.append(np.size(theta))
+            return half_angle(theta)
 
-            monkeypatch.setattr(module, "_half_angle", counting)
+        monkeypatch.setattr(evaluate, "_half_angle", counting)
         verify_all(params, [0.2], state=state)
         assert [f.cache_info().misses for f in cached] == misses
-        assert sizes == []
+        assert sizes == [] and built == []
 
     def test_battery_floats_match_pinned_digest(self):
         # sha256 of the repr of every measured field of the reports over

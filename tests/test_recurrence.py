@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sws1 import core, evaluate, recurrence
 from sws1.core import ModeParams, WnTable, tables_to_text
-from sws1.evaluate import _half_angle, _odd_sine_antiderivative, _orders_at, _powers
+from sws1.evaluate import _Grid, _odd_sine_antiderivative, _orders_at
 from sws1.recurrence import (
     SeriesInconsistencyError,
     base_order0,
@@ -233,11 +233,11 @@ class TestConvolution:
         # convolution output.
         h, g, den = convolve_sources(state_m1_n8, 4)
         thetas = np.linspace(0.2, math.pi - 0.2, 16)
-        trig = _half_angle(thetas)
-        s, c = trig[0], trig[1]
+        grid = _Grid(thetas)
+        s, c = grid.trig[0], grid.trig[1]
         a, b, _ = state_m1_n8.floats
-        powers = _powers(trig[3], (a, b))
-        orders = [_orders_at(a[k - 1], b[k - 1], trig, powers) for k in range(1, 4)]
+        powers = grid.powers(len(a))
+        orders = [_orders_at(a[k - 1], b[k - 1], grid.trig, powers) for k in range(1, 4)]
         samples = sum(orders[k - 1] * orders[3 - k] for k in range(1, 4))
         design = np.column_stack([s**2, s**4, c * s**2, c * s**4])
         coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
